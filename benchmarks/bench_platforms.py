@@ -24,9 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.evaluator import CodesignEvaluator
-from repro.core.reward import RewardConfig
-from repro.hw import TensorizedSpace, build_platform, enumerable, list_platforms
+from repro.hw import build_platform, list_platforms
 from repro.nasbench.compile import compile_cell_ops
 from repro.nasbench.known_cells import resnet_cell
 from repro.nasbench.skeleton import CIFAR10_SKELETON
@@ -42,106 +40,12 @@ def _best_of(repeats: int, fn) -> float:
     return best
 
 
-def bench_tensorized(args) -> dict:
-    """Full-space ``evaluate_batch`` points/sec: scalar vs tensorized.
-
-    The headline number for the tensorized fast path: a warm
-    full-space sweep through the whole evaluator (reward included),
-    which is the shape every search-strategy step takes.  Both
-    evaluators see the sweep once cold to populate their memos; the
-    timed runs then measure the steady state a study lives in.  The
-    two result sets are asserted bit-identical before timing.
-    """
-    spec = resnet_cell()
-    rows = []
-    speedups = {}
-    report: dict[str, dict] = {}
-    for name in list_platforms():
-        platform = build_platform(name)
-        if not enumerable(platform):
-            print(f"skipping {name}: not enumerable")
-            continue
-        space = platform.config_space()
-        pairs = [(spec, space.config_at(i)) for i in range(space.size)]
-
-        scalar = CodesignEvaluator.from_surrogate(
-            RewardConfig(), platform=platform
-        )
-        fast = CodesignEvaluator.from_surrogate(
-            RewardConfig(), platform=build_platform(name)
-        )
-        fast.attach_tensorized(
-            TensorizedSpace(fast.platform, use_disk_cache=False)
-        )
-
-        # Bit-identity gate, which doubles as the cold warm-up pass.
-        scalar_results = scalar.evaluate_batch(pairs)
-        fast_results = fast.evaluate_batch(pairs)
-        for a, b in zip(scalar_results, fast_results):
-            assert a.metrics == b.metrics, name
-            assert a.reward == b.reward, name
-
-        t_scalar = _best_of(args.repeats, lambda: scalar.evaluate_batch(pairs))
-        t_fast = _best_of(args.repeats, lambda: fast.evaluate_batch(pairs))
-        speedups[name] = t_scalar / t_fast
-        report[name] = {
-            "configs": space.size,
-            "scalar_eval_pts_per_s": space.size / t_scalar,
-            "tensorized_eval_pts_per_s": space.size / t_fast,
-            "tensorized_speedup": speedups[name],
-        }
-        rows.append(
-            (
-                name,
-                space.size,
-                f"{space.size / t_scalar:,.0f}",
-                f"{space.size / t_fast:,.0f}",
-                f"{speedups[name]:,.1f}x",
-            )
-        )
-
-    print(
-        format_markdown(
-            [
-                "platform",
-                "configs",
-                "scalar eval pts/s",
-                "tensorized eval pts/s",
-                "tensorized speedup",
-            ],
-            rows,
-        )
-    )
-    print("\ntensorized == scalar verified bit-for-bit on the full space.")
-    if args.assert_min_speedup is not None:
-        # The floor guards the exact models' fast path; surrogate
-        # platforms' scalar path is already a cheap vectorized
-        # predictor, so their tensorized headroom is small and noisy
-        # (bench_surrogate.py gates their economics instead).
-        exact = {
-            n: s for n, s in speedups.items() if not n.startswith("surrogate:")
-        }
-        worst = min(exact, key=exact.get)
-        assert speedups[worst] >= args.assert_min_speedup, (
-            f"warm tensorized speedup {speedups[worst]:.2f}x on {worst} "
-            f"below the required {args.assert_min_speedup:.1f}x floor"
-        )
-        print(
-            f"speedup floor {args.assert_min_speedup:.1f}x met "
-            f"(worst: {worst} at {speedups[worst]:.1f}x)"
-        )
-    return report
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--repeats", type=int, default=3,
                         help="timing repeats (best-of)")
     parser.add_argument("--scalar-sample", type=int, default=32,
                         help="configs for the scalar-loop comparison")
-    parser.add_argument("--assert-min-speedup", type=float, default=None,
-                        help="fail unless every platform's warm tensorized "
-                             "evaluate_batch beats scalar by this factor")
     parser.add_argument("--json", type=Path, default=None, metavar="PATH",
                         help="also write the measured rates as JSON")
     args = parser.parse_args()
@@ -213,8 +117,6 @@ def main() -> None:
         )
     )
     print("\nbatch == scalar verified on the sampled configs for every platform.")
-    print()
-    tensorized_report = bench_tensorized(args)
     if args.json is not None:
         args.json.write_text(
             json.dumps(
@@ -223,7 +125,6 @@ def main() -> None:
                     "repeats": args.repeats,
                     "scalar_sample": args.scalar_sample,
                     "batched": batched_report,
-                    "tensorized": tensorized_report,
                 },
                 indent=2,
                 sort_keys=True,

@@ -9,7 +9,7 @@ Three sections, each a claim the ``repro.workloads`` subsystem makes:
    *fitting* affordable on a 393k-config space.
 2. **Sampled-surrogate fidelity** — ``surrogate:charm-u50`` is fitted
    on a *sampled* slice of the space (the space is past the
-   tensorization cap, so enumeration is off the table); its Spearman
+   enumeration cap, so enumeration is off the table); its Spearman
    rank correlation against the exact latency model on a fresh uniform
    sample must clear ``--min-rank-corr`` (default 0.85).  The two-tier
    filter only consumes rankings, so rank fidelity is the number that

@@ -46,9 +46,8 @@ class AcceleratorSpace:
         self._strides = strides
         # Flat index -> the one config object for that point.
         # Interning makes repeat decodes of the same configuration
-        # return the *same* (frozen, immutable) object, so downstream
-        # identity-keyed memos — the tensorized evaluator's
-        # config-to-index resolution — hit without rebuilding any key.
+        # return the *same* (frozen, immutable) object instead of
+        # rebuilding one per decode.
         self._interned: dict[int, object] = {}
 
     # ------------------------------------------------------------------
@@ -104,8 +103,7 @@ class AcceleratorSpace:
 
         Actions *are* per-parameter value indices, so the flat index is
         just their mixed-radix composition — no config (or dict) is
-        ever materialized.  This is the index-native decode route the
-        tensorized evaluation path rides:
+        ever materialized:
         ``decode(a) == config_at(index_of_actions(a))`` always holds.
         """
         actions = list(actions)

@@ -51,8 +51,8 @@ refused because the ledger pins ``spec.to_dict()``.
 HTTP/JSON API over a ledger-backed study queue, with every study
 executed crash-safely against its own run ledger.  ``repro
 submit|status|watch|cancel`` are its clients — ``submit`` resolves
-specs exactly like ``study run`` (same ``--set``/``--hardware``/
-``--tensorize``) and ``watch`` prints the same report, so a served
+specs exactly like ``study run`` (same ``--set``/``--hardware``)
+and ``watch`` prints the same report, so a served
 study and a local run are directly comparable.  The server address
 comes from ``--server``, ``REPRO_SERVER``, or the default
 ``http://127.0.0.1:8321``.
@@ -135,7 +135,6 @@ class RunContext:
     ledger: RunLedger | None = None
     checkpoint_every: int = 10
     hardware: str | None = None
-    tensorize: bool = False
     surrogate: bool = False
     exact_fraction: float = 0.25
     backend_name: str | None = None
@@ -167,7 +166,6 @@ class RunContext:
                 ledger=self.ledger,
                 checkpoint_every=self.checkpoint_every,
                 hardware=self.hardware,
-                tensorize=self.tensorize,
                 surrogate=self.surrogate,
                 exact_fraction=self.exact_fraction,
             )
@@ -398,14 +396,6 @@ def _add_spec_arguments(sp: argparse.ArgumentParser) -> None:
         "compatible — see 'repro workload list')",
     )
     sp.add_argument(
-        "--tensorize",
-        action="store_true",
-        help="shorthand for --set execution.tensorize=true: answer "
-        "batch evaluations from dense full-config-space tensors "
-        "(bit-identical; per-platform 'tensorize' fields in the "
-        "spec's hardware entries override it)",
-    )
-    sp.add_argument(
         "--surrogate",
         action="store_true",
         help="shorthand for --set execution.surrogate=true: two-tier "
@@ -602,14 +592,6 @@ def _add_run_arguments(run: argparse.ArgumentParser) -> None:
         "cache rows with other platforms)",
     )
     run.add_argument(
-        "--tensorize",
-        action="store_true",
-        help="answer batch evaluations from dense full-config-space "
-        "tensors (bit-identical to the memoized path — differentially "
-        "tested per platform; platforms too large to enumerate fall "
-        "back silently; applies to the search-study experiments)",
-    )
-    run.add_argument(
         "--surrogate",
         action="store_true",
         help="two-tier search: strategies propose inflated batches, a "
@@ -798,15 +780,13 @@ def _main_workload(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _resolve_cli_spec(args, parser: argparse.ArgumentParser):
-    """Resolve PRESET|SPEC.json + --hardware/--tensorize/--set to a spec."""
+    """Resolve PRESET|SPEC.json + --hardware/--workload/--set to a spec."""
     try:
         spec = resolve_spec(args.spec)
         if args.hardware is not None:
             spec = spec.with_overrides({"hardware": {"name": args.hardware}})
         if args.workload is not None:
             spec = spec.with_overrides({"workload": args.workload})
-        if args.tensorize:
-            spec = spec.with_overrides({"execution.tensorize": True})
         if args.exact_fraction is not None and not args.surrogate:
             parser.error("--exact-fraction requires --surrogate (it only "
                          "shapes the two-tier filtering batches)")
@@ -1012,8 +992,6 @@ def main(argv: list[str] | None = None) -> int:
         study_flags.append("--batch-size")
     if args.ledger is not None:
         study_flags.append("--ledger")
-    if args.tensorize:
-        study_flags.append("--tensorize")
     if getattr(args, "exact_fraction", None) is not None and not args.surrogate:
         parser.error("--exact-fraction requires --surrogate (it only shapes "
                      "the two-tier filtering batches)")
@@ -1090,7 +1068,6 @@ def main(argv: list[str] | None = None) -> int:
         ledger=RunLedger(args.ledger) if args.ledger is not None else None,
         checkpoint_every=args.checkpoint_every,
         hardware=args.hardware,
-        tensorize=args.tensorize,
         surrogate=args.surrogate,
         exact_fraction=(
             args.exact_fraction if args.exact_fraction is not None else 0.25

@@ -9,8 +9,7 @@ Given a proposed (cell, accelerator) pair the evaluator:
    Section III), any callable such as a surrogate or real trainer
    (the CIFAR-100 flow of Section IV);
 3. compiles the cell and asks its :class:`repro.hw.HardwarePlatform`
-   for latency and area — both memoized, since searches revisit
-   configurations frequently;
+   for latency and area;
 4. maps the metric vector through the scenario's reward function.
 
 The hardware side is a swappable backend: the evaluator never
@@ -19,22 +18,26 @@ was given (default: the registered ``dac2020`` reference platform,
 bit-identical to the historical hardwired models — see
 :mod:`repro.hw`).
 
-Memoization is layered: an optional shared persistent
-:class:`repro.parallel.EvalCache` (consulted first, so repeats, worker
-processes, and re-runs warm-start each other) in front of private
-in-memory LRU maps (bounded, so multi-million-point sweeps run in
-constant memory).  Both layers store pure functions of their keys, so
-caching never changes results — only evaluation cost.
+There is one evaluation path, :meth:`CodesignEvaluator.evaluate_batch`
+(``evaluate`` is a batch of one), and every layer of it stores a pure
+function of its key, so caching never changes results — only
+evaluation cost.  The per-cell accuracy memo, the cell-content ->
+``spec_hash`` memo and the config -> latency-table column memo are
+unbounded: they grow with the distinct cells, cell layouts and
+configurations a run visits.  The per-(cell, config) latency memo and
+the per-config area memo are LRU maps bounded by ``cache_capacity``,
+so multi-million-point sweeps run in constant memory.  An optional
+shared persistent :class:`repro.parallel.EvalCache` sits in front of
+them so repeats, worker processes, and re-runs warm-start each other.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.accelerator.area import AreaModel
 from repro.accelerator.config import AcceleratorConfig
-from repro.accelerator.latency import LatencyModel
 from repro.accelerator.lut import config_key
 from repro.core.metrics import Metrics
 from repro.hw import Dac2020Platform, HardwarePlatform
@@ -57,7 +60,7 @@ __all__ = [
     "build_evaluator",
     "accuracy_source_namespace",
     "hardware_namespace",
-    "platform_matches_bundle",
+    "bundle_matches",
     "DEFAULT_CACHE_CAPACITY",
 ]
 
@@ -95,27 +98,10 @@ class CodesignEvaluator:
         accuracy_fn: AccuracyFn,
         reward_config: RewardConfig,
         skeleton: SkeletonConfig = CIFAR10_SKELETON,
-        area_model: AreaModel | None = None,
-        latency_model: LatencyModel | None = None,
         platform: HardwarePlatform | None = None,
         cache_capacity: int = DEFAULT_CACHE_CAPACITY,
-        tensorize: bool = False,
     ) -> None:
-        if platform is not None and (
-            area_model is not None or latency_model is not None
-        ):
-            raise ValueError(
-                "pass either 'platform' or the legacy "
-                "area_model/latency_model overrides, not both"
-            )
-        if platform is None:
-            # The legacy model overrides become an anonymous dac2020
-            # variant; with neither given this is the reference
-            # platform, bit-identical to the historic hardwired models.
-            platform = Dac2020Platform(
-                area_model=area_model, latency_model=latency_model
-            )
-        self.platform = platform
+        self.platform = Dac2020Platform() if platform is None else platform
         self.accuracy_fn = accuracy_fn
         self.reward_fn = RewardFunction(reward_config)
         self.skeleton = skeleton
@@ -127,27 +113,15 @@ class CodesignEvaluator:
         self._area_cache: LRUCache = LRUCache(cache_capacity)
         self._latency_cache: LRUCache = LRUCache(cache_capacity)
         self._accuracy_cache: dict[str, float | None] = {}
-        # Batch-path memos: pruned-cell content -> spec_hash (the md5
-        # canonicalization dominates per-point cost) and config_key ->
-        # latency-table column.  Pure key derivations, shared freely.
+        # Pruned-cell content -> spec_hash (the md5 canonicalization
+        # dominates per-point cost) and config_key -> latency-table
+        # column.  Pure key derivations, shared freely.
         self._content_hash_memo: dict[tuple, str] = {}
         self._config_index_memo: dict[tuple, int] = {}
         self._latency_table = None
         self.eval_cache: EvalCache | None = None
         self.cache_scenario = reward_config.name
         self.num_evaluations = 0
-        # Tensorized full-space fast path (see repro.hw.tensorized):
-        # when enabled and the platform's space is enumerable,
-        # evaluate_batch answers from dense per-index arrays plus a
-        # bounded (spec_hash, index) -> result memo, bypassing the
-        # config_key/LRU machinery entirely.  Lazily constructed so
-        # evaluators that never batch pay nothing.
-        self.tensorize = bool(tensorize)
-        self._cache_capacity = cache_capacity
-        self._tensor = None
-        self._tensor_unavailable = False
-        self._tensor_results: LRUCache = LRUCache(cache_capacity)
-        self._tensor_hash_memo: LRUCache = LRUCache(cache_capacity)
         # Registered accuracy-source builders stash their side objects
         # here (e.g. the CIFAR-100 trainer behind ``accuracy_fn``), so
         # callers can reach cost ledgers without private plumbing.
@@ -156,7 +130,7 @@ class CodesignEvaluator:
     def attach_eval_cache(
         self, cache: EvalCache | None, scenario: str | None = None
     ) -> "CodesignEvaluator":
-        """Consult (and fill) a shared persistent cache during metrics.
+        """Consult (and fill) a shared persistent cache during evaluation.
 
         ``scenario`` namespaces the cache rows; it defaults to the
         reward config's name.  Callers whose accuracy source is not
@@ -168,23 +142,15 @@ class CodesignEvaluator:
             self.cache_scenario = scenario
         return self
 
-    # --- legacy accessors (the models now live on the platform) -----------
-    @property
-    def area_model(self):
-        return getattr(self.platform, "area_model", None)
-
-    @property
-    def latency_lut(self):
-        return getattr(self.platform, "latency_lut", None)
-
     def attach_latency_table(self, latency_ms, row_of_hash, space) -> None:
         """Serve latencies from a precomputed (cell x config) matrix.
 
         ``latency_ms`` is (num_cells, space.size); ``row_of_hash`` maps
         spec hashes to rows.  Pairs outside the table fall back to the
         on-the-fly platform query, so attaching a table never changes
-        results — only speed (the batch and scalar paths agree exactly;
-        see ``tests/accelerator/test_scheduler.py``).
+        results — only speed (the table's entries equal the platform's
+        batch latencies, which equal its scalar calls; see
+        ``tests/accelerator/test_scheduler.py``).
 
         The table's configuration space must match the active
         platform's ``config_space()`` exactly: a table enumerated over
@@ -213,47 +179,6 @@ class CodesignEvaluator:
                 f"config space enumerates {space.size} configurations"
             )
         self._latency_table = (latency_ms, dict(row_of_hash), space)
-
-    def attach_tensorized(self, tensor) -> "CodesignEvaluator":
-        """Serve batches from a prebuilt :class:`TensorizedSpace`.
-
-        Normally :meth:`evaluate_batch` builds (or reuses the
-        process-wide memo of) the tensor itself when ``tensorize`` is
-        set; attaching explicitly exists for callers that need a
-        specific instance — a custom cache directory in tests, or a
-        tensor shared across evaluators.  The tensor must have been
-        enumerated for this evaluator's platform: matching is by
-        ``cache_namespace()``, the identity that pins every
-        result-affecting parameter, because a tensor from a different
-        platform would silently serve wrong metrics.
-        """
-        if tensor.platform.cache_namespace() != self.platform.cache_namespace():
-            raise ValueError(
-                f"tensorized space was enumerated for platform namespace "
-                f"{tensor.platform.cache_namespace()!r} but this evaluator "
-                f"runs {self.platform.cache_namespace()!r} — build the "
-                "tensor from this evaluator's platform"
-            )
-        self._tensor = tensor
-        self._tensor_unavailable = False
-        self.tensorize = True
-        return self
-
-    def _tensorized(self):
-        """The active tensor, or ``None`` when the space is too large."""
-        if self._tensor is not None:
-            return self._tensor
-        if self._tensor_unavailable:
-            return None
-        from repro.hw.tensorized import enumerable, tensorized_space
-
-        if not enumerable(self.platform):
-            # Cache the verdict: falling back must not re-ask the
-            # platform for its space size on every batch.
-            self._tensor_unavailable = True
-            return None
-        self._tensor = tensorized_space(self.platform, self.skeleton)
-        return self._tensor
 
     # --- constructors -----------------------------------------------------
     @classmethod
@@ -285,84 +210,10 @@ class CodesignEvaluator:
         surrogate = surrogate or Cifar10Surrogate()
         return cls(surrogate.validation_accuracy, reward_config, **kwargs)
 
-    # --- pieces -------------------------------------------------------------
-    def accuracy(self, spec: ModelSpec) -> float | None:
-        if not spec.valid:
-            return None
-        key = spec.spec_hash()
-        if key not in self._accuracy_cache:
-            self._accuracy_cache[key] = self.accuracy_fn(spec)
-        return self._accuracy_cache[key]
-
-    def area_mm2(self, config: AcceleratorConfig) -> float:
-        key = config_key(config)
-        if key not in self._area_cache:
-            self._area_cache[key] = self.platform.area_mm2(config)
-        return self._area_cache[key]
-
-    def latency_s(self, spec: ModelSpec, config: AcceleratorConfig) -> float:
-        spec_hash = spec.spec_hash()
-        if self._latency_table is not None:
-            latency_ms, row_of_hash, space = self._latency_table
-            row = row_of_hash.get(spec_hash)
-            if row is not None:
-                return float(latency_ms[row, space.index_of(config)]) / 1e3
-        key = (spec_hash, config_key(config))
-        if key not in self._latency_cache:
-            ir = self.compile_fn(spec, self.skeleton)
-            self._latency_cache[key] = self.platform.network_latency_s(ir, config)
-        return self._latency_cache[key]
-
-    def metrics(self, spec: ModelSpec, config: AcceleratorConfig) -> Metrics | None:
-        """Metric vector of a pair, or ``None`` if not evaluable."""
-        if not spec.valid:
-            return None
-        cache = self.eval_cache
-        if cache is None:
-            return self._compute_metrics(spec, config)
-        cache_key = (self.cache_scenario, spec.spec_hash(), str(config_key(config)))
-        hit = cache.get(*cache_key)
-        if hit is not None:
-            if hit.accuracy is None:
-                return None
-            return Metrics(
-                accuracy=hit.accuracy,
-                latency_s=hit.latency_s,
-                area_mm2=hit.area_mm2,
-            )
-        metrics = self._compute_metrics(spec, config)
-        if metrics is None:
-            cache.put(CacheEntry(*cache_key, None, None, None))
-        else:
-            cache.put(
-                CacheEntry(
-                    *cache_key, metrics.accuracy, metrics.latency_s, metrics.area_mm2
-                )
-            )
-        return metrics
-
-    def _compute_metrics(
-        self, spec: ModelSpec, config: AcceleratorConfig
-    ) -> Metrics | None:
-        accuracy = self.accuracy(spec)
-        if accuracy is None:
-            return None
-        if not self.platform.config_valid(config):
-            return None
-        return Metrics(
-            accuracy=accuracy,
-            latency_s=self.latency_s(spec, config),
-            area_mm2=self.area_mm2(config),
-        )
-
     # --- E(s) ---------------------------------------------------------------
     def evaluate(self, spec: ModelSpec, config: AcceleratorConfig) -> EvaluationResult:
-        """Full evaluation: metrics + scenario reward."""
-        self.num_evaluations += 1
-        metrics = self.metrics(spec, config)
-        return EvaluationResult(
-            spec=spec, config=config, metrics=metrics, reward=self.reward_fn(metrics)
-        )
+        """Full evaluation of one pair: metrics + scenario reward."""
+        return self.evaluate_batch([(spec, config)])[0]
 
     def evaluate_batch(
         self, pairs: Sequence[tuple[ModelSpec, AcceleratorConfig]]
@@ -370,28 +221,13 @@ class CodesignEvaluator:
         """Evaluate many pairs, computing each distinct pair once.
 
         Returns one result per input pair, in order; duplicate pairs
-        share one computation but still count as evaluations.
-
-        This is the engine behind the batched ask/tell search loop: the
-        expensive key derivations (``spec_hash``'s isomorphism-invariant
-        md5 canonicalization, the latency-table column index) are
-        memoized across batches, and duplicate pairs inside a batch
-        collapse to one metric + reward computation.  Every metric and
-        the reward still come from exactly the same pure lookups and the
-        same scalar reward path as :meth:`evaluate`, so batched results
-        are bit-identical to pointwise results — only faster.
-
-        With ``tensorize`` set and an enumerable platform space, the
-        batch answers from the tensorized fast path instead (pure
-        ndarray indexing + a persistent result memo — see
-        :meth:`_evaluate_batch_tensorized`); ``evaluate`` always stays
-        on the scalar path, which is the reference the differential
-        suite compares against.
+        share one computation (and one result object) but still count
+        as evaluations.  A pair resolves through, in order: the
+        content-hash memo (``spec_hash``'s isomorphism-invariant md5
+        canonicalization, once per cell layout), the in-batch
+        ``(spec_hash, config_key)`` dedupe, then :meth:`_metrics`'s
+        cache layers, and finally the scenario reward.
         """
-        if self.tensorize:
-            tensor = self._tensorized()
-            if tensor is not None:
-                return self._evaluate_batch_tensorized(pairs, tensor)
         memo: dict[tuple, EvaluationResult] = {}
         out: list[EvaluationResult] = []
         for spec, config in pairs:
@@ -404,16 +240,16 @@ class CodesignEvaluator:
                     )
                 )
                 continue
-            ckey = config_key(config)
             content = (spec.matrix.tobytes(), tuple(spec.ops))
             spec_hash = self._content_hash_memo.get(content)
             if spec_hash is None:
                 spec_hash = spec.spec_hash()
                 self._content_hash_memo[content] = spec_hash
+            ckey = config_key(config)
             key = (spec_hash, ckey)
             result = memo.get(key)
             if result is None:
-                metrics = self._metrics_hashed(spec, config, spec_hash, ckey)
+                metrics = self._metrics(spec, config, spec_hash, ckey)
                 result = EvaluationResult(
                     spec=spec, config=config, metrics=metrics,
                     reward=self.reward_fn(metrics),
@@ -422,117 +258,18 @@ class CodesignEvaluator:
             out.append(result)
         return out
 
-    def _evaluate_batch_tensorized(
-        self, pairs, tensor
-    ) -> list[EvaluationResult]:
-        """:meth:`evaluate_batch` answered from dense full-space arrays.
-
-        Per pair: resolve the config to its flat index (identity-memoized
-        — interned configs never rebuild a key), then serve the whole
-        (metrics, reward) from a bounded ``(spec_hash, index)`` memo; a
-        miss reads area/validity straight out of the tensor and latency
-        from the attached bundle table or the tensor's per-cell latency
-        row.  Results are bit-identical to the scalar path because every
-        array element *is* the platform's batch output, which the
-        platform contract pins to the scalar call bit for bit, and the
-        reward is the same scalar :class:`RewardFunction` applied once
-        per distinct point (rewards are pure functions of metrics, so
-        memoizing whole results changes cost, never values).
-
-        Deliberately bypassed here: ``config_key`` derivation, the
-        ``_content_hash_memo``/``_area_cache``/``_latency_cache`` memos
-        (never populated — a full-space sweep leaves them empty), and
-        the shared persistent eval cache (the tensor's own disk cache
-        provides the warm start instead).
-        """
-        memo: dict[tuple, EvaluationResult] = {}
-        out: list[EvaluationResult] = []
-        invalid_reward = None
-        for spec, config in pairs:
-            self.num_evaluations += 1
-            if not spec.valid:
-                if invalid_reward is None:
-                    invalid_reward = self.reward_fn(None)
-                out.append(
-                    EvaluationResult(
-                        spec=spec, config=config, metrics=None,
-                        reward=invalid_reward,
-                    )
-                )
-                continue
-            content = (spec.matrix.tobytes(), tuple(spec.ops))
-            spec_hash = self._tensor_hash_memo.get(content)
-            if spec_hash is None:
-                spec_hash = spec.spec_hash()
-                self._tensor_hash_memo[content] = spec_hash
-            index = tensor.index_of(config)
-            key = (spec_hash, index)
-            result = memo.get(key)
-            if result is None:
-                cached = self._tensor_results.get(key)
-                if cached is None:
-                    metrics = self._tensor_metrics(spec, spec_hash, index, tensor)
-                    cached = (metrics, self.reward_fn(metrics))
-                    self._tensor_results[key] = cached
-                # Rebuild the result around *this* batch's spec/config
-                # objects: spec_hash is isomorphism-invariant, so the
-                # memoized entry may have been filled by an isomorphic
-                # but differently laid-out spec.
-                result = EvaluationResult(
-                    spec=spec, config=config,
-                    metrics=cached[0], reward=cached[1],
-                )
-                memo[key] = result
-            out.append(result)
-        return out
-
-    def _tensor_metrics(
-        self, spec: ModelSpec, spec_hash: str, index: int, tensor
-    ) -> Metrics | None:
-        """Metrics for one (cell, flat config index) from the tensor.
-
-        Mirrors :meth:`_metrics_hashed` exactly: accuracy first (same
-        ``_accuracy_cache`` — accuracy depends only on the cell, so the
-        two paths share it), then configuration validity, then
-        latency/area.  Latency prefers the attached bundle table when it
-        has a row for this cell — the scalar path serves the identical
-        float32-round-tripped entry, and the table's space is validated
-        against the platform's at attach time so flat indices align —
-        and otherwise reads the tensor's float64 per-cell row.
-        """
-        if spec_hash in self._accuracy_cache:
-            accuracy = self._accuracy_cache[spec_hash]
-        else:
-            accuracy = self.accuracy_fn(spec)
-            self._accuracy_cache[spec_hash] = accuracy
-        if accuracy is None or not tensor.valid[index]:
-            return None
-        latency = None
-        if self._latency_table is not None:
-            latency_ms, row_of_hash, _space = self._latency_table
-            row = row_of_hash.get(spec_hash)
-            if row is not None:
-                latency = float(latency_ms[row, index]) / 1e3
-        if latency is None:
-            latency = float(
-                tensor.latency_row(
-                    spec_hash, lambda: self.compile_fn(spec, self.skeleton)
-                )[index]
-            )
-        return Metrics(
-            accuracy=accuracy,
-            latency_s=latency,
-            area_mm2=float(tensor.area_mm2[index]),
-        )
-
-    def _metrics_hashed(
+    def _metrics(
         self,
         spec: ModelSpec,
         config: AcceleratorConfig,
         spec_hash: str,
         ckey: tuple,
     ) -> Metrics | None:
-        """:meth:`metrics` with the expensive keys already derived."""
+        """Metric vector of a valid pair, or ``None`` if not evaluable.
+
+        Layers, in order: the persistent eval cache, the accuracy memo,
+        platform validity, latency (:meth:`_latency`), the area LRU.
+        """
         cache = self.eval_cache
         cache_key = None
         if cache is not None:
@@ -555,26 +292,24 @@ class CodesignEvaluator:
             if cache is not None:
                 cache.put(CacheEntry(*cache_key, None, None, None))
             return None
-        latency = self._latency_hashed(spec, config, spec_hash, ckey)
+        latency = self._latency(spec, config, spec_hash, ckey)
         area = self._area_cache.get(ckey)
         if area is None:
             area = self.platform.area_mm2(config)
             self._area_cache[ckey] = area
         metrics = Metrics(accuracy=accuracy, latency_s=latency, area_mm2=area)
         if cache is not None:
-            cache.put(
-                CacheEntry(*cache_key, metrics.accuracy, metrics.latency_s, metrics.area_mm2)
-            )
+            cache.put(CacheEntry(*cache_key, accuracy, latency, area))
         return metrics
 
-    def _latency_hashed(
+    def _latency(
         self,
         spec: ModelSpec,
         config: AcceleratorConfig,
         spec_hash: str,
         ckey: tuple,
     ) -> float:
-        """:meth:`latency_s` with the expensive keys already derived."""
+        """Latency from the bundle table's row, else LRU + platform."""
         if self._latency_table is not None:
             latency_ms, row_of_hash, space = self._latency_table
             row = row_of_hash.get(spec_hash)
@@ -590,78 +325,49 @@ class CodesignEvaluator:
             self._latency_cache[key] = self.platform.network_latency_s(ir, config)
         return self._latency_cache[key]
 
+    # --- clones -------------------------------------------------------------
+    def _derive(self, **overrides) -> "CodesignEvaluator":
+        """A shallow copy sharing every memo except those overridden.
+
+        Sharing is the default: every field, memos included, is shared
+        with the clone unless the deriving method overrides it.
+        """
+        clone = copy.copy(self)
+        clone.num_evaluations = 0
+        vars(clone).update(overrides)
+        return clone
+
     def with_reward(self, reward_config: RewardConfig) -> "CodesignEvaluator":
         """Same caches and platform under a different scenario.
 
         Used by the threshold-schedule search (Section IV), which
         raises the perf/area constraint mid-run without discarding the
-        latency/area memoization.
+        latency/area memoization.  The clone keeps the parent's eval
+        cache and its namespace, so rung changes reuse warm rows.
         """
-        clone = CodesignEvaluator.__new__(CodesignEvaluator)
-        clone.accuracy_fn = self.accuracy_fn
-        clone.reward_fn = RewardFunction(reward_config)
-        clone.skeleton = self.skeleton
-        clone.compile_fn = self.compile_fn
-        clone.platform = self.platform
-        clone._area_cache = self._area_cache
-        clone._latency_cache = self._latency_cache
-        clone._accuracy_cache = self._accuracy_cache
-        clone._content_hash_memo = self._content_hash_memo
-        clone._config_index_memo = self._config_index_memo
-        clone._latency_table = self._latency_table
-        clone.eval_cache = self.eval_cache
-        # Tensorized state: the tensor and the content->hash memo are
-        # reward-independent (shared), but the result memo folds the
-        # reward in — a clone under a different scenario needs its own.
-        clone.tensorize = self.tensorize
-        clone._cache_capacity = self._cache_capacity
-        clone._tensor = self._tensor
-        clone._tensor_unavailable = self._tensor_unavailable
-        clone._tensor_hash_memo = self._tensor_hash_memo
-        clone._tensor_results = LRUCache(self._cache_capacity)
-        # Clones keep the parent's cache namespace so threshold-schedule
-        # rung changes reuse warm rows, mirroring the shared dicts above.
-        clone.cache_scenario = self.cache_scenario
-        clone.num_evaluations = 0
-        clone.source_info = self.source_info
-        return clone
+        return self._derive(reward_fn=RewardFunction(reward_config))
 
     def with_platform(self, platform: HardwarePlatform) -> "CodesignEvaluator":
         """Same accuracy source and scenario on a different platform.
 
         Used by the two-tier search mode, which scores proposals on a
         :class:`repro.hw.SurrogatePlatform` twin of the exact platform:
-        the accuracy function, its cache, and the content-hash memo are
-        shared (cell accuracy is platform-independent — re-deriving it
-        would re-train trainer-backed sources), but every
-        hardware-derived cache starts empty, the precomputed latency
-        table is dropped, and no persistent eval cache is attached —
-        approximate metrics must never reach (or be served from) the
-        exact platform's cached rows.
+        the accuracy memo and the content-hash memo are shared (cell
+        accuracy is platform-independent — re-deriving it would
+        re-train trainer-backed sources), but every hardware-derived
+        memo starts empty, the precomputed latency table is dropped,
+        and no persistent eval cache is attached — approximate metrics
+        must never reach (or be served from) the exact platform's
+        cached rows.
         """
-        clone = CodesignEvaluator.__new__(CodesignEvaluator)
-        clone.accuracy_fn = self.accuracy_fn
-        clone.reward_fn = RewardFunction(self.reward_fn.config)
-        clone.skeleton = self.skeleton
-        clone.compile_fn = self.compile_fn
-        clone.platform = platform
-        clone._area_cache = LRUCache(self._cache_capacity)
-        clone._latency_cache = LRUCache(self._cache_capacity)
-        clone._accuracy_cache = self._accuracy_cache
-        clone._content_hash_memo = self._content_hash_memo
-        clone._config_index_memo = {}
-        clone._latency_table = None
-        clone.eval_cache = None
-        clone.tensorize = False
-        clone._cache_capacity = self._cache_capacity
-        clone._tensor = None
-        clone._tensor_unavailable = False
-        clone._tensor_hash_memo = LRUCache(self._cache_capacity)
-        clone._tensor_results = LRUCache(self._cache_capacity)
-        clone.cache_scenario = self.cache_scenario
-        clone.num_evaluations = 0
-        clone.source_info = self.source_info
-        return clone
+        return self._derive(
+            platform=platform,
+            _area_cache=LRUCache(self._area_cache.capacity),
+            _latency_cache=LRUCache(self._latency_cache.capacity),
+            _config_index_memo={},
+            _latency_table=None,
+            eval_cache=None,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -825,16 +531,11 @@ def build_evaluator(
     bundle=None,
     store: EvalCache | None = None,
     platform: HardwarePlatform | None = None,
-    tensorize: bool = False,
 ) -> "CodesignEvaluator":
     """Construct an evaluator from a registered accuracy source.
 
     ``platform`` selects the hardware backend (see :mod:`repro.hw`);
-    ``None`` keeps the reference ``dac2020`` behaviour.  ``tensorize``
-    arms the full-space fast path for batch evaluation (a no-op when
-    the platform's space is too large to enumerate); it is applied
-    after the source builds, so registered builders need not know
-    about it.
+    ``None`` keeps the reference ``dac2020`` behaviour.
     """
     entry = get_accuracy_source(source)
     if entry.requires_bundle and bundle is None:
@@ -842,12 +543,9 @@ def build_evaluator(
             f"accuracy source {source!r} needs an enumerated-space bundle "
             "(pass bundle=..., e.g. repro.experiments.common.load_bundle())"
         )
-    evaluator = entry.build(
+    return entry.build(
         reward_config, params, bundle=bundle, store=store, platform=platform
     )
-    if tensorize:
-        evaluator.tensorize = True
-    return evaluator
 
 
 def accuracy_source_namespace(
@@ -857,18 +555,24 @@ def accuracy_source_namespace(
     return get_accuracy_source(source).namespace(params or {}, bundle=bundle)
 
 
-def platform_matches_bundle(
-    platform: HardwarePlatform, bundle_platform: HardwarePlatform | None
+def bundle_matches(
+    bundle, platform: HardwarePlatform, skeleton: SkeletonConfig
 ) -> bool:
-    """Whether a bundle's precomputed arrays are valid for ``platform``.
+    """Whether a bundle's precomputed arrays hold for (platform, skeleton).
 
-    Bundles predating the platform API carry no platform and were
-    enumerated by the reference models; newer bundles pin the platform
-    that built them.  Matching is by ``cache_namespace()`` — the
-    identity that pins every result-affecting parameter — so two
-    equivalent instances (e.g. both built from the same registry
-    params) match without having to be the same object.
+    :func:`repro.experiments.common.load_bundle` compiles every cell on
+    ``CIFAR10_SKELETON``, so the bundle's latencies are wrong for any
+    other skeleton.  Bundles predating the platform API carry no
+    platform and were enumerated by the reference models; newer
+    bundles pin the platform that built them.  Platforms match by
+    ``cache_namespace()`` — the identity that pins every
+    result-affecting parameter — so two equivalent instances (e.g. both
+    built from the same registry params) match without having to be
+    the same object.
     """
+    if skeleton != CIFAR10_SKELETON:
+        return False
+    bundle_platform = getattr(bundle, "platform", None)
     if bundle_platform is None:
         return platform.is_reference
     return platform.cache_namespace() == bundle_platform.cache_namespace()
@@ -894,11 +598,9 @@ def _build_database(reward_config, params, bundle=None, store=None, platform=Non
         bundle.database, reward_config, skeleton=skeleton, platform=platform
     )
     # The bundle's precomputed latency matrix is only valid for the
-    # platform that enumerated it; any other platform schedules on the
-    # fly through its own models instead.
-    if platform_matches_bundle(
-        evaluator.platform, getattr(bundle, "platform", None)
-    ):
+    # platform and skeleton that enumerated it; anything else schedules
+    # on the fly through the platform's own models instead.
+    if bundle_matches(bundle, evaluator.platform, evaluator.skeleton):
         evaluator.attach_latency_table(
             bundle.latency_ms, bundle.row_of_hash(), bundle.space
         )

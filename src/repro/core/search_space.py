@@ -77,18 +77,6 @@ class JointSearchSpace:
             self.accelerator_space.decode(hw_actions),
         )
 
-    def hw_index_of(self, actions: Sequence[int]) -> int:
-        """Flat accelerator-space index of a joint action vector.
-
-        The index-native decode route for tensorized evaluation: the
-        hardware tokens compose straight into the flat config index
-        (``AcceleratorSpace.index_of_actions``) without materializing
-        an :class:`AcceleratorConfig`.  Always agrees with
-        ``accelerator_space.index_of(decode(actions)[1])``.
-        """
-        _, hw_actions = self.split(actions)
-        return self.accelerator_space.index_of_actions(hw_actions)
-
     def encode(self, spec: ModelSpec, config: AcceleratorConfig) -> list[int]:
         """Joint action vector reproducing ``(spec, config)``."""
         return self.cell_encoding.encode(spec) + self.accelerator_space.encode(config)

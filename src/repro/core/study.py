@@ -218,10 +218,8 @@ class HardwareSpec:
     ``name`` and must be set when the same platform appears twice with
     different params.
 
-    ``tensorize`` is a per-platform override of the study-wide
-    ``execution.tensorize`` toggle (``None`` = inherit): a sweep can
-    tensorize an enumerable platform while a huge scaled platform in
-    the same study stays on the memoized path.
+    ``tensorize`` is kept only so archived specs that set it still
+    parse, pin and resume byte-identically; it selects nothing.
     """
 
     name: str = "dac2020"
@@ -245,7 +243,7 @@ class HardwareSpec:
         _require(
             self.tensorize is None or isinstance(self.tensorize, bool),
             f"hardware {self.name!r}: 'tensorize' must be true, false, or "
-            f"null (inherit execution.tensorize), got {self.tensorize!r}",
+            f"null, got {self.tensorize!r}",
         )
 
     @property
@@ -257,8 +255,8 @@ class HardwareSpec:
         if self.label is not None:
             out["label"] = self.label
         if self.tensorize is not None:
-            # Omitted when inheriting, so pre-tensorize spec dicts —
-            # including ledger-pinned ones — stay byte-identical.
+            # Written back only when an archived spec carried it, so
+            # ledger-pinned spec dicts stay byte-identical.
             out["tensorize"] = self.tensorize
         return out
 
@@ -282,9 +280,8 @@ class ExecutionSpec:
     preset serves smoke, default, and paper scales.  ``cache`` /
     ``ledger`` are file paths (the live objects can also be passed to
     :func:`run_study` directly, overriding the spec).  ``tensorize``
-    arms the full-space tensorized evaluation fast path for every
-    platform in the study (each :class:`HardwareSpec` may override it;
-    platforms too large to enumerate silently fall back).
+    is kept only so archived specs that set it still parse, pin and
+    resume byte-identically; it selects nothing.
 
     ``backend`` names a registered execution backend
     (:func:`repro.parallel.pool.list_backends` — built-ins: serial,
@@ -373,8 +370,8 @@ class ExecutionSpec:
             # ledger-pinned ones — stay byte-identical and resumable.
             out["backend_params"] = _jsonify(self.backend_params, "backend_params")
         if self.tensorize:
-            # Omitted when off, so pre-tensorize spec dicts — including
-            # ledger-pinned ones — stay byte-identical and resumable.
+            # Written back only when an archived spec set it, so
+            # ledger-pinned spec dicts stay byte-identical and resumable.
             out["tensorize"] = True
         if self.surrogate:
             # Same omission contract: two-tier fields only appear when
@@ -859,7 +856,7 @@ def build_study(spec: StudySpec, bundle=None, scale=None, store=None) -> Study:
         build_evaluator,
         get_accuracy_source,
         hardware_namespace,
-        platform_matches_bundle,
+        bundle_matches,
     )
     from repro.core.search_space import JointSearchSpace
     from repro.experiments.common import Scale
@@ -916,17 +913,6 @@ def build_study(spec: StudySpec, bundle=None, scale=None, store=None) -> Study:
         label: hardware_namespace(source_namespace, platform)
         for label, platform in platforms.items()
     }
-    # Per-platform tensorize: the HardwareSpec override wins, else the
-    # study-wide execution toggle.
-    tensorize_flags = {
-        hw.effective_label: (
-            hw.tensorize
-            if hw.tensorize is not None
-            else spec.execution.tensorize
-        )
-        for hw in spec.hardware
-    }
-
     front = None
     if bundle is not None:
         from repro.core.pareto import product_space_pareto, reward_ranked_points
@@ -951,14 +937,6 @@ def build_study(spec: StudySpec, bundle=None, scale=None, store=None) -> Study:
             outcome_key = (
                 f"{hw_label}:{scenario_key}" if multi_platform else scenario_key
             )
-            if front is not None and platform_matches_bundle(
-                platform, getattr(bundle, "platform", None)
-            ):
-                # The bundle's metric arrays are only a valid Pareto
-                # reference for the platform that enumerated them.
-                pareto_top100[outcome_key] = reward_ranked_points(
-                    front, scenario, 100
-                )
             # One evaluator per (platform, scenario): its metric caches
             # are shared by every strategy's repeats through per-job
             # with_reward clones, exactly like the historic closure path.
@@ -969,8 +947,16 @@ def build_study(spec: StudySpec, bundle=None, scale=None, store=None) -> Study:
                 bundle=bundle,
                 store=store,
                 platform=platform,
-                tensorize=tensorize_flags[hw_label],
             )
+            if front is not None and bundle_matches(
+                bundle, platform, evaluator.skeleton
+            ):
+                # The bundle's metric arrays are only a valid Pareto
+                # reference for the platform and skeleton that
+                # enumerated them.
+                pareto_top100[outcome_key] = reward_ranked_points(
+                    front, scenario, 100
+                )
             # The workload's lowering feeds every latency query (the
             # reference workload's is compile_cell_ops — the
             # evaluator's own default, so nothing moves for cnn-cell).

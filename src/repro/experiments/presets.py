@@ -192,9 +192,9 @@ def _bert_u50() -> StudySpec:
 
     The ``transformer`` workload's five-token encoder family searched
     jointly with the ``charm-u50`` tiled-GEMM accelerator — 393,216
-    hardware configurations, well past the tensorized fast path's
-    enumeration ceiling, so ``execution.surrogate`` arms the two-tier
-    mode by default: a sampled-fit surrogate twin ranks inflated
+    hardware configurations, well past the enumeration ceiling
+    (``TENSORIZE_MAX_CONFIGS``), so ``execution.surrogate`` arms the
+    two-tier mode by default: a sampled-fit surrogate twin ranks inflated
     proposal batches and only the top ``exact_fraction`` reaches the
     exact analytical models (and the archive).
     """

@@ -130,7 +130,6 @@ def legacy_study_spec(
     name: str = "search-study",
     hardware: str | dict | list | None = None,
     workload: str = "cnn-cell",
-    tensorize: bool = False,
     surrogate: bool = False,
     exact_fraction: float = 0.25,
 ) -> StudySpec:
@@ -149,9 +148,7 @@ def legacy_study_spec(
     them — see :mod:`repro.hw`) selects the hardware backend(s);
     ``None`` keeps the reference ``dac2020``.  ``workload`` names a
     registered workload recipe (default the reference ``cnn-cell`` —
-    see :mod:`repro.workloads`).  ``tensorize`` arms the
-    full-space tensorized evaluation fast path (see
-    :mod:`repro.hw.tensorized`).  ``backend`` is an execution-backend
+    see :mod:`repro.workloads`).  ``backend`` is an execution-backend
     registry name (``serial`` / ``process`` / ``cluster`` or a plugin
     — see :mod:`repro.parallel.pool`); validation happens in
     :class:`~repro.core.study.ExecutionSpec` against the registry, so
@@ -200,7 +197,6 @@ def legacy_study_spec(
             "backend": backend,
             "workers": workers,
             "checkpoint_every": checkpoint_every,
-            "tensorize": bool(tensorize),
             "surrogate": bool(surrogate),
             "exact_fraction": exact_fraction,
         },
@@ -222,7 +218,6 @@ def _run_search_study(
     name: str = "search-study",
     hardware: str | dict | list | None = None,
     workload: str = "cnn-cell",
-    tensorize: bool = False,
     surrogate: bool = False,
     exact_fraction: float = 0.25,
 ) -> SearchStudyResult:
@@ -249,7 +244,6 @@ def _run_search_study(
         name=name,
         hardware=hardware,
         workload=workload,
-        tensorize=tensorize,
         surrogate=surrogate,
         exact_fraction=exact_fraction,
     )

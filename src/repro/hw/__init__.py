@@ -34,13 +34,7 @@ from repro.hw.surrogate import (
     surrogate_model_for,
     validate_surrogate,
 )
-from repro.hw.tensorized import (
-    TENSORIZE_MAX_CONFIGS,
-    TensorizedSpace,
-    TensorizeError,
-    enumerable,
-    tensorized_space,
-)
+from repro.hw.tensorized import TENSORIZE_MAX_CONFIGS, enumerable
 
 __all__ = [
     "DEFAULT_ERROR_BUDGET",
@@ -58,8 +52,6 @@ __all__ = [
     "SurrogateModel",
     "SurrogatePlatform",
     "TENSORIZE_MAX_CONFIGS",
-    "TensorizeError",
-    "TensorizedSpace",
     "build_platform",
     "default_platform",
     "enumerable",
@@ -70,7 +62,6 @@ __all__ = [
     "register_platform",
     "register_surrogate_platforms",
     "surrogate_model_for",
-    "tensorized_space",
     "transformer_gemm_ir",
     "validate_surrogate",
 ]

@@ -121,8 +121,7 @@ class HardwarePlatform:
         """Vectorized :meth:`config_valid` over config columns.
 
         Must agree with the scalar call on every configuration of
-        :meth:`config_space` (the tensorized evaluation path serves
-        validity from this array).
+        :meth:`config_space`.
         """
         n = len(next(iter(cols.values()))) if cols else 0
         return np.ones(n, dtype=bool)
@@ -159,8 +158,8 @@ class HardwarePlatform:
         ``config_space_size`` is a pure product of parameter-domain
         lengths — never an enumeration — so describing a
         non-enumerable platform is cheap; ``enumerable`` says whether
-        the tensorized fast path could hold the full space (spaces
-        past the cap are searched via sampled-fit surrogates instead).
+        the space is under :data:`repro.hw.tensorized.TENSORIZE_MAX_CONFIGS`
+        (spaces past the cap are searched via sampled-fit surrogates).
         """
         from repro.hw.tensorized import TENSORIZE_MAX_CONFIGS
 
@@ -243,7 +242,8 @@ def platform_from_spec(data: dict) -> HardwarePlatform:
             f"'params'), got {data!r}"
         )
     # "label" and "tensorize" are HardwareSpec-level concerns (outcome
-    # keying and the evaluation fast path); they never reach the builder.
+    # keying, and a field archived specs may carry); they never reach
+    # the builder.
     unknown = sorted(set(data) - {"name", "params", "label", "tensorize"})
     if unknown:
         raise HardwarePlatformError(

@@ -1,12 +1,10 @@
 """Learned hardware-cost surrogates: ``surrogate:<platform>``.
 
-The exact scheduler/LUT hardware path caps us at spaces small enough to
-enumerate — full-space tensorization (:mod:`repro.hw.tensorized`)
-deliberately refuses beyond :data:`~repro.hw.tensorized.TENSORIZE_MAX_CONFIGS`
-configurations, so bigger platforms have no fast path at all.  Following
-Shi et al. 2020 ("Learned Hardware/Software Co-Design of Neural
-Accelerators"), this module learns the exact models instead of
-enumerating them:
+Spaces beyond :data:`~repro.hw.tensorized.TENSORIZE_MAX_CONFIGS`
+configurations are too large to enumerate with the exact scheduler/LUT
+hardware path.  Following Shi et al. 2020 ("Learned Hardware/Software
+Co-Design of Neural Accelerators"), this module learns the exact models
+instead of enumerating them:
 
 * :func:`config_features` / :func:`ir_features` /
   :func:`latency_features` — dense float64 feature matrices from
@@ -21,8 +19,8 @@ enumerating them:
   JSON-serializable :class:`SurrogateModel` artifact.  The artifact is
   digest-pinned to the base platform's ``cache_namespace()`` *and*
   carries exact probe values; a warm load that disagrees with a fresh
-  exact probe pass is silently discarded and refitted, mirroring
-  :class:`repro.hw.tensorized.TensorizedSpace`'s drift contract;
+  exact probe pass is silently discarded and refitted, so a drifted
+  model never serves a stale fit;
 * :class:`SurrogatePlatform` — the full :class:`HardwarePlatform`
   protocol over the fitted models, registered as ``surrogate:<name>``
   for every shipped platform.  Batch and scalar queries agree bit for
@@ -885,8 +883,7 @@ def surrogate_model_for(
 ) -> SurrogateModel:
     """Load-or-fit the surrogate artifact for a platform.
 
-    Mirrors :func:`repro.hw.tensorized.tensorized_space`'s cache
-    contract: the artifact file is keyed by a digest of the base
+    The artifact file is keyed by a digest of the base
     platform's ``cache_namespace()`` (plus skeleton and fit inputs), a
     warm load is discarded unless its pinned namespace, feature
     version, *and* stored exact probe values all match the live

@@ -1,314 +1,40 @@
-"""Full-space tensorized evaluation: dense per-platform metric arrays.
+"""Enumerability of a platform's config space, and the skeleton digest.
 
-For config spaces small enough to enumerate outright (the paper's
-``dac2020`` space is 8640 points, ``embedded-lite`` 288), paying
-per-config Python overhead — dict-shaped configs, key derivation, LRU
-probes — on every evaluation is pure waste: the whole space fits in a
-few dense ndarrays.  A :class:`TensorizedSpace` enumerates a platform's
-``config_space()`` once per (platform, skeleton) into:
-
-* ``area_mm2`` — ``(size,)`` float64, one entry per flat config index,
-  filled by one ``batch_area_mm2`` call;
-* ``valid`` — ``(size,)`` bool from ``batch_config_valid`` (all-True
-  for the shipped platforms, which have no structurally invalid
-  configurations);
-* lazy latency *rows* — one ``(size,)`` float64 seconds array per cell
-  (keyed by ``spec_hash``), each filled by one vectorized
-  ``batch_network_latency_s`` call.
-
-Bit-exactness is inherited, not approximated: the platform contract
-already guarantees ``batch_area_mm2``/``batch_network_latency_s`` agree
-with their scalar counterparts bit for bit on every configuration
-(property-tested in ``tests/hw/test_platforms.py``), and everything
-here stores those batch outputs as float64 without any precision
-round-trip.  ``tests/hw/test_tensorized_differential.py`` then proves
-``tensor == scalar`` over the *entire* space for every registered
-platform.
-
-The arrays persist to disk under ``<cache>/tensorized/`` (same idiom as
-the :func:`repro.experiments.common.load_bundle` cache), keyed by an
-md5 of the platform's ``cache_namespace()`` — which pins every
-result-affecting parameter — plus a digest of the skeleton the latency
-rows were compiled against.  A warm load re-checks the stored area
-vector against a fresh ``batch_area_mm2`` pass and silently drops the
-cached latency rows if they disagree, so a drifted model can never
-serve stale rows.
-
-Platforms whose space exceeds :data:`TENSORIZE_MAX_CONFIGS` are not
-enumerable; callers (see ``CodesignEvaluator``) fall back to the
-memoized scalar path.
+A config space small enough to enumerate outright (the paper's
+``dac2020`` space is 8640 points, ``embedded-lite`` 288) can be swept
+whole by one batched platform query, as ``load_bundle`` does for its
+latency table.  :data:`TENSORIZE_MAX_CONFIGS` caps that: ``repro hw
+list`` and ``repro hw show`` flag larger spaces (``charm-u50``'s
+393,216) as not enumerable.  :func:`skeleton_token` keys per-skeleton
+artifacts such as fitted cost surrogates.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import zipfile
 from dataclasses import asdict
-from pathlib import Path
-from typing import Callable
-
-import numpy as np
 
 from repro.hw.platform import HardwarePlatform
-from repro.nasbench.skeleton import CIFAR10_SKELETON, SkeletonConfig
-from repro.utils.lru import LRUCache
+from repro.nasbench.skeleton import SkeletonConfig
 
 __all__ = [
     "TENSORIZE_MAX_CONFIGS",
-    "TensorizeError",
-    "TensorizedSpace",
     "enumerable",
-    "tensorized_space",
     "skeleton_token",
 ]
 
-#: Refuse to enumerate spaces beyond this many configurations — the
-#: dense arrays (and one latency row per visited cell) would stop being
-#: "a few MB"; the evaluator silently falls back to the memoized path.
+#: Spaces beyond this many configurations are not enumerated outright
+#: (dense full-space arrays would stop being "a few MB").
 TENSORIZE_MAX_CONFIGS = 262_144
 
 
-class TensorizeError(ValueError):
-    """A platform/space cannot be tensorized as requested."""
-
-
 def enumerable(platform: HardwarePlatform) -> bool:
-    """Whether ``platform``'s config space is small enough to tensorize."""
+    """Whether ``platform``'s config space is small enough to enumerate."""
     return platform.config_space().size <= TENSORIZE_MAX_CONFIGS
 
 
 def skeleton_token(skeleton: SkeletonConfig) -> str:
-    """Short stable digest of a skeleton (latency rows depend on it)."""
+    """Short stable digest of a skeleton (latencies depend on it)."""
     blob = json.dumps(asdict(skeleton), sort_keys=True, default=str)
     return hashlib.md5(blob.encode()).hexdigest()[:10]
-
-
-def _default_cache_dir() -> Path:
-    from repro.experiments.common import default_cache_dir
-
-    return default_cache_dir() / "tensorized"
-
-
-class TensorizedSpace:
-    """Dense full-space metric tensors for one (platform, skeleton).
-
-    ``area_mm2`` / ``valid`` are filled eagerly (one vectorized call
-    each); latency rows are computed on first request per cell and
-    bounded by ``max_rows`` (LRU — rows are pure, a re-request just
-    recomputes).  ``index_of`` resolves a config to its flat index
-    through an identity-keyed memo, so interned configs (see
-    ``AcceleratorSpace.config_at``) never materialize a dict or tuple
-    key on the hot path.
-    """
-
-    def __init__(
-        self,
-        platform: HardwarePlatform,
-        skeleton: SkeletonConfig = CIFAR10_SKELETON,
-        cache_dir: Path | None = None,
-        use_disk_cache: bool = True,
-        max_rows: int = 1024,
-        max_disk_rows: int = 256,
-        autosave_every: int = 32,
-    ) -> None:
-        self.platform = platform
-        self.skeleton = skeleton
-        self.space = platform.config_space()
-        if self.space.size > TENSORIZE_MAX_CONFIGS:
-            raise TensorizeError(
-                f"platform {platform.name!r} enumerates {self.space.size} "
-                f"configurations, beyond the tensorization cap of "
-                f"{TENSORIZE_MAX_CONFIGS} — use the memoized evaluator path"
-            )
-        self.size = self.space.size
-        self._cols = self.space.columns()
-        self.area_mm2 = np.ascontiguousarray(
-            platform.batch_area_mm2(self._cols), dtype=np.float64
-        )
-        self.valid = np.ascontiguousarray(
-            platform.batch_config_valid(self._cols), dtype=bool
-        )
-        # spec_hash -> (size,) float64 latency seconds; LRU because one
-        # row per visited cell adds up on long open-space searches.
-        self._rows: LRUCache = LRUCache(max_rows)
-        self._max_disk_rows = int(max_disk_rows)
-        self._autosave_every = int(autosave_every)
-        self._new_rows_since_save = 0
-        self.loaded_rows = 0
-        self.computed_rows = 0
-        # id(config) -> (config, index); the strong ref makes the id
-        # stable, the identity check guards against a lookalike object
-        # at a recycled address.
-        self._index_memo: dict[int, tuple] = {}
-        self.use_disk_cache = bool(use_disk_cache)
-        self.cache_dir = Path(cache_dir) if cache_dir else _default_cache_dir()
-        self.cache_file = self.cache_dir / (
-            f"tensor_h{self.size}"
-            f"_{hashlib.md5(platform.cache_namespace().encode()).hexdigest()[:10]}"
-            f"_{skeleton_token(skeleton)}.npz"
-        )
-        if self.use_disk_cache:
-            self._load()
-
-    # --- index codec --------------------------------------------------
-    def index_of(self, config) -> int:
-        """Flat index of ``config`` (identity-memoized)."""
-        entry = self._index_memo.get(id(config))
-        if entry is not None and entry[0] is config:
-            return entry[1]
-        index = self.space.index_of(config)
-        if len(self._index_memo) > 4 * self.size:
-            # Only non-interned configs can grow this past the space
-            # size; a pathological caller minting fresh objects forever
-            # must not leak memory.
-            self._index_memo.clear()
-        self._index_memo[id(config)] = (config, index)
-        return index
-
-    def config_at(self, index: int):
-        return self.space.config_at(index)
-
-    # --- latency rows -------------------------------------------------
-    def latency_row(self, spec_hash: str, ir_factory: Callable) -> np.ndarray:
-        """``(size,)`` float64 end-to-end seconds for one cell.
-
-        ``ir_factory`` compiles the cell's IR; it is only called on a
-        row miss.  Each element is bit-identical to the platform's
-        scalar ``network_latency_s`` on the matching configuration.
-        """
-        row = self._rows.get(spec_hash)
-        if row is None:
-            row = np.ascontiguousarray(
-                self.platform.batch_network_latency_s(ir_factory(), self._cols),
-                dtype=np.float64,
-            )
-            self._rows[spec_hash] = row
-            self.computed_rows += 1
-            self._new_rows_since_save += 1
-            if (
-                self.use_disk_cache
-                and self._new_rows_since_save >= self._autosave_every
-            ):
-                self.save()
-        return row
-
-    @property
-    def num_latency_rows(self) -> int:
-        return len(self._rows)
-
-    # --- disk cache ---------------------------------------------------
-    def _load(self) -> None:
-        if not self.cache_file.exists():
-            return
-        try:
-            with np.load(self.cache_file, allow_pickle=False) as data:
-                area = data["area_mm2"]
-                valid = data["valid"]
-                latency_s = data["latency_s"]
-                row_hashes = data["row_hashes"]
-        except (OSError, ValueError, KeyError, zipfile.BadZipFile):
-            return  # unreadable cache: rebuild from scratch
-        if area.shape != (self.size,) or valid.shape != (self.size,):
-            return
-        if not (
-            np.array_equal(area, self.area_mm2)
-            and np.array_equal(valid, self.valid)
-        ):
-            # The models drifted since the file was written (the
-            # namespace key should prevent this, but a silently changed
-            # model constant must not serve stale latency rows).
-            return
-        if latency_s.ndim != 2 or latency_s.shape[1] != self.size:
-            return
-        # Rows are stored most-recent-first (see save); replay them
-        # stale-first so the LRU's recency matches the writer's — a
-        # load into a smaller ``max_rows`` then evicts the *oldest*
-        # stored rows, never the newest.
-        for spec_hash, row in zip(row_hashes[::-1], latency_s[::-1]):
-            self._rows[str(spec_hash)] = np.ascontiguousarray(
-                row, dtype=np.float64
-            )
-        self.loaded_rows = len(self._rows)
-
-    def save(self) -> Path:
-        """Atomically persist the arrays (most recent rows first).
-
-        ``row_hashes[0]`` is the most recently used row: the LRU
-        iterates stale -> fresh, so the kept slice is reversed before
-        writing.  (Persisting the slice in iteration order — as this
-        method once did — stored the kept rows oldest-first, so any
-        truncating consumer of the file dropped the *newest* rows
-        first, the exact opposite of the retention policy.)
-
-        The write is atomic: arrays go to a pid-suffixed ``.tmp*.npz``
-        sibling first and ``os.replace`` swaps it in.  The ``finally``
-        unlinks the tmp file when the replace never ran (e.g.
-        ``np.savez_compressed`` died on a full disk mid-write) — a
-        failed save must not leak partial archives next to the cache.
-        """
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        # Snapshot via items(): an LRU __getitem__ would *refresh* each
-        # row while iterating, silently reshuffling recency as a side
-        # effect of saving.
-        kept = (
-            list(self._rows.items())[-self._max_disk_rows:]
-            if self._max_disk_rows > 0
-            else []
-        )
-        kept.reverse()
-        hashes = [spec_hash for spec_hash, _ in kept]
-        latency_s = (
-            np.stack([row for _, row in kept])
-            if kept
-            else np.empty((0, self.size), dtype=np.float64)
-        )
-        tmp = self.cache_file.with_suffix(f".tmp{os.getpid()}.npz")
-        try:
-            np.savez_compressed(
-                tmp,
-                area_mm2=self.area_mm2,
-                valid=self.valid,
-                latency_s=latency_s,
-                row_hashes=np.asarray(hashes, dtype=str),
-            )
-            os.replace(tmp, self.cache_file)
-        finally:
-            tmp.unlink(missing_ok=True)
-        self._new_rows_since_save = 0
-        return self.cache_file
-
-
-#: (namespace, skeleton token, cache dir, disk flag) -> TensorizedSpace;
-#: one enumeration per process serves every scenario's evaluator.
-_TENSOR_MEMO: dict[tuple, TensorizedSpace] = {}
-
-
-def tensorized_space(
-    platform: HardwarePlatform,
-    skeleton: SkeletonConfig = CIFAR10_SKELETON,
-    cache_dir: Path | None = None,
-    use_disk_cache: bool = True,
-) -> TensorizedSpace:
-    """Build (or reuse) the tensorized space for a (platform, skeleton).
-
-    Memoized per process on the platform's ``cache_namespace()`` — the
-    identity that pins every result-affecting parameter — so a study
-    running many scenarios on one platform enumerates once.
-    """
-    resolved_dir = Path(cache_dir) if cache_dir else _default_cache_dir()
-    key = (
-        platform.cache_namespace(),
-        skeleton_token(skeleton),
-        str(resolved_dir),
-        bool(use_disk_cache),
-    )
-    tensor = _TENSOR_MEMO.get(key)
-    if tensor is None:
-        tensor = TensorizedSpace(
-            platform, skeleton, cache_dir=resolved_dir,
-            use_disk_cache=use_disk_cache,
-        )
-        _TENSOR_MEMO[key] = tensor
-    return tensor

@@ -50,17 +50,19 @@ class TestEvaluation:
         result = evaluator.evaluate(outside, default_config)
         assert result.valid
 
-    def test_accuracy_matches_database(self, db, db_evaluator):
+    def test_accuracy_matches_database(self, db, db_evaluator, default_config):
         record = db.records[0]
-        assert db_evaluator.accuracy(record.spec) == record.validation_accuracy
+        result = db_evaluator.evaluate(record.spec, default_config)
+        assert result.metrics.accuracy == record.validation_accuracy
 
 
 class TestCaching:
     def test_latency_cached(self, db_evaluator, default_config):
         spec = resnet_cell()
-        first = db_evaluator.latency_s(spec, default_config)
+        first = db_evaluator.evaluate(spec, default_config).metrics.latency_s
         assert len(db_evaluator._latency_cache) == 1
-        assert db_evaluator.latency_s(spec, default_config) == first
+        again = db_evaluator.evaluate(spec, default_config).metrics.latency_s
+        assert again == first
         assert len(db_evaluator._latency_cache) == 1
 
     def test_evaluation_counter(self, db_evaluator, default_config):
@@ -98,8 +100,8 @@ class TestLatencyTable:
         gen = np.random.default_rng(0)
         for i in map(int, gen.integers(0, bundle.space.size, 5)):
             config = bundle.space.config_at(i)
-            assert fast.latency_s(spec, config) == pytest.approx(
-                slow.latency_s(spec, config), rel=1e-6
+            assert fast.evaluate(spec, config).metrics.latency_s == pytest.approx(
+                slow.evaluate(spec, config).metrics.latency_s, rel=1e-6
             )
 
     def test_unknown_cell_falls_back(self, micro4_bundle, default_config):
@@ -109,93 +111,282 @@ class TestLatencyTable:
             bundle.latency_ms, bundle.row_of_hash(), bundle.space
         )
         outside = sample_unique_cells(1, seed=1)[0]
-        assert evaluator.latency_s(outside, default_config) > 0
+        assert evaluator.evaluate(outside, default_config).metrics.latency_s > 0
 
 
-class TestEvaluateBatchExactness:
-    """The batched path is bit-identical to per-point evaluate."""
+def _bits(result) -> tuple:
+    """Bit-exact identity of one result (floats as hex strings)."""
+    m, r = result.metrics, result.reward
+    metrics = (
+        None
+        if m is None
+        else tuple(float(v).hex() for v in (m.accuracy, m.latency_s, m.area_mm2))
+    )
+    violations = tuple(sorted((k, float(v).hex()) for k, v in r.violations.items()))
+    return metrics, float(r.value).hex(), r.feasible, r.valid, violations
 
-    def _random_pairs(self, micro4_bundle, n, seed):
-        from repro.core.search_space import JointSearchSpace
 
-        space = JointSearchSpace(cell_encoding=micro4_bundle.cell_encoding)
-        rng = np.random.default_rng(seed)
-        return [space.decode(space.random_actions(rng)) for _ in range(n)]
+#: The evaluators of the path-equivalence matrix.
+MATRIX_EVALUATORS = (
+    "database-table",
+    "database-scaled",
+    "surrogate-embedded",
+    "transformer-charm",
+)
 
-    def _assert_results_identical(self, batched, pointwise):
-        for a, b in zip(batched, pointwise):
-            assert a.reward.value == b.reward.value
-            assert a.reward.feasible == b.reward.feasible
-            assert a.reward.valid == b.reward.valid
-            assert a.reward.violations == b.reward.violations
-            if b.metrics is None:
-                assert a.metrics is None
-            else:
-                assert a.metrics.accuracy == b.metrics.accuracy
-                assert a.metrics.latency_s == b.metrics.latency_s
-                assert a.metrics.area_mm2 == b.metrics.area_mm2
 
-    def test_table_backed_batch_equals_pointwise(self, micro4_bundle):
-        from repro.experiments.search_study import make_bundle_evaluator
+def _matrix_evaluator(kind: str, bundle) -> CodesignEvaluator:
+    """A fresh evaluator of one matrix kind (nothing shared with others)."""
+    from repro.core.evaluator import build_evaluator
+    from repro.core.scenarios import two_constraints
+    from repro.hw import build_platform
+    from repro.workloads import get_workload
 
-        pairs = self._random_pairs(micro4_bundle, 120, seed=0)
-        batched = make_bundle_evaluator(
-            micro4_bundle, unconstrained(micro4_bundle.bounds)
-        ).evaluate_batch(pairs)
-        ev = make_bundle_evaluator(micro4_bundle, unconstrained(micro4_bundle.bounds))
-        pointwise = [ev.evaluate(s, c) for s, c in pairs]
-        self._assert_results_identical(batched, pointwise)
+    if kind == "database-table":
+        return build_evaluator(
+            "database", two_constraints(bundle.bounds), bundle=bundle
+        )
+    if kind == "database-scaled":
+        evaluator = build_evaluator(
+            "database", two_constraints(bundle.bounds), bundle=bundle,
+            platform=build_platform("dac2020-scaled", {"clock_mhz": 300.0}),
+        )
+        assert evaluator._latency_table is None
+        return evaluator
+    if kind == "surrogate-embedded":
+        return build_evaluator(
+            "surrogate", two_constraints(),
+            platform=build_platform("embedded-lite"),
+        )
+    evaluator = build_evaluator(
+        "transformer-analytic", unconstrained(),
+        platform=build_platform("charm-u50"),
+    )
+    evaluator.compile_fn = get_workload("transformer").compile
+    return evaluator
 
-    def test_tableless_batch_equals_pointwise(self, db):
-        pairs_ev = CodesignEvaluator.from_database(db, unconstrained())
-        from tests.conftest import sample_configs
 
-        cells = sample_unique_cells(6, seed=1, min_vertices=4, max_vertices=4)
-        configs = sample_configs(5, seed=2)
-        pairs = [(s, c) for s in cells for c in configs]
-        batched = pairs_ev.evaluate_batch(pairs)
-        fresh = CodesignEvaluator.from_database(db, unconstrained())
-        pointwise = [fresh.evaluate(s, c) for s, c in pairs]
-        self._assert_results_identical(batched, pointwise)
+def _matrix_pairs(kind: str, bundle) -> list:
+    """Seeded random pairs plus a cells x configs block of revisits."""
+    from repro.core.search_space import JointSearchSpace
+    from repro.workloads import get_workload
 
-    def test_eval_cache_attached_batch_equals_pointwise(self, micro4_bundle, tmp_path):
-        from repro.experiments.search_study import make_bundle_evaluator
+    platform = _matrix_evaluator(kind, bundle).platform
+    workload = "transformer" if kind == "transformer-charm" else "cnn-cell"
+    space = JointSearchSpace(
+        cell_encoding=get_workload(workload).encoding(
+            bundle if kind.startswith("database") else None
+        ),
+        accelerator_space=platform.config_space(),
+    )
+    rng = np.random.default_rng(0)
+    pairs = [space.decode(space.random_actions(rng)) for _ in range(40)]
+    cells = [spec for spec, _ in pairs if spec.valid][:4]
+    configs = [config for _, config in pairs if platform.config_valid(config)][:4]
+    return pairs + [(spec, config) for spec in cells for config in configs]
+
+
+@pytest.fixture(scope="module")
+def matrix_reference(micro4_bundle):
+    """kind -> (pairs, bits of the first cold batch)."""
+    out = {}
+    for kind in MATRIX_EVALUATORS:
+        pairs = _matrix_pairs(kind, micro4_bundle)
+        batch = _matrix_evaluator(kind, micro4_bundle).evaluate_batch(pairs)
+        out[kind] = (pairs, [_bits(result) for result in batch])
+    return out
+
+
+class TestPathEquivalence:
+    """Every call shape and cache state gives the first cold batch's bits."""
+
+    @pytest.mark.parametrize(
+        "shape", ["batch", "pointwise", "reversed-dupes", "second-pass"]
+    )
+    @pytest.mark.parametrize("cache", ["none", "cold", "warm"])
+    @pytest.mark.parametrize("kind", MATRIX_EVALUATORS)
+    def test_matches_first_cold_batch(
+        self, micro4_bundle, matrix_reference, tmp_path, kind, cache, shape
+    ):
         from repro.parallel import EvalCache
 
-        pairs = self._random_pairs(micro4_bundle, 60, seed=3)
-        ev_a = make_bundle_evaluator(micro4_bundle, unconstrained(micro4_bundle.bounds))
-        ev_a.attach_eval_cache(EvalCache(tmp_path / "a.sqlite"))
-        batched = ev_a.evaluate_batch(pairs)
-        ev_b = make_bundle_evaluator(micro4_bundle, unconstrained(micro4_bundle.bounds))
-        ev_b.attach_eval_cache(EvalCache(tmp_path / "b.sqlite"))
-        pointwise = [ev_b.evaluate(s, c) for s, c in pairs]
-        self._assert_results_identical(batched, pointwise)
-        # Both paths persist the same row set.
-        ev_a.eval_cache.flush()
-        ev_b.eval_cache.flush()
-        assert len(ev_a.eval_cache) == len(ev_b.eval_cache)
+        pairs, expected = matrix_reference[kind]
+        path = tmp_path / "evals.sqlite"
+        evaluator = _matrix_evaluator(kind, micro4_bundle)
+        if cache == "warm":
+            earlier = _matrix_evaluator(kind, micro4_bundle)
+            earlier.attach_eval_cache(EvalCache(path), scenario=kind)
+            earlier.evaluate_batch(pairs)
+            earlier.eval_cache.close()
+        if cache != "none":
+            evaluator.attach_eval_cache(EvalCache(path), scenario=kind)
+        if shape == "batch":
+            results = evaluator.evaluate_batch(pairs)
+        elif shape == "pointwise":
+            results = [evaluator.evaluate(spec, config) for spec, config in pairs]
+        elif shape == "reversed-dupes":
+            results = evaluator.evaluate_batch(pairs[::-1] + pairs[:10])
+            expected = expected[::-1] + expected[:10]
+        else:
+            evaluator.evaluate_batch(pairs)
+            results = evaluator.evaluate_batch(pairs)
+        assert [_bits(result) for result in results] == expected
+        if cache == "warm":
+            assert evaluator.eval_cache.misses == 0
 
+
+class TestBatchBookkeeping:
     def test_duplicates_share_results_and_count(self, micro4_bundle):
         from repro.experiments.search_study import make_bundle_evaluator
 
         ev = make_bundle_evaluator(micro4_bundle, unconstrained(micro4_bundle.bounds))
-        pairs = self._random_pairs(micro4_bundle, 10, seed=4)
-        doubled = pairs + pairs
-        results = ev.evaluate_batch(doubled)
+        pairs = _matrix_pairs("database-table", micro4_bundle)[:10]
+        results = ev.evaluate_batch(pairs + pairs)
         assert ev.num_evaluations == 20
         for a, b in zip(results[:10], results[10:]):
             if a.spec.valid:
                 assert a is b  # one computation, shared result
 
-    def test_batch_warms_pointwise_caches(self, micro4_bundle):
-        """Batch and pointwise paths share one coherent cache family."""
-        from repro.experiments.search_study import make_bundle_evaluator
+    def test_evaluate_is_a_batch_of_one(
+        self, db_evaluator, default_config, monkeypatch
+    ):
+        batches = []
+        original = CodesignEvaluator.evaluate_batch
 
-        ev = make_bundle_evaluator(micro4_bundle, unconstrained(micro4_bundle.bounds))
-        pairs = self._random_pairs(micro4_bundle, 20, seed=5)
-        batched = ev.evaluate_batch(pairs)
-        pointwise = [ev.evaluate(s, c) for s, c in pairs]
-        self._assert_results_identical(batched, pointwise)
+        def spy(self, pairs):
+            batches.append(list(pairs))
+            return original(self, pairs)
+
+        monkeypatch.setattr(CodesignEvaluator, "evaluate_batch", spy)
+        spec = resnet_cell()
+        assert db_evaluator.evaluate(spec, default_config).valid
+        assert batches == [[(spec, default_config)]]
+
+
+def _twin(platform):
+    """Another platform over the same space: reference latency, 2x area."""
+    from repro.hw import Dac2020Platform
+
+    return Dac2020Platform(
+        name="twin", params={}, space=platform.config_space(), area_scale=2.0
+    )
+
+
+class TestCloneContract:
+    """What ``with_reward`` and ``with_platform`` clones share."""
+
+    HW_CALLS = ("area_mm2", "network_latency_s", "config_valid")
+
+    @staticmethod
+    def _count(monkeypatch, platform, names=HW_CALLS):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            original = getattr(platform, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(platform, name, counted)
+        return calls
+
+    @pytest.fixture
+    def pairs(self, micro4_bundle):
+        return _matrix_pairs("surrogate-embedded", micro4_bundle)
+
+    @pytest.fixture
+    def parent(self, micro4_bundle, tmp_path):
+        from repro.parallel import EvalCache
+
+        evaluator = _matrix_evaluator("surrogate-embedded", micro4_bundle)
+        return evaluator.attach_eval_cache(
+            EvalCache(tmp_path / "evals.sqlite"), scenario="parent"
+        )
+
+    def test_with_reward_shares_every_memo(self, micro4_bundle, tmp_path):
+        from repro.parallel import EvalCache
+
+        parent = _matrix_evaluator("database-table", micro4_bundle)
+        parent.attach_eval_cache(EvalCache(tmp_path / "evals.sqlite"), scenario="db")
+        clone = parent.with_reward(unconstrained())
+        assert parent._latency_table is not None
+        for name in (
+            "_accuracy_cache", "_content_hash_memo", "_area_cache",
+            "_latency_cache", "_config_index_memo", "_latency_table",
+            "eval_cache", "platform", "source_info", "compile_fn",
+        ):
+            assert getattr(clone, name) is getattr(parent, name), name
+        assert clone.cache_scenario == parent.cache_scenario
+        assert clone.reward_fn.config == unconstrained()
+        assert parent.reward_fn.config != clone.reward_fn.config
+
+    def test_with_reward_revisit_makes_no_platform_call(
+        self, monkeypatch, parent, pairs
+    ):
+        parent.evaluate_batch(pairs)
+        clone = parent.with_reward(unconstrained())
+        calls = self._count(monkeypatch, clone.platform)
+        results = clone.evaluate_batch(pairs)
+        assert calls == dict.fromkeys(calls, 0)
+        assert any(result.feasible for result in results)
+        assert clone.num_evaluations == len(pairs)
+
+    def test_with_reward_without_eval_cache_reuses_hw_memos(
+        self, micro4_bundle, monkeypatch, pairs
+    ):
+        parent = _matrix_evaluator("surrogate-embedded", micro4_bundle)
+        parent.evaluate_batch(pairs)
+        clone = parent.with_reward(unconstrained())
+        calls = self._count(
+            monkeypatch, clone.platform, ("area_mm2", "network_latency_s")
+        )
+        clone.evaluate_batch(pairs)
+        assert calls == {"area_mm2": 0, "network_latency_s": 0}
+
+    def test_with_platform_shares_only_cell_memos(self, parent, pairs):
+        parent.evaluate_batch(pairs)
+        twin = _twin(parent.platform)
+        clone = parent.with_platform(twin)
+        assert clone._accuracy_cache is parent._accuracy_cache
+        assert clone._content_hash_memo is parent._content_hash_memo
+        for name in ("_area_cache", "_latency_cache", "_config_index_memo"):
+            assert getattr(clone, name) is not getattr(parent, name), name
+            assert len(getattr(clone, name)) == 0, name
+        assert clone.platform is twin
+        assert clone._latency_table is None
+        assert clone.eval_cache is None
+        assert parent.with_platform(twin)._area_cache is not clone._area_cache
+
+    def test_with_platform_never_reads_or_writes_parent_hw_state(
+        self, micro4_bundle, monkeypatch, parent, pairs
+    ):
+        def hw_state():
+            return (
+                len(parent._area_cache),
+                len(parent._latency_cache),
+                len(parent.eval_cache),
+            )
+
+        parent.evaluate_batch(pairs)
+        parent.eval_cache.flush()
+        before = hw_state()
+        accuracy_calls = []
+        accuracy_fn = parent.accuracy_fn
+        monkeypatch.setattr(
+            parent, "accuracy_fn",
+            lambda spec: accuracy_calls.append(spec) or accuracy_fn(spec),
+        )
+        clone = parent.with_platform(_twin(parent.platform))
+        fresh = _matrix_evaluator("surrogate-embedded", micro4_bundle)
+        fresh = fresh.with_platform(_twin(fresh.platform))
+        # The twin's metrics come from the twin, not from the parent's
+        # memos or eval cache, and no cell accuracy is recomputed.
+        assert [_bits(r) for r in clone.evaluate_batch(pairs)] == [
+            _bits(r) for r in fresh.evaluate_batch(pairs)
+        ]
+        assert accuracy_calls == []
+        assert parent.eval_cache.stats["pending"] == 0
+        assert hw_state() == before
 
 
 class TestAccuracySourceRegistry:

@@ -457,8 +457,8 @@ class TestLegacyShim:
 
 
 class TestTensorizeSpec:
-    """The --tensorize flag rides through the spec layer untouched:
-    omitted when off (so historical ledgers stay byte-compatible),
+    """``tensorize`` fields select nothing, but archived specs carry
+    them: omitted when off (so historical ledgers stay byte-compatible),
     round-tripping when on, and overridable per hardware entry."""
 
     def test_defaults_off_and_omitted_from_dict(self):
@@ -522,36 +522,70 @@ class TestTensorizeSpec:
         overridden = spec.with_overrides({"hardware.tensorize": True})
         assert overridden.hardware[0].tensorize is True
 
-    def test_build_study_arms_evaluators_per_platform(self, micro4_bundle):
-        spec = StudySpec(
-            name="tiny",
-            strategies=({"name": "random"},),
-            scenarios=("unconstrained",),
-            evaluator={"source": "surrogate"},
-            hardware=(
-                {"name": "embedded-lite", "tensorize": True},
-                {"name": "dac2020", "tensorize": False},
-            ),
-            execution={"num_steps": 10, "num_repeats": 1, "tensorize": False},
-        )
-        study = build_study(spec, bundle=micro4_bundle, scale=TINY)
-        flags = {
-            job.label.split(":")[0]: job.evaluator_factory().tensorize
-            for job in study.jobs
-        }
-        assert flags == {"embedded-lite": True, "dac2020": False}
+    #: A spec as archived with both tensorize fields set.
+    ARCHIVED = """{
+  "name": "archived-tensorize",
+  "strategies": [
+    {
+      "name": "random",
+      "params": {}
+    }
+  ],
+  "scenarios": [
+    "unconstrained"
+  ],
+  "evaluator": {
+    "source": "surrogate",
+    "params": {}
+  },
+  "hardware": [
+    {
+      "name": "embedded-lite",
+      "params": {},
+      "tensorize": true
+    },
+    {
+      "name": "dac2020-scaled",
+      "params": {
+        "clock_mhz": 300.0
+      },
+      "tensorize": false
+    }
+  ],
+  "execution": {
+    "num_steps": 6,
+    "num_repeats": 2,
+    "master_seed": 0,
+    "batch_size": 1,
+    "backend": "serial",
+    "workers": null,
+    "cache": null,
+    "ledger": null,
+    "checkpoint_every": 10,
+    "tensorize": true
+  }
+}"""
 
-    def test_execution_default_covers_unset_hardware(self, micro4_bundle):
-        spec = StudySpec(
-            name="tiny",
-            strategies=({"name": "random"},),
-            scenarios=("unconstrained",),
-            evaluator={"source": "surrogate"},
-            hardware=({"name": "embedded-lite"},),
-            execution={"num_steps": 10, "num_repeats": 1, "tensorize": True},
+    def test_archived_fields_pin_resume_and_select_nothing(self, tmp_path):
+        from repro.core.study import outcome_summary
+
+        archived = StudySpec.from_json(self.ARCHIVED)
+        assert archived.to_json() == self.ARCHIVED
+        data = json.loads(self.ARCHIVED)
+        del data["execution"]["tensorize"]
+        for entry in data["hardware"]:
+            del entry["tensorize"]
+        plain = StudySpec.from_dict(data)
+        ledger = tmp_path / "archived.ledger"
+        began = outcome_summary(run_study(archived, scale=TINY, ledger=ledger))
+        assert began == outcome_summary(run_study(plain, scale=TINY))
+        resumed = run_study(
+            StudySpec.from_json(self.ARCHIVED), scale=TINY, ledger=ledger
         )
-        study = build_study(spec, bundle=micro4_bundle, scale=TINY)
-        assert all(job.evaluator_factory().tensorize for job in study.jobs)
+        assert outcome_summary(resumed) == began
+        # The fields are part of the pinned spec text, byte for byte.
+        with pytest.raises(LedgerError):
+            run_study(plain, scale=TINY, ledger=ledger)
 
 
 class TestBackendSpec:

@@ -1,18 +1,20 @@
-"""Regenerate the pinned tensorized-evaluation goldens.
+"""Regenerate the pinned hardware-model goldens.
 
 ``tensorized_goldens.json`` freezes, for every shipped platform (plus
-one non-reference ``dac2020-scaled`` parameterization), a slice of the
-full-space tensor at 16 evenly-spaced config indices:
+one non-reference ``dac2020-scaled`` parameterization), the platform's
+batched column-wise queries at 16 evenly-spaced config indices:
 
-* ``area_hex``    — ``float.hex()`` of ``TensorizedSpace.area_mm2``,
-* ``valid``       — the validity mask bits, and
-* ``latency_hex`` — ``float.hex()`` of the ResNet-cell latency row,
+* ``area_hex``    — ``float.hex()`` of ``batch_area_mm2``,
+* ``valid``       — the ``batch_config_valid`` bits, and
+* ``latency_hex`` — ``float.hex()`` of the ResNet cell's
+  ``batch_network_latency_s``,
 
-all computed hermetically (no disk cache).  The differential suite
-compares live tensors against these strings bit-for-bit, so lockstep
-drift — an analytical-model change that moves the tensorized path and
-the scalar path together, which the tensor==scalar differential tests
-cannot see — fails loudly instead of silently rewriting history.
+plus ``tensorized``, whether the space is under the enumeration cap
+(``repro.hw.tensorized.enumerable``).  The differential suite compares
+live queries against these strings bit-for-bit, so lockstep drift — an
+analytical-model change that moves the batch and scalar paths
+together, which the batch==scalar differential tests cannot see —
+fails loudly instead of silently rewriting history.
 
 Do not regenerate casually: new goldens only prove self-consistency of
 the current code.  Regenerate ONLY after an intentional hardware-model
@@ -29,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.hw import build_platform, list_platforms
-from repro.hw.tensorized import TensorizedSpace, enumerable
+from repro.hw.tensorized import enumerable
 from repro.nasbench.compile import compile_cell_ops
 from repro.nasbench.known_cells import resnet_cell
 from repro.nasbench.skeleton import CIFAR10_SKELETON
@@ -40,11 +42,11 @@ NUM_INDICES = 16
 
 #: Platform label -> (registry name, params).  Covers every shipped
 #: platform at defaults plus one scaled variant with non-default
-#: params, whose namespace (and therefore tensor) differs from the
-#: reference model.
+#: params, whose namespace (and therefore every metric) differs from
+#: the reference model.
 PLATFORM_BUILDS: dict[str, tuple[str, dict]] = {
     # surrogate:* platforms are excluded: their drift guard is the fit
-    # artifact's probe contract, not pinned tensor slices.
+    # artifact's probe contract, not pinned slices.
     **{
         name: (name, {})
         for name in list_platforms()
@@ -64,43 +66,24 @@ def main() -> None:
     goldens: dict[str, dict] = {}
     for label, (name, params) in PLATFORM_BUILDS.items():
         platform = build_platform(name, params or None)
-        if enumerable(platform):
-            tensor = TensorizedSpace(platform, use_disk_cache=False)
-            size = tensor.size
-            indices = pinned_indices(size)
-            area = tensor.area_mm2
-            valid = tensor.valid
-            latency = tensor.latency_row("resnet", lambda: resnet_ir)
-            tensorized = True
-        else:
-            # Non-enumerable spaces (charm-u50) have no tensor; pin the
-            # batched column queries at the same probe indices instead —
-            # the lockstep-drift guard matters just as much there.
-            space = platform.config_space()
-            size = space.size
-            indices = pinned_indices(size)
-            cols = space.columns_at(np.asarray(indices, dtype=np.int64))
-            area = platform.batch_area_mm2(cols)
-            valid = platform.batch_config_valid(cols)
-            latency = platform.batch_network_latency_s(resnet_ir, cols)
-            indices_map = {index: pos for pos, index in enumerate(indices)}
-            area = {i: area[indices_map[i]] for i in indices}
-            valid = {i: valid[indices_map[i]] for i in indices}
-            latency = {i: latency[indices_map[i]] for i in indices}
-            tensorized = False
+        space = platform.config_space()
+        indices = pinned_indices(space.size)
+        cols = space.columns_at(np.asarray(indices, dtype=np.int64))
+        area = platform.batch_area_mm2(cols)
+        valid = platform.batch_config_valid(cols)
+        latency = platform.batch_network_latency_s(resnet_ir, cols)
         goldens[label] = {
             "platform": name,
             "params": params,
             "namespace": platform.cache_namespace(),
-            "size": size,
-            "tensorized": tensorized,
+            "size": space.size,
+            "tensorized": enumerable(platform),
             "indices": indices,
-            "area_hex": [float(area[i]).hex() for i in indices],
-            "valid": [bool(valid[i]) for i in indices],
-            "latency_hex": [float(latency[i]).hex() for i in indices],
+            "area_hex": [float(v).hex() for v in area],
+            "valid": [bool(v) for v in valid],
+            "latency_hex": [float(v).hex() for v in latency],
         }
-        print(f"{label}: size={size} indices={len(indices)} "
-              f"tensorized={tensorized}")
+        print(f"{label}: size={space.size} indices={len(indices)}")
     (HERE / "tensorized_goldens.json").write_text(
         json.dumps(goldens, indent=2) + "\n"
     )

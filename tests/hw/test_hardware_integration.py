@@ -64,16 +64,6 @@ class TestEvaluatorPlatform:
         assert slow.latency_s >= base.latency_s
         assert slow.area_mm2 == pytest.approx(2.0 * base.area_mm2)
 
-    def test_platform_and_legacy_models_conflict(self):
-        from repro.accelerator.area import AreaModel
-
-        with pytest.raises(ValueError, match="not both"):
-            CodesignEvaluator.from_surrogate(
-                unconstrained(),
-                area_model=AreaModel(),
-                platform=default_platform(),
-            )
-
     def test_build_evaluator_threads_platform(self):
         platform = build_platform("embedded-lite")
         evaluator = build_evaluator(
@@ -94,7 +84,37 @@ class TestEvaluatorPlatform:
         # ... and still evaluates, through its own models.
         spec = micro4_bundle.database.records[0].spec
         config = micro4_bundle.space.config_at(0)
-        assert other.latency_s(spec, config) > reference.latency_s(spec, config)
+        assert (
+            other.evaluate(spec, config).metrics.latency_s
+            > reference.evaluate(spec, config).metrics.latency_s
+        )
+
+    def test_database_source_skips_table_on_other_skeleton(self, micro4_bundle):
+        """The bundle's table holds CIFAR10_SKELETON latencies only."""
+        from repro.nasbench.compile import compile_cell_ops
+
+        params = {"skeleton": {"num_stacks": 6}}
+        evaluator = build_evaluator(
+            "database", unconstrained(micro4_bundle.bounds), params,
+            bundle=micro4_bundle,
+        )
+        assert evaluator._latency_table is None
+        spec = micro4_bundle.database.records[0].spec
+        config = micro4_bundle.space.config_at(0)
+        ir = compile_cell_ops(spec, evaluator.skeleton)
+        assert evaluator.evaluate(spec, config).metrics.latency_s == (
+            evaluator.platform.network_latency_s(ir, config)
+        )
+        # ... and the bundle's arrays are no Pareto reference for it.
+        study_spec = StudySpec(
+            name="deep-db",
+            strategies=({"name": "random"},),
+            scenarios=("unconstrained",),
+            evaluator={"source": "database", "params": params},
+            execution={"num_steps": 5, "num_repeats": 1},
+        )
+        study = build_study(study_spec, bundle=micro4_bundle, scale=TINY)
+        assert study.pareto_top100 == {}
 
     def test_bundle_table_attaches_for_equivalent_platform(self):
         """Namespace equality, not object identity, gates the table."""

@@ -1,7 +1,7 @@
 """Tests for the learned hardware-cost surrogates (repro.hw.surrogate).
 
-Mirrors the tensorized suite's cache-contract tests (round-trip, drift
-refusal, corruption) for the JSON fit artifact, and pins the platform
+Covers the JSON fit artifact's cache contract (round-trip, drift
+refusal, corruption), and pins the platform
 contract the search stack depends on: batch == scalar bit for bit, a
 cache namespace that can never collide with exact rows, and an error
 budget the shipped platforms actually clear.
