@@ -997,7 +997,7 @@ def main(argv: list[str] | None = None) -> int:
                      "the two-tier filtering batches)")
     if args.surrogate:
         study_flags.append("--surrogate")
-        if not 0.0 < (args.exact_fraction or 0.25) <= 1.0:
+        if args.exact_fraction is not None and not 0.0 < args.exact_fraction <= 1.0:
             parser.error(
                 f"--exact-fraction must be in (0, 1], got {args.exact_fraction}"
             )

@@ -1,16 +1,15 @@
 """Numpy RL stack: LSTM controller, sequential policy, REINFORCE."""
 
-from repro.rl.functional import entropy, log_softmax, one_hot, sigmoid, softmax, xavier_uniform
+from repro.rl.functional import entropy, log_softmax, sigmoid, softmax, xavier_uniform
 from repro.rl.gradcheck import max_relative_error, numeric_gradients, policy_loss
 from repro.rl.lstm import LSTMCache, LSTMCell, LSTMState
-from repro.rl.optim import SGD, Adam, Optimizer, clip_grad_norm
-from repro.rl.policy import PolicySample, SequencePolicy
+from repro.rl.optim import Adam, clip_grad_norm
+from repro.rl.policy import PolicyBatch, SequencePolicy
 from repro.rl.reinforce import ReinforceConfig, ReinforceTrainer
 
 __all__ = [
     "entropy",
     "log_softmax",
-    "one_hot",
     "sigmoid",
     "softmax",
     "xavier_uniform",
@@ -20,11 +19,9 @@ __all__ = [
     "LSTMCache",
     "LSTMCell",
     "LSTMState",
-    "SGD",
     "Adam",
-    "Optimizer",
     "clip_grad_norm",
-    "PolicySample",
+    "PolicyBatch",
     "SequencePolicy",
     "ReinforceConfig",
     "ReinforceTrainer",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["softmax", "log_softmax", "sigmoid", "one_hot", "xavier_uniform", "entropy"]
+__all__ = ["softmax", "log_softmax", "sigmoid", "xavier_uniform", "entropy"]
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -21,19 +21,9 @@ def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Stable logistic function."""
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    expx = np.exp(x[~pos])
-    out[~pos] = expx / (1.0 + expx)
-    return out
-
-
-def one_hot(index: int, size: int) -> np.ndarray:
-    vec = np.zeros(size, dtype=np.float64)
-    vec[index] = 1.0
-    return vec
+    """Stable logistic function: ``exp`` only ever sees ``-|x|``."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def entropy(probs: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -1,15 +1,19 @@
 """Finite-difference gradient checking for the numpy RL stack.
 
-The REINFORCE loss for a *fixed* action sequence is a deterministic
+The REINFORCE loss for *fixed* action sequences is a deterministic
 differentiable function of the policy parameters:
 
-``L(theta) = -(advantage * log pi_theta(a) + beta * H_theta(a))``
+``L(theta) = mean_i -(advantage_i * log pi_theta(a_i) + beta * H_theta(a_i))``
 
-so analytic gradients from :meth:`SequencePolicy.backward` can be
-verified against central differences.  Used by the property tests.
+so the analytic gradient from :meth:`SequencePolicy.backward_batch` can
+be verified against central differences.  :func:`policy_loss` replays
+one rollout at a time, independently of the batched code it checks.
+Used by the property tests.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -22,43 +26,42 @@ __all__ = ["policy_loss", "numeric_gradients", "max_relative_error"]
 
 def policy_loss(
     policy: SequencePolicy,
-    actions: list[int],
-    advantage: float,
+    actions: Sequence[Sequence[int]],
+    advantages: Sequence[float],
     entropy_beta: float = 0.0,
-    token_mask: list[bool] | None = None,
 ) -> float:
-    """The scalar REINFORCE loss for a fixed action sequence."""
-    state = LSTMState.zeros(1, policy.hidden_size)
-    prev: int | None = None
-    log_prob = 0.0
-    total_entropy = 0.0
-    for t, action in enumerate(actions):
-        x = policy._step_input(t, prev)
-        state, _ = policy.cell.forward(x, state)
-        logits = state.h @ policy.params[f"head_w{t}"] + policy.params[f"head_b{t}"]
-        frozen = token_mask is not None and not token_mask[t]
-        if not frozen:
+    """The mean REINFORCE loss over fixed action sequences."""
+    total = 0.0
+    for sequence, advantage in zip(actions, advantages):
+        state = LSTMState.zeros(1, policy.hidden_size)
+        log_prob = 0.0
+        total_entropy = 0.0
+        for t, action in enumerate(sequence):
+            if t == 0:
+                x = policy.params["start"]
+            else:
+                x = policy.params[f"emb{t - 1}"][sequence[t - 1]]
+            state, _ = policy.cell.forward(x[None, :], state)
+            logits = state.h @ policy.params[f"head_w{t}"] + policy.params[f"head_b{t}"]
             log_prob += float(log_softmax(logits[0])[action])
             total_entropy += float(entropy(softmax(logits[0])))
-        prev = action
-    return -(advantage * log_prob + entropy_beta * total_entropy)
+        total += -(advantage * log_prob + entropy_beta * total_entropy)
+    return total / len(actions)
 
 
 def numeric_gradients(
     policy: SequencePolicy,
-    actions: list[int],
-    advantage: float,
+    actions: Sequence[Sequence[int]],
+    advantages: Sequence[float],
     entropy_beta: float = 0.0,
-    token_mask: list[bool] | None = None,
     epsilon: float = 1e-5,
     max_entries_per_param: int = 8,
     rng: np.random.Generator | None = None,
 ) -> dict[str, dict[tuple, float]]:
     """Central-difference gradients on a random subset of entries."""
     rng = rng or np.random.default_rng(0)
-    params = policy.all_params()
     out: dict[str, dict[tuple, float]] = {}
-    for name, array in params.items():
+    for name, array in policy.params.items():
         flat_indices = rng.choice(
             array.size, size=min(max_entries_per_param, array.size), replace=False
         )
@@ -67,9 +70,9 @@ def numeric_gradients(
             idx = np.unravel_index(int(flat), array.shape)
             original = array[idx]
             array[idx] = original + epsilon
-            plus = policy_loss(policy, actions, advantage, entropy_beta, token_mask)
+            plus = policy_loss(policy, actions, advantages, entropy_beta)
             array[idx] = original - epsilon
-            minus = policy_loss(policy, actions, advantage, entropy_beta, token_mask)
+            minus = policy_loss(policy, actions, advantages, entropy_beta)
             array[idx] = original
             entries[idx] = (plus - minus) / (2 * epsilon)
         out[name] = entries

@@ -44,7 +44,11 @@ class LSTMCache:
 
 
 class LSTMCell:
-    """Standard LSTM cell: gates ``i, f, g, o`` in that parameter order."""
+    """Standard LSTM cell: gates ``i, f, g, o`` in that parameter order.
+
+    :class:`~repro.rl.policy.SequencePolicy` rebinds :attr:`params` to
+    views into its one parameter vector.
+    """
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator) -> None:
         self.input_size = input_size
@@ -72,7 +76,7 @@ class LSTMCell:
         cache = LSTMCache(x=x, h_prev=state.h, c_prev=state.c, i=i, f=f, g=g, o=o, c=c)
         return LSTMState(h=h, c=c), cache
 
-    def backward(
+    def backward_step(
         self,
         dh: np.ndarray,
         dc: np.ndarray,
@@ -106,6 +110,3 @@ class LSTMCell:
         dx = dz @ self.params["wx"].T
         dh_prev = dz @ self.params["wh"].T
         return dx, dh_prev, dc_prev
-
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.params.items()}

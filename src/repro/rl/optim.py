@@ -1,84 +1,45 @@
-"""Optimizers over flat parameter dictionaries (numpy)."""
+"""Adam and gradient-norm clipping over one flat parameter vector (numpy).
+
+The controller keeps every trainable array as a view into one float64
+vector (:attr:`repro.rl.policy.SequencePolicy.theta`), so the optimizer
+steps it with a handful of vector operations.  Checkpoints still store
+weights and moments per parameter: the ``views``/``pack`` callables
+passed to :meth:`Adam.state_dict` / :meth:`Adam.load_state_dict` map
+between the vector and that layout.
+"""
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
+
 import numpy as np
 
-__all__ = ["Optimizer", "SGD", "Adam", "clip_grad_norm"]
+__all__ = ["Adam", "clip_grad_norm"]
 
 
-def clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale gradients in place so the global L2 norm <= ``max_norm``.
+def clip_grad_norm(
+    grad: np.ndarray, parts: Iterable[np.ndarray], max_norm: float
+) -> float:
+    """Scale ``grad`` in place so its global L2 norm <= ``max_norm``.
 
-    Returns the pre-clip norm.
+    ``parts`` are the per-parameter views of ``grad``.  The squared
+    norm is summed one parameter at a time, in order: a whole-vector
+    sum rounds differently in the last bits, which moves the clipping
+    decision and hence search results.  ``max_norm == 0`` disables
+    clipping.  Returns the pre-clip norm.
     """
-    total = float(np.sqrt(sum(float(np.sum(g**2)) for g in grads.values())))
+    total = float(np.sqrt(sum(float(np.sum(g**2)) for g in parts)))
     if max_norm > 0 and total > max_norm:
-        scale = max_norm / (total + 1e-12)
-        for g in grads.values():
-            g *= scale
+        grad *= max_norm / (total + 1e-12)
     return total
 
 
-class Optimizer:
-    """Base: turns gradients into parameter updates (deltas)."""
-
-    def compute_updates(self, grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        raise NotImplementedError
-
-    def state_dict(self) -> dict:
-        """Resumable snapshot of the optimizer's mutable state.
-
-        Stateless optimizers return ``{}``; see the checkpoint/resume
-        contract on :meth:`repro.search.SearchStrategy.state_dict`.
-        """
-        return {}
-
-    def load_state_dict(self, state: dict) -> None:
-        if state:
-            raise ValueError(
-                f"{type(self).__name__} carries no state, got keys {sorted(state)}"
-            )
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, lr: float = 0.1, momentum: float = 0.0) -> None:
-        if lr <= 0:
-            raise ValueError("lr must be positive")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity: dict[str, np.ndarray] = {}
-
-    def compute_updates(self, grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        updates = {}
-        for key, grad in grads.items():
-            if self.momentum > 0:
-                vel = self._velocity.get(key)
-                if vel is None:
-                    vel = np.zeros_like(grad)
-                vel = self.momentum * vel + grad
-                self._velocity[key] = vel
-                updates[key] = -self.lr * vel
-            else:
-                updates[key] = -self.lr * grad
-        return updates
-
-    def state_dict(self) -> dict:
-        return {"velocity": {k: v.copy() for k, v in self._velocity.items()}}
-
-    def load_state_dict(self, state: dict) -> None:
-        self._velocity = {k: np.array(v) for k, v in state["velocity"].items()}
-
-
-class Adam(Optimizer):
-    """Adam (Kingma & Ba, 2015)."""
+class Adam:
+    """Adam (Kingma & Ba, 2015) over a parameter vector of ``size``."""
 
     def __init__(
         self,
+        size: int,
         lr: float = 1e-3,
         beta1: float = 0.9,
         beta2: float = 0.999,
@@ -90,36 +51,38 @@ class Adam(Optimizer):
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
-        self._t = 0
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self.t = 0
 
-    def compute_updates(self, grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        self._t += 1
-        updates = {}
-        for key, grad in grads.items():
-            m = self._m.get(key)
-            v = self._v.get(key)
-            if m is None:
-                m = np.zeros_like(grad)
-                v = np.zeros_like(grad)
-            m = self.beta1 * m + (1 - self.beta1) * grad
-            v = self.beta2 * v + (1 - self.beta2) * grad**2
-            self._m[key] = m
-            self._v[key] = v
-            m_hat = m / (1 - self.beta1**self._t)
-            v_hat = v / (1 - self.beta2**self._t)
-            updates[key] = -self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-        return updates
+    def step(self, grad: np.ndarray) -> np.ndarray:
+        """Advance the moments by ``grad``; return the parameter delta."""
+        self.t += 1
+        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
+        self.v = self.beta2 * self.v + (1 - self.beta2) * grad**2
+        m_hat = self.m / (1 - self.beta1**self.t)
+        v_hat = self.v / (1 - self.beta2**self.t)
+        return -self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-    def state_dict(self) -> dict:
-        return {
-            "t": self._t,
-            "m": {k: v.copy() for k, v in self._m.items()},
-            "v": {k: v.copy() for k, v in self._v.items()},
-        }
+    def state_dict(
+        self, views: Callable[[np.ndarray], dict[str, np.ndarray]]
+    ) -> dict:
+        """Step count and moments, split per parameter by ``views``.
 
-    def load_state_dict(self, state: dict) -> None:
-        self._t = int(state["t"])
-        self._m = {k: np.array(v) for k, v in state["m"].items()}
-        self._v = {k: np.array(v) for k, v in state["v"].items()}
+        The moments are ``{}`` before the first step.  See the
+        checkpoint/resume contract on
+        :meth:`repro.search.SearchStrategy.state_dict`.
+        """
+
+        def named(moment: np.ndarray) -> dict[str, np.ndarray]:
+            return views(moment.copy()) if self.t else {}
+
+        return {"t": self.t, "m": named(self.m), "v": named(self.v)}
+
+    def load_state_dict(
+        self, state: dict, pack: Callable[[dict], np.ndarray]
+    ) -> None:
+        """Restore a :meth:`state_dict`; ``pack`` joins named moments."""
+        self.t = int(state["t"])
+        self.m = pack(state["m"]) if state["m"] else np.zeros_like(self.m)
+        self.v = pack(state["v"]) if state["v"] else np.zeros_like(self.v)

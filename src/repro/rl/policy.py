@@ -2,13 +2,16 @@
 
 One categorical decision per token: the shared LSTM cell consumes the
 embedding of the previous decision and a per-token linear head turns
-the hidden state into logits over that token's vocabulary.  Sampling
-returns everything REINFORCE needs: actions, log-probability, entropy,
-and the forward caches for the manual backward pass.
+the hidden state into logits over that token's vocabulary.  Rollouts
+are sampled and backpropagated in batches; a batch of one is the
+paper's per-point controller.  Every trainable array, the LSTM cell's
+included, is a named view into one float64 vector
+:attr:`SequencePolicy.theta`, so one optimizer step moves them all.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -17,19 +20,7 @@ import numpy as np
 from repro.rl.functional import entropy, log_softmax, softmax, xavier_uniform
 from repro.rl.lstm import LSTMCache, LSTMCell, LSTMState
 
-__all__ = ["PolicySample", "PolicyBatch", "SequencePolicy"]
-
-
-@dataclass
-class PolicySample:
-    """One sampled action sequence plus backprop bookkeeping."""
-
-    actions: list[int]
-    log_prob: float
-    entropy: float
-    caches: list[LSTMCache] = field(repr=False, default_factory=list)
-    hiddens: list[np.ndarray] = field(repr=False, default_factory=list)
-    probs: list[np.ndarray] = field(repr=False, default_factory=list)
+__all__ = ["PolicyBatch", "SequencePolicy"]
 
 
 @dataclass
@@ -100,122 +91,74 @@ class SequencePolicy:
     ) -> None:
         if not vocab_sizes:
             raise ValueError("policy needs at least one token")
+        for name, size in (("hidden_size", hidden_size), ("embedding_size", embedding_size)):
+            if size < 1:
+                raise ValueError(f"{name} must be >= 1, got {size}")
         rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
         self.vocab_sizes = list(vocab_sizes)
         self.hidden_size = hidden_size
         self.embedding_size = embedding_size
         self.cell = LSTMCell(embedding_size, hidden_size, rng)
-        self.params: dict[str, np.ndarray] = {}
+        arrays = {f"lstm_{k}": v for k, v in self.cell.params.items()}
         # Learned start-of-sequence input.
-        self.params["start"] = 0.1 * rng.standard_normal(embedding_size)
+        arrays["start"] = 0.1 * rng.standard_normal(embedding_size)
         for t, vocab in enumerate(self.vocab_sizes):
-            self.params[f"head_w{t}"] = xavier_uniform(rng, (hidden_size, vocab))
-            self.params[f"head_b{t}"] = np.zeros(vocab)
+            arrays[f"head_w{t}"] = xavier_uniform(rng, (hidden_size, vocab))
+            arrays[f"head_b{t}"] = np.zeros(vocab)
             if t < len(self.vocab_sizes) - 1:
                 # Embedding of token t's decision feeds step t+1.
-                self.params[f"emb{t}"] = 0.1 * rng.standard_normal(
+                arrays[f"emb{t}"] = 0.1 * rng.standard_normal(
                     (vocab, embedding_size)
                 )
+        self._shapes = {k: v.shape for k, v in arrays.items()}
+        self.theta = np.concatenate([v.ravel() for v in arrays.values()])
+        self.params = self.views(self.theta)
+        self.cell.params = {k: self.params[f"lstm_{k}"] for k in self.cell.params}
 
     # ------------------------------------------------------------------
-    def all_params(self) -> dict[str, np.ndarray]:
-        """Flat view over every trainable array (LSTM included)."""
-        merged = {f"lstm_{k}": v for k, v in self.cell.params.items()}
-        merged.update(self.params)
-        return merged
+    def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """Named views into ``vector``, laid out like :attr:`theta`."""
+        out = {}
+        offset = 0
+        for name, shape in self._shapes.items():
+            size = math.prod(shape)
+            out[name] = vector[offset: offset + size].reshape(shape)
+            offset += size
+        return out
 
-    def num_parameters(self) -> int:
-        return sum(v.size for v in self.all_params().values())
+    def pack(self, arrays: dict[str, np.ndarray]) -> np.ndarray:
+        """One vector laid out like :attr:`theta` from named arrays.
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        """Copy of every trainable array (LSTM + embeddings + heads)."""
-        return {k: v.copy() for k, v in self.all_params().items()}
-
-    def load_state_dict(self, params: dict[str, np.ndarray]) -> None:
-        """Restore weights saved by :meth:`state_dict`, in place.
-
-        The parameter set and every shape must match — a checkpoint
-        from a differently-shaped policy (other vocab sizes, hidden or
-        embedding width) is rejected rather than silently truncated.
+        The parameter set and every shape must match -- arrays from a
+        differently-shaped policy (other vocab sizes, hidden or
+        embedding width) are rejected rather than silently truncated.
         """
-        merged = self.all_params()
-        if set(params) != set(merged):
-            missing = sorted(set(merged) - set(params))
-            extra = sorted(set(params) - set(merged))
+        if set(arrays) != set(self._shapes):
+            missing = sorted(set(self._shapes) - set(arrays))
+            extra = sorted(set(arrays) - set(self._shapes))
             raise ValueError(
                 f"policy checkpoint mismatch: missing {missing}, unexpected {extra}"
             )
-        for key, value in params.items():
-            value = np.asarray(value, dtype=merged[key].dtype)
-            if value.shape != merged[key].shape:
+        parts = []
+        for key, shape in self._shapes.items():
+            value = np.asarray(arrays[key], dtype=np.float64)
+            if value.shape != shape:
                 raise ValueError(
-                    f"policy parameter {key!r} has shape {merged[key].shape}, "
+                    f"policy parameter {key!r} has shape {shape}, "
                     f"checkpoint has {value.shape}"
                 )
-            merged[key][...] = value
+            parts.append(value.ravel())
+        return np.concatenate(parts)
 
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.all_params().items()}
+    def state_dict(self) -> dict[str, np.ndarray]:
+        """Per-parameter copy of :attr:`theta` (LSTM + embeddings + heads)."""
+        return self.views(self.theta.copy())
+
+    def load_state_dict(self, params: dict[str, np.ndarray]) -> None:
+        """Restore weights saved by :meth:`state_dict`, in place."""
+        self.theta[...] = self.pack(params)
 
     # ------------------------------------------------------------------
-    def _step_input(self, t: int, prev_action: int | None) -> np.ndarray:
-        if t == 0:
-            return self.params["start"][None, :]
-        return self.params[f"emb{t - 1}"][prev_action][None, :]
-
-    def sample(
-        self,
-        rng: np.random.Generator,
-        greedy: bool = False,
-        token_mask: list[bool] | None = None,
-        frozen_actions: list[int] | None = None,
-    ) -> PolicySample:
-        """Sample an action sequence.
-
-        ``token_mask``/``frozen_actions`` support the phase and
-        separate strategies: masked tokens take the frozen action and
-        contribute neither log-probability nor entropy (their policy is
-        not updated for them).
-        """
-        if token_mask is not None and frozen_actions is None:
-            raise ValueError("token_mask requires frozen_actions")
-        state = LSTMState.zeros(1, self.hidden_size)
-        actions: list[int] = []
-        caches: list[LSTMCache] = []
-        hiddens: list[np.ndarray] = []
-        probs: list[np.ndarray] = []
-        log_prob = 0.0
-        total_entropy = 0.0
-        prev_action: int | None = None
-        for t, vocab in enumerate(self.vocab_sizes):
-            x = self._step_input(t, prev_action)
-            state, cache = self.cell.forward(x, state)
-            caches.append(cache)
-            hiddens.append(state.h.copy())
-            logits = state.h @ self.params[f"head_w{t}"] + self.params[f"head_b{t}"]
-            p = softmax(logits[0])
-            probs.append(p)
-            frozen = token_mask is not None and not token_mask[t]
-            if frozen:
-                action = int(frozen_actions[t])  # type: ignore[index]
-            elif greedy:
-                action = int(np.argmax(p))
-            else:
-                action = int(rng.choice(vocab, p=p))
-            if not frozen:
-                log_prob += float(log_softmax(logits[0])[action])
-                total_entropy += float(entropy(p))
-            actions.append(action)
-            prev_action = action
-        return PolicySample(
-            actions=actions,
-            log_prob=log_prob,
-            entropy=total_entropy,
-            caches=caches,
-            hiddens=hiddens,
-            probs=probs,
-        )
-
     def sample_batch(self, rng: np.random.Generator, n: int) -> PolicyBatch:
         """Sample ``n`` rollouts from the current parameters in one pass.
 
@@ -223,12 +166,12 @@ class SequencePolicy:
         as the leading dimension instead of once per (token, rollout) —
         the forward cost of a batch approaches that of a single rollout.
 
-        At ``n == 1`` the arithmetic and the RNG stream are exactly
-        those of :meth:`sample` (the legacy path already used ``(1, ·)``
-        shapes), so batch-size-1 searches are bit-identical to the
-        per-point loop.  At ``n > 1`` the categorical draws use one
-        inverse-CDF lookup per token (``n`` uniforms at once), which is
-        a different — but equally valid — consumption of the stream.
+        At ``n == 1`` each token is one ``rng.choice(vocab, p=p)``
+        draw: the per-point controller's RNG stream, which the batch-1
+        goldens (``tests/data/ask_tell_goldens.*``) pin.  At ``n > 1``
+        the categorical draws use one inverse-CDF lookup per token
+        (``n`` uniforms at once), a different -- but equally valid --
+        consumption of the stream.
         """
         if n < 1:
             raise ValueError(f"batch size must be positive, got {n}")
@@ -275,96 +218,45 @@ class SequencePolicy:
         )
 
     # ------------------------------------------------------------------
-    def backward(
-        self,
-        sample: PolicySample,
-        advantage: float,
-        entropy_beta: float = 0.0,
-        token_mask: list[bool] | None = None,
-    ) -> dict[str, np.ndarray]:
-        """Gradients of ``-(advantage * log_prob + beta * entropy)``.
-
-        Minimizing that loss is REINFORCE ascent on
-        ``advantage * log pi`` (plus optional entropy regularization).
-        Masked tokens contribute no loss, matching :meth:`sample`.
-        """
-        grads = self.zero_grads()
-        n = len(self.vocab_sizes)
-        dh_next = np.zeros((1, self.hidden_size))
-        dc_next = np.zeros((1, self.hidden_size))
-        for t in range(n - 1, -1, -1):
-            p = sample.probs[t]
-            action = sample.actions[t]
-            vocab = self.vocab_sizes[t]
-            frozen = token_mask is not None and not token_mask[t]
-            dlogits = np.zeros(vocab)
-            if not frozen:
-                # d(-adv * log p[a]) / dlogits = adv * (p - onehot)
-                dlogits = advantage * p.copy()
-                dlogits[action] -= advantage
-                if entropy_beta > 0.0:
-                    # d(-beta * H) / dlogits = beta * p * (log p + H)
-                    log_p = np.log(np.clip(p, 1e-12, 1.0))
-                    h_val = -float(np.sum(p * log_p))
-                    dlogits += entropy_beta * p * (log_p + h_val)
-            dlogits = dlogits[None, :]
-            grads[f"head_w{t}"] += sample.hiddens[t].T @ dlogits
-            grads[f"head_b{t}"] += dlogits[0]
-            dh = dlogits @ self.params[f"head_w{t}"].T + dh_next
-            lstm_grads = {
-                k.removeprefix("lstm_"): grads[k]
-                for k in ("lstm_wx", "lstm_wh", "lstm_b")
-            }
-            dx, dh_prev, dc_prev = self.cell.backward(
-                dh, dc_next, sample.caches[t], lstm_grads
-            )
-            if t == 0:
-                grads["start"] += dx[0]
-            else:
-                grads[f"emb{t - 1}"][sample.actions[t - 1]] += dx[0]
-            dh_next, dc_next = dh_prev, dc_prev
-        return grads
-
     def backward_batch(
         self,
         batch: PolicyBatch,
         advantages: np.ndarray,
         entropy_beta: float = 0.0,
-    ) -> dict[str, np.ndarray]:
-        """Mean-over-rollouts gradients of the REINFORCE loss.
+    ) -> np.ndarray:
+        """Gradient of the mean REINFORCE loss, laid out like :attr:`theta`.
 
-        One reversed token sweep backpropagates every rollout of
-        ``batch`` together (the batch dimension rides through the same
-        matmuls as :meth:`backward`).  At batch size 1 the result is
-        bit-identical to :meth:`backward` — the mean over one rollout
-        is the rollout — which is what keeps batched searches exact at
-        ``batch_size=1``.
+        The loss of one rollout is ``-(advantage * log_prob + beta *
+        entropy)``; minimizing it is REINFORCE ascent on ``advantage *
+        log pi`` plus entropy regularization.  One reversed token sweep
+        backpropagates every rollout of ``batch`` together, and the
+        result is the mean over rollouts.
         """
         n = len(batch)
         advantages = np.asarray(advantages, dtype=np.float64)
         if advantages.shape != (n,):
             raise ValueError(f"expected {n} advantages, got {advantages.shape}")
-        grads = self.zero_grads()
+        grad = np.zeros_like(self.theta)
+        grads = self.views(grad)
+        lstm_grads = {k: grads[f"lstm_{k}"] for k in self.cell.params}
         rows = np.arange(n)
         dh_next = np.zeros((n, self.hidden_size))
         dc_next = np.zeros((n, self.hidden_size))
         for t in range(len(self.vocab_sizes) - 1, -1, -1):
             p = batch.probs[t]
             acts = batch.actions[:, t]
+            # d(-adv * log p[a]) / dlogits = adv * (p - onehot(a))
             dlogits = advantages[:, None] * p
             dlogits[rows, acts] -= advantages
             if entropy_beta > 0.0:
+                # d(-beta * H) / dlogits = beta * p * (log p + H)
                 log_p = np.log(np.clip(p, 1e-12, 1.0))
                 h_val = -np.sum(p * log_p, axis=1, keepdims=True)
                 dlogits += entropy_beta * p * (log_p + h_val)
             grads[f"head_w{t}"] += batch.hiddens[t].T @ dlogits
             grads[f"head_b{t}"] += dlogits.sum(axis=0)
             dh = dlogits @ self.params[f"head_w{t}"].T + dh_next
-            lstm_grads = {
-                k.removeprefix("lstm_"): grads[k]
-                for k in ("lstm_wx", "lstm_wh", "lstm_b")
-            }
-            dx, dh_prev, dc_prev = self.cell.backward(
+            dx, dh_prev, dc_prev = self.cell.backward_step(
                 dh, dc_next, batch.caches[t], lstm_grads
             )
             if t == 0:
@@ -373,25 +265,5 @@ class SequencePolicy:
                 np.add.at(grads[f"emb{t - 1}"], batch.actions[:, t - 1], dx)
             dh_next, dc_next = dh_prev, dc_prev
         if n > 1:
-            for key in grads:
-                grads[key] /= n
-        return grads
-
-    def apply_update(self, updates: dict[str, np.ndarray]) -> None:
-        """In-place add ``updates`` to parameters (optimizer output)."""
-        merged = self.all_params()
-        for key, delta in updates.items():
-            merged[key] += delta
-
-    def action_log_prob(self, actions: list[int]) -> float:
-        """Log-probability of a fixed action sequence (evaluation aid)."""
-        state = LSTMState.zeros(1, self.hidden_size)
-        prev: int | None = None
-        total = 0.0
-        for t, action in enumerate(actions):
-            x = self._step_input(t, prev)
-            state, _ = self.cell.forward(x, state)
-            logits = state.h @ self.params[f"head_w{t}"] + self.params[f"head_b{t}"]
-            total += float(log_softmax(logits[0])[action])
-            prev = action
-        return total
+            grad /= n
+        return grad

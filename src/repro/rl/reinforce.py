@@ -1,9 +1,11 @@
 """REINFORCE with an exponential-moving-average baseline.
 
 The paper updates the policy with
-``grad_theta pi_theta(s_t) * E(s_t)`` via REINFORCE and SGD (Section
-II-A).  A standard EMA baseline subtracts the running reward mean to
-reduce gradient variance without changing the expectation.
+``grad_theta pi_theta(s_t) * E(s_t)`` via REINFORCE and stochastic
+gradient descent (Section II-A); this controller steps with Adam over
+its one parameter vector.  A standard EMA baseline subtracts the
+running reward mean to reduce gradient variance without changing the
+expectation.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.rl.optim import Adam, Optimizer, clip_grad_norm
-from repro.rl.policy import PolicyBatch, PolicySample, SequencePolicy
+from repro.rl.optim import Adam, clip_grad_norm
+from repro.rl.policy import PolicyBatch, SequencePolicy
 
 __all__ = ["ReinforceConfig", "ReinforceTrainer"]
 
@@ -32,6 +34,10 @@ class ReinforceConfig:
             raise ValueError("baseline_momentum must be in [0, 1)")
         if self.entropy_beta < 0:
             raise ValueError("entropy_beta must be non-negative")
+        if self.grad_clip < 0:
+            raise ValueError(
+                f"grad_clip must be >= 0 (0 disables clipping), got {self.grad_clip}"
+            )
 
 
 class ReinforceTrainer:
@@ -41,73 +47,41 @@ class ReinforceTrainer:
         self,
         policy: SequencePolicy,
         config: ReinforceConfig | None = None,
-        optimizer: Optimizer | None = None,
     ) -> None:
         self.policy = policy
         self.config = config or ReinforceConfig()
-        self.optimizer = optimizer or Adam(lr=self.config.learning_rate)
+        self.optimizer = Adam(policy.theta.size, lr=self.config.learning_rate)
         self.baseline: float | None = None
         self.num_updates = 0
 
     def state_dict(self) -> dict:
-        """Resumable snapshot: weights, optimizer moments, baseline."""
+        """Resumable snapshot: weights and Adam moments, per parameter."""
         return {
             "policy": self.policy.state_dict(),
-            "optimizer": self.optimizer.state_dict(),
+            "optimizer": self.optimizer.state_dict(self.policy.views),
             "baseline": self.baseline,
             "num_updates": self.num_updates,
         }
 
     def load_state_dict(self, state: dict) -> None:
         self.policy.load_state_dict(state["policy"])
-        self.optimizer.load_state_dict(state["optimizer"])
+        self.optimizer.load_state_dict(state["optimizer"], self.policy.pack)
         baseline = state["baseline"]
         self.baseline = None if baseline is None else float(baseline)
         self.num_updates = int(state["num_updates"])
-
-    def sample(self, rng: np.random.Generator, **kwargs) -> PolicySample:
-        """Draw one action sequence from the current policy."""
-        return self.policy.sample(rng, **kwargs)
 
     def sample_batch(self, rng: np.random.Generator, n: int) -> PolicyBatch:
         """Draw ``n`` rollouts from the current policy in one pass."""
         return self.policy.sample_batch(rng, n)
 
-    def update(
-        self,
-        sample: PolicySample,
-        reward: float,
-        token_mask: list[bool] | None = None,
-    ) -> float:
-        """One policy-gradient step; returns the advantage used."""
-        if self.baseline is None:
-            self.baseline = reward
-        advantage = reward - self.baseline
-        self.baseline = (
-            self.config.baseline_momentum * self.baseline
-            + (1.0 - self.config.baseline_momentum) * reward
-        )
-        grads = self.policy.backward(
-            sample,
-            advantage,
-            entropy_beta=self.config.entropy_beta,
-            token_mask=token_mask,
-        )
-        clip_grad_norm(grads, self.config.grad_clip)
-        self.policy.apply_update(self.optimizer.compute_updates(grads))
-        self.num_updates += 1
-        return advantage
-
     def update_batch(self, batch: PolicyBatch, rewards) -> np.ndarray:
         """One policy-gradient step from a rollout batch.
 
         Mini-batch REINFORCE: per-rollout advantages are taken against
-        the running EMA baseline (updated rollout-by-rollout, in order,
-        with exactly the recurrence of :meth:`update`), the gradient is
-        the mean over rollouts, and the optimizer steps once.  A batch
-        of one is bit-identical to :meth:`update` — same baseline
-        stream, same gradients, same optimizer state.  Returns the
-        per-rollout advantages.
+        the running EMA baseline (updated rollout by rollout, in order),
+        the gradient is the mean over rollouts, its norm is clipped to
+        ``grad_clip``, and Adam steps :attr:`SequencePolicy.theta`
+        once.  Returns the per-rollout advantages.
         """
         rewards = [float(r) for r in rewards]
         if len(rewards) != len(batch):
@@ -121,10 +95,10 @@ class ReinforceTrainer:
                 self.config.baseline_momentum * self.baseline
                 + (1.0 - self.config.baseline_momentum) * reward
             )
-        grads = self.policy.backward_batch(
+        grad = self.policy.backward_batch(
             batch, advantages, entropy_beta=self.config.entropy_beta
         )
-        clip_grad_norm(grads, self.config.grad_clip)
-        self.policy.apply_update(self.optimizer.compute_updates(grads))
+        clip_grad_norm(grad, self.policy.views(grad).values(), self.config.grad_clip)
+        self.policy.theta += self.optimizer.step(grad)
         self.num_updates += 1
         return advantages

@@ -10,8 +10,8 @@ Batch semantics (ask/tell): a batch is a **rollout batch** — ``ask(n)``
 draws ``n`` rollouts from the current policy in one vectorized forward
 pass, and ``tell`` performs one mini-batch REINFORCE update (mean
 gradient over the rollouts, EMA baseline advanced rollout-by-rollout).
-At batch size 1 both collapse to the historic sample/update step,
-bit-identically.
+A batch of one is the historic per-point sample/update step, bit for
+bit: its traces are pinned by ``tests/data/ask_tell_goldens.*``.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.rl.functional import entropy, log_softmax, one_hot, sigmoid, softmax, xavier_uniform
+from repro.rl.functional import entropy, log_softmax, sigmoid, softmax, xavier_uniform
 
 
 class TestSoftmax:
@@ -37,12 +37,26 @@ class TestSigmoid:
         x = np.array([1.7])
         assert sigmoid(x)[0] + sigmoid(-x)[0] == pytest.approx(1.0)
 
+    def test_bit_identical_to_two_branch_formula(self, rng):
+        """The mask-free form equals the boolean-mask form bit for bit."""
+
+        def two_branch(x):
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            expx = np.exp(x[~pos])
+            out[~pos] = expx / (1.0 + expx)
+            return out
+
+        edges = [0.0, -0.0, 1e-320, -1e-320, 709.0, -745.0, 1e308, -1e308,
+                 np.inf, -np.inf]
+        draws = [rng.normal(size=(16, 64)) * scale for scale in (0.1, 1, 10, 100, 800)]
+        x = np.concatenate([np.array(edges)] + [d.ravel() for d in draws])
+        assert np.array_equal(sigmoid(x).view(np.int64), two_branch(x).view(np.int64))
+        assert np.isnan(sigmoid(np.array([np.nan]))[0])
+
 
 class TestMisc:
-    def test_one_hot(self):
-        v = one_hot(2, 4)
-        assert list(v) == [0, 0, 1, 0]
-
     def test_entropy_uniform_is_max(self):
         uniform = np.full(4, 0.25)
         peaked = np.array([0.97, 0.01, 0.01, 0.01])

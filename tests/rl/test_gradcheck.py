@@ -1,4 +1,4 @@
-"""Finite-difference verification of the policy gradients."""
+"""Finite-difference verification of the batched policy gradient."""
 
 import numpy as np
 import pytest
@@ -12,38 +12,36 @@ def policy():
     return SequencePolicy([2, 2, 3, 5], hidden_size=12, embedding_size=6, seed=3)
 
 
+ADVANTAGES = {1: [0.8], 4: [0.8, -1.3, 0.0, 0.4]}
+
+
 class TestGradients:
-    def test_plain_reinforce(self, policy, rng):
-        sample = policy.sample(rng)
-        grads = policy.backward(sample, advantage=0.8)
-        numeric = numeric_gradients(policy, sample.actions, 0.8, rng=rng)
-        assert max_relative_error(grads, numeric) < 1e-4
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("entropy_beta", [0.0, 0.05])
+    def test_backward_batch_matches_finite_differences(
+        self, policy, rng, n, entropy_beta
+    ):
+        batch = policy.sample_batch(rng, n)
+        advantages = ADVANTAGES[n]
+        grad = policy.backward_batch(batch, np.array(advantages), entropy_beta)
+        numeric = numeric_gradients(
+            policy, batch.actions, advantages, entropy_beta, rng=rng
+        )
+        assert max_relative_error(policy.views(grad), numeric) < 1e-4
 
     def test_negative_advantage(self, policy, rng):
-        sample = policy.sample(rng)
-        grads = policy.backward(sample, advantage=-1.3)
-        numeric = numeric_gradients(policy, sample.actions, -1.3, rng=rng)
-        assert max_relative_error(grads, numeric) < 1e-4
+        batch = policy.sample_batch(rng, 1)
+        grad = policy.backward_batch(batch, np.array([-1.3]))
+        numeric = numeric_gradients(policy, batch.actions, [-1.3], rng=rng)
+        assert max_relative_error(policy.views(grad), numeric) < 1e-4
 
-    def test_with_entropy(self, policy, rng):
-        sample = policy.sample(rng)
-        grads = policy.backward(sample, advantage=0.4, entropy_beta=0.05)
-        numeric = numeric_gradients(policy, sample.actions, 0.4, 0.05, rng=rng)
-        assert max_relative_error(grads, numeric) < 1e-4
-
-    def test_with_mask(self, policy, rng):
-        mask = [True, False, True, False]
-        sample = policy.sample(rng, token_mask=mask, frozen_actions=[0, 1, 0, 2])
-        grads = policy.backward(sample, advantage=0.6, token_mask=mask)
-        numeric = numeric_gradients(policy, sample.actions, 0.6, 0.0, mask, rng=rng)
-        assert max_relative_error(grads, numeric) < 1e-4
-
-    def test_loss_value_consistent_with_sample(self, policy, rng):
-        sample = policy.sample(rng)
-        loss = policy_loss(policy, sample.actions, advantage=1.0)
-        assert loss == pytest.approx(-sample.log_prob)
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_loss_value_consistent_with_sample(self, policy, rng, n):
+        batch = policy.sample_batch(rng, n)
+        loss = policy_loss(policy, batch.actions, [1.0] * n)
+        assert loss == pytest.approx(-batch.log_probs.mean())
 
     def test_zero_advantage_no_reinforce_gradient(self, policy, rng):
-        sample = policy.sample(rng)
-        grads = policy.backward(sample, advantage=0.0)
-        assert all(np.allclose(g, 0.0) for g in grads.values())
+        batch = policy.sample_batch(rng, 3)
+        grad = policy.backward_batch(batch, np.zeros(3))
+        assert np.allclose(grad, 0.0)

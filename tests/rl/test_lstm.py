@@ -44,8 +44,8 @@ class TestBackward:
             return float(np.sum(state.h) + 0.5 * np.sum(state.c))
 
         state, cache = cell.forward(x, LSTMState(h0.copy(), c0.copy()))
-        grads = cell.zero_grads()
-        dx, dh0, dc0 = cell.backward(
+        grads = {k: np.zeros_like(v) for k, v in cell.params.items()}
+        dx, dh0, dc0 = cell.backward_step(
             np.ones((2, 4)), 0.5 * np.ones((2, 4)), cache, grads
         )
         eps = 1e-6
@@ -70,8 +70,8 @@ class TestBackward:
         x = rng.normal(size=(1, 3))
         state0 = LSTMState.zeros(1, 4)
         state, cache = cell.forward(x, state0)
-        grads = cell.zero_grads()
-        dx, _, _ = cell.backward(np.ones((1, 4)), np.zeros((1, 4)), cache, grads)
+        grads = {k: np.zeros_like(v) for k, v in cell.params.items()}
+        dx, _, _ = cell.backward_step(np.ones((1, 4)), np.zeros((1, 4)), cache, grads)
         eps = 1e-6
         for j in range(3):
             xp = x.copy()

@@ -1,67 +1,45 @@
-"""Tests for RL optimizers and gradient clipping."""
+"""Tests for Adam and gradient clipping over one parameter vector."""
 
 import numpy as np
 import pytest
 
-from repro.rl.optim import SGD, Adam, clip_grad_norm
+from repro.rl.optim import Adam, clip_grad_norm
 
 
 class TestClip:
     def test_no_clip_under_norm(self):
-        grads = {"a": np.array([3.0, 4.0])}
-        norm = clip_grad_norm(grads, max_norm=10.0)
+        grad = np.array([3.0, 4.0])
+        norm = clip_grad_norm(grad, [grad], max_norm=10.0)
         assert norm == pytest.approx(5.0)
-        assert np.allclose(grads["a"], [3.0, 4.0])
+        assert np.allclose(grad, [3.0, 4.0])
 
     def test_clips_to_max(self):
-        grads = {"a": np.array([3.0, 4.0])}
-        clip_grad_norm(grads, max_norm=1.0)
-        assert np.linalg.norm(grads["a"]) == pytest.approx(1.0, rel=1e-6)
+        grad = np.array([3.0, 4.0])
+        clip_grad_norm(grad, [grad], max_norm=1.0)
+        assert np.linalg.norm(grad) == pytest.approx(1.0, rel=1e-6)
 
     def test_global_norm_across_params(self):
-        grads = {"a": np.array([3.0]), "b": np.array([4.0])}
-        assert clip_grad_norm(grads, max_norm=100.0) == pytest.approx(5.0)
+        grad = np.array([3.0, 4.0])
+        clip_grad_norm(grad, [grad[:1], grad[1:]], max_norm=1.0)
+        assert np.allclose(grad, [0.6, 0.8])
 
-
-class TestSGD:
-    def test_plain_step(self):
-        opt = SGD(lr=0.5)
-        updates = opt.compute_updates({"w": np.array([2.0])})
-        assert updates["w"][0] == pytest.approx(-1.0)
-
-    def test_momentum_accumulates(self):
-        opt = SGD(lr=1.0, momentum=0.5)
-        g = {"w": np.array([1.0])}
-        first = opt.compute_updates(g)["w"][0]
-        second = opt.compute_updates(g)["w"][0]
-        assert first == pytest.approx(-1.0)
-        assert second == pytest.approx(-1.5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SGD(lr=0.0)
-        with pytest.raises(ValueError):
-            SGD(lr=0.1, momentum=1.0)
+    def test_zero_max_norm_disables_clipping(self):
+        grad = np.array([30.0, 40.0])
+        assert clip_grad_norm(grad, [grad], max_norm=0.0) == pytest.approx(50.0)
+        assert np.array_equal(grad, [30.0, 40.0])
 
 
 class TestAdam:
     def test_first_step_magnitude(self):
-        opt = Adam(lr=0.1)
-        updates = opt.compute_updates({"w": np.array([5.0])})
+        opt = Adam(1, lr=0.1)
         # Bias-corrected first step has magnitude ~lr.
-        assert updates["w"][0] == pytest.approx(-0.1, rel=1e-3)
+        assert opt.step(np.array([5.0]))[0] == pytest.approx(-0.1, rel=1e-3)
 
     def test_direction_opposes_gradient(self, rng):
-        opt = Adam(lr=0.01)
+        opt = Adam(10, lr=0.01)
         grad = rng.normal(size=10)
-        updates = opt.compute_updates({"w": grad})
-        assert np.all(np.sign(updates["w"]) == -np.sign(grad))
-
-    def test_state_per_parameter(self):
-        opt = Adam(lr=0.1)
-        opt.compute_updates({"a": np.ones(2), "b": np.ones(3)})
-        assert set(opt._m) == {"a", "b"}
+        assert np.all(np.sign(opt.step(grad)) == -np.sign(grad))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            Adam(lr=-0.1)
+            Adam(3, lr=-0.1)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.rl.gradcheck import policy_loss
 from repro.rl.policy import SequencePolicy
 
 
@@ -11,104 +12,71 @@ def policy():
     return SequencePolicy([2, 3, 4], hidden_size=16, embedding_size=8, seed=0)
 
 
-class TestSampling:
-    def test_actions_within_vocab(self, policy, rng):
-        for _ in range(20):
-            sample = policy.sample(rng)
-            assert all(0 <= a < v for a, v in zip(sample.actions, policy.vocab_sizes))
-
-    def test_log_prob_matches_action_log_prob(self, policy, rng):
-        sample = policy.sample(rng)
-        assert policy.action_log_prob(sample.actions) == pytest.approx(sample.log_prob)
-
-    def test_deterministic_given_rng(self, policy):
-        a = policy.sample(np.random.default_rng(5)).actions
-        b = policy.sample(np.random.default_rng(5)).actions
-        assert a == b
-
-    def test_greedy_picks_argmax(self, policy, rng):
-        sample = policy.sample(rng, greedy=True)
-        for t, action in enumerate(sample.actions):
-            assert action == int(np.argmax(sample.probs[t]))
-
-    def test_entropy_positive(self, policy, rng):
-        assert policy.sample(rng).entropy > 0
-
-    def test_greedy_is_deterministic(self, policy, rng):
-        a = policy.sample(rng, greedy=True).actions
-        b = policy.sample(rng, greedy=True).actions
-        assert a == b
-
-
-class TestMasking:
-    def test_frozen_tokens_take_given_actions(self, policy, rng):
-        mask = [True, False, True]
-        frozen = [0, 2, 0]
-        sample = policy.sample(rng, token_mask=mask, frozen_actions=frozen)
-        assert sample.actions[1] == 2
-
-    def test_frozen_tokens_excluded_from_log_prob(self, policy, rng):
-        all_free = policy.sample(np.random.default_rng(1))
-        mask = [False] * 3
-        frozen = all_free.actions
-        sample = policy.sample(rng, token_mask=mask, frozen_actions=frozen)
-        assert sample.log_prob == 0.0
-        assert sample.entropy == 0.0
-
-    def test_mask_requires_frozen(self, policy, rng):
-        with pytest.raises(ValueError):
-            policy.sample(rng, token_mask=[True, True, True])
-
-
 class TestParams:
-    def test_param_count_positive(self, policy):
-        assert policy.num_parameters() > 0
-
-    def test_all_params_includes_lstm(self, policy):
-        keys = set(policy.all_params())
+    def test_params_include_lstm(self, policy):
+        keys = set(policy.params)
         assert {"lstm_wx", "lstm_wh", "lstm_b", "start"} <= keys
         assert "head_w0" in keys and "emb0" in keys
 
     def test_last_token_has_no_embedding(self, policy):
-        assert "emb2" not in policy.all_params()
+        assert "emb2" not in policy.params
 
-    def test_apply_update_changes_params(self, policy, rng):
+    def test_params_are_views_into_theta(self, policy):
+        assert policy.theta.size == sum(v.size for v in policy.params.values())
         before = policy.params["head_w0"].copy()
-        updates = {"head_w0": np.ones_like(before)}
-        policy.apply_update(updates)
-        assert np.allclose(policy.params["head_w0"], before + 1.0)
+        policy.theta += 1.0
+        assert np.array_equal(policy.params["head_w0"], before + 1.0)
+        for key, view in policy.cell.params.items():
+            assert view is policy.params[f"lstm_{key}"]
+            assert np.shares_memory(view, policy.theta), key
+
+    def test_state_dict_round_trip(self, policy):
+        state = policy.state_dict()
+        other = SequencePolicy([2, 3, 4], hidden_size=16, embedding_size=8, seed=1)
+        other.load_state_dict(state)
+        assert np.array_equal(other.theta, policy.theta)
+        policy.theta += 1.0  # the snapshot does not alias the live weights
+        assert not np.array_equal(state["start"], policy.params["start"])
+
+    def test_missing_parameter_rejected(self, policy):
+        state = policy.state_dict()
+        del state["start"]
+        with pytest.raises(ValueError, match="missing \\['start'\\]"):
+            policy.load_state_dict(state)
 
     def test_empty_vocab_rejected(self):
         with pytest.raises(ValueError):
             SequencePolicy([])
 
+    @pytest.mark.parametrize("field", ["hidden_size", "embedding_size"])
+    def test_nonpositive_sizes_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            SequencePolicy([2, 3], **{field: 0})
+
 
 class TestSampleBatch:
-    def test_batch_of_one_is_bit_identical_to_sample(self, policy):
-        single = policy.sample(np.random.default_rng(3))
-        batch = policy.sample_batch(np.random.default_rng(3), 1)
-        assert batch.actions_list(0) == single.actions
-        assert batch.log_probs[0] == single.log_prob
-        assert batch.entropies[0] == single.entropy
-        for t in range(len(policy.vocab_sizes)):
-            assert np.array_equal(batch.probs[t][0], single.probs[t])
-            assert np.array_equal(batch.hiddens[t], single.hiddens[t])
-
     def test_batch_shapes_and_vocab_ranges(self, policy):
         rng = np.random.default_rng(0)
         batch = policy.sample_batch(rng, 9)
         assert batch.actions.shape == (9, 3)
         assert batch.log_probs.shape == (9,)
+        assert np.all(batch.entropies > 0)
         for t, vocab in enumerate(policy.vocab_sizes):
             assert batch.probs[t].shape == (9, vocab)
             acts = batch.actions[:, t]
             assert np.all((0 <= acts) & (acts < vocab))
 
-    def test_batched_log_probs_match_action_log_prob(self, policy):
-        rng = np.random.default_rng(1)
-        batch = policy.sample_batch(rng, 6)
-        for i in range(6):
-            assert policy.action_log_prob(batch.actions_list(i)) == pytest.approx(
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_deterministic_given_rng(self, policy, n):
+        a = policy.sample_batch(np.random.default_rng(5), n)
+        b = policy.sample_batch(np.random.default_rng(5), n)
+        assert np.array_equal(a.actions, b.actions)
+
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_log_probs_match_rollout_by_rollout_forward(self, policy, n):
+        batch = policy.sample_batch(np.random.default_rng(1), n)
+        for i in range(n):
+            assert -policy_loss(policy, [batch.actions_list(i)], [1.0]) == pytest.approx(
                 float(batch.log_probs[i])
             )
 
@@ -128,55 +96,16 @@ class TestSampleBatch:
 
 
 class TestBackwardBatch:
-    def _as_batch(self, policy, samples):
-        """Pack legacy PolicySamples into one PolicyBatch."""
-        from repro.rl.lstm import LSTMCache
-        from repro.rl.policy import PolicyBatch
-
-        T = len(policy.vocab_sizes)
-        caches = []
-        for t in range(T):
-            fields = {}
-            for name in ("x", "h_prev", "c_prev", "i", "f", "g", "o", "c"):
-                fields[name] = np.concatenate(
-                    [getattr(s.caches[t], name) for s in samples], axis=0
-                )
-            caches.append(LSTMCache(**fields))
-        return PolicyBatch(
-            actions=np.array([s.actions for s in samples]),
-            log_probs=np.array([s.log_prob for s in samples]),
-            entropies=np.array([s.entropy for s in samples]),
-            caches=caches,
-            hiddens=[
-                np.concatenate([s.hiddens[t] for s in samples], axis=0)
-                for t in range(T)
-            ],
-            probs=[
-                np.stack([s.probs[t] for s in samples], axis=0) for t in range(T)
-            ],
-        )
-
-    def test_batch_of_one_matches_backward_exactly(self, policy, rng):
-        sample = policy.sample(rng)
-        legacy = policy.backward(sample, 0.37, entropy_beta=0.05)
-        batch = self._as_batch(policy, [sample])
-        batched = policy.backward_batch(batch, np.array([0.37]), entropy_beta=0.05)
-        for key, grad in legacy.items():
-            assert np.array_equal(batched[key], grad), key
-
     def test_mean_gradient_property(self, policy, rng):
-        """backward_batch == mean of per-rollout backward gradients."""
-        samples = [policy.sample(rng) for _ in range(5)]
+        """backward_batch == mean of the per-rollout gradients."""
+        batch = policy.sample_batch(rng, 5)
         advantages = np.array([0.5, -0.2, 0.9, 0.0, -1.1])
-        batch = self._as_batch(policy, samples)
         batched = policy.backward_batch(batch, advantages, entropy_beta=0.03)
-        manual = policy.zero_grads()
-        for sample, adv in zip(samples, advantages):
-            grads = policy.backward(sample, float(adv), entropy_beta=0.03)
-            for key in manual:
-                manual[key] += grads[key]
-        for key in manual:
-            assert np.allclose(batched[key], manual[key] / 5, atol=1e-12), key
+        manual = sum(
+            policy.backward_batch(batch.subset([i]), advantages[i: i + 1], 0.03)
+            for i in range(5)
+        )
+        assert np.allclose(batched, manual / 5, atol=1e-12)
 
     def test_advantage_length_checked(self, policy, rng):
         batch = policy.sample_batch(rng, 3)

@@ -13,26 +13,28 @@ def trainer():
     return ReinforceTrainer(policy, ReinforceConfig(learning_rate=0.05))
 
 
+def step(trainer, rng, reward):
+    """One batch-of-one REINFORCE step; returns the advantage used."""
+    return float(trainer.update_batch(trainer.sample_batch(rng, 1), [reward])[0])
+
+
 class TestBaseline:
     def test_initialized_to_first_reward(self, trainer, rng):
-        sample = trainer.sample(rng)
-        advantage = trainer.update(sample, reward=0.7)
-        assert advantage == 0.0
+        assert step(trainer, rng, 0.7) == 0.0
         assert trainer.baseline == pytest.approx(0.7)
 
     def test_ema_update(self, trainer, rng):
-        trainer.update(trainer.sample(rng), reward=1.0)
-        trainer.update(trainer.sample(rng), reward=0.0)
+        step(trainer, rng, 1.0)
+        step(trainer, rng, 0.0)
         assert trainer.baseline == pytest.approx(0.95 * 1.0 + 0.05 * 0.0)
 
     def test_advantage_sign(self, trainer, rng):
-        trainer.update(trainer.sample(rng), reward=0.5)
-        advantage = trainer.update(trainer.sample(rng), reward=1.0)
-        assert advantage > 0
+        step(trainer, rng, 0.5)
+        assert step(trainer, rng, 1.0) > 0
 
     def test_update_counter(self, trainer, rng):
-        trainer.update(trainer.sample(rng), 0.1)
-        trainer.update(trainer.sample(rng), 0.1)
+        step(trainer, rng, 0.1)
+        step(trainer, rng, 0.1)
         assert trainer.num_updates == 2
 
 
@@ -44,22 +46,19 @@ class TestLearning:
         )
         gen = np.random.default_rng(42)
         for _ in range(800):
-            sample = trainer.sample(gen)
-            reward = sum(1.0 for a in sample.actions if a == 0) / 4
-            trainer.update(sample, reward)
-        final = np.mean(
-            [
-                sum(1.0 for a in trainer.sample(gen).actions if a == 0) / 4
-                for _ in range(50)
-            ]
-        )
-        assert final > 0.8  # random policy scores ~0.42
+            batch = trainer.sample_batch(gen, 1)
+            trainer.update_batch(batch, [float(np.mean(batch.actions[0] == 0))])
+        final = trainer.sample_batch(gen, 50).actions == 0
+        assert final.mean() > 0.8  # random policy scores ~0.42
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ReinforceConfig(baseline_momentum=1.5)
         with pytest.raises(ValueError):
             ReinforceConfig(entropy_beta=-0.1)
+        with pytest.raises(ValueError, match="grad_clip"):
+            ReinforceConfig(grad_clip=-1.0)
+        assert ReinforceConfig(grad_clip=0.0).grad_clip == 0.0
 
 
 class TestUpdateBatch:
@@ -68,21 +67,6 @@ class TestUpdateBatch:
 
         policy = SequencePolicy([3, 4, 2], hidden_size=16, embedding_size=8, seed=seed)
         return policy, ReinforceTrainer(policy)
-
-    def test_batch_of_one_bit_identical_to_update(self):
-        rewards = [0.4, -0.3, 0.8, 0.1]
-        pol_a, tr_a = self._fresh()
-        rng = np.random.default_rng(7)
-        for r in rewards:
-            tr_a.update(tr_a.sample(rng), r)
-        pol_b, tr_b = self._fresh()
-        rng = np.random.default_rng(7)
-        for r in rewards:
-            tr_b.update_batch(tr_b.sample_batch(rng, 1), [r])
-        assert tr_a.baseline == tr_b.baseline
-        assert tr_a.num_updates == tr_b.num_updates
-        for key, value in pol_a.all_params().items():
-            assert np.array_equal(value, pol_b.all_params()[key]), key
 
     def test_baseline_recurrence_order_is_rollout_by_rollout(self):
         _, trainer = self._fresh()
@@ -108,3 +92,19 @@ class TestUpdateBatch:
         batch = trainer.sample_batch(rng, 3)
         with pytest.raises(ValueError):
             trainer.update_batch(batch, [0.1, 0.2])
+
+    def test_state_dict_round_trip_resumes_identically(self):
+        policy, trainer = self._fresh()
+        state = trainer.state_dict()
+        assert state["optimizer"] == {"t": 0, "m": {}, "v": {}}
+        rng = np.random.default_rng(4)
+        trainer.update_batch(trainer.sample_batch(rng, 4), [0.2, 0.5, 0.1, 0.9])
+        state = trainer.state_dict()
+        assert set(state["optimizer"]["m"]) == set(policy.params)
+        resumed_policy, resumed = self._fresh(seed=1)
+        resumed.load_state_dict(state)
+        batch = policy.sample_batch(np.random.default_rng(5), 3)
+        trainer.update_batch(batch, [0.3, 0.4, 0.8])
+        resumed.update_batch(batch, [0.3, 0.4, 0.8])
+        assert np.array_equal(resumed_policy.theta, policy.theta)
+        assert resumed.baseline == trainer.baseline

@@ -128,3 +128,15 @@ class TestFromParams:
     def test_bad_param_value_wrapped(self):
         with pytest.raises(StrategyError, match="cannot construct strategy 'evolution'"):
             build_strategy("evolution", 0, population_size=1)
+
+    @pytest.mark.parametrize(
+        "name, params, field",
+        [
+            ("combined", {"hidden_size": 0}, "hidden_size"),
+            ("phase", {"embedding_size": 0}, "embedding_size"),
+            ("separate", {"reinforce_config": {"grad_clip": -1}}, "grad_clip"),
+        ],
+    )
+    def test_controller_sizes_and_clip_range_checked(self, name, params, field):
+        with pytest.raises(StrategyError, match=rf"strategy '{name}'.*{field}"):
+            build_strategy(name, 0, **params)

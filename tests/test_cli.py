@@ -54,6 +54,11 @@ class TestStudyFlags:
         with pytest.raises(SystemExit):
             main(["run", "fig5", "--batch-size", "0"])
 
+    def test_zero_exact_fraction_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "fig5", "--surrogate", "--exact-fraction", "0"])
+        assert exit_info.value.code == 2
+
 
 class TestStudyCommand:
     def test_list_names_every_preset(self, capsys):
