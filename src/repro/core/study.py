@@ -621,23 +621,29 @@ class StudySpec:
     def validate(self) -> "StudySpec":
         """Resolve every reference against the registries, fail loudly.
 
-        Checks strategy names and parameter names
-        (:mod:`repro.search.registry`), scenario names / inline specs
-        (:mod:`repro.core.scenarios`), the accuracy source + params
-        (:mod:`repro.core.evaluator`), the workload and its
-        source/platform compatibility (:mod:`repro.workloads`), and
-        the hardware platform(s) + params (:mod:`repro.hw` — platforms
-        are cheap to construct, so params are validated by building).
+        Checks strategy names + params (:mod:`repro.search.registry`),
+        scenario names / inline specs (:mod:`repro.core.scenarios`), the
+        accuracy source + params (:mod:`repro.core.evaluator`), the
+        workload and its source/platform compatibility
+        (:mod:`repro.workloads`), and the hardware platform(s) + params
+        (:mod:`repro.hw`).  Strategies and platforms are cheap to
+        construct, so their param values are validated by building one:
+        a value a constructor refuses fails here, not mid-run.
         Returns ``self`` so call sites can chain.
         """
         from repro.core.evaluator import AccuracySourceError, get_accuracy_source
         from repro.hw import HardwarePlatformError, build_platform
-        from repro.search.registry import StrategyError, validate_strategy_params
+        from repro.search.registry import (
+            StrategyError,
+            build_strategy,
+            validate_strategy_params,
+        )
         from repro.workloads import WorkloadError, get_workload
 
         for strategy in self.strategies:
             try:
                 validate_strategy_params(strategy.name, strategy.params)
+                build_strategy(strategy.name, 0, **strategy.params)
             except StrategyError as err:
                 raise StudyError(f"study {self.name!r}: {err}") from None
         for entry in self.scenarios:

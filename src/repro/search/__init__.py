@@ -16,7 +16,6 @@ from repro.search.random_search import RandomSearch
 from repro.search.runner import (
     RepeatJob,
     RepeatOutcome,
-    make_batch_evaluator,
     mean_reward_trace,
     run_grid,
     run_repeats,
@@ -44,7 +43,6 @@ __all__ = [
     "RandomSearch",
     "RepeatJob",
     "RepeatOutcome",
-    "make_batch_evaluator",
     "mean_reward_trace",
     "run_grid",
     "run_repeats",

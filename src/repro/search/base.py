@@ -15,10 +15,10 @@ three hooks —
 
 — and the shared :meth:`SearchStrategy.run` driver turns them into a
 search: each iteration asks for a batch, evaluates it in **one**
-:meth:`repro.core.CodesignEvaluator.evaluate_batch` call (or any
-caller-supplied batch evaluation function, e.g. a process-pool fan-out
-from :func:`repro.search.runner.make_batch_evaluator`), and tells the
-results back.
+:meth:`repro.core.CodesignEvaluator.evaluate_batch` call on the
+evaluator :meth:`SearchStrategy.setup` armed (a strategy may re-arm it
+between batches, as the threshold schedule does at each rung), and
+tells the results back.  It is the only search loop.
 
 Every strategy is additionally **checkpointable**: :meth:`state_dict`
 snapshots everything future proposals depend on (RNG stream, archive,
@@ -41,7 +41,7 @@ implementation (see ``tests/search/test_ask_tell_equivalence.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
     from repro.search.two_tier import TwoTierFilter
@@ -60,13 +60,6 @@ __all__ = [
     "Proposal",
     "SearchResult",
     "SearchStrategy",
-    "BatchEvaluateFn",
-]
-
-#: Signature of the pluggable batch evaluation function: pairs in,
-#: one result per pair in order.
-BatchEvaluateFn = Callable[
-    [Sequence[tuple[ModelSpec, AcceleratorConfig]]], "list[EvaluationResult]"
 ]
 
 
@@ -280,7 +273,6 @@ class SearchStrategy:
         evaluator: CodesignEvaluator,
         num_steps: int,
         batch_size: int = 1,
-        evaluate_fn: BatchEvaluateFn | None = None,
         checkpoint: Checkpoint | None = None,
         checkpoint_every: int = 1,
         two_tier: "TwoTierFilter | None" = None,
@@ -289,23 +281,24 @@ class SearchStrategy:
 
         ``batch_size`` controls how many proposals are evaluated per
         :meth:`ask`; at 1 the search is bit-identical to the historic
-        per-point loop.  ``evaluate_fn`` overrides how a batch of
-        (spec, config) pairs is evaluated — by default one
-        ``evaluator.evaluate_batch`` call.
+        per-point loop.  Each batch is one ``evaluate_batch`` call on
+        the strategy's armed evaluator (``evaluator`` unless the
+        strategy re-arms it).
 
         ``two_tier`` arms the surrogate-filtered mode
         (:class:`repro.search.two_tier.TwoTierFilter`): each iteration
         asks for an inflated batch, keeps only the top surrogate-ranked
         slice, and exact-evaluates just that slice — which is also all
         that is told, archived, and counted against ``num_steps``, so
-        every recorded result still comes from ``evaluate_fn``.
+        every recorded result is still exact.
 
         ``checkpoint`` makes the run resumable: a state found in it is
         restored (skipping the already-told steps) before the loop, and
         the state is saved back every ``checkpoint_every`` batches and
-        at the final batch.  Since evaluation is pure, a resumed run
-        replays at most ``checkpoint_every`` batches and finishes
-        bit-identical to an uninterrupted one.
+        after the last batch, also when :meth:`ask` ends the search
+        early.  Since evaluation is pure, a resumed run replays at most
+        ``checkpoint_every`` batches and finishes bit-identical to an
+        uninterrupted one.
 
         Each save snapshots the *full* state — including the archive so
         far — which is what keeps resume simple and exact, but means a
@@ -320,8 +313,6 @@ class SearchStrategy:
             raise ValueError(
                 f"checkpoint_every must be positive, got {checkpoint_every}"
             )
-        if evaluate_fn is None:
-            evaluate_fn = evaluator.evaluate_batch
         self.setup(evaluator, num_steps)
         remaining = num_steps
         if checkpoint is not None:
@@ -329,6 +320,12 @@ class SearchStrategy:
             if saved is not None:
                 self.load_state_dict(saved["strategy"])
                 remaining = num_steps - int(saved["steps_done"])
+
+        def save() -> None:
+            checkpoint.save(
+                {"strategy": self.state_dict(), "steps_done": num_steps - remaining}
+            )
+
         batches = 0
         while remaining > 0:
             k = min(batch_size, remaining)
@@ -347,26 +344,16 @@ class SearchStrategy:
                     f"{self.name}.ask returned {len(proposals)} proposals "
                     f"with only {remaining} steps remaining"
                 )
-            results = evaluate_fn([(p.spec, p.config) for p in proposals])
-            if len(results) != len(proposals):
-                raise RuntimeError(
-                    f"evaluate_fn returned {len(results)} results for "
-                    f"{len(proposals)} proposals — tell() pairs them "
-                    "positionally, so a mismatched batch evaluator would "
-                    "silently corrupt the search"
-                )
+            results = self._evaluator.evaluate_batch(
+                [(p.spec, p.config) for p in proposals]
+            )
             self.tell(proposals, results, indices=indices)
             remaining -= len(proposals)
             batches += 1
-            if checkpoint is not None and (
-                batches % checkpoint_every == 0 or remaining <= 0
-            ):
-                checkpoint.save(
-                    {
-                        "strategy": self.state_dict(),
-                        "steps_done": num_steps - remaining,
-                    }
-                )
+            if checkpoint is not None and batches % checkpoint_every == 0:
+                save()
+        if checkpoint is not None and batches % checkpoint_every != 0:
+            save()  # the last batch, off-cadence or after an early stop
         return self.finish()
 
     def _result(self, archive: SearchArchive, evaluator: CodesignEvaluator, **extras) -> SearchResult:

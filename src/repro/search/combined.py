@@ -88,8 +88,8 @@ class CombinedSearch(SearchStrategy):
         pending = self._pending if indices is None else self._pending.subset(indices)
         self.trainer.update_batch(pending, [r.reward.value for r in results])
         self._pending = None
-        for result in results:
-            self.archive.record(result, phase="combined")
+        for proposal, result in zip(proposals, results):
+            self.archive.record(result, phase=proposal.phase)
 
 
 from repro.search.registry import register_strategy

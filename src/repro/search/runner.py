@@ -48,22 +48,16 @@ import numpy as np
 
 from repro.core.archive import ArchiveEntry
 from repro.core.evaluator import CodesignEvaluator
-from repro.parallel.cache import CacheEntry, EvalCache
+from repro.parallel.cache import EvalCache
 from repro.parallel.ledger import RunLedger
-from repro.parallel.pool import (
-    ExecutionBackend,
-    build_backend,
-    parallel_map,
-    resolve_workers,
-)
-from repro.search.base import BatchEvaluateFn, SearchResult, SearchStrategy
+from repro.parallel.pool import ExecutionBackend, build_backend
+from repro.search.base import SearchResult, SearchStrategy
 from repro.utils.rng import hash_seed
 
 __all__ = [
     "GridRun",
     "RepeatJob",
     "RepeatOutcome",
-    "make_batch_evaluator",
     "run_grid",
     "run_repeats",
     "mean_reward_trace",
@@ -125,109 +119,6 @@ def _coerce_ledger(ledger: RunLedger | str | Path | None) -> RunLedger | None:
     if ledger is None or isinstance(ledger, RunLedger):
         return ledger
     return RunLedger(ledger)
-
-
-def make_batch_evaluator(
-    evaluator: CodesignEvaluator,
-    workers: int | None = None,
-    min_chunk: int = 8,
-) -> BatchEvaluateFn:
-    """Batch evaluation function fanning each ask/tell batch over a pool.
-
-    Worth it only when single evaluations are expensive (a surrogate
-    with real inference cost, a trainer) — for the memoized
-    table-backed evaluators the fork/IPC overhead dominates and the
-    plain ``evaluator.evaluate_batch`` is faster.  Small batches
-    (< ``min_chunk`` per worker) skip the pool entirely.
-
-    Forked workers evaluate with the shared persistent
-    :class:`~repro.parallel.EvalCache` *detached* (the store stays
-    single-writer in the parent); the parent then absorbs every
-    returned metric back into its own cache layers, so warm-start
-    behaviour matches in-process evaluation.
-    """
-    parent_pid = os.getpid()
-
-    def run_chunk(chunk):
-        if os.getpid() != parent_pid:
-            # Forked copy: never touch the parent's sqlite connection.
-            evaluator.eval_cache = None
-        return evaluator.evaluate_batch(chunk)
-
-    def evaluate_fn(pairs):
-        pairs = list(pairs)
-        n_workers = min(resolve_workers(workers), max(1, len(pairs) // min_chunk))
-        if n_workers <= 1:
-            return evaluator.evaluate_batch(pairs)
-        chunks = [pairs[i::n_workers] for i in range(n_workers)]
-        before = evaluator.num_evaluations
-        chunked = parallel_map(run_chunk, chunks, workers=n_workers, backend="process")
-        # Undo the round-robin split, preserving input order.
-        results: list = [None] * len(pairs)
-        for lane, chunk_results in enumerate(chunked):
-            if len(chunk_results) != len(chunks[lane]):
-                # Same contract SearchStrategy.run enforces on the whole
-                # batch: results pair with proposals positionally, so a
-                # short/long chunk would silently shift every later
-                # lane's results onto the wrong proposals.
-                raise RuntimeError(
-                    f"batch evaluator worker chunk {lane} returned "
-                    f"{len(chunk_results)} results for {len(chunks[lane])} "
-                    "pairs — evaluate_batch must return exactly one "
-                    "result per input pair, in order"
-                )
-            for j, result in enumerate(chunk_results):
-                results[lane + j * n_workers] = result
-        # Workers counted evaluations on their forked copies only; keep
-        # the parent's counter on the every-pair-counts contract.  (A
-        # serial fallback inside parallel_map already incremented it.)
-        evaluator.num_evaluations = before + len(pairs)
-        _absorb_batch(evaluator, results)
-        return results
-
-    return evaluate_fn
-
-
-def _absorb_batch(evaluator: CodesignEvaluator, results) -> None:
-    """Fold worker-computed metrics into the parent evaluator's caches."""
-    from repro.accelerator.lut import config_key
-
-    cache = evaluator.eval_cache
-    seen: set = set()
-    for result in results:
-        if not result.spec.valid:
-            continue
-        ckey = config_key(result.config)
-        content = (result.spec.matrix.tobytes(), tuple(result.spec.ops))
-        spec_hash = evaluator._content_hash_memo.get(content)
-        if spec_hash is None:
-            spec_hash = result.spec.spec_hash()
-            evaluator._content_hash_memo[content] = spec_hash
-        key = (spec_hash, ckey)
-        if key in seen:
-            continue
-        seen.add(key)
-        metrics = result.metrics
-        if metrics is None:
-            evaluator._accuracy_cache.setdefault(spec_hash, None)
-        else:
-            evaluator._accuracy_cache.setdefault(spec_hash, metrics.accuracy)
-            evaluator._area_cache.setdefault(ckey, metrics.area_mm2)
-            evaluator._latency_cache.setdefault(key, metrics.latency_s)
-        if cache is not None:
-            cache_key = (evaluator.cache_scenario, spec_hash, str(ckey))
-            if cache.get(*cache_key) is None:
-                if metrics is None:
-                    cache.put(CacheEntry(*cache_key, None, None, None))
-                else:
-                    cache.put(
-                        CacheEntry(
-                            *cache_key,
-                            metrics.accuracy,
-                            metrics.latency_s,
-                            metrics.area_mm2,
-                        )
-                    )
 
 
 def _attach(
@@ -352,8 +243,7 @@ class GridRun:
         evaluator = job.evaluator_factory()
         inherited = evaluator.eval_cache
         if inherited is not None and inherited.owner_pid != os.getpid():
-            # Same parent-pid guard as make_batch_evaluator.run_chunk:
-            # the factory closed over an evaluator whose cache (and
+            # The factory closed over an evaluator whose cache (and
             # live sqlite connection) we inherited through fork —
             # detach it and fall back to the read-only view.  A cache
             # the factory opened post-fork (owner_pid matches) is safe
@@ -471,8 +361,8 @@ def run_grid(
     else the outcome depends on — scenario definitions, evaluator
     parameters — should be passed as ``ledger_context`` (a
     JSON-serializable dict) to be pinned alongside; see
-    :func:`repro.experiments.search_study.run_search_study`, which
-    pins its resolved scenario definitions this way.
+    :func:`repro.core.study.run_study`, which pins the study spec and
+    its resolved scenario definitions this way.
     """
     if num_repeats <= 0:
         raise ValueError("num_repeats must be positive")

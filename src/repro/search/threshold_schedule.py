@@ -6,25 +6,33 @@ threshold rises over the run — (2, 8, 16, 30, 40) in the paper — with a
 target number of *valid* (feasible) points per rung, starting at 300
 and growing to 1000 at the last rung ("this gradual increase makes it
 easier for the RL controller to learn the structure of high-accuracy
-CNNs").  The controller is the combined strategy's joint policy; the
-evaluator is re-armed with the next rung's reward while keeping all of
-its latency/area/accuracy caches.
+CNNs").
+
+The schedule is the combined strategy with its reward re-armed at each
+rung.  ``ask`` moves the rung cursor past finished rungs and points the
+shared :meth:`~repro.search.base.SearchStrategy.run` driver at the
+rung's ``with_reward`` clone of the evaluator, which keeps all of its
+latency/area/accuracy caches; ``tell`` counts the rung's steps and
+valid points.  The driver evaluates, checkpoints and ends the search
+like any other strategy's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.core.archive import ArchiveEntry, SearchArchive
-from repro.core.evaluator import CodesignEvaluator
+from repro.core.archive import SearchArchive
+from repro.core.evaluator import CodesignEvaluator, EvaluationResult
 from repro.core.reward import MetricBounds
 from repro.core.scenarios import CIFAR100_THRESHOLD_SCHEDULE, cifar100_threshold
 from repro.core.search_space import JointSearchSpace
-from repro.rl.policy import SequencePolicy
-from repro.rl.reinforce import ReinforceConfig, ReinforceTrainer
-from repro.search.base import Checkpoint, SearchResult, SearchStrategy
+from repro.rl.reinforce import ReinforceConfig
+from repro.search.base import Checkpoint, Proposal, SearchResult
+from repro.search.combined import CombinedSearch
 
 __all__ = ["ThresholdRung", "ThresholdScheduleSearch", "default_rungs"]
 
@@ -58,7 +66,7 @@ def default_rungs(
     ]
 
 
-class ThresholdScheduleSearch(SearchStrategy):
+class ThresholdScheduleSearch(CombinedSearch):
     """Combined-strategy search over a rising perf/area threshold."""
 
     name = "threshold-schedule"
@@ -73,7 +81,13 @@ class ThresholdScheduleSearch(SearchStrategy):
         hidden_size: int = 64,
         embedding_size: int = 32,
     ) -> None:
-        super().__init__(search_space, seed)
+        super().__init__(
+            search_space,
+            seed,
+            reinforce_config,
+            hidden_size=hidden_size,
+            embedding_size=embedding_size,
+        )
         self.rungs = rungs or default_rungs()
         thresholds = [rung.threshold for rung in self.rungs]
         if len(set(thresholds)) != len(thresholds):
@@ -82,11 +96,6 @@ class ThresholdScheduleSearch(SearchStrategy):
             # rungs' entries into one archive.
             raise ValueError(f"rung thresholds must be unique, got {thresholds}")
         self.bounds = bounds or MetricBounds()
-        policy_seed = int(self.rng.integers(0, 2**63 - 1))
-        self.policy = SequencePolicy(
-            self.search_space.vocab_sizes, hidden_size, embedding_size, policy_seed
-        )
-        self.trainer = ReinforceTrainer(self.policy, reinforce_config)
 
     # --- declarative construction --------------------------------------
     @classmethod
@@ -124,32 +133,91 @@ class ThresholdScheduleSearch(SearchStrategy):
             )
         return params
 
+    # --- ask/tell ------------------------------------------------------
+    def setup(self, evaluator: CodesignEvaluator, num_steps: int) -> None:
+        super().setup(evaluator, num_steps)
+        self._base_evaluator = evaluator
+        self._armed_rung: int | None = None  # the rung self._evaluator scores
+        self._per_rung: dict[float, SearchArchive] = {}
+        self._rung_index = 0
+        self._rung_steps = 0
+        self._rung_valid = 0
+
+    def ask(self, n: int) -> list[Proposal]:
+        while self._rung_index < len(self.rungs) and self._rung_finished():
+            self._rung_index += 1
+            self._rung_steps = 0
+            self._rung_valid = 0
+        if self._rung_index == len(self.rungs):
+            return []
+        rung = self.rungs[self._rung_index]
+        if self._armed_rung != self._rung_index:
+            self._armed_rung = self._rung_index
+            self._evaluator = self._base_evaluator.with_reward(
+                cifar100_threshold(rung.threshold, self.bounds)
+            )
+            self._per_rung.setdefault(rung.threshold, SearchArchive())
+        proposals = super().ask(min(n, rung.max_steps - self._rung_steps))
+        phase = f"th-{rung.threshold:g}"
+        return [replace(proposal, phase=phase) for proposal in proposals]
+
+    def tell(
+        self,
+        proposals: list[Proposal],
+        results: list[EvaluationResult],
+        indices: Sequence[int] | None = None,
+    ) -> None:
+        start = len(self.archive)
+        super().tell(proposals, results, indices)
+        rung_archive = self._per_rung[self.rungs[self._rung_index].threshold]
+        rung_archive.entries.extend(self.archive.entries[start:])
+        self._rung_steps += len(results)
+        self._rung_valid += sum(1 for result in results if result.feasible)
+
+    def _rung_finished(self) -> bool:
+        rung = self.rungs[self._rung_index]
+        return (
+            self._rung_valid >= rung.target_valid_points
+            or self._rung_steps >= rung.max_steps
+        )
+
+    def finish(self) -> SearchResult:
+        """The archive plus per-rung archives and top-10 lists in
+        ``extras`` (the rows Fig. 7 plots)."""
+        top10 = {
+            threshold: rung_archive.top_k(10)
+            for threshold, rung_archive in self._per_rung.items()
+        }
+        return SearchResult(
+            strategy=self.name,
+            scenario="cifar100-threshold-schedule",
+            archive=self.archive,
+            extras={"per_rung": self._per_rung, "top10": top10},
+        )
+
     # --- checkpoint/resume ---------------------------------------------
     def state_dict(self) -> dict:
         state = super().state_dict()
         state.update(
-            trainer=self.trainer.state_dict(),
-            rung_index=getattr(self, "_rung_index", 0),
-            rung_steps=getattr(self, "_rung_steps", 0),
-            rung_valid=getattr(self, "_rung_valid", 0),
-            total_steps=getattr(self, "_total_steps", 0),
+            rung_index=self._rung_index,
+            rung_steps=self._rung_steps,
+            rung_valid=self._rung_valid,
+            total_steps=len(self.archive),
             # Per-rung archives share their entries with the main
             # archive, so they serialize as step indices into it —
             # avoiding a second full copy of every entry per checkpoint.
             per_rung=[
                 [threshold, [entry.step for entry in rung_archive.entries]]
-                for threshold, rung_archive in getattr(self, "_per_rung", {}).items()
+                for threshold, rung_archive in self._per_rung.items()
             ],
         )
         return state
 
     def load_state_dict(self, state: dict) -> None:
         super().load_state_dict(state)
-        self.trainer.load_state_dict(state["trainer"])
         self._rung_index = int(state["rung_index"])
         self._rung_steps = int(state["rung_steps"])
         self._rung_valid = int(state["rung_valid"])
-        self._total_steps = int(state["total_steps"])
         entries = self.archive.entries  # entry.step == its archive index
         self._per_rung = {
             float(threshold): SearchArchive(
@@ -169,117 +237,33 @@ class ThresholdScheduleSearch(SearchStrategy):
     ) -> SearchResult:
         """Run the whole schedule (``num_steps`` caps the total if set).
 
-        ``batch_size`` rollouts are sampled, evaluated (one
-        ``evaluate_batch`` call on the current rung's evaluator) and
-        folded into one REINFORCE update at a time; the valid-point
-        target is re-checked between batches, so a batch may overshoot
-        it by up to ``batch_size - 1`` evaluations.  At ``batch_size=1``
-        the run is bit-identical to the historic per-point loop.
-
-        ``checkpoint`` / ``checkpoint_every`` follow the base driver's
-        contract (:meth:`SearchStrategy.run`): state — including the
-        rung cursor and per-rung archives — is saved at batch
-        boundaries and restored on resume, bit-identical to an
-        uninterrupted run at the same batch size.
-
-        Returns a result whose ``extras`` carry per-rung archives and
-        top-10 lists (the rows Fig. 7 plots).
+        The shared driver samples ``batch_size`` rollouts at a time,
+        evaluates them on the current rung's evaluator and folds them
+        into one REINFORCE update; the valid-point target is re-checked
+        between batches, so a batch may overshoot it by up to
+        ``batch_size - 1`` evaluations.  At ``batch_size=1`` the run is
+        bit-identical to the historic per-point loop.  Checkpoints —
+        rung cursor and per-rung archives included — follow the
+        driver's contract.
         """
         if two_tier is not None:
-            # The rung loop re-arms the evaluator's reward per rung; a
-            # surrogate filter armed with one scenario would rank with
-            # stale thresholds, so refuse rather than filter wrongly.
+            # Each rung re-arms the evaluator's reward; a surrogate
+            # filter armed with one scenario would rank with stale
+            # thresholds, so refuse rather than filter wrongly.
             raise ValueError(
-                "threshold-schedule drives its own rung loop and does not "
-                "support two-tier surrogate filtering"
+                "threshold-schedule re-arms its reward at every rung and "
+                "does not support two-tier surrogate filtering"
             )
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        if checkpoint_every < 1:
-            raise ValueError(
-                f"checkpoint_every must be positive, got {checkpoint_every}"
-            )
-        self.archive = SearchArchive()
-        self._per_rung = {}
-        self._rung_index = 0
-        self._rung_steps = 0
-        self._rung_valid = 0
-        self._total_steps = 0
-        if checkpoint is not None:
-            saved = checkpoint.load()
-            if saved is not None:
-                self.load_state_dict(saved["strategy"])
-        batches = 0
-        while self._rung_index < len(self.rungs):
-            rung = self.rungs[self._rung_index]
-            scenario = cifar100_threshold(rung.threshold, self.bounds)
-            rung_eval = evaluator.with_reward(scenario)
-            rung_archive = self._per_rung.setdefault(rung.threshold, SearchArchive())
-            while (
-                self._rung_valid < rung.target_valid_points
-                and self._rung_steps < rung.max_steps
-            ):
-                if num_steps is not None and self._total_steps >= num_steps:
-                    break
-                k = min(batch_size, rung.max_steps - self._rung_steps)
-                if num_steps is not None:
-                    k = min(k, num_steps - self._total_steps)
-                batch = self.trainer.sample_batch(self.rng, k)
-                pairs = [
-                    self.search_space.decode(batch.actions_list(i)) for i in range(k)
-                ]
-                results = rung_eval.evaluate_batch(pairs)
-                self.trainer.update_batch(batch, [r.reward.value for r in results])
-                for result in results:
-                    entry = self.archive.record(result, phase=f"th-{rung.threshold:g}")
-                    rung_archive.entries.append(entry)
-                    if result.feasible:
-                        self._rung_valid += 1
-                self._rung_steps += k
-                self._total_steps += k
-                batches += 1
-                if checkpoint is not None and batches % checkpoint_every == 0:
-                    checkpoint.save(
-                        {
-                            "strategy": self.state_dict(),
-                            "steps_done": self._total_steps,
-                        }
-                    )
-            if num_steps is not None and self._total_steps >= num_steps:
-                break
-            self._rung_index += 1
-            self._rung_steps = 0
-            self._rung_valid = 0
-        if checkpoint is not None and batches % checkpoint_every != 0:
-            # Final-batch save, matching the base driver's contract:
-            # a kill between here and the caller's record_done must
-            # not replay more than the already-covered batches.
-            checkpoint.save(
-                {"strategy": self.state_dict(), "steps_done": self._total_steps}
-            )
-        top10 = {
-            threshold: rung_archive.top_k(10)
-            for threshold, rung_archive in self._per_rung.items()
-        }
-        result = SearchResult(
-            strategy=self.name,
-            scenario="cifar100-threshold-schedule",
-            archive=self.archive,
-            extras={"per_rung": self._per_rung, "top10": top10},
+        # Without a cap the budget is unbounded and the search ends when
+        # ask() runs out of rungs, so the last save holds the advanced
+        # rung cursor.
+        return super().run(
+            evaluator,
+            sys.maxsize if num_steps is None else num_steps,
+            batch_size=batch_size,
+            checkpoint=checkpoint,
+            checkpoint_every=checkpoint_every,
         )
-        return result
-
-    @staticmethod
-    def best_over_rungs(result: SearchResult) -> ArchiveEntry | None:
-        """Highest-accuracy feasible point across all rungs."""
-        best: ArchiveEntry | None = None
-        for rung_archive in result.extras["per_rung"].values():
-            for entry in rung_archive.feasible_entries():
-                if entry.metrics is None:
-                    continue
-                if best is None or entry.metrics.accuracy > best.metrics.accuracy:
-                    best = entry
-        return best
 
 
 from repro.search.registry import register_strategy

@@ -66,8 +66,10 @@ class TestRoundTrips:
         spec = StudySpec(
             name="custom",
             strategies=(
-                {"name": "evolution", "params": {"population_size": 8}},
-                {"name": "evolution", "params": {"population_size": 4},
+                {"name": "evolution",
+                 "params": {"population_size": 8, "tournament_size": 3}},
+                {"name": "evolution",
+                 "params": {"population_size": 4, "tournament_size": 2},
                  "label": "evolution-small"},
             ),
             scenarios=(
@@ -111,17 +113,24 @@ class TestValidation:
         with pytest.raises(StudyError, match="popsize"):
             StudySpec.from_dict(data)
 
-    def test_bad_param_type_raises_at_build(self):
+    @pytest.mark.parametrize(
+        "strategy",
+        [
+            {"name": "evolution", "params": {"population_size": "big"}},
+            {"name": "evolution", "params": {"population_size": 0}},
+            {"name": "combined", "params": {"hidden_size": 0}},
+            {"name": "threshold-schedule", "params": {"rungs": [[2.0, 5, 3]]}},
+        ],
+    )
+    def test_bad_param_value_rejected_at_spec_time(self, strategy):
+        # Validation builds each strategy once, so a value its
+        # constructor refuses never reaches a run.
         data = self.base()
-        data["strategies"] = [
-            {"name": "evolution", "params": {"population_size": "big"}}
-        ]
-        spec = StudySpec.from_dict(data)  # names are fine...
-        with pytest.raises(Exception, match="population_size|'<'"):
-            build_study(
-                replace_execution(spec, num_steps=5, num_repeats=1),
-                scale=TINY,
-            ).jobs[0].strategy_factory(0)
+        data["strategies"] = [strategy]
+        field = next(iter(strategy["params"]))
+        match = f"study 'x'.*{strategy['name']}.*{field}"
+        with pytest.raises(StudyError, match=match):
+            StudySpec.from_dict(data)
 
     def test_unknown_scenario_name(self):
         data = self.base()

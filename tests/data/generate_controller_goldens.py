@@ -15,12 +15,19 @@ do not cover:
   :class:`~repro.parallel.MemoryCheckpoint` stores it) for combined,
   phase and separate at batch 1 and 4 -- policy weights, Adam moments
   and baselines byte for byte.  ``checkpoint/phase-cnn-only/...`` stops
-  inside the first CNN phase, so its HW trainer has never updated.
+  inside the first CNN phase, so its HW trainer has never updated;
+* ``checkpoint/threshold/...``: the number of checkpoints the threshold
+  schedule saves and the md5 over every one of them in order (not only
+  the last), at batch 1, 4 and 8, at cadences 1, 3 and 7, under a
+  ``num_steps`` cap, and over a schedule whose every rung runs to
+  ``max_steps`` -- the rung cursor and per-rung archives byte for byte.
 
 The goldens were generated before the controller was packed into one
-parameter vector; ``tests/search/test_controller_goldens.py`` replays
-every case through :func:`run_case` and compares.  Do not regenerate
-casually: new goldens only prove self-consistency of the current code.
+parameter vector (the ``checkpoint/threshold`` cases before the
+schedule moved onto the shared run driver);
+``tests/search/test_controller_goldens.py`` replays every case through
+:func:`run_case` and compares.  Do not regenerate casually: new goldens
+only prove self-consistency of the current code.
 
 Run:  PYTHONPATH=src python tests/data/generate_controller_goldens.py
 """
@@ -58,6 +65,31 @@ STRATEGY_FACTORIES = {
 }
 
 THRESHOLD_RUNGS = [ThresholdRung(2.0, 20, 40), ThresholdRung(8.0, 20, 40)]
+#: Every rung of this schedule runs to ``max_steps``.
+FULL_RUNGS = [ThresholdRung(2.0, 38, 40), ThresholdRung(40.0, 40, 40)]
+
+#: ``checkpoint/threshold/<case>`` -> (rungs, batch_size,
+#: checkpoint_every, num_steps).
+THRESHOLD_CHECKPOINT_RUNS = {
+    "b1-every1": (THRESHOLD_RUNGS, 1, 1, None),
+    "b8-every1": (THRESHOLD_RUNGS, 8, 1, None),
+    "b8-every3": (THRESHOLD_RUNGS, 8, 3, None),
+    "b4-steps30": (THRESHOLD_RUNGS, 4, 1, 30),
+    "full-b4-every1": (FULL_RUNGS, 4, 1, None),
+    "full-b1-every7": (FULL_RUNGS, 1, 7, None),
+}
+
+
+class SaveLog(MemoryCheckpoint):
+    """A :class:`MemoryCheckpoint` that keeps every blob it saves."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.blobs: list[str] = []
+
+    def save(self, state: dict) -> None:
+        super().save(state)
+        self.blobs.append(self._blob)
 
 
 def visit_digest(archive) -> str:
@@ -92,10 +124,11 @@ def case_names() -> list[str]:
         for strategy in (*sorted(STRATEGY_FACTORIES), "phase-cnn-only")
         for batch in (1, 4)
     ]
+    names += [f"checkpoint/threshold/{case}" for case in THRESHOLD_CHECKPOINT_RUNS]
     return names
 
 
-def run_case(name: str, bundle) -> dict[str, str]:
+def run_case(name: str, bundle) -> dict[str, str | int]:
     """The digests of one golden case, computed by the current code."""
     space = JointSearchSpace(cell_encoding=bundle.cell_encoding)
     kind, *rest = name.split("/")
@@ -111,6 +144,21 @@ def run_case(name: str, bundle) -> dict[str, str]:
         evaluator = make_bundle_evaluator(bundle, unconstrained(bundle.bounds))
         search = ThresholdScheduleSearch(space, seed=int(seed), rungs=THRESHOLD_RUNGS)
         return trace_digests(search.run(evaluator, batch_size=int(batch[1:])))
+    if name.startswith("checkpoint/threshold/"):
+        rungs, batch_size, every, num_steps = THRESHOLD_CHECKPOINT_RUNS[rest[1]]
+        evaluator = make_bundle_evaluator(bundle, unconstrained(bundle.bounds))
+        log = SaveLog()
+        ThresholdScheduleSearch(space, seed=0, rungs=rungs).run(
+            evaluator,
+            num_steps,
+            batch_size=batch_size,
+            checkpoint=log,
+            checkpoint_every=every,
+        )
+        digest = hashlib.md5()
+        for blob in log.blobs:
+            digest.update(blob.encode() + b"\n")
+        return {"saves": len(log.blobs), "checkpoints": digest.hexdigest()}
     if kind == "checkpoint":
         strategy, batch = rest
         steps = CHECKPOINT_STEPS

@@ -190,8 +190,8 @@ class TestSearchStudyBackends:
 class TestWorkerCacheForkGuard:
     """Regression: a factory closing over an evaluator with a live
     attached EvalCache must not leak the parent's sqlite connection
-    into forked workers (same parent-pid guard as
-    make_batch_evaluator.run_chunk)."""
+    into forked workers (``GridRun.run_in_worker`` detaches a cache
+    whose ``owner_pid`` is not the worker's)."""
 
     class _SpyCache(EvalCache):
         """Logs every get() as "pid tag" lines to a shared file."""

@@ -8,10 +8,10 @@ from the pre-refactor per-point loops (see
 rewards, same visited (spec, config, phase) sequence, hence the same
 RNG stream.
 
-A second layer (no goldens needed) asserts that the batched
-``evaluate_batch`` path and the per-point ``evaluator.evaluate`` path
-agree exactly for every *registry* scenario, including the parametric
-``perf-area>=N`` family the goldens don't cover.
+A second layer (no goldens needed) asserts that evaluating each batch
+in one ``evaluate_batch`` call and evaluating its pairs one at a time
+give the same search, for every *registry* scenario, including the
+parametric ``perf-area>=N`` family the goldens don't cover.
 """
 
 from __future__ import annotations
@@ -102,31 +102,33 @@ class TestLegacyGoldens:
 
 
 class TestBatchPathAgreesWithPointwise:
-    """evaluate_batch-driven runs equal evaluator.evaluate-driven runs.
+    """One evaluate_batch call per batch equals pair-by-pair evaluation.
 
     Covers every registry scenario (parametric threshold family
     included), so scenarios without goldens still get an exactness
-    guarantee: the batch evaluation layer never changes a trace.
+    guarantee: the batch evaluation layer (in-batch dedupe, shared
+    result objects) never changes a trace.
     """
 
     @pytest.mark.parametrize("strategy_name", sorted(STRATEGY_FACTORIES))
     @pytest.mark.parametrize("scenario_name", list_scenarios())
-    def test_batch1_equals_pointwise_evaluate(
+    def test_batched_run_equals_pointwise_evaluate(
         self, micro4_bundle, space, strategy_name, scenario_name
     ):
         scenario = get_scenario(scenario_name, micro4_bundle.bounds)
 
-        def run(evaluate_fn):
+        def run(pointwise):
             evaluator = make_bundle_evaluator(micro4_bundle, scenario)
+            if pointwise:
+                batch = evaluator.evaluate_batch
+                evaluator.evaluate_batch = lambda pairs: [
+                    batch([pair])[0] for pair in pairs
+                ]
             strategy = STRATEGY_FACTORIES[strategy_name](space, seed=3)
-            if evaluate_fn == "pointwise":
-                fn = lambda pairs: [evaluator.evaluate(s, c) for s, c in pairs]
-            else:
-                fn = None  # the default: evaluator.evaluate_batch
-            return strategy.run(evaluator, 15, batch_size=1, evaluate_fn=fn)
+            return strategy.run(evaluator, 15, batch_size=4)
 
-        batched = run(None)
-        pointwise = run("pointwise")
+        batched = run(pointwise=False)
+        pointwise = run(pointwise=True)
         assert np.array_equal(
             batched.reward_trace(), pointwise.reward_trace(), equal_nan=True
         )

@@ -11,7 +11,7 @@ from repro.search.combined import CombinedSearch
 from repro.search.evolution import EvolutionSearch
 from repro.search.phase import PhaseSearch
 from repro.search.random_search import RandomSearch
-from repro.search.runner import make_batch_evaluator, run_repeats
+from repro.search.runner import run_repeats
 from repro.search.separate import SeparateSearch
 from repro.search.threshold_schedule import ThresholdRung, ThresholdScheduleSearch
 
@@ -67,14 +67,16 @@ class TestDriver:
         result = Quits(space, seed=0).run(evaluator, 100, batch_size=3)
         assert len(result.archive) == 6
 
-    def test_custom_evaluate_fn_is_used(self, space, evaluator):
+    def test_each_batch_is_one_evaluate_batch_call(self, space, evaluator):
         calls = []
+        inner = evaluator.evaluate_batch
 
         def spy(pairs):
             calls.append(len(pairs))
-            return evaluator.evaluate_batch(pairs)
+            return inner(pairs)
 
-        RandomSearch(space, seed=0).run(evaluator, 12, batch_size=5, evaluate_fn=spy)
+        evaluator.evaluate_batch = spy
+        RandomSearch(space, seed=0).run(evaluator, 12, batch_size=5)
         assert calls == [5, 5, 2]
 
     def test_overlong_ask_is_an_error(self, space, evaluator):
@@ -201,52 +203,3 @@ class TestRunnerBatchPlumbing:
         a, b = run(1), run(5)
         for ra, rb in zip(a.results, b.results):
             assert np.array_equal(ra.reward_trace(), rb.reward_trace(), equal_nan=True)
-
-
-class TestMakeBatchEvaluator:
-    def test_process_fanout_matches_in_process(self, space, micro4_bundle):
-        scenario = unconstrained(micro4_bundle.bounds)
-        rng = np.random.default_rng(0)
-        pairs = [
-            space.decode(space.random_actions(rng)) for _ in range(64)
-        ]
-        reference = make_bundle_evaluator(micro4_bundle, scenario).evaluate_batch(pairs)
-        evaluator = make_bundle_evaluator(micro4_bundle, scenario)
-        evaluate_fn = make_batch_evaluator(evaluator, workers=4, min_chunk=4)
-        fanned = evaluate_fn(pairs)
-        assert len(fanned) == len(reference)
-        # The every-pair-counts contract holds across the pool boundary.
-        assert evaluator.num_evaluations == len(pairs)
-        for a, b in zip(fanned, reference):
-            assert a.reward.value == b.reward.value
-            assert a.reward.feasible == b.reward.feasible
-            if a.metrics is None:
-                assert b.metrics is None
-            else:
-                assert a.metrics.accuracy == b.metrics.accuracy
-                assert a.metrics.latency_s == b.metrics.latency_s
-                assert a.metrics.area_mm2 == b.metrics.area_mm2
-
-    def test_parent_caches_absorb_worker_results(self, space, micro4_bundle, tmp_path):
-        from repro.parallel import EvalCache
-
-        scenario = unconstrained(micro4_bundle.bounds)
-        rng = np.random.default_rng(1)
-        pairs = [space.decode(space.random_actions(rng)) for _ in range(32)]
-        evaluator = make_bundle_evaluator(micro4_bundle, scenario)
-        cache = EvalCache(tmp_path / "store.sqlite")
-        evaluator.attach_eval_cache(cache)
-        evaluate_fn = make_batch_evaluator(evaluator, workers=4, min_chunk=4)
-        evaluate_fn(pairs)
-        cache.flush()
-        assert evaluator.eval_cache is cache  # parent attachment untouched
-        assert len(cache) > 0
-
-    def test_small_batches_stay_in_process(self, space, micro4_bundle):
-        scenario = unconstrained(micro4_bundle.bounds)
-        rng = np.random.default_rng(2)
-        pairs = [space.decode(space.random_actions(rng)) for _ in range(4)]
-        evaluator = make_bundle_evaluator(micro4_bundle, scenario)
-        evaluate_fn = make_batch_evaluator(evaluator, workers=8, min_chunk=8)
-        results = evaluate_fn(pairs)
-        assert len(results) == 4

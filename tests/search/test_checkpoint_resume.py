@@ -46,16 +46,19 @@ class Crash(Exception):
     """Stands in for the power cord."""
 
 
-def crashing_evaluate_fn(evaluator, crash_after_batches):
+def crash_after(evaluator, crash_after_batches):
+    """``evaluator`` with its ``evaluate_batch`` raising past a batch count."""
     calls = [0]
+    inner = evaluator.evaluate_batch
 
-    def evaluate_fn(pairs):
+    def evaluate_batch(pairs):
         calls[0] += 1
         if calls[0] > crash_after_batches:
             raise Crash()
-        return evaluator.evaluate_batch(pairs)
+        return inner(pairs)
 
-    return evaluate_fn
+    evaluator.evaluate_batch = evaluate_batch
+    return evaluator
 
 
 @pytest.fixture
@@ -95,13 +98,11 @@ class TestCrashResumeEquivalence:
 
         checkpoint = MemoryCheckpoint()
         crash_batch = max(1, 12 // batch_size)
-        evaluator = make_evaluator()
         with pytest.raises(Crash):
             factory(space, 7).run(
-                evaluator,
+                crash_after(make_evaluator(), crash_batch),
                 NUM_STEPS,
                 batch_size=batch_size,
-                evaluate_fn=crashing_evaluate_fn(evaluator, crash_batch),
                 checkpoint=checkpoint,
                 checkpoint_every=1,
             )
@@ -124,12 +125,10 @@ class TestCrashResumeEquivalence:
         factory = STRATEGY_FACTORIES["combined"]
         reference = factory(space, 3).run(make_evaluator(), NUM_STEPS)
         checkpoint = MemoryCheckpoint()
-        evaluator = make_evaluator()
         with pytest.raises(Crash):
             factory(space, 3).run(
-                evaluator,
+                crash_after(make_evaluator(), 17),
                 NUM_STEPS,
-                evaluate_fn=crashing_evaluate_fn(evaluator, 17),
                 checkpoint=checkpoint,
                 checkpoint_every=checkpoint_every,
             )
@@ -153,6 +152,26 @@ class TestCrashResumeEquivalence:
         )
         assert evaluator.num_evaluations == 0
         assert_results_identical(reference, resumed)
+
+    def test_early_stop_saves_the_last_batch(self, space, make_evaluator):
+        """A search that ``ask`` ends early still checkpoints its last
+        batch, so a resume replays nothing."""
+
+        class StopsAfterFive(RandomSearch):
+            def ask(self, n):
+                return [] if len(self.archive) >= 5 else super().ask(n)
+
+        checkpoint = MemoryCheckpoint()
+        StopsAfterFive(space, seed=0).run(
+            make_evaluator(), NUM_STEPS, checkpoint=checkpoint, checkpoint_every=3
+        )
+        assert checkpoint.saves == 2
+        assert checkpoint.load()["steps_done"] == 5
+        evaluator = make_evaluator()
+        StopsAfterFive(space, seed=0).run(
+            evaluator, NUM_STEPS, checkpoint=checkpoint, checkpoint_every=3
+        )
+        assert evaluator.num_evaluations == 0
 
 
 class TestThresholdScheduleResume:
@@ -230,23 +249,6 @@ class TestStateDictContract:
         with pytest.raises(ValueError):
             RandomSearch(space, seed=0).run(
                 make_evaluator(), 5, checkpoint_every=0
-            )
-
-
-class TestEvaluateFnValidation:
-    """Satellite: a misbehaving batch evaluator must fail loudly."""
-
-    @pytest.mark.parametrize("delta", [-1, 1])
-    def test_length_mismatch_raises(self, space, make_evaluator, delta):
-        evaluator = make_evaluator()
-
-        def lying_evaluate_fn(pairs):
-            results = evaluator.evaluate_batch(pairs)
-            return results[:delta] if delta < 0 else results + results[:1]
-
-        with pytest.raises(RuntimeError, match="results for"):
-            RandomSearch(space, seed=0).run(
-                evaluator, 10, batch_size=4, evaluate_fn=lying_evaluate_fn
             )
 
 

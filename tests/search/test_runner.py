@@ -10,7 +10,6 @@ from repro.parallel.ledger import RunLedger
 from repro.search.random_search import RandomSearch
 from repro.search.runner import (
     RepeatJob,
-    make_batch_evaluator,
     mean_reward_trace,
     run_grid,
     run_repeats,
@@ -141,23 +140,6 @@ class TestRepeatLabels:
         )
         with RunLedger(ledger_path) as ledger:
             assert ledger.load_result("my-experiment", 0) is not None
-
-
-class TestBatchEvaluatorChunkValidation:
-    def test_short_worker_chunk_raises_instead_of_misordering(
-        self, micro4_bundle
-    ):
-        scenario = unconstrained(micro4_bundle.bounds)
-        space = JointSearchSpace(cell_encoding=micro4_bundle.cell_encoding)
-        evaluator = make_bundle_evaluator(micro4_bundle, scenario)
-        original = evaluator.evaluate_batch
-        # A broken batch evaluator that silently drops the last result.
-        evaluator.evaluate_batch = lambda pairs: original(pairs)[:-1]
-        evaluate_fn = make_batch_evaluator(evaluator, workers=2, min_chunk=1)
-        rng = np.random.default_rng(0)
-        pairs = [space.decode(space.random_actions(rng)) for _ in range(8)]
-        with pytest.raises(RuntimeError, match="worker chunk"):
-            evaluate_fn(pairs)
 
 
 class TestMeanTrace:

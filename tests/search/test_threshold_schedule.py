@@ -68,13 +68,6 @@ class TestSearch:
         phases = {e.phase for e in result.archive.entries}
         assert "th-2" in phases and "th-16" in phases
 
-    def test_best_over_rungs_is_max_accuracy(self, result):
-        best = ThresholdScheduleSearch.best_over_rungs(result)
-        if best is not None:
-            for archive in result.extras["per_rung"].values():
-                for entry in archive.feasible_entries():
-                    assert best.metrics.accuracy >= entry.metrics.accuracy
-
     def test_step_cap_respected(self):
         rungs = [ThresholdRung(2.0, 1000, 1000)]
         search = ThresholdScheduleSearch(

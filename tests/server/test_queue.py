@@ -148,6 +148,13 @@ class TestStudyQueue:
         queue = StudyQueue(tmp_path)
         with pytest.raises(StudyError, match="bogus"):
             queue.submit({"name": "x", "bogus": 1})
+        refused = resolve_spec("smoke").to_dict()
+        refused["strategies"] = [
+            {"name": "evolution", "params": {"population_size": 0}}
+        ]
+        with pytest.raises(StudyError, match="population_size"):
+            queue.submit(refused)
+        assert queue.open_ledger().studies() == []
         study_id = queue.submit(resolve_spec("smoke").to_dict())
         assert study_id.startswith("st-")
         doc = queue.status(study_id)

@@ -118,6 +118,14 @@ class TestStudyCommand:
         with pytest.raises(SystemExit):
             main(["study", "show", "fig5", "--set", "strategies.0.name=nope"])
 
+    @pytest.mark.parametrize("command", ["show", "run"])
+    def test_out_of_range_strategy_value_is_a_usage_error(self, command, capsys):
+        strategies = '[{"name": "combined", "params": {"hidden_size": 0}}]'
+        with pytest.raises(SystemExit) as exit_info:
+            main(["study", command, "smoke", "--set", f"strategies={strategies}"])
+        assert exit_info.value.code == 2
+        assert "hidden_size" in capsys.readouterr().err
+
     def test_study_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main(["study"])

@@ -80,8 +80,8 @@ class TestLRUCache:
         assert list(cache) == ["b", "d", "e"]
 
     def test_setdefault_respects_capacity_and_recency(self):
-        # _absorb_batch folds worker results in via setdefault; it must
-        # behave exactly like a read-hit / write-miss pair.
+        # setdefault is inherited from OrderedDict; it must behave
+        # exactly like a read-hit / write-miss pair.
         cache = LRUCache(2)
         cache["a"] = 1
         cache["b"] = 2
