@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import run_once
+from repro.core.study import run_study
 from repro.experiments.fig5 import run_fig5
-from repro.experiments.search_study import run_search_study
+from repro.experiments.presets import get_preset
 
 
 @pytest.fixture(scope="module")
 def study(bundle, scale):
-    return run_search_study(bundle, scale, master_seed=0)
+    return run_study(get_preset("fig5"), bundle=bundle, scale=scale)
 
 
 def test_fig5_search_vs_pareto(benchmark, study):

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import run_once
+from repro.core.study import replace_execution, run_study
 from repro.experiments.fig6 import run_fig6
-from repro.experiments.search_study import run_search_study
+from repro.experiments.presets import get_preset
 
 
 @pytest.fixture(scope="module")
 def study(bundle, scale):
-    return run_search_study(bundle, scale, master_seed=1)
+    spec = replace_execution(get_preset("fig6"), master_seed=1)
+    return run_study(spec, bundle=bundle, scale=scale)
 
 
 def test_fig6_reward_curves(benchmark, study):

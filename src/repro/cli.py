@@ -88,15 +88,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
-from repro.core.scenarios import ScenarioError, resolve_scenarios
+from repro.core.scenarios import ScenarioError, resolve_scenarios, scenario_to_dict
 from repro.core.study import (
     StudyError,
+    StudySpec,
     outcome_summary,
     parse_assignments,
+    replace_execution,
     run_study,
 )
 from repro.experiments.ablations import ablation_markdown, run_all_ablations
@@ -105,8 +107,7 @@ from repro.experiments.fig4 import run_fig4
 from repro.experiments.fig5 import run_fig5
 from repro.experiments.fig6 import run_fig6
 from repro.experiments.fig7 import run_fig7
-from repro.experiments.presets import list_presets, resolve_spec
-from repro.experiments.search_study import _run_search_study
+from repro.experiments.presets import get_preset, list_presets, resolve_spec
 from repro.experiments.table1 import run_table1
 from repro.experiments.table2 import run_table2
 from repro.experiments.table3 import run_table3
@@ -117,7 +118,7 @@ from repro.hw import (
     get_platform,
     list_platforms,
 )
-from repro.parallel import EvalCache, RunLedger, list_backends
+from repro.parallel import EvalCache, LedgerError, RunLedger, list_backends
 
 __all__ = ["main", "RunContext", "EXPERIMENTS"]
 
@@ -128,24 +129,11 @@ class RunContext:
 
     scale: Scale
     seed: int
-    workers: int | None = None
+    spec: StudySpec
     eval_cache: EvalCache | None = None
-    scenarios: dict | None = None
-    batch_size: int = 1
     ledger: RunLedger | None = None
-    checkpoint_every: int = 10
     hardware: str | None = None
-    surrogate: bool = False
-    exact_fraction: float = 0.25
-    backend_name: str | None = None
     _study: object = None
-
-    @property
-    def backend(self) -> str:
-        """The requested --backend, else derived from --workers."""
-        if self.backend_name is not None:
-            return self.backend_name
-        return "process" if (self.workers or 1) > 1 else "serial"
 
     def study(self):
         """The Fig. 5/6 search study, computed once per invocation.
@@ -154,20 +142,12 @@ class RunContext:
         run instead of three identical ones.
         """
         if self._study is None:
-            self._study = _run_search_study(
-                load_bundle(),
-                self.scale,
-                scenarios=self.scenarios,
-                master_seed=self.seed,
-                backend=self.backend,
-                workers=self.workers,
+            self._study = run_study(
+                self.spec,
+                bundle=load_bundle(),
+                scale=self.scale,
                 eval_cache=self.eval_cache,
-                batch_size=self.batch_size,
                 ledger=self.ledger,
-                checkpoint_every=self.checkpoint_every,
-                hardware=self.hardware,
-                surrogate=self.surrogate,
-                exact_fraction=self.exact_fraction,
             )
         return self._study
 
@@ -645,6 +625,50 @@ def _resolve_scale(name: str | None) -> Scale:
     return Scale.named(name)
 
 
+def _run_spec(args, scale: Scale, parser: argparse.ArgumentParser) -> StudySpec:
+    """The Fig. 5/6 study a ``repro run``/``resume`` command line declares.
+
+    A ``--ledger`` pins this spec's ``to_dict()``, so its form is fixed
+    and ledgers begun by older versions still resume: the
+    ``search-study`` preset with explicit strategy labels and the
+    scale's steps and repeats written out, and each ``--scenario`` /
+    ``--scenario-file`` entry inlined against the bundle's bounds under
+    the key that selected it.  Out-of-range flag values fail here,
+    naming the spec field.
+    """
+    preset = get_preset("search-study")
+    try:
+        spec = replace_execution(
+            replace(
+                preset,
+                strategies=tuple(replace(s, label=s.name) for s in preset.strategies),
+                hardware=args.hardware or (),
+            ),
+            num_steps=scale.search_steps,
+            num_repeats=scale.num_repeats,
+            master_seed=args.seed,
+            batch_size=args.batch_size,
+            backend=args.backend or ("process" if (args.workers or 1) > 1 else "serial"),
+            workers=args.workers,
+            checkpoint_every=args.checkpoint_every,
+            surrogate=args.surrogate,
+            exact_fraction=args.exact_fraction,
+        )
+        if args.scenario or args.scenario_file:
+            builders = resolve_scenarios(args.scenario, args.scenario_file)
+            bounds = load_bundle().bounds
+            spec = replace(
+                spec,
+                scenarios=tuple(
+                    {**scenario_to_dict(build(bounds)), "name": key}
+                    for key, build in builders.items()
+                ),
+            )
+    except (ScenarioError, StudyError) as err:
+        parser.error(str(err))
+    return spec
+
+
 def _summary_markdown(name: str | None, summary: dict) -> str:
     """Render a study's JSON outcome summary as the report markdown.
 
@@ -820,7 +844,7 @@ def _main_study(args, parser: argparse.ArgumentParser) -> int:
     )
     try:
         result = run_study(spec, scale=scale)
-    except StudyError as err:
+    except (LedgerError, StudyError) as err:
         parser.error(str(err))
     report = _study_markdown(result)
     print(report)
@@ -964,12 +988,6 @@ def main(argv: list[str] | None = None) -> int:
         return _main_serve(args, parser)
     if args.command in ("submit", "status", "watch", "cancel"):
         return _main_server_client(args, parser)
-    if getattr(args, "workers", None) is not None and args.workers < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
-    if getattr(args, "batch_size", 1) < 1:
-        parser.error(f"--batch-size must be >= 1, got {args.batch_size}")
-    if getattr(args, "checkpoint_every", 1) < 1:
-        parser.error(f"--checkpoint-every must be >= 1, got {args.checkpoint_every}")
     if args.command == "list":
         for name in EXPERIMENTS:
             print(name)
@@ -997,10 +1015,6 @@ def main(argv: list[str] | None = None) -> int:
                      "the two-tier filtering batches)")
     if args.surrogate:
         study_flags.append("--surrogate")
-        if args.exact_fraction is not None and not 0.0 < args.exact_fraction <= 1.0:
-            parser.error(
-                f"--exact-fraction must be in (0, 1], got {args.exact_fraction}"
-            )
     if args.backend is not None:
         study_flags.append("--backend")
         if args.backend == "cluster" and args.ledger is None:
@@ -1045,40 +1059,27 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
 
-    scenarios = None
-    if args.scenario or args.scenario_file:
-        try:
-            scenarios = resolve_scenarios(args.scenario, args.scenario_file)
-        except ScenarioError as err:
-            parser.error(str(err))
-
     scale = _resolve_scale(args.scale)
-
     ctx = RunContext(
         scale=scale,
         seed=args.seed,
-        workers=args.workers,
+        spec=_run_spec(args, scale, parser),
         eval_cache=(
             EvalCache(eval_cache_path(args.cache_dir))
             if args.cache_dir is not None
             else None
         ),
-        scenarios=scenarios,
-        batch_size=args.batch_size,
         ledger=RunLedger(args.ledger) if args.ledger is not None else None,
-        checkpoint_every=args.checkpoint_every,
         hardware=args.hardware,
-        surrogate=args.surrogate,
-        exact_fraction=(
-            args.exact_fraction if args.exact_fraction is not None else 0.25
-        ),
-        backend_name=args.backend,
     )
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     reports = []
     for name in names:
         print(f"== {name} (scale={scale.name}) ==", file=sys.stderr)
-        reports.append(f"## {name}\n\n{EXPERIMENTS[name](ctx)}")
+        try:
+            reports.append(f"## {name}\n\n{EXPERIMENTS[name](ctx)}")
+        except (LedgerError, StudyError) as err:
+            parser.error(str(err))
     if ctx.eval_cache is not None:
         ctx.eval_cache.flush()
         stats = ctx.eval_cache.stats

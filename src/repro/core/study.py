@@ -26,13 +26,14 @@ that plumbing with one JSON-round-trippable value object:
 
 :func:`build_study` materializes the spec into
 :class:`repro.search.runner.RepeatJob` bags through the registries;
-:func:`run_study` drives the grid and returns the same
-:class:`repro.experiments.search_study.SearchStudyResult` the legacy
-entry points produced.  Because the whole definition is one plain
-dict, the run ledger pins ``spec.to_dict()`` automatically — resuming
-a spec-driven run with *any* edited spec is refused instead of
-silently mixing incompatible results — and every experiment is
-runnable from a file: ``repro study run my_study.json``.
+:func:`run_study` drives the grid and returns a
+:class:`repro.experiments.search_study.SearchStudyResult`; it is the
+one way a grid runs, ``repro run fig5|fig6|fig5+6`` included.
+Because the whole definition is one plain dict, the run ledger pins
+``spec.to_dict()`` automatically — resuming a spec-driven run with
+*any* edited spec is refused instead of silently mixing incompatible
+results — and every experiment is runnable from a file: ``repro
+study run my_study.json``.
 
 Specs compare by value and round-trip losslessly::
 

@@ -14,13 +14,7 @@ from repro.experiments.fig5 import Fig5Result, run_fig5
 from repro.experiments.fig6 import Fig6Result, run_fig6
 from repro.experiments.fig7 import BaselinePoint, Fig7Result, best_accelerator_for, run_fig7
 from repro.experiments.presets import get_preset, list_presets, resolve_spec
-from repro.experiments.search_study import (
-    SearchStudyResult,
-    legacy_study_spec,
-    make_bundle_evaluator,
-    run_search_study,
-    top_pareto_by_reward,
-)
+from repro.experiments.search_study import SearchStudyResult, make_bundle_evaluator
 from repro.experiments.table1 import PAPER_TABLE1, Table1Result, run_table1
 from repro.experiments.table2 import PAPER_TABLE2, Table2Result, run_table2
 from repro.experiments.table3 import PAPER_TABLE3, Table3Result, run_table3
@@ -52,10 +46,7 @@ __all__ = [
     "list_presets",
     "resolve_spec",
     "SearchStudyResult",
-    "legacy_study_spec",
     "make_bundle_evaluator",
-    "run_search_study",
-    "top_pareto_by_reward",
     "PAPER_TABLE1",
     "Table1Result",
     "run_table1",

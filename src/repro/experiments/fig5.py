@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.common import Scale, SpaceBundle
-from repro.experiments.search_study import SearchStudyResult, _run_search_study
+from repro.experiments.search_study import SearchStudyResult
 from repro.utils.tables import format_markdown
 
 __all__ = ["Fig5Result", "run_fig5"]
@@ -110,39 +109,12 @@ class Fig5Result:
         return "\n".join(lines)
 
 
-def run_fig5(
-    bundle: SpaceBundle | None = None,
-    scale: Scale | None = None,
-    study: SearchStudyResult | None = None,
-    master_seed: int = 0,
-    backend: str = "serial",
-    workers: int | None = None,
-    eval_cache=None,
-    scenarios: dict | list | None = None,
-    batch_size: int = 1,
-) -> Fig5Result:
-    """Run (or reuse) the search study and package the Fig. 5 view.
+def run_fig5(study: SearchStudyResult) -> Fig5Result:
+    """Package a Fig. 5/6 search study as the Fig. 5 view.
 
-    ``backend`` / ``workers`` / ``eval_cache`` / ``batch_size`` pass
-    through to :func:`repro.experiments.search_study.run_search_study`
-    when the study is not supplied; they change speed, never results
-    (``batch_size`` > 1 switches to the documented per-strategy batch
-    semantics).  ``scenarios`` selects registry or file-loaded
-    scenarios instead of the paper's three.
-
-    The default study is the declarative ``fig5`` preset
-    (:mod:`repro.experiments.presets`) — ``repro study run fig5`` runs
-    the same grid from the command line.
+    ``study`` is what :func:`repro.core.study.run_study` returns for
+    the declarative ``fig5`` preset (:mod:`repro.experiments.presets`)
+    or any spec over the same grid — ``repro study run fig5`` runs it
+    from the command line, and ``repro run fig5`` packages it.
     """
-    study = study or _run_search_study(
-        bundle,
-        scale,
-        scenarios=scenarios,
-        master_seed=master_seed,
-        backend=backend,
-        workers=workers,
-        eval_cache=eval_cache,
-        batch_size=batch_size,
-        name="fig5",
-    )
     return Fig5Result(study=study)

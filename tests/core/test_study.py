@@ -438,33 +438,6 @@ class TestBuildStudy:
         assert bumped.execution.num_steps == spec.execution.num_steps
 
 
-class TestLegacyShim:
-    def test_run_search_study_warns_and_matches_run_study(self, micro4_bundle):
-        from repro.experiments.search_study import run_search_study
-
-        with pytest.warns(DeprecationWarning, match="StudySpec"):
-            legacy = run_search_study(micro4_bundle, TINY, master_seed=2)
-        spec = StudySpec(
-            name="search-study",
-            strategies=(
-                {"name": "combined"}, {"name": "phase"}, {"name": "separate"},
-            ),
-            scenarios=("unconstrained", "1-constraint", "2-constraints"),
-            evaluator={"source": "database"},
-            execution={"master_seed": 2},
-        )
-        fresh = run_study(spec, bundle=micro4_bundle, scale=TINY)
-        for scenario in legacy.outcomes:
-            for strategy, outcome in legacy.outcomes[scenario].items():
-                for ours, theirs in zip(
-                    fresh.outcomes[scenario][strategy].results, outcome.results
-                ):
-                    assert np.array_equal(
-                        ours.reward_trace(), theirs.reward_trace(),
-                        equal_nan=True,
-                    )
-
-
 class TestTensorizeSpec:
     """``tensorize`` fields select nothing, but archived specs carry
     them: omitted when off (so historical ledgers stay byte-compatible),

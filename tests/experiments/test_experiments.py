@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core.scenarios import unconstrained
+from repro.core.study import replace_execution, run_study
 from repro.experiments.ablations import run_punishment_ablation, run_random_ablation
 from repro.experiments.common import Scale, load_bundle
 from repro.experiments.fig4 import run_fig4
 from repro.experiments.fig5 import run_fig5
 from repro.experiments.fig6 import run_fig6
 from repro.experiments.fig7 import best_accelerator_for, run_fig7
-from repro.experiments.search_study import run_search_study, top_pareto_by_reward
+from repro.experiments.presets import get_preset
 from repro.experiments.table1 import PAPER_TABLE1, run_table1
 from repro.experiments.table2 import run_table2
 from repro.experiments.table3 import run_table3
@@ -88,7 +89,8 @@ class TestFig4:
 class TestSearchStudy:
     @pytest.fixture(scope="class")
     def study(self, micro4_bundle):
-        return run_search_study(micro4_bundle, TINY, master_seed=1)
+        spec = replace_execution(get_preset("search-study"), master_seed=1)
+        return run_study(spec, bundle=micro4_bundle, scale=TINY)
 
     def test_grid_complete(self, study):
         assert set(study.outcomes) == {"unconstrained", "1-constraint", "2-constraints"}
@@ -117,10 +119,14 @@ class TestSearchStudy:
         assert fig6.convergence_step("unconstrained", "combined") <= TINY.search_steps
 
     def test_top_pareto_respects_constraints(self, micro4_bundle):
+        from repro.core.pareto import product_space_pareto, reward_ranked_points
         from repro.core.scenarios import two_constraints
 
         scenario = two_constraints(micro4_bundle.bounds)
-        rows = top_pareto_by_reward(micro4_bundle, scenario, k=50)
+        front = product_space_pareto(
+            micro4_bundle.accuracy, micro4_bundle.area_mm2, micro4_bundle.latency_ms
+        )
+        rows = reward_ranked_points(front, scenario, 50)
         for row in rows:
             assert row["accuracy"] >= 92.0
             assert row["area_mm2"] <= 100.0
@@ -188,20 +194,10 @@ class TestAblations:
 class TestStudyScenarioNames:
     def test_scenario_names_with_slash_survive_the_grid(self, micro4_bundle):
         """Labels are opaque: registry/JSON names may contain '/'."""
-        from repro.core.scenarios import make_scenario
-        from repro.experiments.common import Scale
-        from repro.experiments.search_study import run_search_study
-
-        scenarios = {
-            "edge/lowpower": lambda bounds=None: make_scenario(
-                "edge/lowpower", (0.1, 0.8, 0.1), bounds
-            )
-        }
-        study = run_search_study(
-            micro4_bundle,
-            Scale("tiny", 10, 1, 0.1),
-            scenarios=scenarios,
+        spec = get_preset("search-study").with_overrides(
+            {"scenarios": [{"name": "edge/lowpower", "weights": [0.1, 0.8, 0.1]}]}
         )
+        study = run_study(spec, bundle=micro4_bundle, scale=Scale("tiny", 10, 1, 0.1))
         assert set(study.outcomes) == {"edge/lowpower"}
         assert {"combined", "phase", "separate"} == set(
             study.outcomes["edge/lowpower"]

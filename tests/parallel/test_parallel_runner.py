@@ -5,7 +5,10 @@ import pytest
 
 from repro.core.scenarios import one_constraint, unconstrained
 from repro.core.search_space import JointSearchSpace
-from repro.experiments.search_study import make_bundle_evaluator, run_search_study
+from repro.core.study import replace_execution, run_study
+from repro.experiments.common import Scale
+from repro.experiments.presets import get_preset
+from repro.experiments.search_study import make_bundle_evaluator
 from repro.parallel import EvalCache, parallel_map
 from repro.search.combined import CombinedSearch
 from repro.search.random_search import RandomSearch
@@ -163,20 +166,16 @@ class TestWarmStarts:
 
 class TestSearchStudyBackends:
     def test_study_process_equals_serial(self, micro4_bundle, tmp_path):
-        from repro.experiments.common import Scale
-
         tiny = Scale(name="tiny", search_steps=20, num_repeats=2, fig7_target_scale=0.05)
-        scenarios = {"unconstrained": unconstrained}
-        serial = run_search_study(
-            micro4_bundle, tiny, scenarios=scenarios, master_seed=3
-        )
-        process = run_search_study(
-            micro4_bundle,
-            tiny,
-            scenarios=scenarios,
+        spec = replace_execution(
+            get_preset("search-study").with_overrides({"scenarios": ["unconstrained"]}),
             master_seed=3,
-            backend="process",
-            workers=4,
+        )
+        serial = run_study(spec, bundle=micro4_bundle, scale=tiny)
+        process = run_study(
+            replace_execution(spec, backend="process", workers=4),
+            bundle=micro4_bundle,
+            scale=tiny,
             eval_cache=tmp_path / "ec.sqlite",
         )
         for scenario in serial.outcomes:
@@ -478,35 +477,28 @@ class TestLedgerScenarioPinning:
     ):
         # Same scenario *name*, different constraint definition: the
         # ledger must refuse instead of stitching incompatible rows.
-        from repro.core.reward import Constraints, RewardConfig
-        from repro.experiments.common import Scale
         from repro.parallel import LedgerError
 
         tiny = Scale(name="tiny", search_steps=10, num_repeats=1, fig7_target_scale=0.05)
         ledger_path = tmp_path / "study.ledger"
 
         def constrained(limit):
-            def build(bounds):
-                return RewardConfig(
-                    name="custom",  # same name both times
-                    constraints=Constraints(max_latency_ms=limit),
-                    bounds=bounds,
-                )
+            return get_preset("search-study").with_overrides(
+                {
+                    "scenarios": [
+                        {
+                            "name": "custom",  # same name both times
+                            "weights": [0.1, 0.8, 0.1],
+                            "constraints": {"max_latency_ms": limit},
+                        }
+                    ]
+                }
+            )
 
-            return build
-
-        run_search_study(
-            micro4_bundle,
-            tiny,
-            scenarios={"custom": constrained(10.0)},
-            ledger=ledger_path,
-        )
+        run_study(constrained(10.0), bundle=micro4_bundle, scale=tiny, ledger=ledger_path)
         with pytest.raises(LedgerError):
-            run_search_study(
-                micro4_bundle,
-                tiny,
-                scenarios={"custom": constrained(20.0)},
-                ledger=ledger_path,
+            run_study(
+                constrained(20.0), bundle=micro4_bundle, scale=tiny, ledger=ledger_path
             )
 
 

@@ -1,11 +1,32 @@
 """Tests for the command-line interface."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import EXPERIMENTS, main
 from repro.experiments.presets import get_preset, list_presets
+
+
+def _load_run_goldens():
+    path = Path(__file__).resolve().parent / "data" / "generate_run_goldens.py"
+    spec = importlib.util.spec_from_file_location("generate_run_goldens", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+run_goldens = _load_run_goldens()
+RUN_GOLDENS = json.loads(run_goldens.GOLDENS.read_text())
+
+
+@pytest.fixture
+def small_run(monkeypatch, micro4_bundle):
+    """Point ``repro run`` at the micro-4 bundle and the goldens' scale."""
+    monkeypatch.setattr("repro.cli.load_bundle", lambda *args, **kwargs: micro4_bundle)
+    monkeypatch.setattr("repro.cli._resolve_scale", lambda name: run_goldens.SCALE)
 
 
 class TestCli:
@@ -58,6 +79,37 @@ class TestStudyFlags:
         with pytest.raises(SystemExit) as exit_info:
             main(["run", "fig5", "--surrogate", "--exact-fraction", "0"])
         assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--workers", "0"],
+            ["--checkpoint-every", "0"],
+            ["--surrogate", "--exact-fraction", "1.5"],
+        ],
+    )
+    def test_out_of_range_value_is_a_usage_error(self, flags):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "fig5", *flags])
+        assert exit_info.value.code == 2
+
+    def test_resume_with_other_flags_is_a_usage_error(self, small_run, tmp_path, capsys):
+        ledger = str(tmp_path / "run.ledger")
+        flags = ["fig5", "--scenario", "unconstrained", "--ledger", ledger]
+        assert main(["run", *flags]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["resume", *flags, "--seed", "1"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "different run configuration" in err
+        assert "Traceback" not in err
+
+    def test_surrogate_of_a_surrogate_platform_is_a_usage_error(self, small_run, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "fig5", "--hardware", "surrogate:embedded-lite", "--surrogate"])
+        assert exit_info.value.code == 2
+        assert "execution.surrogate cannot wrap" in capsys.readouterr().err
 
 
 class TestStudyCommand:
@@ -126,6 +178,33 @@ class TestStudyCommand:
         assert exit_info.value.code == 2
         assert "hidden_size" in capsys.readouterr().err
 
+    def test_ledger_mismatch_is_a_usage_error(self, tmp_path, capsys):
+        flags = ["--set", f"execution.ledger={tmp_path / 'study.ledger'}"]
+        assert main(["study", "run", "smoke", *flags]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["study", "run", "smoke", *flags, "--set", "execution.master_seed=1"])
+        assert exit_info.value.code == 2
+        assert "different run configuration" in capsys.readouterr().err
+
     def test_study_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main(["study"])
+
+
+class TestRunGoldens:
+    """``repro run fig5|fig6|fig5+6``: reports and ledger pins are frozen.
+
+    ``tests/data/run_goldens.json`` was generated by
+    ``tests/data/generate_run_goldens.py`` before the CLI built its
+    study spec itself; every case replays through that script's
+    ``run_case``.  A changed ``run_config`` digest means a ledger begun
+    by the older code would no longer resume.
+    """
+
+    def test_goldens_cover_every_case(self):
+        assert sorted(RUN_GOLDENS) == sorted(run_goldens.CASES)
+
+    @pytest.mark.parametrize("name", sorted(RUN_GOLDENS))
+    def test_case_matches_golden(self, micro4_bundle, tmp_path, name):
+        assert run_goldens.run_case(name, micro4_bundle, tmp_path) == RUN_GOLDENS[name]
