@@ -1,20 +1,21 @@
 """Parallel execution engine: process fan-out + persistent eval cache.
 
-Two orthogonal pieces that together make the repeat experiments run at
+Orthogonal pieces that together make the repeat experiments run at
 hardware speed without changing a single result:
 
 * :mod:`repro.parallel.pool` — the pluggable
-  :class:`ExecutionBackend` protocol + registry (``serial`` /
-  ``process`` built in) and :func:`parallel_map`, a fork-based
-  process-pool map for bags of independent seeded tasks;
+  :class:`ExecutionBackend` protocol + registry: ``serial`` and
+  ``process`` (a fork pool) built in, each driving a grid's (job,
+  repeat) tasks through one entry point, ``run_tasks``;
 * :mod:`repro.parallel.cluster` — the ``cluster`` backend: worker
   processes (spawnable on other machines sharing a state dir)
   coordinating through ledger-leased tasks with heartbeats and
   stale-lease re-issue; ``python -m repro.parallel.worker`` joins one;
 * :mod:`repro.parallel.cache` — :class:`EvalCache`, an on-disk store of
   ``(scenario, spec_hash, config_key) -> (accuracy, latency_s,
-  area_mm2)`` that evaluators consult before computing, and that
-  workers merge back into on completion;
+  area_mm2)`` that evaluators consult before computing; every process
+  that holds it, forked workers included, reads and writes it over a
+  connection of its own;
 * :mod:`repro.parallel.ledger` — :class:`RunLedger`, the crash-safe
   run ledger: completed (job, repeat) results, mid-search strategy
   checkpoints, and the cluster's task-lease table, so interrupted
@@ -22,9 +23,10 @@ hardware speed without changing a single result:
 
 The repeat harness (:func:`repro.search.runner.run_repeats` /
 ``run_grid``) wires them together behind a registry-validated
-``backend`` name and a ``ledger`` argument; under a fixed master seed
-every backend is result-for-result identical at any worker count,
-interrupted or not.
+``backend`` name and a ``ledger`` argument; every backend runs a task
+through the same :meth:`repro.search.runner.RepeatJob.run`, so under a
+fixed master seed every backend is result-for-result identical at any
+worker count, interrupted or not.
 """
 
 from repro.parallel.cache import CacheEntry, EvalCache
@@ -35,7 +37,6 @@ from repro.parallel.pool import (
     build_backend,
     get_backend,
     list_backends,
-    parallel_map,
     register_backend,
     resolve_workers,
 )
@@ -51,7 +52,6 @@ __all__ = [
     "build_backend",
     "get_backend",
     "list_backends",
-    "parallel_map",
     "register_backend",
     "resolve_workers",
 ]

@@ -16,18 +16,20 @@ pure function of the key, caching can never change results — only how
 fast they are produced.
 
 Concurrency model: writers buffer rows in memory and persist them in
-one transaction on :meth:`flush`.  Worker processes open the store
-``read_only`` and ship their buffered rows back to the parent (via
-:meth:`drain_pending`), which merges them — so within one run there is
-a single writer per file and no cross-process locking is needed.
-Independent runs may still share one store: every row is an ``INSERT
-OR REPLACE`` of a pure function of its key, and flush transactions
-serialize on sqlite's file lock (``busy_timeout``), so concurrent
-writers can interleave but never lose or corrupt each other's rows
-(see ``tests/parallel/test_cache_concurrency.py``).  Misses are
-memoized only until the next :meth:`flush`/:meth:`merge` — positive
-rows are immutable facts, but "absent" is a statement about a moment
-in time, and a long-lived run must eventually observe rows its
+one transaction on :meth:`flush`.  Connections are guarded by process
+id, like :class:`~repro.parallel.ledger.RunLedger`'s: a cache object
+inherited through fork opens its own connection to the same file on
+its first sqlite access (a path-less cache opens empty instead), and
+never runs a statement on the parent's.  So every process that holds
+the object — serial runs, pool workers, cluster workers — is a writer
+of its own and persists its rows at its own :meth:`flush`.  Every row
+is an ``INSERT OR REPLACE`` of a pure function of its key, and flush
+transactions serialize on sqlite's file lock (``busy_timeout``), so
+concurrent writers can interleave but never lose or corrupt each
+other's rows (see ``tests/parallel/test_cache_concurrency.py``).
+Misses are memoized only until the next :meth:`flush` — positive rows
+are immutable facts, but "absent" is a statement about a moment in
+time, and a long-lived run must eventually observe rows its
 neighbours write.
 
 A corrupted or unreadable store is never fatal: it is moved aside and
@@ -41,7 +43,6 @@ import os
 import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
 
 __all__ = ["CacheEntry", "EvalCache"]
 
@@ -90,24 +91,19 @@ class EvalCache:
 
     ``path=None`` keeps the store purely in memory (useful in tests and
     as a serial-mode default); otherwise the parent directory is
-    created on demand.  ``read_only=True`` disables :meth:`flush` so a
-    worker process can consult the store and buffer new rows without
-    ever writing the file (see :meth:`drain_pending`).
+    created on demand.  One object serves every process that inherits
+    it through fork, each over a connection of its own (see
+    :meth:`_db`).
     """
 
-    def __init__(self, path: str | Path | None = None, read_only: bool = False) -> None:
+    def __init__(self, path: str | Path | None = None) -> None:
         self.path = Path(path) if path is not None else None
-        self.read_only = read_only
-        #: Pid of the process that opened the connection.  Sqlite
-        #: handles are not fork-safe, so a cache observed in a process
-        #: other than ``owner_pid`` was inherited through fork and must
-        #: not be used (see run_grid's worker-side detach guard).
-        self.owner_pid = os.getpid()
         self.hits = 0
         self.misses = 0
         self.recovered = False
         self._pending: dict[tuple[str, str, str], CacheEntry] = {}
         self._loaded: dict[tuple[str, str, str], CacheEntry | None] = {}
+        self._pid = os.getpid()
         self._conn = self._open()
 
     # -- lifecycle ---------------------------------------------------------
@@ -116,29 +112,13 @@ class EvalCache:
             conn = sqlite3.connect(":memory:")
             conn.execute(_SCHEMA)
             return conn
-        if self.read_only:
-            # A read-only view must never touch the file — not even to
-            # create the schema or quarantine a corrupt store (many
-            # workers may open concurrently).  Missing/corrupt/foreign
-            # files just serve cold from memory; the writable owner
-            # recovers the file.
-            try:
-                conn = sqlite3.connect(f"file:{self.path}?mode=ro", uri=True)
-                conn.execute(f"PRAGMA busy_timeout={_BUSY_TIMEOUT_MS}")
-                conn.execute("SELECT COUNT(*) FROM evals").fetchone()
-                return conn
-            except sqlite3.Error:
-                self.recovered = True
-                conn = sqlite3.connect(":memory:")
-                conn.execute(_SCHEMA)
-                return conn
         self.path.parent.mkdir(parents=True, exist_ok=True)
         conn = None
         try:
             conn = sqlite3.connect(self.path)
-            # Concurrent writers (several independent runs sharing one
-            # store) serialize on sqlite's file lock instead of failing
-            # with "database is locked".
+            # Concurrent writers (worker processes, independent runs
+            # sharing one store) serialize on sqlite's file lock
+            # instead of failing with "database is locked".
             conn.execute(f"PRAGMA busy_timeout={_BUSY_TIMEOUT_MS}")
             conn.execute(_SCHEMA)
             conn.execute("SELECT COUNT(*) FROM evals").fetchone()
@@ -160,26 +140,37 @@ class EvalCache:
             conn.execute(_SCHEMA)
             return conn
 
+    def _db(self) -> sqlite3.Connection:
+        """This process's connection, opened on first use after a fork.
+
+        Sqlite connections are not fork-safe: a forked worker that
+        inherits the parent's shares its file descriptor and
+        transaction state.  Guarding every access on the opening pid
+        lets one cache object be captured into worker closures (an
+        evaluator, a training store) and still give every process a
+        private connection — to the same file, or a fresh empty store
+        for a path-less cache.  The inherited connection object is
+        dropped unused.
+        """
+        if os.getpid() != self._pid:
+            self._conn = self._open()
+            self._pid = os.getpid()
+        return self._conn
+
     def close(self) -> None:
-        """Flush buffered rows, then release the connection.
+        """Flush buffered rows, then release this process's connection.
 
         Without the flush, ``with EvalCache(path) as c: c.put(...)``
-        silently dropped every row still buffered in ``_pending`` —
-        the context manager read as "durably persisted" but closing
-        discarded the buffer.  Only the writable owner flushes: a
-        ``read_only`` view must never write (drain it instead), and a
-        fork-inherited cache must not touch the parent's connection at
-        all (closing it could roll back the parent's in-flight
-        transaction), so a non-owner ``close`` abandons the handle
-        exactly like :meth:`__del__` does.
+        silently dropped every row still buffered in ``_pending``.  A
+        fork-inherited cache that never opened a connection of its own
+        leaves the parent's untouched: closing it could roll back the
+        parent's in-flight transaction on the shared file.
         """
-        if os.getpid() != self.owner_pid:
-            return
         try:
-            if not self.read_only:
-                self.flush()
+            self.flush()
         finally:
-            self._conn.close()
+            if os.getpid() == self._pid:
+                self._conn.close()
 
     def __del__(self) -> None:
         # Release the file descriptor as soon as the cache itself is
@@ -188,12 +179,8 @@ class EvalCache:
         # cycle collector runs, and a long-lived worker churning
         # through task-local caches accumulates open fds.
         try:
-            if os.getpid() != self.owner_pid:
-                # Fork-inherited connection: abandon, never close — a
-                # close could roll back the parent's in-flight
-                # transaction on the shared database file.
-                return
-            self._conn.close()
+            if os.getpid() == self._pid:
+                self._conn.close()
         except Exception:
             pass  # never raise from a finalizer (shutdown, half-init)
 
@@ -217,7 +204,7 @@ class EvalCache:
             else:
                 self.hits += 1
             return entry
-        row = self._conn.execute(
+        row = self._db().execute(
             "SELECT accuracy, latency_s, area_mm2, extra FROM evals"
             " WHERE scenario=? AND spec_hash=? AND config_key=?",
             key,
@@ -241,7 +228,7 @@ class EvalCache:
 
     def __len__(self) -> int:
         """Rows persisted on disk (pending buffered rows not counted)."""
-        return int(self._conn.execute("SELECT COUNT(*) FROM evals").fetchone()[0])
+        return int(self._db().execute("SELECT COUNT(*) FROM evals").fetchone()[0])
 
     @property
     def stats(self) -> dict:
@@ -258,17 +245,6 @@ class EvalCache:
     def put(self, entry: CacheEntry) -> None:
         """Buffer one row (persisted on the next :meth:`flush`)."""
         self._pending[entry.key] = entry
-
-    def put_many(self, entries: Iterable[CacheEntry]) -> None:
-        for entry in entries:
-            self.put(entry)
-
-    def drain_pending(self) -> list[CacheEntry]:
-        """Return-and-clear the buffered rows (worker → parent handoff)."""
-        entries = list(self._pending.values())
-        self._pending.clear()
-        self._loaded.update({e.key: e for e in entries})
-        return entries
 
     def _forget_misses(self) -> None:
         """Drop memoized misses so later ``get``\\ s re-query the store.
@@ -287,14 +263,13 @@ class EvalCache:
         Also invalidates memoized misses — flush boundaries are where a
         run synchronizes with the store, so they are the natural point
         to start observing rows concurrent runs have written since.
-
-        A ``read_only`` cache keeps its buffer (drain it instead).
         """
         self._forget_misses()
-        if self.read_only or not self._pending:
+        if not self._pending:
             return 0
-        entries = self.drain_pending()
-        self._conn.executemany(
+        entries = list(self._pending.values())
+        conn = self._db()
+        conn.executemany(
             "INSERT OR REPLACE INTO evals"
             " (scenario, spec_hash, config_key, accuracy, latency_s, area_mm2, extra)"
             " VALUES (?, ?, ?, ?, ?, ?, ?)",
@@ -311,10 +286,7 @@ class EvalCache:
                 for e in entries
             ],
         )
-        self._conn.commit()
+        conn.commit()
+        self._pending.clear()
+        self._loaded.update({e.key: e for e in entries})
         return len(entries)
-
-    def merge(self, entries: Sequence[CacheEntry]) -> int:
-        """Absorb rows produced elsewhere (a worker's delta) and flush."""
-        self.put_many(entries)
-        return self.flush()

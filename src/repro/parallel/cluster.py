@@ -28,12 +28,13 @@ never changes its result.  ``backend="cluster"`` reproduces the
 serial goldens float for float (see
 ``tests/integration/test_cluster_kill.py``).
 
-Eval-cache merge-back: each worker attaches its own *writable*
-:class:`~repro.parallel.cache.EvalCache` connection to the shared
-store (concurrent writers are supported — rows are pure, writes
-serialize on sqlite's file lock) and flushes its delta when a task
-completes, so a joining worker warm-starts from everything the
-cluster has already evaluated.
+Eval cache: a worker runs each claimed task through the same
+:meth:`~repro.search.runner.RepeatJob.run` as the serial and process
+backends, over its own connection to the shared
+:class:`~repro.parallel.cache.EvalCache` store (concurrent writers are
+supported — rows are pure, writes serialize on sqlite's file lock),
+and flushes its rows when the task completes, so a joining worker
+warm-starts from everything the cluster has already evaluated.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ import os
 import socket
 import threading
 import time
-import warnings
 from pathlib import Path
 
 from repro.parallel.cache import EvalCache
@@ -55,7 +55,6 @@ from repro.parallel.pool import (
     register_backend,
     resolve_workers,
 )
-from repro.utils.rng import hash_seed
 
 __all__ = ["ClusterBackend", "run_worker"]
 
@@ -87,7 +86,7 @@ def run_worker(
     master_seed: int = 0,
     batch_size: int = 1,
     checkpoint_every: int = 10,
-    cache: EvalCache | str | Path | None = None,
+    cache: EvalCache | None = None,
     worker_id: str | None = None,
     stale_after: float = 10.0,
     heartbeat_every: float = 1.0,
@@ -123,107 +122,57 @@ def run_worker(
         [(job.label, repeat) for job in jobs for repeat in range(num_repeats)]
     )
 
-    # The shared store is attached writable — workers are concurrent
-    # writers by design — with one connection per store path for the
-    # whole worker lifetime.  An owner-mismatched EvalCache object
-    # (inherited through fork) contributes only its path.
-    own_cache: EvalCache | None = None
-    cache_path = None
-    if isinstance(cache, EvalCache):
-        if cache.owner_pid == os.getpid():
-            own_cache = cache
-        else:
-            cache_path = cache.path
-    elif cache is not None:
-        cache_path = Path(cache)
-
     recorded = 0
-    try:
-        while True:
-            claim = ledger.claim_task(
-                worker_id, os.getpid(), time.time(), stale_after
-            )
-            if claim is None:
-                # Re-sync lease states first: a task recorded outside
-                # the lease protocol (a serial resume of the same
-                # ledger) leaves its lease un-done, which would stall
-                # the progress check below forever.
-                ledger.seed_task_leases([])
-                progress = ledger.cluster_progress()
-                if progress["total"] == 0 or progress["done"] >= progress["total"]:
-                    break
-                time.sleep(poll_every)
-                continue
-            label, repeat = claim
-            job = by_label.get(label)
-            if job is None:
-                raise LedgerError(
-                    f"claimed a lease for unknown job label {label!r}; this "
-                    "worker's jobs do not match the run that seeded the "
-                    f"ledger (known: {sorted(by_label)})"
-                )
-            evaluator = job.evaluator_factory()
-            inherited = evaluator.eval_cache
-            if inherited is not None and inherited.owner_pid != os.getpid():
-                # The factory closed over an evaluator whose cache (and
-                # live sqlite connection) came through fork — detach it
-                # and reopen by path below.
-                evaluator.eval_cache = None
-            if evaluator.eval_cache is None:
-                store_path = cache_path
-                if store_path is None and own_cache is not None:
-                    evaluator.attach_eval_cache(
-                        own_cache, scenario=job.cache_scenario
-                    )
-                else:
-                    if store_path is None and inherited is not None:
-                        store_path = inherited.path  # keep warm-starts
-                    if store_path is not None:
-                        if (
-                            own_cache is None
-                            or own_cache.path is None
-                            or str(own_cache.path) != str(store_path)
-                        ):
-                            own_cache = EvalCache(store_path)
-                        evaluator.attach_eval_cache(
-                            own_cache, scenario=job.cache_scenario
-                        )
-            worker_cache = evaluator.eval_cache
-            stop = threading.Event()
-            beat = threading.Thread(
-                target=_heartbeat_loop,
-                args=(ledger.path, label, repeat, worker_id, heartbeat_every, stop),
-                daemon=True,
-            )
-            beat.start()
-            try:
-                strategy = job.strategy_factory(
-                    hash_seed("repeat", master_seed, repeat)
-                )
-                result = strategy.run(
-                    evaluator,
-                    num_steps,
-                    batch_size=batch_size,
-                    checkpoint=ledger.checkpoint(label, repeat),
-                    checkpoint_every=checkpoint_every,
-                )
-            finally:
-                stop.set()
-                beat.join()
-            if worker_cache is not None:
-                # Delta merge-back at task completion: new rows become
-                # visible to every other worker (and the coordinator).
-                worker_cache.flush()
-            if ledger.record_done_leased(label, repeat, worker_id, result):
-                recorded += 1
-            # A refused record means we were a straggler: the lease was
-            # re-issued and the current holder records the bit-identical
-            # result.  Either way, move on to the next claim.
-            if max_tasks is not None and recorded >= max_tasks:
+    while True:
+        claim = ledger.claim_task(
+            worker_id, os.getpid(), time.time(), stale_after
+        )
+        if claim is None:
+            # Re-sync lease states first: a task recorded outside
+            # the lease protocol (a serial resume of the same
+            # ledger) leaves its lease un-done, which would stall
+            # the progress check below forever.
+            ledger.seed_task_leases([])
+            progress = ledger.cluster_progress()
+            if progress["total"] == 0 or progress["done"] >= progress["total"]:
                 break
-    finally:
-        if own_cache is not None and own_cache is not cache:
-            own_cache.close()
+            time.sleep(poll_every)
+            continue
+        label, repeat = claim
+        job = by_label.get(label)
+        if job is None:
+            raise LedgerError(
+                f"claimed a lease for unknown job label {label!r}; this "
+                "worker's jobs do not match the run that seeded the "
+                f"ledger (known: {sorted(by_label)})"
+            )
+        stop = threading.Event()
+        beat = threading.Thread(
+            target=_heartbeat_loop,
+            args=(ledger.path, label, repeat, worker_id, heartbeat_every, stop),
+            daemon=True,
+        )
+        beat.start()
+        try:
+            result = job.run(
+                repeat,
+                num_steps=num_steps,
+                master_seed=master_seed,
+                batch_size=batch_size,
+                checkpoint_every=checkpoint_every,
+                cache=cache,
+                ledger=ledger,
+            )
+        finally:
+            stop.set()
+            beat.join()
+        if ledger.record_done_leased(label, repeat, worker_id, result):
+            recorded += 1
+        # A refused record means we were a straggler: the lease was
+        # re-issued and the current holder records the bit-identical
+        # result.  Either way, move on to the next claim.
+        if max_tasks is not None and recorded >= max_tasks:
+            break
     return recorded
 
 
@@ -296,8 +245,8 @@ class ClusterBackend(ExecutionBackend):
 
     def _child_main(self, grid, worker_id: str) -> None:
         # Forked child: closures (jobs, the latency matrix behind their
-        # factories) arrived copy-on-write.  Nested parallel_map calls
-        # must degrade to serial instead of forking pools of their own.
+        # factories) arrived copy-on-write.  A nested process-backend
+        # grid must run in-process instead of forking a pool of its own.
         _mark_worker()
         run_worker(grid.jobs, grid.ledger, worker_id=worker_id, **self._worker_kwargs(grid))
 
@@ -309,17 +258,7 @@ class ClusterBackend(ExecutionBackend):
                 "workers coordinate through its task_leases table; pass "
                 "ledger=<path> (execution.ledger in a study spec)"
             )
-        cache = grid.cache
-        if cache is not None and cache.path is None:
-            warnings.warn(
-                "cluster backend cannot share a path-less (in-memory) "
-                "EvalCache with workers; evaluations will not be cached "
-                "— give the cache a file path",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        if cache is not None:
-            cache.flush()  # workers must see everything known so far
+        grid.prepare_for_workers(self.name)
         ledger.seed_task_leases([(grid.labels[j], r) for j, r in grid.pending])
 
         children = []
@@ -343,10 +282,10 @@ class ClusterBackend(ExecutionBackend):
             worker_id=f"coordinator-{os.getpid()}",
             **self._worker_kwargs(grid),
         )
-        if cache is not None:
+        if grid.cache is not None:
             # Flush boundaries drop memoized misses, so the coordinator
             # now observes every row the workers wrote to the store.
-            cache.flush()
+            grid.cache.flush()
 
         fresh = {}
         for task in grid.pending:

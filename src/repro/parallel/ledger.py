@@ -153,12 +153,6 @@ def encode_state(obj: Any) -> Any:
     with non-string keys; rejects anything else loudly rather than
     persisting a lossy approximation.
     """
-    from repro.accelerator.config import AcceleratorConfig
-    from repro.core.archive import ArchiveEntry, SearchArchive
-    from repro.core.metrics import Metrics
-    from repro.nasbench.model_spec import ModelSpec
-    from repro.search.base import SearchResult
-
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, np.bool_):
@@ -174,10 +168,37 @@ def encode_state(obj: Any) -> Any:
             "shape": list(obj.shape),
             "data": base64.b64encode(np.ascontiguousarray(obj).tobytes()).decode(),
         }
+    if isinstance(obj, tuple):
+        return {"__t__": "tuple", "items": [encode_state(v) for v in obj]}
+    if isinstance(obj, list):
+        return [encode_state(v) for v in obj]
+    if isinstance(obj, dict):
+        if all(isinstance(k, str) for k in obj) and "__t__" not in obj:
+            return {k: encode_state(v) for k, v in obj.items()}
+        # Non-string keys (e.g. per-rung archives keyed by threshold)
+        # or a literal "__t__" key: keep keys as tagged values.
+        return {
+            "__t__": "dict",
+            "items": [[encode_state(k), encode_state(v)] for k, v in obj.items()],
+        }
+    # Value objects last: the plain values above are the bulk of every
+    # state, and need not pay for these imports.
+    from repro.accelerator.config import AcceleratorConfig
+    from repro.core.archive import ArchiveEntry, SearchArchive
+    from repro.core.metrics import Metrics
+    from repro.hw.charm import CharmConfig
+    from repro.nasbench.model_spec import ModelSpec
+    from repro.search.base import SearchResult
+    from repro.workloads.transformer import TransformerSpec
+
     if isinstance(obj, ModelSpec):
         return {"__t__": "spec", "spec": obj.to_dict()}
     if isinstance(obj, AcceleratorConfig):
         return {"__t__": "config", "config": obj.to_dict()}
+    if isinstance(obj, TransformerSpec):
+        return {"__t__": "transformer_spec", "spec": obj.to_dict()}
+    if isinstance(obj, CharmConfig):
+        return {"__t__": "charm_config", "config": obj.to_dict()}
     if isinstance(obj, Metrics):
         # Fields go through encode_state too: a custom accuracy source
         # may hand back numpy scalars, which json.dumps rejects raw.
@@ -212,30 +233,11 @@ def encode_state(obj: Any) -> Any:
             "archive": encode_state(obj.archive),
             "extras": encode_state(obj.extras),
         }
-    if isinstance(obj, tuple):
-        return {"__t__": "tuple", "items": [encode_state(v) for v in obj]}
-    if isinstance(obj, list):
-        return [encode_state(v) for v in obj]
-    if isinstance(obj, dict):
-        if all(isinstance(k, str) for k in obj) and "__t__" not in obj:
-            return {k: encode_state(v) for k, v in obj.items()}
-        # Non-string keys (e.g. per-rung archives keyed by threshold)
-        # or a literal "__t__" key: keep keys as tagged values.
-        return {
-            "__t__": "dict",
-            "items": [[encode_state(k), encode_state(v)] for k, v in obj.items()],
-        }
     raise TypeError(f"cannot serialize {type(obj).__name__} into a ledger")
 
 
 def decode_state(obj: Any) -> Any:
     """Inverse of :func:`encode_state`."""
-    from repro.accelerator.config import AcceleratorConfig
-    from repro.core.archive import ArchiveEntry, SearchArchive
-    from repro.core.metrics import Metrics
-    from repro.nasbench.model_spec import ModelSpec
-    from repro.search.base import SearchResult
-
     if isinstance(obj, list):
         return [decode_state(v) for v in obj]
     if not isinstance(obj, dict):
@@ -248,10 +250,26 @@ def decode_state(obj: Any) -> Any:
         return np.frombuffer(data, dtype=np.dtype(obj["dtype"])).reshape(
             obj["shape"]
         ).copy()
+    if tag == "tuple":
+        return tuple(decode_state(v) for v in obj["items"])
+    if tag == "dict":
+        return {decode_state(k): decode_state(v) for k, v in obj["items"]}
+    from repro.accelerator.config import AcceleratorConfig
+    from repro.core.archive import ArchiveEntry, SearchArchive
+    from repro.core.metrics import Metrics
+    from repro.hw.charm import CharmConfig
+    from repro.nasbench.model_spec import ModelSpec
+    from repro.search.base import SearchResult
+    from repro.workloads.transformer import TransformerSpec
+
     if tag == "spec":
         return ModelSpec.from_dict(obj["spec"])
     if tag == "config":
         return AcceleratorConfig.from_dict(obj["config"])
+    if tag == "transformer_spec":
+        return TransformerSpec.from_dict(obj["spec"])
+    if tag == "charm_config":
+        return CharmConfig.from_dict(obj["config"])
     if tag == "metrics":
         return Metrics(
             accuracy=obj["accuracy"],
@@ -278,10 +296,6 @@ def decode_state(obj: Any) -> Any:
             archive=decode_state(obj["archive"]),
             extras=decode_state(obj["extras"]),
         )
-    if tag == "tuple":
-        return tuple(decode_state(v) for v in obj["items"])
-    if tag == "dict":
-        return {decode_state(k): decode_state(v) for k, v in obj["items"]}
     raise ValueError(f"unknown state tag {tag!r}")
 
 

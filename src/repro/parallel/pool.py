@@ -5,9 +5,9 @@ independent searches: every (strategy, scenario, repeat) task owns its
 seed and shares only read-only inputs (the enumerated space bundle and
 the evaluation cache).  This module defines *how* such a bag executes:
 
-* :class:`ExecutionBackend` — the protocol every backend implements
-  (``map`` over a bag of callables, ``run_tasks`` over a prepared
-  :class:`~repro.search.runner.GridRun`);
+* :class:`ExecutionBackend` — the protocol every backend implements:
+  one entry point, ``run_tasks``, over a prepared
+  :class:`~repro.search.runner.GridRun`;
 * a registry (:func:`register_backend` / :func:`get_backend` /
   :func:`list_backends` / :func:`build_backend`) mirroring the
   strategy / hardware / accuracy-source registries, so backend names
@@ -20,15 +20,13 @@ the evaluation cache).  This module defines *how* such a bag executes:
   through a shared :class:`~repro.parallel.ledger.RunLedger` — lives
   in :mod:`repro.parallel.cluster` and registers itself on import.
 
-:func:`parallel_map` is the historical map entry point, now routed
-through the registry.  The process pool uses the ``fork`` start method
-so task closures — strategy and evaluator factories capturing the
-multi-hundred-MB latency matrix — are inherited by workers
-copy-on-write instead of being pickled.  Only the (small, picklable)
-task descriptions and results cross the process boundary.  Where
-``fork`` is unavailable the map degrades to the serial path, which is
-always behaviorally identical: determinism comes from per-task seeds,
-never from execution order.
+The process pool uses the ``fork`` start method so task closures —
+strategy and evaluator factories capturing the multi-hundred-MB
+latency matrix — are inherited by workers copy-on-write instead of
+being pickled.  Only task indices and results cross the process
+boundary.  Where ``fork`` is unavailable the backend degrades to the
+serial path, which is always behaviorally identical: determinism comes
+from per-task seeds, never from execution order.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ import inspect
 import multiprocessing
 import os
 import warnings
-from typing import Callable, Sequence, TypeVar
 
 __all__ = [
     "BackendError",
@@ -50,20 +47,18 @@ __all__ = [
     "build_backend",
     "validate_backend_params",
     "fork_available",
-    "parallel_map",
     "resolve_workers",
 ]
 
-T = TypeVar("T")
-R = TypeVar("R")
-
-#: Set pre-fork so workers can find the (fn, items) closure without
-#: pickling it; reset to ``None`` once the pool is done.
-_FORK_PAYLOAD: tuple[Callable, Sequence] | None = None
-
-#: True inside pool workers — nested parallel_map calls run serially
-#: instead of forking a pool-per-worker bomb.
+#: True inside forked workers (pool and cluster): a process-backend
+#: grid started there runs in-process instead of forking a
+#: pool-per-worker bomb.
 _IN_WORKER = False
+
+#: Inside a process-backend pool worker, the grid whose pending tasks
+#: the pool runs — installed at fork by the pool initializer, so the
+#: grid (and the closures it holds) is never pickled.
+_POOL_GRID = None
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -88,9 +83,25 @@ def _mark_worker() -> None:
     _IN_WORKER = True
 
 
-def _call_payload(index: int):
-    fn, items = _FORK_PAYLOAD
-    return fn(items[index])
+def _init_pool_worker(grid) -> None:
+    global _POOL_GRID
+    _mark_worker()
+    _POOL_GRID = grid
+
+
+def _run_pool_task(index: int):
+    """Pending task ``index`` of the pool's grid, run in this worker.
+
+    Returns the result plus the grid cache's hit/miss deltas, which
+    the parent folds into its own counters.
+    """
+    grid = _POOL_GRID
+    task = grid.pending[index]
+    if grid.cache is None:
+        return grid.run_task(task), 0, 0
+    hits, misses = grid.cache.hits, grid.cache.misses
+    result = grid.run_task(task)
+    return result, grid.cache.hits - hits, grid.cache.misses - misses
 
 
 class BackendError(ValueError):
@@ -101,8 +112,7 @@ class ExecutionBackend:
     """How a bag of independent seeded tasks executes.
 
     Subclasses set :attr:`name` and implement :meth:`run_tasks` (drive
-    a prepared grid of (job, repeat) searches); backends that can also
-    serve plain function maps override :meth:`map`.  Construction
+    a prepared grid of (job, repeat) searches).  Construction
     parameters become the backend's declarative params — a
     :class:`~repro.core.study.StudySpec` names a backend as
     ``execution.backend`` plus ``execution.backend_params`` and the
@@ -117,21 +127,14 @@ class ExecutionBackend:
     #: Registry key; subclasses must override.
     name: str = ""
 
-    def map(self, fn: Callable[[T], R], items: Sequence[T], workers: int | None = None) -> list[R]:
-        """Map ``fn`` over ``items``, returning results in input order."""
-        raise BackendError(
-            f"backend {self.name!r} cannot serve parallel_map (it "
-            "coordinates grid tasks, not plain function maps); "
-            "map-capable backends: serial, process"
-        )
-
     def run_tasks(self, grid) -> dict:
         """Run ``grid``'s pending (job, repeat) tasks; task -> result.
 
         ``grid`` is a :class:`repro.search.runner.GridRun`: the
-        prepared task bag plus the serial/worker execution closures a
-        backend composes (``run_one``, ``run_in_worker``,
-        ``merge_worker_payloads``).
+        prepared task bag plus :meth:`~repro.search.runner.GridRun.run_task`,
+        which runs and records one task in the calling process, and
+        :meth:`~repro.search.runner.GridRun.prepare_for_workers`, the
+        checks a backend makes before it forks.
         """
         raise NotImplementedError
 
@@ -152,11 +155,8 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    def map(self, fn, items, workers=None):
-        return [fn(item) for item in items]
-
     def run_tasks(self, grid) -> dict:
-        return {task: grid.run_one(task) for task in grid.pending}
+        return {task: grid.run_task(task) for task in grid.pending}
 
 
 class ProcessBackend(ExecutionBackend):
@@ -164,44 +164,45 @@ class ProcessBackend(ExecutionBackend):
 
     name = "process"
 
-    def _effective(self, n_items: int, workers: int | None) -> str:
-        workers = min(resolve_workers(workers), max(n_items, 1))
-        if workers <= 1 or n_items <= 1 or _IN_WORKER or not fork_available():
-            return "serial"
-        return "process"
-
-    def map(self, fn, items, workers=None):
-        items = list(items)
-        workers = min(resolve_workers(workers), max(len(items), 1))
-        if workers <= 1 or len(items) <= 1 or _IN_WORKER:
-            return [fn(item) for item in items]
-        if not fork_available():
-            warnings.warn(
-                "process backend needs the 'fork' start method; running serially",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return [fn(item) for item in items]
-
-        global _FORK_PAYLOAD
-        if _FORK_PAYLOAD is not None:  # re-entrant call in the parent
-            return [fn(item) for item in items]
-        _FORK_PAYLOAD = (fn, items)
-        try:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(processes=workers, initializer=_mark_worker) as pool:
-                return pool.map(_call_payload, range(len(items)), chunksize=1)
-        finally:
-            _FORK_PAYLOAD = None
+    def _pool_size(self, grid) -> int:
+        """Worker processes for ``grid``; 1 runs it in this process."""
+        if _IN_WORKER or not fork_available():
+            return 1
+        return min(resolve_workers(grid.workers), max(len(grid.pending), 1))
 
     def run_tasks(self, grid) -> dict:
-        grid.prepare_for_workers()
-        payloads = self.map(grid.run_in_worker, grid.pending, workers=grid.workers)
-        return grid.merge_worker_payloads(payloads)
+        grid.prepare_for_workers(self.name)
+        workers = self._pool_size(grid)
+        if workers == 1:
+            if not fork_available():
+                warnings.warn(
+                    "process backend needs the 'fork' start method; running serially",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+            return {task: grid.run_task(task) for task in grid.pending}
+        ctx = multiprocessing.get_context("fork")
+        # With fork, initargs reach the workers through the fork itself,
+        # never through pickling; only indices and results are pickled.
+        with ctx.Pool(
+            processes=workers, initializer=_init_pool_worker, initargs=(grid,)
+        ) as pool:
+            payloads = pool.map(
+                _run_pool_task, range(len(grid.pending)), chunksize=1
+            )
+        fresh = {}
+        for task, (result, hits, misses) in zip(grid.pending, payloads):
+            fresh[task] = result
+            if grid.cache is not None:
+                # Fold worker-side lookups into the parent's counters so
+                # hit-rate reporting covers the whole run.
+                grid.cache.hits += hits
+                grid.cache.misses += misses
+        return fresh
 
     def describe_execution(self, grid) -> dict:
         description = super().describe_execution(grid)
-        description["effective"] = self._effective(len(grid.pending), grid.workers)
+        description["effective"] = "process" if self._pool_size(grid) > 1 else "serial"
         description["workers"] = min(
             resolve_workers(grid.workers), max(len(grid.pending), 1)
         )
@@ -324,20 +325,3 @@ def build_backend(name: str, params: dict | None = None) -> ExecutionBackend:
 register_backend(SerialBackend)
 register_backend(ProcessBackend)
 
-
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    workers: int | None = None,
-    backend: str = "process",
-) -> list[R]:
-    """Map ``fn`` over ``items``, optionally across a process pool.
-
-    ``backend`` names a registered :class:`ExecutionBackend` (see
-    :func:`list_backends`).  The process backend falls back to serial
-    when it cannot help (one item, one worker, already inside a
-    worker) or cannot fork; results are identical either way and
-    always ordered like ``items``.
-    """
-    backend_obj = get_backend(backend)()
-    return backend_obj.map(fn, list(items), workers=workers)

@@ -56,6 +56,11 @@ class EvolutionSearch(SearchStrategy):
             raise ValueError("tournament_size must be in [1, population_size]")
         if mutations_per_child < 1:
             raise ValueError("mutations_per_child must be positive")
+        if max(self.search_space.vocab_sizes) < 2:
+            raise ValueError(
+                "evolution needs a search space with at least one token "
+                "of two or more values to mutate"
+            )
         self.population_size = population_size
         self.tournament_size = tournament_size
         self.mutations_per_child = mutations_per_child
@@ -68,6 +73,8 @@ class EvolutionSearch(SearchStrategy):
         vocab = self.search_space.vocab_sizes
         for _ in range(self.mutations_per_child):
             token = int(self.rng.integers(0, len(child)))
+            while vocab[token] < 2:  # a one-value token cannot change
+                token = int(self.rng.integers(0, len(child)))
             choices = [a for a in range(vocab[token]) if a != child[token]]
             child[token] = int(self.rng.choice(choices))
         return child

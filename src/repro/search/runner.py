@@ -20,12 +20,12 @@ Third-party backends registered with
 :func:`repro.parallel.pool.register_backend` are equally valid names.
 
 Every repeat derives its seed as ``hash_seed("repeat", master_seed,
-repeat)`` regardless of backend or scheduling, so results are
-bit-identical at any worker count.  An optional shared persistent
-:class:`repro.parallel.EvalCache` warm-starts evaluations: serial runs
-write through it directly, process workers consult it read-only and
-ship their new rows back to the parent, which merges them after the
-pool completes.
+repeat)`` regardless of backend or scheduling, and every backend runs
+a task through the same function, :meth:`RepeatJob.run`, so results
+are bit-identical at any worker count.  An optional shared persistent
+:class:`repro.parallel.EvalCache` warm-starts evaluations: each
+process that runs tasks — the serial loop, a pool worker, a cluster
+worker — writes through it over a connection of its own.
 
 An optional :class:`repro.parallel.RunLedger` makes a grid
 crash-safe: completed (job, repeat) results are persisted as they
@@ -38,7 +38,6 @@ same batch size (see ``tests/integration/test_kill_resume.py``).
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -78,9 +77,53 @@ class RepeatJob:
     # Two-tier mode: maps the job's exact evaluator to a
     # repro.search.two_tier.TwoTierFilter (surrogate-ranked proposal
     # filtering); None runs the plain exact-only loop.  A factory, not
-    # a filter, because process-backend workers rebuild evaluators
-    # per fork and the filter must wrap *that* evaluator's twin.
+    # a filter, because every task builds its own evaluator and the
+    # filter must wrap *that* evaluator's twin.
     two_tier_factory: Callable[[CodesignEvaluator], object] | None = None
+
+    def run(
+        self,
+        repeat: int,
+        *,
+        num_steps: int,
+        master_seed: int,
+        batch_size: int,
+        checkpoint_every: int,
+        cache: EvalCache | None = None,
+        ledger: RunLedger | None = None,
+    ) -> SearchResult:
+        """Search repeat ``repeat`` of this job in this process.
+
+        The one body of a grid task: the serial and process backends
+        run it through :meth:`GridRun.run_task`, cluster workers from
+        their claim loop, so what a task computes never depends on
+        where it runs.  ``cache`` is attached when the factory's
+        evaluator has none; ``ledger`` checkpoints the search, and
+        recording the result is left to the caller (the cluster
+        records through its lease).  The evaluator's cache is flushed
+        at the end, so the task's new rows reach the store.
+        """
+        evaluator = self.evaluator_factory()
+        if cache is not None and evaluator.eval_cache is None:
+            evaluator.attach_eval_cache(cache, scenario=self.cache_scenario)
+        strategy = self.strategy_factory(hash_seed("repeat", master_seed, repeat))
+        result = strategy.run(
+            evaluator,
+            num_steps,
+            batch_size=batch_size,
+            checkpoint=(
+                ledger.checkpoint(self.label, repeat) if ledger is not None else None
+            ),
+            checkpoint_every=checkpoint_every,
+            two_tier=(
+                self.two_tier_factory(evaluator)
+                if self.two_tier_factory is not None
+                else None
+            ),
+        )
+        if evaluator.eval_cache is not None:
+            evaluator.eval_cache.flush()
+        return result
 
 
 @dataclass
@@ -121,26 +164,17 @@ def _coerce_ledger(ledger: RunLedger | str | Path | None) -> RunLedger | None:
     return RunLedger(ledger)
 
 
-def _attach(
-    evaluator: CodesignEvaluator, cache: EvalCache | None, job: RepeatJob
-) -> None:
-    if cache is not None and evaluator.eval_cache is None:
-        evaluator.attach_eval_cache(cache, scenario=job.cache_scenario)
-
-
 @dataclass
 class GridRun:
     """One prepared grid execution, handed to an execution backend.
 
     Everything :func:`run_grid` resolves before dispatch lives here:
-    the task bag (``pending`` excludes ledger-restored results), the
-    run parameters, and the execution closures a backend composes —
-    :meth:`run_one` (the historical serial path),
-    :meth:`run_in_worker` / :meth:`merge_worker_payloads` (the
-    fork-pool path), and the raw pieces (``jobs``, ``labels``,
-    ``ledger``, ``cache``) the cluster backend coordinates through
-    lease rows.  Backends schedule *where* tasks run; every method
-    here computes identical results regardless of scheduling.
+    the task bag (``pending`` excludes ledger-restored results) and
+    the run parameters.  Backends schedule *where* the pending tasks
+    run; each one runs through :meth:`RepeatJob.run` — via
+    :meth:`run_task` on the serial and process backends, via the
+    claim loop on the cluster — so every backend computes identical
+    results.
     """
 
     jobs: list[RepeatJob]
@@ -156,161 +190,47 @@ class GridRun:
     workers: int | None
     cache: EvalCache | None
     ledger: RunLedger | None
-    #: One read-only store view per (process, store path), reused by
-    #: every task a pool worker runs — regardless of whether the
-    #: factory hands out shared or fresh-per-task evaluators — so a
-    #: long-lived worker holds a bounded number of sqlite connections.
-    #: Forked children inherit the parent's (empty or stale) dict
-    #: copy-on-write; stale entries are recognized by ``owner_pid``.
-    _worker_views: dict[str, EvalCache] = field(
-        default_factory=dict, init=False, repr=False
-    )
 
-    def run_strategy(self, job: RepeatJob, repeat: int, evaluator) -> SearchResult:
-        strategy = job.strategy_factory(
-            hash_seed("repeat", self.master_seed, repeat)
-        )
-        checkpoint = (
-            self.ledger.checkpoint(job.label, repeat)
-            if self.ledger is not None
-            else None
-        )
-        two_tier = (
-            job.two_tier_factory(evaluator)
-            if job.two_tier_factory is not None
-            else None
-        )
-        result = strategy.run(
-            evaluator,
-            self.num_steps,
+    def run_task(self, task: tuple[int, int]) -> SearchResult:
+        """Run one (job, repeat) task in this process and record it."""
+        job_index, repeat = task
+        job = self.jobs[job_index]
+        result = job.run(
+            repeat,
+            num_steps=self.num_steps,
+            master_seed=self.master_seed,
             batch_size=self.batch_size,
-            checkpoint=checkpoint,
             checkpoint_every=self.checkpoint_every,
-            two_tier=two_tier,
+            cache=self.cache,
+            ledger=self.ledger,
         )
         if self.ledger is not None:
             self.ledger.record_done(job.label, repeat, result)
         return result
 
-    def run_one(self, task: tuple[int, int]) -> SearchResult:
-        """Run one (job, repeat) task in-process (the serial path)."""
-        job_index, repeat = task
-        job = self.jobs[job_index]
-        evaluator = job.evaluator_factory()
-        _attach(evaluator, self.cache, job)
-        result = self.run_strategy(job, repeat, evaluator)
-        if self.cache is not None:
-            self.cache.flush()
-        return result
+    def prepare_for_workers(self, backend: str) -> None:
+        """Pre-fork checks + flush, shared by the forking backends.
 
-    def worker_view(self, store_path) -> EvalCache:
-        key = str(store_path)
-        view = self._worker_views.get(key)
-        if view is None or view.owner_pid != os.getpid():
-            view = EvalCache(store_path, read_only=True)
-            self._worker_views[key] = view
-        return view
-
-    def prepare_for_workers(self) -> None:
-        """Pre-fork checks + flush so pool workers see a coherent store."""
+        Workers inherit the cache and the ledger objects through fork
+        and open connections of their own to the same files, so both
+        need a path; the flush makes everything known so far visible
+        to them.
+        """
         if self.cache is not None and self.cache.path is None:
             warnings.warn(
-                "process backend cannot share a path-less (in-memory) "
-                "EvalCache with workers; evaluations will not be cached "
-                "— give the cache a file path",
+                f"{backend} backend cannot share a path-less (in-memory) "
+                "EvalCache with workers; each worker caches into an empty "
+                "store of its own — give the cache a file path",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
         if self.ledger is not None and self.ledger.path is None:
             raise ValueError(
-                "the process backend requires a file-backed ledger "
+                f"the {backend} backend requires a file-backed ledger "
                 "(an in-memory RunLedger cannot cross a fork)"
             )
         if self.cache is not None:
-            self.cache.flush()  # workers must see everything known so far
-
-    def run_in_worker(self, task: tuple[int, int]):
-        # Runs in a forked child: evaluate against a per-process
-        # read-only view of the store (never the parent's inherited
-        # connection) and return the new rows alongside the result for
-        # the parent to merge.  Stats are reported as per-task deltas
-        # and pending rows drain per task.  (The ledger needs no such
-        # dance: RunLedger reopens its connection when it notices the
-        # pid changed.)
-        job_index, repeat = task
-        job = self.jobs[job_index]
-        cache = self.cache
-        evaluator = job.evaluator_factory()
-        inherited = evaluator.eval_cache
-        if inherited is not None and inherited.owner_pid != os.getpid():
-            # The factory closed over an evaluator whose cache (and
-            # live sqlite connection) we inherited through fork —
-            # detach it and fall back to the read-only view.  A cache
-            # the factory opened post-fork (owner_pid matches) is safe
-            # and stays.
-            evaluator.eval_cache = None
-        worker_cache = evaluator.eval_cache
-        store_path = cache.path if cache is not None else None
-        if store_path is None and inherited is not None and evaluator.eval_cache is None:
-            store_path = inherited.path  # keep warm-starts after a detach
-        if worker_cache is None and store_path is not None:
-            worker_cache = self.worker_view(store_path)
-            evaluator.attach_eval_cache(worker_cache, scenario=job.cache_scenario)
-        if worker_cache is None:
-            return self.run_strategy(job, repeat, evaluator), [], (0, 0), None
-        hits0, misses0 = worker_cache.hits, worker_cache.misses
-        result = self.run_strategy(job, repeat, evaluator)
-        delta = worker_cache.drain_pending()
-        stats = (worker_cache.hits - hits0, worker_cache.misses - misses0)
-        # Rows the parent cannot route into `cache` (it was never given
-        # one) still need a writable home: name the store they came from.
-        delta_path = (
-            str(worker_cache.path)
-            if cache is None and delta and worker_cache.path is not None
-            else None
-        )
-        # No explicit cleanup: a pooled view stays attached (a shared
-        # evaluator reuses it next task; a task-local evaluator just
-        # drops the reference, and the pool keeps the view alive and
-        # bounded), while a cache the factory opened itself lives
-        # exactly as long as the factory's objects do —
-        # ``EvalCache.__del__`` closes the connection the moment it
-        # becomes unreachable, so per-task caches release their fd at
-        # task end and deliberately shared ones stay open.
-        return result, delta, stats, delta_path
-
-    def merge_worker_payloads(self, payloads) -> dict[tuple[int, int], SearchResult]:
-        """Absorb pool workers' (result, cache delta, stats) payloads."""
-        cache = self.cache
-        fresh: dict[tuple[int, int], SearchResult] = {}
-        # Stores reached only through factory-attached caches (run_grid
-        # was given no eval_cache of its own): the parent persists the
-        # workers' deltas through one writable connection per file.
-        path_sinks: dict[str, EvalCache] = {}
-        for task, (result, delta, (hits, misses), delta_path) in zip(
-            self.pending, payloads
-        ):
-            if cache is not None:
-                cache.merge(delta)
-                # Fold worker-side lookups into the parent's counters so
-                # hit-rate reporting covers the whole run.
-                cache.hits += hits
-                cache.misses += misses
-            elif delta_path is not None:
-                sink = path_sinks.get(delta_path)
-                if sink is None:
-                    sink = path_sinks[delta_path] = EvalCache(delta_path)
-                sink.merge(delta)
-            fresh[task] = result
-        for sink in path_sinks.values():
-            sink.close()
-        for view in self._worker_views.values():
-            # Views opened in the parent (the pool's inline-degraded
-            # path) are closed here; the workers' copies died with
-            # their processes.
-            if view.owner_pid == os.getpid():
-                view.close()
-        return fresh
+            self.cache.flush()
 
 
 def run_grid(

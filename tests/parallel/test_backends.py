@@ -10,7 +10,6 @@ from repro.parallel.pool import (
     build_backend,
     get_backend,
     list_backends,
-    parallel_map,
     register_backend,
     validate_backend_params,
 )
@@ -39,13 +38,13 @@ class TestRegistry:
         class EchoBackend(ExecutionBackend):
             name = "echo-test"
 
-            def map(self, fn, items, workers=None):
-                return [fn(item) for item in items]
+            def run_tasks(self, grid):
+                return {task: grid.run_task(task) for task in grid.pending}
 
         try:
             assert "echo-test" in list_backends()
             register_backend(EchoBackend)  # same class again: no-op
-            assert parallel_map(lambda x: x + 1, [1, 2], backend="echo-test") == [2, 3]
+            assert get_backend("echo-test") is EchoBackend
         finally:
             from repro.parallel import pool
 
@@ -131,17 +130,3 @@ class TestProtocol:
             "requested": "serial",
             "effective": "serial",
         }
-
-    def test_base_map_names_map_capable_backends(self):
-        backend = ExecutionBackend()
-        backend.name = "custom"
-        with pytest.raises(BackendError, match="serial, process"):
-            backend.map(lambda x: x, [1])
-
-    def test_cluster_cannot_serve_parallel_map(self):
-        with pytest.raises(BackendError, match="parallel_map"):
-            parallel_map(lambda x: x, [1, 2], backend="cluster")
-
-    def test_parallel_map_routes_through_registry(self):
-        assert parallel_map(lambda x: x * 2, [1, 2, 3], backend="serial") == [2, 4, 6]
-        assert parallel_map(lambda x: x * 2, [1, 2, 3], workers=2) == [2, 4, 6]

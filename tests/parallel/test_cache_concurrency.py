@@ -93,17 +93,17 @@ class TestConcurrentWriters:
                 assert hit.accuracy in {float(w) for w in range(n_procs)}
 
     def test_readers_during_writes_see_consistent_rows(self, tmp_path):
-        """A read-only view opened mid-run serves committed rows only."""
+        """A second connection opened mid-run serves committed rows only."""
         path = tmp_path / "store.sqlite"
         writer = EvalCache(path)
         writer.put(CacheEntry("s", "a", "(c)", 1.0, None, None))
         writer.flush()
         writer.put(CacheEntry("s", "b", "(c)", 2.0, None, None))  # uncommitted
-        reader = EvalCache(path, read_only=True)
+        reader = EvalCache(path)
         assert reader.get("s", "a", "(c)") is not None
         assert reader.get("s", "b", "(c)") is None
         writer.flush()
-        reader2 = EvalCache(path, read_only=True)
+        reader2 = EvalCache(path)
         assert reader2.get("s", "b", "(c)") is not None
 
 
@@ -137,13 +137,3 @@ class TestCorruptStoreQuarantine:
         assert cache.recovered
         assert quarantine.read_bytes() == b"fresh corruption"
         cache.close()
-
-    def test_read_only_view_never_touches_corrupt_file(self, tmp_path):
-        path = tmp_path / "store.sqlite"
-        garbage = b"broken"
-        path.write_bytes(garbage)
-        worker = EvalCache(path, read_only=True)
-        assert worker.recovered
-        assert worker.get("s", "a", "(c)") is None  # serves cold
-        assert path.read_bytes() == garbage  # untouched
-        assert not path.with_suffix(".sqlite.corrupt").exists()

@@ -1,5 +1,6 @@
 """Tests for the persistent evaluation cache."""
 
+import multiprocessing
 import sqlite3
 
 import pytest
@@ -94,16 +95,6 @@ class TestMissStaleness:
         hit = reader.get("s", "abc", "(1,)")
         assert hit is not None and hit.accuracy == 71.5
 
-    def test_merge_invalidates_negative_memos(self, tmp_path):
-        path = tmp_path / "ec.sqlite"
-        reader = EvalCache(path)
-        assert reader.get("s", "abc", "(1,)") is None
-
-        EvalCache(path).merge([entry()])
-
-        reader.merge([])  # the parent's per-pool sync point
-        assert reader.get("s", "abc", "(1,)") is not None
-
     def test_positive_memos_survive_flush(self, tmp_path):
         path = tmp_path / "ec.sqlite"
         cache = EvalCache(path)
@@ -144,17 +135,6 @@ class TestCloseDurability:
         cache.close()
         cache.close()  # flush sees an empty buffer; re-close is a no-op
 
-    def test_read_only_close_never_writes(self, tmp_path):
-        path = tmp_path / "ec.sqlite"
-        with EvalCache(path) as writer:
-            writer.put(entry())
-        view = EvalCache(path, read_only=True)
-        view.put(entry(spec="buffered-in-view"))
-        view.close()  # a read-only view's buffer is drained, not flushed
-        reread = EvalCache(path)
-        assert reread.get("s", "buffered-in-view", "(1,)") is None
-        assert reread.get("s", "abc", "(1,)") is not None
-
 
 class TestCorruption:
     def test_corrupted_file_falls_back_to_cold(self, tmp_path):
@@ -183,41 +163,55 @@ class TestCorruption:
         assert rows == 0 or not cache.recovered
 
 
-class TestReadOnlyWorkers:
-    def test_read_only_corrupt_file_untouched(self, tmp_path):
-        path = tmp_path / "ec.sqlite"
-        garbage = b"this is not a sqlite database" * 200
-        path.write_bytes(garbage)
-        worker = EvalCache(path, read_only=True)
-        assert worker.recovered
-        assert worker.get("s", "abc", "(1,)") is None
-        # the shared file must not be renamed, recreated, or modified
-        assert path.read_bytes() == garbage
-        assert not path.with_suffix(".sqlite.corrupt").exists()
+def _in_forked_child(fn):
+    """Run ``fn()`` in a forked child; returns its exit code."""
+    child = multiprocessing.get_context("fork").Process(target=fn)
+    child.start()
+    child.join(timeout=60)
+    assert not child.is_alive()
+    return child.exitcode
 
-    def test_read_only_missing_file_serves_cold(self, tmp_path):
-        path = tmp_path / "missing.sqlite"
-        worker = EvalCache(path, read_only=True)
-        assert worker.get("s", "abc", "(1,)") is None
-        assert not path.exists()
 
-    def test_read_only_never_writes(self, tmp_path):
-        path = tmp_path / "ec.sqlite"
-        EvalCache(path).close()
-        worker = EvalCache(path, read_only=True)
-        worker.put(entry())
-        assert worker.flush() == 0
-        assert len(EvalCache(path)) == 0
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="fork start method required",
+)
+class TestForkInheritance:
+    """A cache object inherited through fork opens its own connection."""
 
-    def test_drain_then_merge(self, tmp_path):
+    def test_child_writes_through_its_own_connection(self, tmp_path):
         path = tmp_path / "ec.sqlite"
-        parent = EvalCache(path)
-        worker = EvalCache(path, read_only=True)
-        worker.put(entry())
-        delta = worker.drain_pending()
-        assert [e.key for e in delta] == [("s", "abc", "(1,)")]
-        assert parent.merge(delta) == 1
-        assert len(parent) == 1
+        cache = EvalCache(path)
+        cache.put(entry())
+        cache.flush()
+
+        def child():
+            assert cache.get("s", "abc", "(1,)") is not None
+            cache.put(entry(spec="from-child"))
+            assert cache.flush() == 1
+            assert cache._conn is not parent_conn
+
+        parent_conn = cache._conn
+        assert _in_forked_child(child) == 0
+        # The parent's connection is untouched and sees the child's row.
+        assert cache._conn is parent_conn
+        assert cache.get("s", "from-child", "(1,)") is not None
+        assert len(cache) == 2
+
+    def test_path_less_cache_opens_empty_in_the_child(self):
+        cache = EvalCache()
+        cache.put(entry())
+        cache.flush()
+
+        def child():
+            assert len(cache) == 0
+            cache.put(entry(spec="from-child"))
+            cache.flush()
+            assert len(cache) == 1
+
+        assert _in_forked_child(child) == 0
+        assert len(cache) == 1
+        assert cache.get("s", "from-child", "(1,)") is None
 
 
 class TestEvaluatorIntegration:

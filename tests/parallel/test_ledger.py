@@ -60,6 +60,21 @@ class TestStateCodec:
         assert back_spec.spec_hash() == spec.spec_hash()
         assert back_config == config
 
+    def test_transformer_spec_and_charm_config_round_trip(self):
+        from repro.hw.charm import CharmConfig
+        from repro.workloads import TransformerSpec
+
+        valid = TransformerSpec(depth=4, heads=4, hidden=256, ffn_ratio=4,
+                                seq_len=128)
+        invalid = TransformerSpec(depth=4, heads=12, hidden=256, ffn_ratio=4,
+                                  seq_len=128)
+        config = CharmConfig(tile_m=32, tile_n=64, tile_k=16, num_accels=2,
+                             bitwidth=8)
+        back_valid, back_invalid, back_config = roundtrip((valid, invalid, config))
+        assert back_valid == valid and back_valid.spec_hash() == valid.spec_hash()
+        assert back_invalid == invalid and not back_invalid.valid
+        assert back_config == config
+
     def test_metrics_round_trip(self):
         metrics = Metrics(accuracy=93.21, latency_s=0.0421, area_mm2=186.0)
         assert roundtrip(metrics) == metrics

@@ -1,5 +1,7 @@
 """Tests for the parallel repeat engine: process == serial, warm starts."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from repro.core.study import replace_execution, run_study
 from repro.experiments.common import Scale
 from repro.experiments.presets import get_preset
 from repro.experiments.search_study import make_bundle_evaluator
-from repro.parallel import EvalCache, parallel_map
+from repro.parallel import EvalCache
 from repro.search.combined import CombinedSearch
 from repro.search.random_search import RandomSearch
 from repro.search.runner import RepeatJob, run_grid, run_repeats
@@ -37,28 +39,6 @@ def assert_outcomes_identical(a, b):
             assert ra.best.step == rb.best.step
             assert ra.best.reward == rb.best.reward
             assert ra.best.spec.spec_hash() == rb.best.spec.spec_hash()
-
-
-class TestParallelMap:
-    def test_serial_and_process_agree(self):
-        items = list(range(7))
-        fn = lambda x: x * x  # noqa: E731
-        assert parallel_map(fn, items, backend="serial") == [x * x for x in items]
-        assert parallel_map(fn, items, workers=3, backend="process") == [
-            x * x for x in items
-        ]
-
-    def test_order_preserved(self):
-        out = parallel_map(lambda x: -x, list(range(20)), workers=4)
-        assert out == [-x for x in range(20)]
-
-    def test_bad_backend_rejected(self):
-        with pytest.raises(ValueError):
-            parallel_map(lambda x: x, [1], backend="threads")
-
-    def test_bad_workers_rejected(self):
-        with pytest.raises(ValueError):
-            parallel_map(lambda x: x, [1, 2], workers=0)
 
 
 class TestProcessEqualsSerial:
@@ -108,6 +88,10 @@ class TestProcessEqualsSerial:
         kwargs = {**repeat_kwargs, "num_repeats": 0}
         with pytest.raises(ValueError):
             run_repeats(**kwargs)
+
+    def test_zero_workers_rejected(self, repeat_kwargs):
+        with pytest.raises(ValueError, match="workers"):
+            run_repeats(**repeat_kwargs, backend="process", workers=0)
 
 
 class TestWarmStarts:
@@ -186,36 +170,100 @@ class TestSearchStudyBackends:
                 )
 
 
+class _LoggedConnection:
+    """A sqlite connection that logs "<pid running> <pid that opened>"
+    for every statement and commit run on it."""
+
+    def __init__(self, conn, log_path):
+        self._conn = conn
+        self._log_path = log_path
+        self._opener = os.getpid()
+
+    def _log(self):
+        with open(self._log_path, "a") as log:  # fork-safe append
+            log.write(f"{os.getpid()} {self._opener}\n")
+
+    def execute(self, *args):
+        self._log()
+        return self._conn.execute(*args)
+
+    def executemany(self, *args):
+        self._log()
+        return self._conn.executemany(*args)
+
+    def commit(self):
+        self._log()
+        return self._conn.commit()
+
+    def close(self):
+        return self._conn.close()
+
+
+class _SpyCache(EvalCache):
+    """An EvalCache whose every connection is a :class:`_LoggedConnection`."""
+
+    def __init__(self, path, log_path):
+        self.log_path = log_path
+        super().__init__(path)
+
+    def _open(self):
+        return _LoggedConnection(super()._open(), self.log_path)
+
+
+def foreign_queries(log_path) -> list[str]:
+    """Logged statements a process ran on a connection another opened."""
+    lines = log_path.read_text().splitlines() if log_path.exists() else []
+    return [line for line in lines if len(set(line.split())) != 1]
+
+
+class TestBackendMatrix:
+    """Backends schedule work and never change it: in exact and
+    two-tier mode, at batch sizes 1 and 4, the process and cluster
+    backends report exactly what the serial loop reports."""
+
+    @pytest.mark.parametrize("batch_size", [1, 4])
+    @pytest.mark.parametrize("surrogate", [False, True], ids=["exact", "two-tier"])
+    def test_every_backend_matches_serial(
+        self, micro4_bundle, tmp_path, surrogate, batch_size
+    ):
+        from repro.core.study import outcome_summary
+
+        spec = replace_execution(
+            get_preset("search-study").with_overrides(
+                {
+                    "strategies": [{"name": "random"}, {"name": "combined"}],
+                    "scenarios": ["unconstrained"],
+                    "execution.num_steps": 16,
+                    "execution.num_repeats": 2,
+                    "execution.batch_size": batch_size,
+                }
+            ),
+            surrogate=surrogate,
+            exact_fraction=0.5 if surrogate else None,
+        )
+        serial = outcome_summary(run_study(spec, bundle=micro4_bundle))
+        for backend in ("process", "cluster"):
+            result = run_study(
+                replace_execution(spec, backend=backend, workers=2),
+                bundle=micro4_bundle,
+                ledger=tmp_path / f"{backend}.ledger",
+            )
+            assert outcome_summary(result) == serial, backend
+
+
 class TestWorkerCacheForkGuard:
     """Regression: a factory closing over an evaluator with a live
     attached EvalCache must not leak the parent's sqlite connection
-    into forked workers (``GridRun.run_in_worker`` detaches a cache
-    whose ``owner_pid`` is not the worker's)."""
-
-    class _SpyCache(EvalCache):
-        """Logs every get() as "pid tag" lines to a shared file."""
-
-        def __init__(self, path, log_path):
-            super().__init__(path)
-            self.log_path = log_path
-            self.tag = "parent-instance"
-
-        def get(self, scenario, spec_hash, config_key):
-            import os
-
-            with open(self.log_path, "a") as log:
-                log.write(f"{os.getpid()} {self.tag}\n")
-            return super().get(scenario, spec_hash, config_key)
+    into forked workers — every process queries the store only over a
+    connection it opened itself (the cache reopens on a pid change)."""
 
     def test_forked_workers_never_touch_parent_connection(
         self, micro4_bundle, tmp_path
     ):
-        import os
-
         scenario = unconstrained(micro4_bundle.bounds)
         space = JointSearchSpace(cell_encoding=micro4_bundle.cell_encoding)
         log_path = tmp_path / "spy.log"
-        spy = self._SpyCache(tmp_path / "spy.sqlite", log_path)
+        spy = _SpyCache(tmp_path / "spy.sqlite", log_path)
         shared = make_bundle_evaluator(micro4_bundle, scenario)
         shared.attach_eval_cache(spy, scenario="guard")
 
@@ -228,26 +276,16 @@ class TestWorkerCacheForkGuard:
             workers=2,
         )
         assert len(outcome.results) == 4
-
-        parent_pid = str(os.getpid())
-        # No log at all means no process ever touched the parent's
-        # instance — the strongest pass (workers use their own views
-        # and the parent evaluates nothing in process mode).
-        lines = log_path.read_text().splitlines() if log_path.exists() else []
-        foreign = [
-            line for line in lines if line and line.split()[0] != parent_pid
-        ]
-        # Forked children opened their own read-only views; the
-        # parent's instance (and its sqlite connection) stayed home.
-        assert foreign == []
+        assert log_path.exists()  # the workers did use the store
+        assert foreign_queries(log_path) == []
 
     def test_detached_workers_still_warm_start_from_inherited_path(
         self, micro4_bundle, tmp_path
     ):
-        # The guard must fall back to a fresh read-only view of the
-        # *inherited* cache's path — not drop caching entirely — and
-        # the parent must persist the workers' new rows even though
-        # run_grid itself was never handed an eval_cache.
+        # A cache inherited through the factory's evaluator keeps
+        # caching in the workers — over their own connections to its
+        # path — and their new rows persist even though run_grid
+        # itself was never handed an eval_cache.
         scenario = unconstrained(micro4_bundle.bounds)
         space = JointSearchSpace(cell_encoding=micro4_bundle.cell_encoding)
         store_path = tmp_path / "warm.sqlite"
@@ -277,15 +315,14 @@ class TestWorkerCacheForkGuard:
             )
 
         cold = run_process(make_shared())
-        # The workers' rows came home: the parent persisted their
-        # deltas through a writable connection of its own.
+        # The workers flushed their rows into the store.
         assert len(EvalCache(store_path)) > 0
         cold_calls = len(accuracy_log.read_text().splitlines())
         assert cold_calls > 0
 
-        # A second (fresh-store-view) run must be served entirely from
-        # the persisted rows — every task in every worker, not just the
-        # first one, consults the read-only view.
+        # A second run must be served entirely from the persisted rows
+        # — every task in every worker, not just the first one,
+        # consults the store.
         warm = run_process(make_shared())
         warm_calls = len(accuracy_log.read_text().splitlines()) - cold_calls
         assert warm_calls == 0
@@ -542,3 +579,53 @@ class TestWorkerSharedPostForkCache:
             backend="serial",
         )
         assert_outcomes_identical(reference, outcome)
+
+
+class TestTrainerStoreAcrossFork:
+    """The CIFAR-100 trainer persists outcomes through the study's
+    EvalCache (``CachedTrainer.store``), a second holder of the cache
+    object beside the evaluator: forked workers must reach the store
+    over their own connections through it too."""
+
+    @pytest.mark.parametrize("backend", ["process", "cluster"])
+    def test_workers_train_over_their_own_connections(
+        self, backend, tmp_path, monkeypatch
+    ):
+        from repro.core.study import outcome_summary
+        from repro.training.surrogate_trainer import SurrogateCifar100Trainer
+
+        trainings = tmp_path / "trainings.log"
+        train_and_score = SurrogateCifar100Trainer.train_and_score
+
+        def logged_train_and_score(self, spec):
+            with open(trainings, "a") as log:  # fork-safe append
+                log.write("train\n")
+            return train_and_score(self, spec)
+
+        monkeypatch.setattr(
+            SurrogateCifar100Trainer, "train_and_score", logged_train_and_score
+        )
+        spec = replace_execution(
+            get_preset("fig7"),
+            backend=backend,
+            workers=2,
+            num_steps=40,
+            num_repeats=2,
+        )
+        log_path = tmp_path / "spy.log"
+
+        def run(name):
+            return run_study(
+                spec,
+                eval_cache=_SpyCache(tmp_path / "store.sqlite", log_path),
+                ledger=tmp_path / f"{name}.ledger",
+            )
+
+        cold = run("cold")
+        cold_trainings = len(trainings.read_text().splitlines())
+        assert cold_trainings > 0
+        assert foreign_queries(log_path) == []
+
+        warm = run("warm")
+        assert len(trainings.read_text().splitlines()) == cold_trainings
+        assert outcome_summary(warm) == outcome_summary(cold)

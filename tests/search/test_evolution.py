@@ -73,3 +73,43 @@ class TestEvolution:
             make_bundle_evaluator(micro4_bundle, scenario), 250
         )
         assert evo.best.reward >= rnd.best.reward - 0.01
+
+
+class TestOneValueTokens:
+    """``embedded-lite``'s joint space has two one-value tokens
+    (``filter_par``, ``mem_interface_width``); mutation must pass them
+    over instead of drawing from an empty choice list."""
+
+    @pytest.fixture
+    def lite(self):
+        from repro.hw import build_platform
+
+        platform = build_platform("embedded-lite")
+        return platform, JointSearchSpace(accelerator_space=platform.config_space())
+
+    def test_evolution_runs_on_embedded_lite(self, lite):
+        from repro.core.evaluator import CodesignEvaluator
+        from repro.core.reward import MetricBounds
+
+        platform, space = lite
+        evaluator = CodesignEvaluator.from_surrogate(
+            unconstrained(MetricBounds()), platform=platform
+        )
+        strategy = EvolutionSearch(space, seed=0, population_size=4, tournament_size=2)
+        assert len(strategy.run(evaluator, 60).archive) == 60
+
+    def test_mutation_changes_exactly_one_mutable_token(self, lite, rng):
+        _, space = lite
+        assert 1 in space.vocab_sizes
+        strategy = EvolutionSearch(space, seed=3)
+        for _ in range(200):
+            actions = space.random_actions(rng)
+            child = strategy._mutate(actions)
+            assert sum(a != b for a, b in zip(actions, child)) == 1
+
+    def test_space_without_a_mutable_token_refused(self):
+        class Frozen:
+            vocab_sizes = [1, 1]
+
+        with pytest.raises(ValueError, match="mutate"):
+            EvolutionSearch(Frozen())

@@ -186,3 +186,28 @@ class TestBertU50Study:
         assert outcome_summary(run_study(two_tier)) == outcome_summary(
             run_study(exact)
         )
+
+    def test_ledgered_exact_study_matches_the_plain_run(self, tmp_path, monkeypatch):
+        # Every checkpoint serializes the archive's TransformerSpec and
+        # CharmConfig values into the ledger.
+        from repro.core.evaluator import CodesignEvaluator
+        from repro.core.study import outcome_summary, run_study
+        from repro.experiments.presets import get_preset
+
+        spec = get_preset("bert-u50").with_overrides(
+            {
+                "execution.num_steps": 12,
+                "execution.num_repeats": 1,
+                "execution.surrogate": False,
+                "execution.checkpoint_every": 1,
+            }
+        )
+        plain = outcome_summary(run_study(spec))
+        ledger = tmp_path / "bert.ledger"
+        assert outcome_summary(run_study(spec, ledger=ledger)) == plain
+
+        def evaluate_batch(self, *args, **kwargs):
+            raise AssertionError("a finished ledger re-evaluated a point")
+
+        monkeypatch.setattr(CodesignEvaluator, "evaluate_batch", evaluate_batch)
+        assert outcome_summary(run_study(spec, ledger=ledger)) == plain
