@@ -49,6 +49,7 @@ from repro.nasbench.skeleton import CIFAR10_SKELETON, SkeletonConfig
 from repro.nasbench.surrogate import Cifar10Surrogate
 from repro.parallel.cache import CacheEntry, EvalCache
 from repro.utils.lru import LRUCache
+from repro.utils.registry import Registry, check_params, params_token
 
 __all__ = [
     "EvaluationResult",
@@ -412,39 +413,17 @@ class AccuracySource:
     requires_bundle: bool = False
 
 
-_ACCURACY_SOURCES: dict[str, AccuracySource] = {}
-
-
-def _params_token(params: dict | None) -> str:
-    """A short stable digest of a params mapping ('' when empty).
-
-    Appended to cache namespaces so that *any* parameter difference —
-    not just the ones a hand-written namespace spells out — keeps two
-    configurations from sharing cached rows.
-    """
-    import hashlib
-    import json
-
-    if not params:
-        return ""
-    def jsonable(value):
-        if hasattr(value, "__dataclass_fields__"):
-            from dataclasses import asdict
-
-            return asdict(value)
-        return value
-
-    blob = json.dumps(
-        {k: jsonable(v) for k, v in params.items()},
-        sort_keys=True,
-        default=str,
-    )
-    return "/p" + hashlib.md5(blob.encode()).hexdigest()[:10]
+#: ``repro.workloads`` registers the workload-specific sources (e.g.
+#: ``transformer-analytic``); it imports this module, so it is loaded on
+#: the first lookup instead of here.
+_ACCURACY_SOURCES: Registry[AccuracySource] = Registry(
+    "accuracy source", AccuracySourceError, builtins=("repro.workloads",)
+)
 
 
 def _skeleton_token(params: dict | None) -> str:
     """Namespace suffix pinning the 'skeleton' param (latency-affecting)."""
-    return _params_token(
+    return params_token(
         {"skeleton": params["skeleton"]} if params and params.get("skeleton") else None
     )
 
@@ -462,49 +441,29 @@ def register_accuracy_source(
     namespace is ``study/<name>`` plus a digest of the full params
     mapping, so differently parameterized instances never share rows.
     """
-    if name in _ACCURACY_SOURCES and not overwrite:
-        raise AccuracySourceError(
-            f"accuracy source {name!r} is already registered"
-        )
     source = AccuracySource(
         name=name,
         build=build,
         namespace=namespace
-        or (lambda params, bundle=None: f"study/{name}{_params_token(params)}"),
+        or (lambda params, bundle=None: f"study/{name}{params_token(params)}"),
         requires_bundle=requires_bundle,
     )
-    _ACCURACY_SOURCES[name] = source
-    return source
+    return _ACCURACY_SOURCES.register(name, source, overwrite)
 
 
 def list_accuracy_sources() -> list[str]:
     """Registered accuracy-source names, sorted."""
-    return sorted(_ACCURACY_SOURCES)
+    return _ACCURACY_SOURCES.names()
 
 
 def get_accuracy_source(name: str) -> AccuracySource:
-    if name not in _ACCURACY_SOURCES:
-        raise AccuracySourceError(
-            f"unknown accuracy source {name!r}; registered: "
-            f"{', '.join(list_accuracy_sources())}"
-        )
-    return _ACCURACY_SOURCES[name]
+    return _ACCURACY_SOURCES.get(name)
 
 
 def _check_params(source: str, params: dict | None, allowed: tuple[str, ...]) -> dict:
-    if params is not None and not isinstance(params, dict):
-        raise AccuracySourceError(
-            f"accuracy source {source!r}: params must be a mapping, "
-            f"got {type(params).__name__}"
-        )
-    params = dict(params or {})
-    unknown = sorted(set(params) - set(allowed))
-    if unknown:
-        raise AccuracySourceError(
-            f"accuracy source {source!r} got unknown parameter(s) {unknown}; "
-            f"allowed: {sorted(allowed)}"
-        )
-    return params
+    return check_params(
+        f"accuracy source {source!r}", params, allowed, AccuracySourceError
+    )
 
 
 def _skeleton_from(params: dict, default: SkeletonConfig) -> SkeletonConfig:

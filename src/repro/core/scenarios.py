@@ -11,13 +11,15 @@ Three NASBench scenarios drive the Fig. 5/6 search-strategy study:
 
 Section IV replaces thresholds on raw metrics with one combined
 perf/area >= threshold constraint while maximizing accuracy;
-:func:`cifar100_threshold` builds those scenarios, and
+:func:`cifar100_threshold` builds those scenarios,
 :data:`CIFAR100_THRESHOLD_SCHEDULE` is the paper's (2, 8, 16, 30, 40)
-img/s/cm2 ladder.
+img/s/cm2 ladder and :data:`CIFAR100_BOUNDS` the metric ranges they
+normalize over.
 
 Beyond the paper, this module is a **scenario registry**: named
 :class:`~repro.core.reward.RewardConfig` builders registered in a
-table (:func:`register_scenario`), resolvable by name
+:class:`~repro.utils.registry.Registry` (:func:`register_scenario`),
+resolvable by name
 (:func:`get_scenario` — including the parametric ``perf-area>=X``
 family), declarable as plain JSON (:func:`scenario_from_dict` /
 :func:`scenario_to_dict` round-trip losslessly), and loadable from
@@ -39,12 +41,14 @@ from pathlib import Path
 from typing import Callable
 
 from repro.core.reward import Constraints, MetricBounds, RewardConfig
+from repro.utils.registry import Registry
 
 __all__ = [
     "unconstrained",
     "one_constraint",
     "two_constraints",
     "cifar100_threshold",
+    "CIFAR100_BOUNDS",
     "make_scenario",
     "PAPER_SCENARIOS",
     "CIFAR100_THRESHOLD_SCHEDULE",
@@ -97,6 +101,12 @@ def two_constraints(bounds: MetricBounds | None = None) -> RewardConfig:
     )
 
 
+#: Metric bounds of the CIFAR-100 joint space (accuracy is CIFAR-100).
+CIFAR100_BOUNDS = MetricBounds(
+    area_mm2=(50.0, 210.0), latency_ms=(3.0, 1400.0), accuracy=(55.0, 76.5)
+)
+
+
 def cifar100_threshold(
     threshold: float, bounds: MetricBounds | None = None
 ) -> RewardConfig:
@@ -146,7 +156,7 @@ _THRESHOLD_PREFIX = "perf-area>="
 
 # --- the registry ---------------------------------------------------------
 
-_REGISTRY: dict[str, ScenarioBuilder] = {}
+_REGISTRY: Registry[ScenarioBuilder] = Registry("scenario", ScenarioError)
 
 
 def register_scenario(
@@ -159,24 +169,19 @@ def register_scenario(
     """
 
     def _register(fn: ScenarioBuilder) -> ScenarioBuilder:
-        if not overwrite and name in _REGISTRY:
-            raise ScenarioError(f"scenario {name!r} is already registered")
-        _REGISTRY[name] = fn
-        return fn
+        return _REGISTRY.register(name, fn, overwrite)
 
     return _register if builder is None else _register(builder)
 
 
 def list_scenarios() -> list[str]:
     """Registered scenario names (the parametric family excluded)."""
-    return sorted(_REGISTRY)
+    return _REGISTRY.names()
 
 
 def get_scenario_builder(name: str) -> ScenarioBuilder:
     """Builder for ``name``; understands ``perf-area>=X`` parametrics."""
-    if name in _REGISTRY:
-        return _REGISTRY[name]
-    if name.startswith(_THRESHOLD_PREFIX):
+    if name.startswith(_THRESHOLD_PREFIX) and name not in _REGISTRY:
         try:
             threshold = float(name[len(_THRESHOLD_PREFIX):])
         except ValueError:
@@ -185,10 +190,12 @@ def get_scenario_builder(name: str) -> ScenarioBuilder:
                 f"{_THRESHOLD_PREFIX}<number>"
             ) from None
         return lambda bounds=None: cifar100_threshold(threshold, bounds)
-    raise ScenarioError(
-        f"unknown scenario {name!r}; registered: {', '.join(list_scenarios())} "
-        f"(or the parametric {_THRESHOLD_PREFIX}<number>)"
-    )
+    try:
+        return _REGISTRY.get(name)
+    except ScenarioError as err:
+        raise ScenarioError(
+            f"{err} (or the parametric {_THRESHOLD_PREFIX}<number>)"
+        ) from None
 
 
 def get_scenario(name: str, bounds: MetricBounds | None = None) -> RewardConfig:

@@ -629,8 +629,10 @@ class StudySpec:
         (:mod:`repro.workloads`), and the hardware platform(s) + params
         (:mod:`repro.hw`).  Strategies and platforms are cheap to
         construct, so their param values are validated by building one:
-        a value a constructor refuses fails here, not mid-run.
-        Returns ``self`` so call sites can chain.
+        a value a constructor refuses fails here, not mid-run, and so
+        does ``execution.surrogate`` with a strategy whose
+        ``supports_two_tier`` is false.  Returns ``self`` so call sites
+        can chain.
         """
         from repro.core.evaluator import AccuracySourceError, get_accuracy_source
         from repro.hw import HardwarePlatformError, build_platform
@@ -644,9 +646,14 @@ class StudySpec:
         for strategy in self.strategies:
             try:
                 validate_strategy_params(strategy.name, strategy.params)
-                build_strategy(strategy.name, 0, **strategy.params)
+                built = build_strategy(strategy.name, 0, **strategy.params)
             except StrategyError as err:
                 raise StudyError(f"study {self.name!r}: {err}") from None
+            if self.execution.surrogate and not built.supports_two_tier:
+                raise StudyError(
+                    f"study {self.name!r}: strategy {strategy.name!r} does not "
+                    "support two-tier surrogate filtering (execution.surrogate)"
+                )
         for entry in self.scenarios:
             try:
                 if isinstance(entry, str):

@@ -24,10 +24,10 @@ import numpy as np
 
 from repro.core.study import replace_execution, run_study
 from repro.experiments.common import Scale, SpaceBundle, load_bundle
-from repro.experiments.fig7 import run_fig7
+from repro.experiments.fig7 import run_fig7, scaled_rungs
 from repro.experiments.presets import get_preset
 from repro.search.runner import RepeatOutcome
-from repro.search.threshold_schedule import ThresholdRung, default_rungs
+from repro.search.threshold_schedule import ThresholdRung
 from repro.utils.tables import format_markdown
 
 __all__ = [
@@ -119,23 +119,15 @@ def run_schedule_ablation(
 ) -> list[AblationRow]:
     """A3: rising threshold schedule vs jumping straight to the top."""
     scale = scale or Scale.from_env()
-    base = default_rungs()
-    scheduled = [
-        ThresholdRung(
-            r.threshold,
-            max(10, int(r.target_valid_points * scale.fig7_target_scale)),
-            max(40, int(r.max_steps * scale.fig7_target_scale)),
-        )
-        for r in base
-    ]
+    scheduled = scaled_rungs(scale)
     total_target = sum(r.target_valid_points for r in scheduled)
     total_steps = sum(r.max_steps for r in scheduled)
-    fixed = [ThresholdRung(base[-1].threshold, total_target, total_steps)]
+    final_threshold = scheduled[-1].threshold
+    fixed = [ThresholdRung(final_threshold, total_target, total_steps)]
 
     rows = []
     for variant, rungs in (("schedule (paper)", scheduled), ("fixed final threshold", fixed)):
         fig7 = run_fig7(scale=scale, seed=master_seed, rungs=rungs)
-        final_threshold = base[-1].threshold
         top_entries = fig7.top10_per_threshold.get(final_threshold, [])
         best_acc = max(
             (e.metrics.accuracy for e in top_entries if e.metrics is not None),

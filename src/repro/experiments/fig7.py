@@ -17,9 +17,8 @@ import numpy as np
 
 from repro.accelerator.space import AcceleratorSpace
 from repro.core.archive import ArchiveEntry
-from repro.core.evaluator import CodesignEvaluator, build_evaluator
-from repro.core.reward import MetricBounds
-from repro.core.scenarios import cifar100_threshold
+from repro.core.evaluator import build_evaluator
+from repro.core.scenarios import CIFAR100_BOUNDS, cifar100_threshold
 from repro.core.search_space import JointSearchSpace
 from repro.experiments.common import Scale
 from repro.hw import HardwarePlatform, default_platform
@@ -29,16 +28,9 @@ from repro.nasbench.model_spec import ModelSpec
 from repro.nasbench.skeleton import CIFAR100_SKELETON
 from repro.search.registry import build_strategy
 from repro.search.threshold_schedule import ThresholdRung, default_rungs
-from repro.training.cache import CachedTrainer
-from repro.training.surrogate_trainer import SurrogateCifar100Trainer
 from repro.utils.tables import format_markdown
 
 __all__ = ["BaselinePoint", "Fig7Result", "run_fig7", "best_accelerator_for"]
-
-#: Metric bounds for the CIFAR-100 joint space (accuracy is CIFAR-100).
-CIFAR100_BOUNDS = MetricBounds(
-    area_mm2=(50.0, 210.0), latency_ms=(3.0, 1400.0), accuracy=(55.0, 76.5)
-)
 
 
 @dataclass(frozen=True)
@@ -175,16 +167,33 @@ def _dominating_entry(
     return max(winners, key=lambda e: e.metrics.accuracy)
 
 
+def scaled_rungs(scale: Scale) -> list[ThresholdRung]:
+    """The paper's threshold schedule with its rung budgets scaled.
+
+    Valid-point targets and step caps shrink by
+    ``scale.fig7_target_scale``, floored at 10 targets and 40 steps a
+    rung so every rung stays searchable at smoke scale.
+    """
+    return [
+        ThresholdRung(
+            rung.threshold,
+            max(10, int(rung.target_valid_points * scale.fig7_target_scale)),
+            max(40, int(rung.max_steps * scale.fig7_target_scale)),
+        )
+        for rung in default_rungs()
+    ]
+
+
 def run_fig7(
     scale: Scale | None = None,
     seed: int = 0,
-    trainer: SurrogateCifar100Trainer | None = None,
     rungs: list[ThresholdRung] | None = None,
     train_store=None,
     platform: HardwarePlatform | None = None,
 ) -> Fig7Result:
     """Run the CIFAR-100 threshold-schedule study.
 
+    ``rungs`` defaults to :func:`scaled_rungs` of ``scale``.
     ``train_store`` (a :class:`repro.parallel.EvalCache`) persists
     per-cell training outcomes across runs; a warm re-run then reports
     near-zero *paid* GPU-hours for already-trained cells.  The store
@@ -193,7 +202,7 @@ def run_fig7(
     surrogates never share rows.
 
     The search and its evaluator are built through the declarative
-    registries (the ``cifar100-trainer`` accuracy source and the
+    registries only (the ``cifar100-trainer`` accuracy source and the
     ``threshold-schedule`` strategy), the same construction path the
     ``fig7`` / ``table2`` / ``table3`` study presets take — ``repro
     study run fig7`` runs this search spec-driven.  ``platform`` swaps
@@ -202,38 +211,14 @@ def run_fig7(
     """
     scale = scale or Scale.from_env()
     platform = platform or default_platform()
-
-    if rungs is None:
-        base = default_rungs()
-        rungs = [
-            ThresholdRung(
-                r.threshold,
-                max(10, int(r.target_valid_points * scale.fig7_target_scale)),
-                max(40, int(r.max_steps * scale.fig7_target_scale)),
-            )
-            for r in base
-        ]
-
-    reward_config = cifar100_threshold(rungs[0].threshold, CIFAR100_BOUNDS)
-    if trainer is None:
-        evaluator = build_evaluator(
-            "cifar100-trainer", reward_config, store=train_store,
-            platform=platform,
-        )
-        trainer = evaluator.source_info["trainer"]
-        cached = evaluator.source_info["cached"]
-    else:
-        # A caller-configured trainer object cannot travel through the
-        # JSON params path; wire it up the way the source builder does.
-        cached = CachedTrainer(
-            trainer, store=train_store, namespace=trainer.cache_namespace()
-        )
-        evaluator = CodesignEvaluator(
-            accuracy_fn=cached.accuracy_fn,
-            reward_config=reward_config,
-            skeleton=CIFAR100_SKELETON,
-            platform=platform,
-        )
+    rungs = rungs or scaled_rungs(scale)
+    evaluator = build_evaluator(
+        "cifar100-trainer",
+        cifar100_threshold(rungs[0].threshold, CIFAR100_BOUNDS),
+        store=train_store,
+        platform=platform,
+    )
+    trainer = evaluator.source_info["trainer"]
     search = build_strategy(
         "threshold-schedule",
         seed,
@@ -264,7 +249,7 @@ def run_fig7(
         cod1=_dominating_entry(feasible, baselines["resnet"]),
         cod2=_dominating_entry(feasible, baselines["googlenet"]),
         gpu_hours=trainer.total_gpu_hours,
-        unique_cells_trained=cached.unique_cells_trained,
+        unique_cells_trained=evaluator.source_info["cached"].unique_cells_trained,
         total_steps=len(result.archive),
         extras={"search_result": result},
     )

@@ -14,10 +14,13 @@ never drift from the code.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable
 
+from repro.core.scenarios import CIFAR100_BOUNDS
 from repro.core.study import StudyError, StudySpec
+from repro.utils.registry import Registry
 
 __all__ = [
     "register_preset",
@@ -26,18 +29,15 @@ __all__ = [
     "resolve_spec",
 ]
 
-_PRESETS: dict[str, Callable[[], StudySpec]] = {}
+_PRESETS: Registry[Callable[[], StudySpec]] = Registry("study preset", StudyError)
 
 #: The Fig. 5/6 strategy line-up and scenario set (paper Section III).
 PAPER_STRATEGIES = ({"name": "combined"}, {"name": "phase"}, {"name": "separate"})
 PAPER_SCENARIOS = ("unconstrained", "1-constraint", "2-constraints")
 
-#: CIFAR-100 joint-space metric bounds as a declarative mapping
-#: (mirrors :data:`repro.experiments.fig7.CIFAR100_BOUNDS`).
+#: :data:`repro.core.scenarios.CIFAR100_BOUNDS` as a declarative mapping.
 CIFAR100_BOUNDS_SPEC = {
-    "area_mm2": [50.0, 210.0],
-    "latency_ms": [3.0, 1400.0],
-    "accuracy": [55.0, 76.5],
+    field: list(pair) for field, pair in asdict(CIFAR100_BOUNDS).items()
 }
 
 
@@ -45,27 +45,19 @@ def register_preset(name: str, builder: Callable[[], StudySpec] | None = None):
     """Register a preset builder under ``name`` (usable as decorator)."""
 
     def _register(fn: Callable[[], StudySpec]) -> Callable[[], StudySpec]:
-        if name in _PRESETS:
-            raise StudyError(f"study preset {name!r} is already registered")
-        _PRESETS[name] = fn
-        return fn
+        return _PRESETS.register(name, fn)
 
     return _register if builder is None else _register(builder)
 
 
 def list_presets() -> list[str]:
-    """Shipped preset names, sorted."""
-    return sorted(_PRESETS)
+    """Registered preset names, sorted."""
+    return _PRESETS.names()
 
 
 def get_preset(name: str) -> StudySpec:
     """A fresh, validated :class:`StudySpec` for a preset name."""
-    if name not in _PRESETS:
-        raise StudyError(
-            f"unknown study preset {name!r}; shipped presets: "
-            f"{', '.join(list_presets())}"
-        )
-    return _PRESETS[name]().validate()
+    return _PRESETS.get(name)().validate()
 
 
 def resolve_spec(ref: str | Path) -> StudySpec:

@@ -38,6 +38,7 @@ from repro.hw.platform import (
     HardwarePlatformError,
     register_platform,
 )
+from repro.utils.registry import check_params, check_positive
 from repro.utils.rng import hash_seed, make_rng
 
 __all__ = [
@@ -379,31 +380,13 @@ class CharmU50Platform(HardwarePlatform):
 # ---------------------------------------------------------------------------
 
 def _build_charm(params: dict) -> CharmU50Platform:
-    name = "charm-u50"
-    if not isinstance(params, dict):
-        raise HardwarePlatformError(
-            f"hardware platform {name!r}: params must be a mapping, "
-            f"got {type(params).__name__}"
-        )
-    allowed = {"clock_mhz", "hbm_gbps"}
-    unknown = sorted(set(params) - allowed)
-    if unknown:
-        raise HardwarePlatformError(
-            f"hardware platform {name!r} got unknown parameter(s) "
-            f"{unknown}; allowed: {sorted(allowed)}"
-        )
-    cfg = {"clock_mhz": DEFAULT_CLOCK_MHZ, "hbm_gbps": DEFAULT_HBM_GBPS, **params}
-    for key in allowed:
-        try:
-            value = float(cfg[key])
-        except (TypeError, ValueError):
-            value = float("nan")
-        if not value > 0:
-            raise HardwarePlatformError(
-                f"hardware platform {name!r}: {key} must be a positive "
-                f"number, got {cfg[key]!r}"
-            )
-        cfg[key] = value
+    what = "hardware platform 'charm-u50'"
+    defaults = {"clock_mhz": DEFAULT_CLOCK_MHZ, "hbm_gbps": DEFAULT_HBM_GBPS}
+    check_params(what, params, defaults, HardwarePlatformError)
+    cfg = {
+        key: check_positive(what, key, value, HardwarePlatformError)
+        for key, value in {**defaults, **params}.items()
+    }
     return CharmU50Platform(
         params=params, clock_mhz=cfg["clock_mhz"], hbm_gbps=cfg["hbm_gbps"]
     )

@@ -47,6 +47,7 @@ from repro.hw.platform import (
     register_platform,
 )
 from repro.nasbench.compile import NetworkIR
+from repro.utils.registry import check_params, check_positive
 
 __all__ = ["Dac2020Platform", "DEFAULT_PLATFORM_NAME"]
 
@@ -158,36 +159,8 @@ class Dac2020Platform(HardwarePlatform):
 # Registered recipes
 # ---------------------------------------------------------------------------
 
-def _check_params(platform: str, params: dict, allowed) -> dict:
-    if not isinstance(params, dict):
-        raise HardwarePlatformError(
-            f"hardware platform {platform!r}: params must be a mapping, "
-            f"got {type(params).__name__}"
-        )
-    unknown = sorted(set(params) - set(allowed))
-    if unknown:
-        raise HardwarePlatformError(
-            f"hardware platform {platform!r} got unknown parameter(s) "
-            f"{unknown}; allowed: {sorted(allowed)}"
-        )
-    return params
-
-
-def _check_positive(platform: str, name: str, value) -> float:
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        value = float("nan")
-    if not value > 0:
-        raise HardwarePlatformError(
-            f"hardware platform {platform!r}: {name} must be a positive "
-            f"number, got {value!r}"
-        )
-    return value
-
-
 def _capped_space(
-    platform: str,
+    what: str,
     max_filter_par=None,
     max_pixel_par=None,
     max_buffer_depth=None,
@@ -204,19 +177,20 @@ def _capped_space(
     for name, cap in caps.items():
         if cap is None:
             continue
-        cap = _check_positive(platform, f"cap on {name}", cap)
+        cap = check_positive(what, f"cap on {name}", cap, HardwarePlatformError)
         kept = tuple(v for v in domains[name] if v <= cap)
         if not kept:
             raise HardwarePlatformError(
-                f"hardware platform {platform!r}: cap {cap:g} on {name} "
-                f"leaves no allowed values (smallest is {min(domains[name])})"
+                f"{what}: cap {cap:g} on {name} leaves no allowed values "
+                f"(smallest is {min(domains[name])})"
             )
         domains[name] = kept
     return AcceleratorSpace(parameters=domains)
 
 
 def _build_dac2020(params: dict) -> Dac2020Platform:
-    _check_params(DEFAULT_PLATFORM_NAME, params, ())
+    what = f"hardware platform {DEFAULT_PLATFORM_NAME!r}"
+    check_params(what, params, (), HardwarePlatformError)
     return Dac2020Platform(name=DEFAULT_PLATFORM_NAME, params={})
 
 
@@ -234,16 +208,16 @@ _SCALED_DEFAULTS = {
 
 def _build_scaled(params: dict) -> Dac2020Platform:
     name = "dac2020-scaled"
-    _check_params(name, params, _SCALED_DEFAULTS)
+    what = f"hardware platform {name!r}"
+    check_params(what, params, _SCALED_DEFAULTS, HardwarePlatformError)
     cfg = {**_SCALED_DEFAULTS, **params}
     for key in ("clock_mhz", "axi_clock_mhz", "area_scale"):
-        cfg[key] = _check_positive(name, key, cfg[key])
+        cfg[key] = check_positive(what, key, cfg[key], HardwarePlatformError)
     for key in ("compute_efficiency", "mem_efficiency"):
-        value = _check_positive(name, key, cfg[key])
+        value = check_positive(what, key, cfg[key], HardwarePlatformError)
         if value > 1.0:
             raise HardwarePlatformError(
-                f"hardware platform {name!r}: {key} must be in (0, 1], "
-                f"got {value:g}"
+                f"{what}: {key} must be in (0, 1], got {value:g}"
             )
         cfg[key] = value
     latency_model = LatencyModel(
@@ -255,7 +229,7 @@ def _build_scaled(params: dict) -> Dac2020Platform:
         )
     )
     space = _capped_space(
-        name,
+        what,
         max_filter_par=cfg["max_filter_par"],
         max_pixel_par=cfg["max_pixel_par"],
         max_buffer_depth=cfg["max_buffer_depth"],
@@ -271,7 +245,7 @@ def _build_scaled(params: dict) -> Dac2020Platform:
 
 def _build_embedded(params: dict) -> Dac2020Platform:
     name = "embedded-lite"
-    _check_params(name, params, ())
+    check_params(f"hardware platform {name!r}", params, (), HardwarePlatformError)
     latency_model = LatencyModel(
         LatencyModelParams(clock_hz=100e6, axi_clock_hz=200e6, mem_efficiency=0.5)
     )

@@ -22,17 +22,15 @@ behind a small surface the evaluator consumes:
   round-tripping, so a platform is nameable from a
   :class:`repro.core.study.StudySpec` or ``--set hardware.name=...``.
 
-Platforms register by name — mirroring the accuracy-source registry in
-:mod:`repro.core.evaluator` — and the rest of the stack (evaluator,
-study specs, CLI, presets) resolves them through
+Platforms register by name in a :class:`repro.utils.registry.Registry`
+— the mechanism behind every recipe table — and the rest of the stack
+(evaluator, study specs, CLI, presets) resolves them through
 :func:`build_platform`.  The shipped platforms live in
 :mod:`repro.hw.dac2020`.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,6 +39,7 @@ import numpy as np
 from repro.accelerator.config import AcceleratorConfig
 from repro.accelerator.space import AcceleratorSpace
 from repro.nasbench.compile import NetworkIR
+from repro.utils.registry import Registry, check_params, params_token
 
 __all__ = [
     "HardwarePlatform",
@@ -58,18 +57,6 @@ __all__ = [
 
 class HardwarePlatformError(ValueError):
     """A platform name or its params could not be resolved."""
-
-
-def params_token(params: dict | None) -> str:
-    """A short stable digest of a params mapping ('' when empty).
-
-    Appended to cache namespaces so *any* parameter difference keeps
-    two platform configurations from sharing cached rows.
-    """
-    if not params:
-        return ""
-    blob = json.dumps(params, sort_keys=True, default=str)
-    return "/p" + hashlib.md5(blob.encode()).hexdigest()[:10]
 
 
 class HardwarePlatform:
@@ -190,7 +177,9 @@ class PlatformEntry:
     description: str = ""
 
 
-_PLATFORMS: dict[str, PlatformEntry] = {}
+_PLATFORMS: Registry[PlatformEntry] = Registry(
+    "hardware platform", HardwarePlatformError
+)
 
 
 def register_platform(
@@ -203,35 +192,28 @@ def register_platform(
 
     ``build`` maps a (possibly empty) params dict to a ready
     :class:`HardwarePlatform`; it must validate the params and raise
-    :class:`HardwarePlatformError` on unknown names or bad values.
+    :class:`HardwarePlatformError` on unknown names or bad values
+    (:func:`repro.utils.registry.check_params` does the name check).
     """
-    if name in _PLATFORMS and not overwrite:
-        raise HardwarePlatformError(
-            f"hardware platform {name!r} is already registered"
-        )
     entry = PlatformEntry(name=name, build=build, description=description)
-    _PLATFORMS[name] = entry
-    return entry
+    return _PLATFORMS.register(name, entry, overwrite)
 
 
 def list_platforms() -> list[str]:
     """Registered platform names, sorted."""
-    return sorted(_PLATFORMS)
+    return _PLATFORMS.names()
 
 
 def get_platform(name: str) -> PlatformEntry:
     """The registry entry for ``name`` (raises with the known names)."""
-    if name not in _PLATFORMS:
-        raise HardwarePlatformError(
-            f"unknown hardware platform {name!r}; registered: "
-            f"{', '.join(list_platforms())}"
-        )
-    return _PLATFORMS[name]
+    return _PLATFORMS.get(name)
 
 
 def build_platform(name: str, params: dict | None = None) -> HardwarePlatform:
     """Construct a registered platform from its params mapping."""
-    return get_platform(name).build(dict(params or {}))
+    entry = get_platform(name)
+    what = f"hardware platform {name!r}"
+    return entry.build(check_params(what, params, None, HardwarePlatformError))
 
 
 def platform_from_spec(data: dict) -> HardwarePlatform:

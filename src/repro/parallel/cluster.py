@@ -34,7 +34,10 @@ backends, over its own connection to the shared
 :class:`~repro.parallel.cache.EvalCache` store (concurrent writers are
 supported — rows are pure, writes serialize on sqlite's file lock),
 and flushes its rows when the task completes, so a joining worker
-warm-starts from everything the cluster has already evaluated.
+warm-starts from everything the cluster has already evaluated.  Each
+locally forked worker hands its hit/miss counts back as it exits, so
+the coordinator's hit rate covers the whole run, as the process
+backend's does.
 """
 
 from __future__ import annotations
@@ -243,12 +246,16 @@ class ClusterBackend(ExecutionBackend):
             "poll_every": self.poll_every,
         }
 
-    def _child_main(self, grid, worker_id: str) -> None:
+    def _child_main(self, grid, worker_id: str, lookups) -> None:
         # Forked child: closures (jobs, the latency matrix behind their
         # factories) arrived copy-on-write.  A nested process-backend
         # grid must run in-process instead of forking a pool of its own.
         _mark_worker()
+        cache = grid.cache
+        hits, misses = (cache.hits, cache.misses) if cache is not None else (0, 0)
         run_worker(grid.jobs, grid.ledger, worker_id=worker_id, **self._worker_kwargs(grid))
+        if cache is not None:
+            lookups[:] = [cache.hits - hits, cache.misses - misses]
 
     def run_tasks(self, grid) -> dict:
         ledger = grid.ledger
@@ -264,14 +271,20 @@ class ClusterBackend(ExecutionBackend):
         children = []
         for index in range(self._local_workers(grid)):
             ctx = multiprocessing.get_context("fork")
+            # (hits, misses) the worker writes as it exits; a killed
+            # worker leaves zeros and contributes no lookups.
+            lookups = ctx.Array("q", 2, lock=False)
             child = ctx.Process(
                 target=self._child_main,
-                args=(grid, f"local-{index}-{os.getpid()}"),
+                args=(grid, f"local-{index}-{os.getpid()}", lookups),
             )
             child.start()
-            children.append(child)
-        for child in children:
+            children.append((child, lookups))
+        for child, lookups in children:
             child.join()
+            if grid.cache is not None:
+                grid.cache.hits += lookups[0]
+                grid.cache.misses += lookups[1]
         # Mop-up claim loop in-process: finishes anything the local
         # workers left behind (all killed, fork unavailable, or a
         # straggling external worker's stale lease) and is a no-op on

@@ -9,10 +9,10 @@ the evaluation cache).  This module defines *how* such a bag executes:
   one entry point, ``run_tasks``, over a prepared
   :class:`~repro.search.runner.GridRun`;
 * a registry (:func:`register_backend` / :func:`get_backend` /
-  :func:`list_backends` / :func:`build_backend`) mirroring the
-  strategy / hardware / accuracy-source registries, so backend names
-  are validated in exactly one place and third-party backends join
-  the same table;
+  :func:`list_backends` / :func:`build_backend`), a
+  :class:`repro.utils.registry.Registry` like every other recipe
+  table, so backend names are validated in exactly one place and
+  third-party backends join the same table;
 * the two built-in single-host backends: :class:`SerialBackend` (the
   historical in-process loop) and :class:`ProcessBackend` (a
   fork-based process pool).  The ``cluster`` backend — multiple
@@ -31,10 +31,11 @@ from per-task seeds, never from execution order.
 
 from __future__ import annotations
 
-import inspect
 import multiprocessing
 import os
 import warnings
+
+from repro.utils.registry import Registry, check_params, init_param_names
 
 __all__ = [
     "BackendError",
@@ -209,18 +210,11 @@ class ProcessBackend(ExecutionBackend):
         return description
 
 
-#: Backend modules imported lazily on first lookup so each can
-#: register itself without import cycles (cluster pulls in the ledger).
-_BUILTIN_MODULES = ("repro.parallel.cluster",)
-
-_REGISTRY: dict[str, type[ExecutionBackend]] = {}
-
-
-def _ensure_builtins() -> None:
-    import importlib
-
-    for module in _BUILTIN_MODULES:
-        importlib.import_module(module)
+#: The cluster module is imported on the first lookup so it can register
+#: itself without an import cycle (it pulls in the ledger).
+_REGISTRY: Registry[type[ExecutionBackend]] = Registry(
+    "backend", BackendError, builtins=("repro.parallel.cluster",)
+)
 
 
 def register_backend(
@@ -231,46 +225,24 @@ def register_backend(
     """Register a backend class under ``name`` (default ``cls.name``).
 
     Usable directly (``register_backend(MyBackend)``) or as a class
-    decorator.  Registering a *different* class under a taken name
-    raises unless ``overwrite`` is set; re-registering the same class
-    is a no-op, so modules can register at import time safely.
+    decorator; follows the :class:`~repro.utils.registry.Registry`
+    duplicate policy (the same class again is a no-op).
     """
 
     def _register(backend_cls: type[ExecutionBackend]) -> type[ExecutionBackend]:
-        key = name or backend_cls.name
-        if not key:
-            raise BackendError(
-                f"backend class {backend_cls.__name__} has no name; set the "
-                "`name` class attribute or pass name= to register_backend"
-            )
-        existing = _REGISTRY.get(key)
-        if existing is not None and existing is not backend_cls and not overwrite:
-            raise BackendError(
-                f"backend name {key!r} is already registered to "
-                f"{existing.__name__}; pass overwrite=True to replace it"
-            )
-        _REGISTRY[key] = backend_cls
-        return backend_cls
+        return _REGISTRY.register(name or backend_cls.name, backend_cls, overwrite)
 
     return _register if cls is None else _register(cls)
 
 
 def list_backends() -> list[str]:
     """Registered backend names, sorted."""
-    _ensure_builtins()
-    return sorted(_REGISTRY)
+    return _REGISTRY.names()
 
 
 def get_backend(name: str) -> type[ExecutionBackend]:
     """The backend class registered under ``name``."""
-    _ensure_builtins()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise BackendError(
-            f"unknown backend {name!r}; registered: "
-            f"{', '.join(sorted(_REGISTRY))}"
-        ) from None
+    return _REGISTRY.get(name)
 
 
 def validate_backend_params(name: str, params: dict | None) -> None:
@@ -279,35 +251,9 @@ def validate_backend_params(name: str, params: dict | None) -> None:
     Raises :class:`BackendError` naming the backend and the unknown
     field(s); value errors are left to construction time.
     """
-    cls = get_backend(name)
-    if not params:
-        return
-    if not isinstance(params, dict):
-        raise BackendError(
-            f"backend {name!r}: backend_params must be a mapping, "
-            f"got {type(params).__name__}"
-        )
-    if cls.__init__ is object.__init__:
-        # No constructor at all (e.g. serial/process): params can only
-        # be a mistake — object.__init__'s *args/**kwargs would
-        # otherwise make everything look acceptable here and then
-        # explode at construction time.
-        raise BackendError(
-            f"backend {name!r} takes no parameters, got {sorted(params)}"
-        )
-    signature = inspect.signature(cls.__init__)
-    names = set(signature.parameters) - {"self"}
-    if any(
-        p.kind is inspect.Parameter.VAR_KEYWORD
-        for p in signature.parameters.values()
-    ):
-        return
-    unknown = sorted(set(params) - names)
-    if unknown:
-        raise BackendError(
-            f"backend {name!r} got unknown parameter(s) {unknown}; "
-            f"allowed: {sorted(names)}"
-        )
+    check_params(
+        f"backend {name!r}", params, init_param_names(get_backend(name)), BackendError
+    )
 
 
 def build_backend(name: str, params: dict | None = None) -> ExecutionBackend:

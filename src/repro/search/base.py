@@ -53,6 +53,7 @@ from repro.core.archive import ArchiveEntry, SearchArchive
 from repro.core.evaluator import CodesignEvaluator, EvaluationResult
 from repro.core.search_space import JointSearchSpace
 from repro.nasbench.model_spec import ModelSpec
+from repro.utils.registry import check_params, init_param_names
 from repro.utils.rng import make_rng
 
 __all__ = [
@@ -126,6 +127,11 @@ class SearchStrategy:
 
     name = "base"
 
+    #: Whether :meth:`run` accepts a two-tier filter.  Study validation
+    #: reads it too, so a spec asking for ``execution.surrogate`` with a
+    #: strategy that refuses it fails before it runs.
+    supports_two_tier = True
+
     def __init__(
         self,
         search_space: JointSearchSpace | None = None,
@@ -138,22 +144,20 @@ class SearchStrategy:
 
     # --- declarative construction ----------------------------------------
     @classmethod
-    def allowed_params(cls) -> list[str]:
+    def allowed_params(cls) -> list[str] | None:
         """Parameter names :meth:`from_params` accepts for this class.
 
         The constructor's keyword hyper-parameters — everything except
         ``search_space`` and ``seed``, which the caller supplies
         positionally.  Shared by :meth:`from_params` and the
         registry's ``validate_strategy_params`` so the two can never
-        disagree on what a strategy accepts.
+        disagree on what a strategy accepts.  ``None`` when the
+        constructor takes ``**kwargs``.
         """
-        import inspect
-
-        return [
-            p
-            for p in inspect.signature(cls.__init__).parameters
-            if p not in ("self", "search_space", "seed")
-        ]
+        names = init_param_names(cls)
+        if names is None:
+            return None
+        return [name for name in names if name not in ("search_space", "seed")]
 
     @classmethod
     def from_params(
@@ -173,13 +177,7 @@ class SearchStrategy:
         constructor rejects raise :class:`ValueError` with a message
         naming the strategy and the offending field.
         """
-        allowed = cls.allowed_params()
-        unknown = sorted(set(params) - set(allowed))
-        if unknown:
-            raise ValueError(
-                f"strategy {cls.name!r} got unknown parameter(s) {unknown}; "
-                f"allowed: {sorted(allowed)}"
-            )
+        check_params(f"strategy {cls.name!r}", params, cls.allowed_params())
         try:
             coerced = cls._coerce_params(dict(params))
             return cls(search_space, seed=seed, **coerced)
@@ -309,6 +307,11 @@ class SearchStrategy:
         """
         if batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
+        if two_tier is not None and not self.supports_two_tier:
+            raise ValueError(
+                f"strategy {self.name!r} does not support two-tier surrogate "
+                "filtering"
+            )
         if checkpoint_every < 1:
             raise ValueError(
                 f"checkpoint_every must be positive, got {checkpoint_every}"

@@ -17,6 +17,8 @@ study builder resolves them here.  Third-party strategies join the
 same table with ``register_strategy(MyStrategy)`` (or as a class
 decorator) and become spec-constructible with no further wiring.
 
+The table is a :class:`repro.utils.registry.Registry`, so names,
+duplicates and bad parameters behave as in every other registry.
 Lookups lazily import the built-in strategy modules, so consumers may
 import this module alone without pulling in ``repro.search`` first.
 """
@@ -26,6 +28,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.search.base import SearchStrategy
+from repro.utils.registry import Registry, check_params
 
 __all__ = [
     "StrategyError",
@@ -37,29 +40,25 @@ __all__ = [
     "build_strategy",
 ]
 
-#: The six built-in strategy modules; imported lazily on first lookup
-#: so each can register itself without import cycles.
-_BUILTIN_MODULES = (
-    "repro.search.combined",
-    "repro.search.evolution",
-    "repro.search.phase",
-    "repro.search.random_search",
-    "repro.search.separate",
-    "repro.search.threshold_schedule",
-)
-
-_REGISTRY: dict[str, type[SearchStrategy]] = {}
-
 
 class StrategyError(ValueError):
     """A strategy name or its declarative params could not be resolved."""
 
 
-def _ensure_builtins() -> None:
-    import importlib
-
-    for module in _BUILTIN_MODULES:
-        importlib.import_module(module)
+#: The six built-in strategy modules are imported on the first lookup,
+#: so each can register itself without import cycles.
+_REGISTRY: Registry[type[SearchStrategy]] = Registry(
+    "strategy",
+    StrategyError,
+    builtins=(
+        "repro.search.combined",
+        "repro.search.evolution",
+        "repro.search.phase",
+        "repro.search.random_search",
+        "repro.search.separate",
+        "repro.search.threshold_schedule",
+    ),
+)
 
 
 def register_strategy(
@@ -70,46 +69,28 @@ def register_strategy(
     """Register a strategy class under ``name`` (default ``cls.name``).
 
     Usable directly (``register_strategy(MyStrategy)``) or as a class
-    decorator.  Registering a *different* class under a taken name
-    raises unless ``overwrite`` is set; re-registering the same class
-    is a no-op, so modules can register at import time safely.
+    decorator; follows the :class:`~repro.utils.registry.Registry`
+    duplicate policy (the same class again is a no-op).
     """
 
     def _register(strategy_cls: type[SearchStrategy]) -> type[SearchStrategy]:
-        key = name or strategy_cls.name
-        existing = _REGISTRY.get(key)
-        if existing is not None and existing is not strategy_cls and not overwrite:
-            raise StrategyError(
-                f"strategy name {key!r} is already registered to "
-                f"{existing.__name__}; pass overwrite=True to replace it"
-            )
-        _REGISTRY[key] = strategy_cls
-        return strategy_cls
+        return _REGISTRY.register(name or strategy_cls.name, strategy_cls, overwrite)
 
     return _register if cls is None else _register(cls)
 
 
 def list_strategies() -> list[str]:
     """Registered strategy names, sorted."""
-    _ensure_builtins()
-    return sorted(_REGISTRY)
+    return _REGISTRY.names()
 
 
 def get_strategy(name: str) -> type[SearchStrategy]:
     """The strategy class registered under ``name``."""
-    _ensure_builtins()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise StrategyError(
-            f"unknown strategy {name!r}; registered: "
-            f"{', '.join(sorted(_REGISTRY))}"
-        ) from None
+    return _REGISTRY.get(name)
 
 
 def strategy_name_of(cls: type[SearchStrategy]) -> str | None:
     """The name ``cls`` is registered under, or ``None``."""
-    _ensure_builtins()
     for name, registered in _REGISTRY.items():
         if registered is cls:
             return name
@@ -123,21 +104,9 @@ def validate_strategy_params(name: str, params: dict | None) -> None:
     field(s); value errors are left to construction time (some require
     the search space).
     """
-    cls = get_strategy(name)
-    if not params:
-        return
-    if not isinstance(params, dict):
-        raise StrategyError(
-            f"strategy {name!r}: params must be a mapping, "
-            f"got {type(params).__name__}"
-        )
-    allowed = cls.allowed_params()
-    unknown = sorted(set(params) - set(allowed))
-    if unknown:
-        raise StrategyError(
-            f"strategy {name!r} got unknown parameter(s) {unknown}; "
-            f"allowed: {sorted(allowed)}"
-        )
+    check_params(
+        f"strategy {name!r}", params, get_strategy(name).allowed_params(), StrategyError
+    )
 
 
 def build_strategy(
@@ -158,5 +127,4 @@ def build_strategy(
 
 def iter_registered() -> Iterable[tuple[str, type[SearchStrategy]]]:
     """(name, class) pairs currently registered."""
-    _ensure_builtins()
-    return sorted(_REGISTRY.items())
+    return _REGISTRY.items()

@@ -71,6 +71,11 @@ class ThresholdScheduleSearch(CombinedSearch):
 
     name = "threshold-schedule"
 
+    #: Each rung re-arms the evaluator's reward; a surrogate filter armed
+    #: with one scenario would rank with stale thresholds, so two-tier
+    #: mode is refused rather than filtering wrongly.
+    supports_two_tier = False
+
     def __init__(
         self,
         search_space: JointSearchSpace | None = None,
@@ -246,14 +251,6 @@ class ThresholdScheduleSearch(CombinedSearch):
         rung cursor and per-rung archives included — follow the
         driver's contract.
         """
-        if two_tier is not None:
-            # Each rung re-arms the evaluator's reward; a surrogate
-            # filter armed with one scenario would rank with stale
-            # thresholds, so refuse rather than filter wrongly.
-            raise ValueError(
-                "threshold-schedule re-arms its reward at every rung and "
-                "does not support two-tier surrogate filtering"
-            )
         # Without a cap the budget is unbounded and the search ends when
         # ask() runs out of rungs, so the last save holds the advanced
         # rung cursor.
@@ -263,6 +260,7 @@ class ThresholdScheduleSearch(CombinedSearch):
             batch_size=batch_size,
             checkpoint=checkpoint,
             checkpoint_every=checkpoint_every,
+            two_tier=two_tier,
         )
 
 

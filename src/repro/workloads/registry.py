@@ -20,12 +20,16 @@ bit-identical to every archived pre-workload run.  New model families
 search loop: :func:`repro.core.study.build_study` resolves the named
 workload, injects its encoding into the joint space and its compile
 function into the evaluator, and everything downstream is generic.
+The table is a :class:`repro.utils.registry.Registry`, like every other
+recipe table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
+
+from repro.utils.registry import Registry
 
 __all__ = [
     "DEFAULT_WORKLOAD",
@@ -101,7 +105,7 @@ class Workload:
         }
 
 
-_WORKLOADS: dict[str, Workload] = {}
+_WORKLOADS: Registry[Workload] = Registry("workload", WorkloadError)
 
 
 def register_workload(
@@ -116,8 +120,6 @@ def register_workload(
     overwrite: bool = False,
 ) -> Workload:
     """Register a workload under ``name``."""
-    if name in _WORKLOADS and not overwrite:
-        raise WorkloadError(f"workload {name!r} is already registered")
     if default_accuracy_source not in accuracy_sources:
         raise WorkloadError(
             f"workload {name!r}: default accuracy source "
@@ -136,22 +138,16 @@ def register_workload(
         platforms=tuple(platforms),
         is_reference=is_reference,
     )
-    _WORKLOADS[name] = workload
-    return workload
+    return _WORKLOADS.register(name, workload, overwrite)
 
 
 def list_workloads() -> list[str]:
     """Registered workload names, sorted."""
-    return sorted(_WORKLOADS)
+    return _WORKLOADS.names()
 
 
 def get_workload(name: str) -> Workload:
-    if name not in _WORKLOADS:
-        raise WorkloadError(
-            f"unknown workload {name!r}; registered: "
-            f"{', '.join(list_workloads())}"
-        )
-    return _WORKLOADS[name]
+    return _WORKLOADS.get(name)
 
 
 def default_workload() -> Workload:

@@ -119,12 +119,17 @@ class TestRegistry:
                 return make_scenario(name, (1.0, 0.0, 0.0), bounds)
 
             assert get_scenario(name).name == name
+            register_scenario(name, tiny)  # same builder again: no-op
+
+            def other(bounds=None):
+                return make_scenario(name, (0.0, 1.0, 0.0), bounds)
+
             with pytest.raises(ScenarioError, match="already registered"):
-                register_scenario(name, tiny)
-            register_scenario(name, tiny, overwrite=True)  # explicit wins
+                register_scenario(name, other)
+            register_scenario(name, other, overwrite=True)  # explicit wins
         finally:
             from repro.core import scenarios as S
-            S._REGISTRY.pop(name, None)
+            S._REGISTRY.unregister(name)
 
     def test_resolve_scenarios_defaults_to_paper(self):
         assert set(resolve_scenarios()) == set(PAPER_SCENARIOS)

@@ -48,7 +48,7 @@ class TestRegistry:
         finally:
             from repro.parallel import pool
 
-            pool._REGISTRY.pop("echo-test", None)
+            pool._REGISTRY.unregister("echo-test")
 
     def test_conflicting_registration_rejected(self):
         class Impostor(ExecutionBackend):
@@ -104,7 +104,7 @@ class TestParamValidation:
         finally:
             from repro.parallel import pool
 
-            pool._REGISTRY.pop("flex-test", None)
+            pool._REGISTRY.unregister("flex-test")
 
 
 class TestBuildBackend:

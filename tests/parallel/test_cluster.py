@@ -222,6 +222,33 @@ class TestClusterBackend:
         # Workers merged their deltas back into the shared store.
         assert len(cache) > 0
 
+    def test_cluster_counts_every_eval_cache_lookup(self, tmp_path, micro4_bundle):
+        # Forked workers hand their hit/miss counts to the coordinator,
+        # so a cluster run reports as many lookups as the serial run,
+        # and a warm re-run hits on every one of them.
+        from repro.parallel import EvalCache
+
+        serial = EvalCache()
+        run_grid(
+            two_job_grid(micro4_bundle), num_steps=15, num_repeats=2,
+            eval_cache=serial,
+        )
+        lookups = serial.hits + serial.misses
+        assert lookups > 0
+        for run in ("cold", "warm"):
+            cache = EvalCache(tmp_path / "ec.sqlite")
+            run_grid(
+                two_job_grid(micro4_bundle),
+                num_steps=15,
+                num_repeats=2,
+                backend="cluster",
+                workers=2,
+                ledger=tmp_path / f"{run}.ledger",
+                eval_cache=cache,
+            )
+            assert cache.hits + cache.misses == lookups, run
+        assert cache.stats["hit_rate"] == 1.0
+
     def test_execution_recorded_in_ledger(self, tmp_path, micro4_bundle):
         path = tmp_path / "c.ledger"
         run_grid(

@@ -216,10 +216,23 @@ def foreign_queries(log_path) -> list[str]:
     return [line for line in lines if len(set(line.split())) != 1]
 
 
+def _matrix_spec(**execution):
+    return get_preset("search-study").with_overrides(
+        {
+            "strategies": [{"name": "random"}, {"name": "combined"}],
+            "scenarios": ["unconstrained"],
+            "execution.num_steps": 16,
+            "execution.num_repeats": 2,
+            **{f"execution.{key}": value for key, value in execution.items()},
+        }
+    )
+
+
 class TestBackendMatrix:
     """Backends schedule work and never change it: in exact and
-    two-tier mode, at batch sizes 1 and 4, the process and cluster
-    backends report exactly what the serial loop reports."""
+    two-tier mode, at batch sizes 1 and 4, uninterrupted or resumed,
+    the process and cluster backends report exactly what the serial
+    loop reports."""
 
     @pytest.mark.parametrize("batch_size", [1, 4])
     @pytest.mark.parametrize("surrogate", [False, True], ids=["exact", "two-tier"])
@@ -229,15 +242,7 @@ class TestBackendMatrix:
         from repro.core.study import outcome_summary
 
         spec = replace_execution(
-            get_preset("search-study").with_overrides(
-                {
-                    "strategies": [{"name": "random"}, {"name": "combined"}],
-                    "scenarios": ["unconstrained"],
-                    "execution.num_steps": 16,
-                    "execution.num_repeats": 2,
-                    "execution.batch_size": batch_size,
-                }
-            ),
+            _matrix_spec(batch_size=batch_size),
             surrogate=surrogate,
             exact_fraction=0.5 if surrogate else None,
         )
@@ -249,6 +254,61 @@ class TestBackendMatrix:
                 ledger=tmp_path / f"{backend}.ledger",
             )
             assert outcome_summary(result) == serial, backend
+
+    @pytest.mark.parametrize("backend", ["serial", "process", "cluster"])
+    def test_interrupted_run_resumes_to_serial(
+        self, micro4_bundle, tmp_path, monkeypatch, backend
+    ):
+        from repro.core.evaluator import CodesignEvaluator
+        from repro.core.study import outcome_summary
+        from repro.parallel import RunLedger
+
+        spec = _matrix_spec(checkpoint_every=2)
+        serial = outcome_summary(run_study(spec, bundle=micro4_bundle))
+
+        # Every task is 16 one-proposal batches.  The first process to
+        # pass 20 batches (mid-way through its second task) raises, once:
+        # the sentinel file is how forked workers learn it has happened.
+        sentinel = tmp_path / "interrupted"
+        batches = [0]
+        evaluate_batch = CodesignEvaluator.evaluate_batch
+
+        def interrupt_once(self, pairs):
+            batches[0] += 1
+            if batches[0] > 20:
+                try:
+                    sentinel.touch(exist_ok=False)
+                except FileExistsError:
+                    pass
+                else:
+                    raise RuntimeError("interrupted")
+            return evaluate_batch(self, pairs)
+
+        monkeypatch.setattr(CodesignEvaluator, "evaluate_batch", interrupt_once)
+        path = tmp_path / "run.ledger"
+        spec = replace_execution(
+            spec,
+            backend=backend,
+            workers=None if backend == "serial" else 2,
+            # A short lease lets the cluster re-issue the dead worker's
+            # task within the run.
+            backend_params=(
+                {"stale_after": 1.0, "heartbeat_every": 0.1, "poll_every": 0.05}
+                if backend == "cluster"
+                else None
+            ),
+        )
+        if backend == "cluster":
+            result = run_study(spec, bundle=micro4_bundle, ledger=path)
+            claims = [row["claims"] for row in RunLedger(path).task_lease_rows()]
+            assert 2 in claims  # the dead worker's task was re-issued
+        else:
+            with pytest.raises(RuntimeError, match="interrupted"):
+                run_study(spec, bundle=micro4_bundle, ledger=path)
+            assert 0 < RunLedger(path).progress()["done"] < 4
+            result = run_study(spec, bundle=micro4_bundle, ledger=path)
+        assert sentinel.exists()
+        assert outcome_summary(result) == serial
 
 
 class TestWorkerCacheForkGuard:

@@ -169,6 +169,14 @@ class TestStudyQueue:
         assert [row["id"] for row in queue.list_studies()] == [study_id]
         assert queue.status("st-missing") is None
 
+    def test_submit_refuses_two_tier_threshold_schedule(self, tmp_path):
+        queue = StudyQueue(tmp_path)
+        spec = resolve_spec("fig7").to_dict()
+        spec["execution"]["surrogate"] = True
+        with pytest.raises(StudyError, match="'threshold-schedule'"):
+            queue.submit(spec)
+        assert queue.open_ledger().studies() == []
+
     def test_cancel_unknown_or_terminal_returns_none(self, tmp_path):
         queue = StudyQueue(tmp_path)
         assert queue.cancel("st-missing") is None

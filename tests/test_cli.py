@@ -178,6 +178,20 @@ class TestStudyCommand:
         assert exit_info.value.code == 2
         assert "hidden_size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["show", "run"])
+    def test_two_tier_threshold_schedule_is_a_usage_error(self, command, capsys):
+        # The schedule re-arms its reward at every rung, so two-tier
+        # mode is refused when the spec is read, never mid-run.
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "study", command, "fig7", "--surrogate",
+                "--set", "execution.num_steps=5", "--set", "execution.num_repeats=1",
+            ])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "'threshold-schedule' does not support two-tier" in err
+        assert "Traceback" not in err
+
     def test_ledger_mismatch_is_a_usage_error(self, tmp_path, capsys):
         flags = ["--set", f"execution.ledger={tmp_path / 'study.ledger'}"]
         assert main(["study", "run", "smoke", *flags]) == 0
