@@ -3,11 +3,15 @@
 The joint space is a product: accuracy depends only on the cell, area
 only on the accelerator, latency on both.  :func:`product_space_pareto`
 exploits that structure so the full cross-product never materializes as
-points: each accelerator "slice" (fixed area) is first reduced to its
-2D accuracy-latency staircase — a point dominated within its own slice
-is certainly dominated globally, because its dominator has the same
-area — and the union of slice staircases then passes through an exact
-3D maxima filter.
+points.  Accelerators whose latency columns are equal byte for byte form
+a *latency class* (the 8640 dac2020 configs fall into 126); within a
+class, every pair on a larger-area config is strictly dominated by the
+same cell on the class's smallest-area config, so only the
+smallest-area configs (ties kept) go on.  Each class is reduced once to
+its 2D accuracy-latency staircase — a point dominated within its own
+slice is certainly dominated globally, because its dominator has the
+same area — and the union of the kept configs' staircases then passes
+through an exact 3D maxima filter.
 
 Dominance is the weak Pareto order: ``p`` dominates ``q`` when ``p >= q``
 component-wise with at least one strict inequality; duplicated metric
@@ -178,6 +182,9 @@ def product_space_pareto(
         ``(Nh,)`` area per accelerator config.
     latency_ms:
         ``(Nc, Nh)`` latency of every pair.
+
+    All values must be finite; every caller passes finite arrays.  The
+    front lists its points by config, then by ascending latency.
     """
     accuracy = np.asarray(accuracy, dtype=np.float64)
     area_mm2 = np.asarray(area_mm2, dtype=np.float64)
@@ -186,22 +193,27 @@ def product_space_pareto(
     if accuracy.shape != (n_cells,) or area_mm2.shape != (n_cfg,):
         raise ValueError("inconsistent shapes between accuracy/area/latency")
 
-    # Stage 1: per-config 2D staircase (maximize accuracy, minimize
-    # latency).  Sorting each column by latency and keeping rows whose
-    # accuracy matches the running maximum keeps every candidate
-    # (weak-dominance survivors included).
-    order = np.argsort(latency_ms, axis=0, kind="stable")
-    acc_sorted = accuracy[order]
-    running = np.maximum.accumulate(acc_sorted, axis=0)
-    keep_sorted = acc_sorted >= running
-    candidate_cells = []
-    candidate_cfgs = []
+    # Stage 1: latency classes.  Only a class's smallest-area configs
+    # can hold frontier pairs; they share one 2D staircase (maximize
+    # accuracy, minimize latency).  Sorting the class's column by
+    # latency and keeping rows whose accuracy matches the running
+    # maximum keeps every candidate (weak-dominance survivors included).
+    classes: dict[bytes, list[int]] = {}
     for h in range(n_cfg):
-        rows = order[keep_sorted[:, h], h]
-        candidate_cells.append(rows)
-        candidate_cfgs.append(np.full(len(rows), h, dtype=np.int64))
-    cells = np.concatenate(candidate_cells)
-    cfgs = np.concatenate(candidate_cfgs)
+        classes.setdefault(latency_ms[:, h].tobytes(), []).append(h)
+    staircases: dict[int, np.ndarray] = {}
+    for members in classes.values():
+        order = np.argsort(latency_ms[:, members[0]], kind="stable")
+        acc_sorted = accuracy[order]
+        rows = order[acc_sorted >= np.maximum.accumulate(acc_sorted)]
+        areas = area_mm2[members]
+        for h in np.asarray(members)[areas == areas.min()]:
+            staircases[int(h)] = rows
+    kept = sorted(staircases)
+    cells = np.concatenate([staircases[h] for h in kept])
+    cfgs = np.concatenate(
+        [np.full(len(staircases[h]), h, dtype=np.int64) for h in kept]
+    )
 
     # Stage 2: exact 3D maxima over the union of slice staircases.
     objectives = np.column_stack(

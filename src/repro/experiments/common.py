@@ -4,8 +4,11 @@ The Section III experiments all consume the same enumerated joint
 space: the exhaustive micro cell database crossed with the full 8640
 accelerator configurations.  :func:`load_bundle` builds that once —
 accuracy vector, area vector, and the full latency matrix via the
-vectorized scheduler — and caches it in memory and on disk (the matrix
-takes ~1.5 minutes to compute from scratch, milliseconds to reload).
+vectorized scheduler — and caches it in memory and on disk.  The matrix
+takes ~1.5 minutes to compute from scratch; only it is cached on disk,
+so a warm load in a fresh process still enumerates the cells and builds
+their database: ~4 s for the micro-5 space on a 2-vCPU VM, of which
+reading the matrix is ~0.3 s.
 
 Experiment *scale* is controlled by the ``REPRO_SCALE`` environment
 variable:
@@ -23,6 +26,8 @@ from __future__ import annotations
 
 import hashlib
 import os
+import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -125,6 +130,38 @@ class SpaceBundle:
         return (1000.0 / self.latency_ms) / (self.area_mm2[None, :] / 100.0)
 
 
+def _read_cached_latency(path: Path, shape: tuple[int, int]) -> np.ndarray | None:
+    """The cached latency matrix as float64; ``None`` on a miss.
+
+    A missing file, a file of another shape and an unreadable one (say,
+    a write cut short by a killed process) are all misses: the caller
+    rebuilds the matrix and rewrites the file.
+    """
+    try:
+        with np.load(path) as cached:
+            latency_ms = cached["latency_ms"]
+    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile, zlib.error):
+        return None
+    if latency_ms.shape != shape:
+        return None
+    return latency_ms.astype(np.float64)
+
+
+def _write_cached_latency(path: Path, latency_ms: np.ndarray) -> None:
+    """Atomic write: pid-suffixed tmp sibling + ``os.replace``.
+
+    Readers see either no file or a whole one, even when several
+    processes build the same bundle at once.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_suffix(f".tmp{os.getpid()}.npz")
+    try:
+        np.savez_compressed(tmp, latency_ms=latency_ms.astype(np.float32))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def load_bundle(
     max_vertices: int = 5,
     use_disk_cache: bool = True,
@@ -163,10 +200,8 @@ def load_bundle(
         cache_dir / f"bundle_v{max_vertices}_n{len(database)}_h{space.size}{tag}.npz"
     )
     latency_ms: np.ndarray | None = None
-    if use_disk_cache and cache_file.exists():
-        cached = np.load(cache_file)
-        if cached["latency_ms"].shape == (len(database), space.size):
-            latency_ms = cached["latency_ms"].astype(np.float64)
+    if use_disk_cache:
+        latency_ms = _read_cached_latency(cache_file, (len(database), space.size))
     if latency_ms is None:
         latency_ms = np.empty((len(database), space.size), dtype=np.float64)
         for i, record in enumerate(database.records):
@@ -177,8 +212,7 @@ def load_bundle(
         # bit-identical to every warm reload after it.
         latency_ms = latency_ms.astype(np.float32).astype(np.float64)
         if use_disk_cache:
-            cache_dir.mkdir(parents=True, exist_ok=True)
-            np.savez_compressed(cache_file, latency_ms=latency_ms.astype(np.float32))
+            _write_cached_latency(cache_file, latency_ms)
 
     bounds = MetricBounds.from_arrays(area_mm2, latency_ms, accuracy)
     bundle = SpaceBundle(

@@ -22,7 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.nasbench.model_spec import MAX_VERTICES, ModelSpec
+from repro.nasbench.model_spec import (
+    MAX_VERTICES,
+    InvalidSpecError,
+    ModelSpec,
+    cell_hash,
+    prune_matrix,
+)
 from repro.nasbench.ops import INPUT, INTERIOR_OPS, OUTPUT
 from repro.nasbench.surrogate import CellFeatures, Cifar10Surrogate, extract_features
 from repro.utils.rng import make_rng
@@ -57,6 +63,15 @@ def enumerate_unique_cells(max_vertices: int) -> list[ModelSpec]:
 
     Feasible up to 5 vertices (tens of thousands of raw candidates);
     raises for larger limits where sampling should be used instead.
+    The list holds the first-seen spec of every ``spec_hash`` in
+    (vertex count, matrix, ops) order, with its original matrix and ops.
+    The order is load-bearing: cached bundle rows
+    (:func:`repro.experiments.common.load_bundle`) match records by
+    position.
+
+    Each matrix is pruned once (validity depends on the matrix alone),
+    each distinct pruned cell is hashed once, and a :class:`ModelSpec`
+    is built only for an unseen hash.
     """
     if max_vertices > 5:
         raise ValueError(
@@ -64,15 +79,24 @@ def enumerate_unique_cells(max_vertices: int) -> list[ModelSpec]:
             "use sample_unique_cells for 6-7 vertex cells"
         )
     seen: dict[str, ModelSpec] = {}
+    hashes: dict[tuple[bytes, tuple[str, ...]], str] = {}
     for num_vertices in range(2, max_vertices + 1):
         op_products = itertools.product(INTERIOR_OPS, repeat=num_vertices - 2)
         op_choices = [(INPUT, *interior, OUTPUT) for interior in op_products]
         for matrix in _all_matrices(num_vertices):
+            try:
+                pruned, kept = prune_matrix(matrix)
+            except InvalidSpecError:
+                continue
+            pruned_bytes = pruned.tobytes()
             for ops in op_choices:
-                spec = ModelSpec(matrix, ops)
-                if not spec.valid:
-                    continue
-                seen.setdefault(spec.spec_hash(), spec)
+                pruned_ops = tuple(ops[i] for i in kept)
+                key = (pruned_bytes, pruned_ops)
+                h = hashes.get(key)
+                if h is None:
+                    h = hashes[key] = cell_hash(pruned, pruned_ops)
+                if h not in seen:
+                    seen[h] = ModelSpec(matrix, ops)
     return list(seen.values())
 
 
@@ -142,16 +166,9 @@ class CellDatabase:
             if h in seen:
                 continue
             seen.add(h)
-            records.append(
-                CellRecord(
-                    spec=spec,
-                    spec_hash=h,
-                    features=extract_features(spec),
-                    validation_accuracy=surrogate.validation_accuracy(spec),
-                    test_accuracy=surrogate.test_accuracy(spec),
-                    training_seconds=surrogate.training_seconds(spec),
-                )
-            )
+            features = extract_features(spec)
+            val, test, seconds = surrogate.statistics(features, h)
+            records.append(CellRecord(spec, h, features, val, test, seconds))
         return cls(records, surrogate)
 
     @classmethod

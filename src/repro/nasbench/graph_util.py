@@ -17,7 +17,7 @@ __all__ = [
     "num_edges",
     "reachable_from",
     "reaching_to",
-    "prune",
+    "kept_vertices",
     "hash_module",
     "permute_matrix",
     "longest_path_length",
@@ -54,12 +54,12 @@ def reaching_to(matrix: np.ndarray, end: int) -> set[int]:
     return reachable_from(matrix.T, end)
 
 
-def prune(matrix: np.ndarray, ops: list[str]) -> tuple[np.ndarray, list[str]] | None:
-    """Remove vertices not on any input->output path.
+def kept_vertices(matrix: np.ndarray) -> list[int] | None:
+    """Ascending indices of the vertices on some input->output path.
 
-    Returns the pruned ``(matrix, ops)`` or ``None`` when no path from
-    the input vertex (0) to the output vertex (last) exists — such specs
-    are invalid in NASBench-101.
+    ``None`` when no path from the input vertex (0) to the output vertex
+    (last) exists — such specs are invalid in NASBench-101.  Depends on
+    the matrix alone; the ops only follow the kept indices.
     """
     n = matrix.shape[0]
     if n == 0:
@@ -71,10 +71,7 @@ def prune(matrix: np.ndarray, ops: list[str]) -> tuple[np.ndarray, list[str]] | 
     # misses an endpoint and the spec is invalid.
     if 0 not in keep or (n - 1) not in keep:
         return None
-    index = sorted(keep)
-    pruned = matrix[np.ix_(index, index)].copy()
-    pruned_ops = [ops[i] for i in index]
-    return pruned, pruned_ops
+    return sorted(keep)
 
 
 def hash_module(matrix: np.ndarray, labeling: list[int]) -> str:

@@ -11,6 +11,7 @@ labels drawn from :data:`repro.nasbench.ops.INTERIOR_OPS`.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -19,7 +20,14 @@ import numpy as np
 from repro.nasbench import graph_util
 from repro.nasbench.ops import INPUT, INTERIOR_OPS, OP_INDEX, OUTPUT
 
-__all__ = ["ModelSpec", "MAX_VERTICES", "MAX_EDGES", "InvalidSpecError"]
+__all__ = [
+    "ModelSpec",
+    "MAX_VERTICES",
+    "MAX_EDGES",
+    "InvalidSpecError",
+    "prune_matrix",
+    "cell_hash",
+]
 
 #: NASBench-101 limits: cells have at most 7 vertices and 9 edges.
 MAX_VERTICES = 7
@@ -28,6 +36,30 @@ MAX_EDGES = 9
 
 class InvalidSpecError(ValueError):
     """Raised when a spec violates the search-space rules."""
+
+
+def prune_matrix(matrix: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Pruned adjacency matrix and the kept vertex indices (ascending).
+
+    The pruning and edge-limit rules of a well-formed spec: vertices off
+    every input->output path go, and at most :data:`MAX_EDGES` edges may
+    remain.  Both depend on the matrix alone, so one call serves every
+    op labelling of it (the pruned ops are ``[ops[i] for i in kept]``).
+    Raises :class:`InvalidSpecError` with the reason otherwise.
+    """
+    kept = graph_util.kept_vertices(matrix)
+    if kept is None:
+        raise InvalidSpecError("no input->output path")
+    pruned = matrix[np.ix_(kept, kept)]
+    if graph_util.num_edges(pruned) > MAX_EDGES:
+        raise InvalidSpecError(f"more than {MAX_EDGES} edges after pruning")
+    return pruned, kept
+
+
+def cell_hash(matrix: np.ndarray, ops: Sequence[str]) -> str:
+    """:meth:`ModelSpec.spec_hash` of the pruned cell ``(matrix, ops)``."""
+    labeling = [-1] + [OP_INDEX[op] for op in ops[1:-1]] + [-2]
+    return graph_util.hash_module(matrix, labeling)
 
 
 @dataclass(frozen=True)
@@ -64,16 +96,13 @@ class ModelSpec:
             self._mark_invalid(matrix, reason)
             return
 
-        pruned = graph_util.prune(matrix, list(self.original_ops))
-        if pruned is None:
-            self._mark_invalid(matrix, "no input->output path")
-            return
-        pruned_matrix, pruned_ops = pruned
-        if graph_util.num_edges(pruned_matrix) > MAX_EDGES:
-            self._mark_invalid(matrix, f"more than {MAX_EDGES} edges after pruning")
+        try:
+            pruned_matrix, kept = prune_matrix(matrix)
+        except InvalidSpecError as err:
+            self._mark_invalid(matrix, str(err))
             return
         object.__setattr__(self, "matrix", pruned_matrix)
-        object.__setattr__(self, "ops", tuple(pruned_ops))
+        object.__setattr__(self, "ops", tuple(self.original_ops[i] for i in kept))
         object.__setattr__(self, "valid", True)
 
     # ------------------------------------------------------------------
@@ -144,8 +173,7 @@ class ModelSpec:
         """
         if not self.valid:
             raise InvalidSpecError(f"invalid spec has no hash: {self.invalid_reason}")
-        labeling = [-1] + [OP_INDEX[op] for op in self.ops[1:-1]] + [-2]
-        return graph_util.hash_module(self.matrix, labeling)
+        return cell_hash(self.matrix, self.ops)
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:

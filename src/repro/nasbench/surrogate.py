@@ -140,26 +140,46 @@ class Cifar10Surrogate:
         rng = np.random.default_rng(hash_seed("c10", self.seed, spec_hash, tag))
         return float(rng.normal(0.0, self.noise_std))
 
+    def _validation_accuracy(self, f: CellFeatures, spec_hash: str) -> float:
+        raw = self._mean_accuracy(f) + self._noise(spec_hash, "val")
+        return float(np.clip(raw, self.floor, self.ceiling))
+
+    def _test_accuracy(self, f: CellFeatures, spec_hash: str) -> float:
+        gap = 0.35 + abs(self._noise(spec_hash, "gap")) * 0.5
+        raw = self._mean_accuracy(f) + self._noise(spec_hash, "val") - gap
+        return float(np.clip(raw, self.floor - 1.0, self.ceiling))
+
+    def _training_seconds(self, f: CellFeatures, spec_hash: str) -> float:
+        base = 550.0 + 900.0 * f.giga_macs
+        jitter = 1.0 + 0.05 * self._noise(spec_hash, "time") / max(self.noise_std, 1e-9)
+        return float(base * max(jitter, 0.5))
+
     # --- public API -----------------------------------------------------
     def validation_accuracy(self, spec: ModelSpec) -> float:
         """Deterministic validation accuracy in percent."""
-        f = extract_features(spec)
-        raw = self._mean_accuracy(f) + self._noise(spec.spec_hash(), "val")
-        return float(np.clip(raw, self.floor, self.ceiling))
+        return self._validation_accuracy(extract_features(spec), spec.spec_hash())
 
     def test_accuracy(self, spec: ModelSpec) -> float:
         """Test accuracy: validation minus a small deterministic gap."""
-        f = extract_features(spec)
-        gap = 0.35 + abs(self._noise(spec.spec_hash(), "gap")) * 0.5
-        raw = self._mean_accuracy(f) + self._noise(spec.spec_hash(), "val") - gap
-        return float(np.clip(raw, self.floor - 1.0, self.ceiling))
+        return self._test_accuracy(extract_features(spec), spec.spec_hash())
 
     def training_seconds(self, spec: ModelSpec) -> float:
         """Simulated 108-epoch training wall-clock (single GPU)."""
-        f = extract_features(spec)
-        base = 550.0 + 900.0 * f.giga_macs
-        jitter = 1.0 + 0.05 * self._noise(spec.spec_hash(), "time") / max(self.noise_std, 1e-9)
-        return float(base * max(jitter, 0.5))
+        return self._training_seconds(extract_features(spec), spec.spec_hash())
+
+    def statistics(
+        self, features: CellFeatures, spec_hash: str
+    ) -> tuple[float, float, float]:
+        """Validation accuracy, test accuracy and training seconds of a cell.
+
+        The three per-spec methods' arithmetic, from the cell's features
+        and ``spec_hash`` computed once by the caller.
+        """
+        return (
+            self._validation_accuracy(features, spec_hash),
+            self._test_accuracy(features, spec_hash),
+            self._training_seconds(features, spec_hash),
+        )
 
     @lru_cache(maxsize=1 << 16)
     def _cached_val(self, matrix_bytes: bytes, shape: int, ops: tuple[str, ...]) -> float:

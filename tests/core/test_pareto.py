@@ -6,10 +6,83 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.pareto import (
+    ProductParetoResult,
     pareto_mask_2d,
     pareto_mask_3d,
     product_space_pareto,
 )
+
+
+def per_config_product_space_pareto(accuracy, area_mm2, latency_ms):
+    """The product-space Pareto before latency classes: one staircase per config.
+
+    Kept as the reference the class-grouped version must reproduce,
+    array for array and in order.
+    """
+    accuracy = np.asarray(accuracy, dtype=np.float64)
+    area_mm2 = np.asarray(area_mm2, dtype=np.float64)
+    latency_ms = np.asarray(latency_ms, dtype=np.float64)
+    n_cfg = latency_ms.shape[1]
+    order = np.argsort(latency_ms, axis=0, kind="stable")
+    acc_sorted = accuracy[order]
+    running = np.maximum.accumulate(acc_sorted, axis=0)
+    keep_sorted = acc_sorted >= running
+    candidate_cells = []
+    candidate_cfgs = []
+    for h in range(n_cfg):
+        rows = order[keep_sorted[:, h], h]
+        candidate_cells.append(rows)
+        candidate_cfgs.append(np.full(len(rows), h, dtype=np.int64))
+    cells = np.concatenate(candidate_cells)
+    cfgs = np.concatenate(candidate_cfgs)
+    objectives = np.column_stack(
+        [-area_mm2[cfgs], -latency_ms[cells, cfgs], accuracy[cells]]
+    )
+    mask = pareto_mask_3d(objectives)
+    cells = cells[mask]
+    cfgs = cfgs[mask]
+    return ProductParetoResult(
+        cell_indices=cells,
+        config_indices=cfgs,
+        accuracy=accuracy[cells],
+        latency_ms=latency_ms[cells, cfgs],
+        area_mm2=area_mm2[cfgs],
+    )
+
+
+def assert_same_front(got, want):
+    """All five arrays equal in dtype, shape and bytes (order included)."""
+    for name in ("cell_indices", "config_indices", "accuracy", "latency_ms", "area_mm2"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+@st.composite
+def product_spaces(draw):
+    """Small product spaces rich in ties.
+
+    Few distinct latency columns (so configs share them), few area,
+    latency and accuracy levels, and both signs of zero latency (equal
+    as floats, not as bytes).  Finite values only, like every caller's.
+    """
+    n_cells = draw(st.integers(1, 8))
+    n_columns = draw(st.integers(1, 4))
+    n_cfg = draw(st.integers(1, 12))
+    latencies = st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.5])
+    columns = [
+        draw(st.lists(latencies, min_size=n_cells, max_size=n_cells))
+        for _ in range(n_columns)
+    ]
+    picks = draw(st.lists(st.integers(0, n_columns - 1), min_size=n_cfg, max_size=n_cfg))
+    areas = draw(
+        st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=n_cfg, max_size=n_cfg)
+    )
+    accuracy = draw(
+        st.lists(st.sampled_from([90.0, 91.0, 92.5]), min_size=n_cells, max_size=n_cells)
+    )
+    latency = np.array([columns[k] for k in picks], dtype=np.float64).T
+    return np.array(accuracy), np.array(areas), latency
 
 
 def brute_force_mask(points: np.ndarray) -> np.ndarray:
@@ -115,6 +188,22 @@ class TestProductSpacePareto:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             product_space_pareto(np.ones(3), np.ones(4), np.ones((3, 5)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(product_spaces())
+    def test_matches_per_config_reference(self, space):
+        acc, area, lat = space
+        assert_same_front(
+            product_space_pareto(acc, area, lat),
+            per_config_product_space_pareto(acc, area, lat),
+        )
+
+    def test_matches_per_config_reference_on_micro4(self, micro4_bundle):
+        b = micro4_bundle
+        assert_same_front(
+            product_space_pareto(b.accuracy, b.area_mm2, b.latency_ms),
+            per_config_product_space_pareto(b.accuracy, b.area_mm2, b.latency_ms),
+        )
 
     def test_result_accessors(self, rng):
         acc = rng.uniform(80, 95, size=6)

@@ -6,6 +6,7 @@ import pytest
 from repro.core.scenarios import unconstrained
 from repro.core.study import replace_execution, run_study
 from repro.experiments.ablations import run_punishment_ablation, run_random_ablation
+from repro.experiments import common
 from repro.experiments.common import Scale, load_bundle
 from repro.experiments.fig4 import run_fig4
 from repro.experiments.fig5 import run_fig5
@@ -55,6 +56,23 @@ class TestBundle:
 
     def test_perf_per_area_shape(self, micro4_bundle):
         assert micro4_bundle.perf_per_area().shape == micro4_bundle.latency_ms.shape
+
+    def test_truncated_cache_file_is_a_miss(self, monkeypatch, tmp_path):
+        """A write cut short must not wedge every later load."""
+        monkeypatch.setattr(common, "_BUNDLE_MEMO", {})
+        fresh = load_bundle(max_vertices=3, cache_dir=tmp_path)
+        (cache_file,) = tmp_path.iterdir()
+        data = cache_file.read_bytes()
+        cache_file.write_bytes(data[: len(data) // 2])
+
+        monkeypatch.setattr(common, "_BUNDLE_MEMO", {})
+        rebuilt = load_bundle(max_vertices=3, cache_dir=tmp_path)
+        assert rebuilt is not fresh
+        assert rebuilt.latency_ms.tobytes() == fresh.latency_ms.tobytes()
+        # The rebuild rewrote the whole file, and left no temp sibling.
+        assert list(tmp_path.iterdir()) == [cache_file]
+        with np.load(cache_file) as cached:
+            assert cached["latency_ms"].astype(np.float64).tobytes() == fresh.latency_ms.tobytes()
 
 
 class TestTable1:

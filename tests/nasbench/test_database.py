@@ -1,8 +1,12 @@
 """Tests for the cell database (NASBench table stand-in)."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from repro.nasbench import database, graph_util
+from repro.nasbench import surrogate as surrogate_module
 from repro.nasbench.database import (
     CellDatabase,
     CellRecord,
@@ -11,11 +15,74 @@ from repro.nasbench.database import (
 )
 from repro.nasbench.known_cells import resnet_cell
 from repro.nasbench.model_spec import ModelSpec
-from repro.nasbench.ops import CONV3X3, INPUT, OUTPUT
+from repro.nasbench.ops import CONV3X3, INPUT, INTERIOR_OPS, OUTPUT
 from repro.nasbench.surrogate import Cifar10Surrogate
 
 
+def all_candidates(max_vertices):
+    """Every (matrix, ops) candidate, in enumeration order."""
+    for num_vertices in range(2, max_vertices + 1):
+        pairs = [(i, j) for i in range(num_vertices) for j in range(i + 1, num_vertices)]
+        op_products = itertools.product(INTERIOR_OPS, repeat=num_vertices - 2)
+        op_choices = [(INPUT, *interior, OUTPUT) for interior in op_products]
+        for bits in itertools.product((0, 1), repeat=len(pairs)):
+            matrix = np.zeros((num_vertices, num_vertices), dtype=np.int8)
+            for (i, j), bit in zip(pairs, bits):
+                matrix[i, j] = bit
+            for ops in op_choices:
+                yield matrix, ops
+
+
+def per_candidate_enumerate_unique_cells(max_vertices):
+    """The enumeration before it pruned each matrix once.
+
+    One ModelSpec and one spec_hash per candidate; kept as the
+    reference the deduplicating loop must reproduce, order included.
+    """
+    seen = {}
+    for matrix, ops in all_candidates(max_vertices):
+        spec = ModelSpec(matrix, ops)
+        if not spec.valid:
+            continue
+        seen.setdefault(spec.spec_hash(), spec)
+    return list(seen.values())
+
+
+def layout(specs):
+    """Each spec's original matrix (bytes and shape) and ops, in order."""
+    return [(s.original_matrix.tobytes(), s.original_matrix.shape, s.original_ops) for s in specs]
+
+
+def counting(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so calls are counted; returns the counter."""
+    calls = [0]
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
 class TestEnumeration:
+    @pytest.mark.parametrize("max_vertices", [2, 3, 4])
+    def test_matches_per_candidate_reference(self, max_vertices):
+        assert layout(enumerate_unique_cells(max_vertices)) == layout(
+            per_candidate_enumerate_unique_cells(max_vertices)
+        )
+
+    def test_each_pruned_cell_hashed_once(self, monkeypatch):
+        pruned_cells = {
+            (spec.matrix.tobytes(), spec.ops)
+            for spec in (ModelSpec(m, ops) for m, ops in all_candidates(4))
+            if spec.valid
+        }
+        calls = counting(monkeypatch, graph_util, "hash_module")
+        enumerate_unique_cells(4)
+        assert calls[0] == len(pruned_cells)
+
     def test_micro4_count_is_stable(self):
         cells = enumerate_unique_cells(4)
         # Pinned: the exhaustive <=4-vertex unique-cell count.
@@ -107,6 +174,16 @@ class TestDatabase:
         stats = db.stats()
         assert set(stats) == {"count", "acc_min", "acc_mean", "acc_max"}
         assert stats["acc_min"] <= stats["acc_mean"] <= stats["acc_max"]
+
+    def test_from_specs_featurizes_and_hashes_each_record_once(self, monkeypatch):
+        specs = enumerate_unique_cells(3)
+        hashes = counting(monkeypatch, ModelSpec, "spec_hash")
+        features = counting(monkeypatch, database, "extract_features")
+        surrogate_features = counting(monkeypatch, surrogate_module, "extract_features")
+        db = CellDatabase.from_specs(specs)
+        assert len(db) == len(specs)
+        assert hashes[0] == features[0] == len(specs)
+        assert surrogate_features[0] == 0
 
     def test_shared_surrogate_consistency(self):
         surrogate = Cifar10Surrogate(seed=9)

@@ -37,32 +37,24 @@ class TestBasics:
 
 class TestPrune:
     def test_keeps_connected(self):
-        result = graph_util.prune(chain(4), ["input", "a", "b", "output"])
-        assert result is not None
-        matrix, ops = result
-        assert matrix.shape == (4, 4)
-        assert ops == ["input", "a", "b", "output"]
+        assert graph_util.kept_vertices(chain(4)) == [0, 1, 2, 3]
 
     def test_removes_dangling(self):
         m = np.zeros((4, 4), dtype=np.int8)
         m[0, 1] = 1
         m[1, 3] = 1
         m[0, 2] = 1  # vertex 2 never reaches the output
-        result = graph_util.prune(m, ["input", "a", "b", "output"])
-        matrix, ops = result
-        assert matrix.shape == (3, 3)
-        assert ops == ["input", "a", "output"]
+        assert graph_util.kept_vertices(m) == [0, 1, 3]
 
     def test_disconnected_returns_none(self):
         m = np.zeros((3, 3), dtype=np.int8)
         m[0, 1] = 1  # nothing reaches the output
-        assert graph_util.prune(m, ["input", "a", "output"]) is None
+        assert graph_util.kept_vertices(m) is None
 
     def test_direct_edge_only(self):
         m = np.zeros((2, 2), dtype=np.int8)
         m[0, 1] = 1
-        matrix, ops = graph_util.prune(m, ["input", "output"])
-        assert matrix.shape == (2, 2)
+        assert graph_util.kept_vertices(m) == [0, 1]
 
 
 class TestHashModule:

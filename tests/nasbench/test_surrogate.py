@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.nasbench.database import enumerate_unique_cells
 from repro.nasbench.known_cells import googlenet_cell, resnet_cell
 from repro.nasbench.model_spec import ModelSpec
 from repro.nasbench.ops import CONV3X3, INPUT, MAXPOOL3X3, OUTPUT
@@ -89,3 +90,17 @@ class TestTrainingTime:
         small = chain_spec(MAXPOOL3X3)
         big = resnet_cell()
         assert 0 < s.training_seconds(small) < s.training_seconds(big)
+
+
+class TestStatistics:
+    def test_matches_per_spec_methods_bit_for_bit(self):
+        """The (features, hash) path the database uses, on the micro-4 cells."""
+        s = Cifar10Surrogate()
+        for spec in enumerate_unique_cells(4):
+            stats = s.statistics(extract_features(spec), spec.spec_hash())
+            per_spec = (
+                s.validation_accuracy(spec),
+                s.test_accuracy(spec),
+                s.training_seconds(spec),
+            )
+            assert [v.hex() for v in stats] == [v.hex() for v in per_spec]
