@@ -27,10 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.evaluator import build_evaluator
 from repro.core.scenarios import one_constraint, unconstrained
 from repro.core.search_space import JointSearchSpace
 from repro.experiments.common import load_bundle
-from repro.experiments.search_study import make_bundle_evaluator
 from repro.parallel import RunLedger
 from repro.search.random_search import RandomSearch
 from repro.search.runner import RepeatJob, run_grid
@@ -46,8 +46,8 @@ def build_jobs(bundle) -> list[RepeatJob]:
             RepeatJob(
                 label=name,
                 strategy_factory=lambda seed: RandomSearch(space, seed=seed),
-                evaluator_factory=lambda sc=scenario: make_bundle_evaluator(
-                    bundle, sc
+                evaluator_factory=lambda sc=scenario: build_evaluator(
+                    "database", sc, bundle=bundle, platform=bundle.platform
                 ),
                 cache_scenario=name,
             )

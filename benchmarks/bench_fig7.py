@@ -3,12 +3,13 @@
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.experiments.fig7 import run_fig7
+from repro.core.study import run_study
+from repro.experiments.fig7 import fig7_spec, run_fig7
 
 
 @pytest.fixture(scope="module")
 def fig7(scale):
-    return run_fig7(scale=scale, seed=0)
+    return run_fig7(run_study(fig7_spec(scale, seed=0), scale=scale))
 
 
 def test_fig7_threshold_search(benchmark, fig7):

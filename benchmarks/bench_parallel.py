@@ -36,13 +36,13 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.evaluator import build_evaluator
 from repro.core.scenarios import unconstrained
 from repro.core.search_space import JointSearchSpace
 from repro.experiments.common import load_bundle
-from repro.experiments.search_study import make_bundle_evaluator
 from repro.parallel import EvalCache
 from repro.search.combined import CombinedSearch
-from repro.search.runner import run_repeats
+from repro.search.runner import RepeatJob, run_grid
 from repro.utils.tables import format_markdown
 
 
@@ -72,38 +72,42 @@ def main() -> None:
     bundle = load_bundle(max_vertices=args.max_vertices)
     scenario = unconstrained(bundle.bounds)
     space = JointSearchSpace(cell_encoding=bundle.cell_encoding)
-    kwargs = dict(
+    job = RepeatJob(
+        "unconstrained/combined",
         strategy_factory=lambda seed: CombinedSearch(space, seed=seed),
-        evaluator_factory=lambda: make_bundle_evaluator(bundle, scenario),
-        num_steps=args.steps,
-        num_repeats=args.repeats,
-        master_seed=0,
+        evaluator_factory=lambda: build_evaluator(
+            "database", scenario, bundle=bundle, platform=bundle.platform
+        ),
     )
+
+    def run_job(**kwargs):
+        """The job's repeats under one execution setting."""
+        return run_grid(
+            [job], num_steps=args.steps, num_repeats=args.repeats, **kwargs
+        )[job.label]
+
     cache_dir = args.cache_dir or Path(tempfile.mkdtemp(prefix="bench_parallel_"))
     cache_path = cache_dir / "eval_cache.sqlite"
 
     t0 = time.perf_counter()
-    serial = run_repeats(**kwargs, backend="serial")
+    serial = run_job(backend="serial")
     t_serial = time.perf_counter() - t0
 
     cold = EvalCache(cache_path)
     t0 = time.perf_counter()
-    process = run_repeats(
-        **kwargs, backend="process", workers=args.workers, eval_cache=cold
-    )
+    process = run_job(backend="process", workers=args.workers, eval_cache=cold)
     t_process = time.perf_counter() - t0
     cold_stats = cold.stats
 
     warm = EvalCache(cache_path)
     t0 = time.perf_counter()
-    rerun = run_repeats(**kwargs, backend="serial", eval_cache=warm)
+    rerun = run_job(backend="serial", eval_cache=warm)
     t_warm = time.perf_counter() - t0
     warm_stats = warm.stats
 
     batched_cache = EvalCache(cache_path)
     t0 = time.perf_counter()
-    batched = run_repeats(
-        **kwargs,
+    batched = run_job(
         backend="serial",
         eval_cache=batched_cache,
         batch_size=args.batch_size,
@@ -112,8 +116,7 @@ def main() -> None:
 
     process_warm_cache = EvalCache(cache_path)
     t0 = time.perf_counter()
-    process_warm = run_repeats(
-        **kwargs,
+    process_warm = run_job(
         backend="process",
         workers=args.workers,
         eval_cache=process_warm_cache,
@@ -123,8 +126,7 @@ def main() -> None:
     cluster_cache = EvalCache(cache_path)
     ledger_dir = Path(tempfile.mkdtemp(prefix="bench_cluster_ledger_"))
     t0 = time.perf_counter()
-    cluster = run_repeats(
-        **kwargs,
+    cluster = run_job(
         backend="cluster",
         workers=args.workers,
         eval_cache=cluster_cache,

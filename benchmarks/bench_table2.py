@@ -3,8 +3,9 @@
 import pytest
 
 from benchmarks.conftest import run_once
+from repro.core.study import run_study
 from repro.experiments.common import Scale
-from repro.experiments.fig7 import run_fig7
+from repro.experiments.fig7 import fig7_spec, run_fig7
 from repro.experiments.table2 import run_table2
 
 
@@ -18,7 +19,7 @@ def fig7(scale):
         num_repeats=scale.num_repeats,
         fig7_target_scale=max(scale.fig7_target_scale, 0.5),
     )
-    return run_fig7(scale=sizing, seed=1)
+    return run_fig7(run_study(fig7_spec(sizing, seed=1), scale=sizing))
 
 
 def test_table2_codesign_vs_baselines(benchmark, fig7):

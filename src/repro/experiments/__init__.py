@@ -12,9 +12,15 @@ from repro.experiments.common import Scale, SpaceBundle, eval_cache_path, load_b
 from repro.experiments.fig4 import PAPER_FIG4, Fig4Result, run_fig4
 from repro.experiments.fig5 import Fig5Result, run_fig5
 from repro.experiments.fig6 import Fig6Result, run_fig6
-from repro.experiments.fig7 import BaselinePoint, Fig7Result, best_accelerator_for, run_fig7
+from repro.experiments.fig7 import (
+    BaselinePoint,
+    Fig7Result,
+    best_accelerator_for,
+    fig7_spec,
+    run_fig7,
+)
 from repro.experiments.presets import get_preset, list_presets, resolve_spec
-from repro.experiments.search_study import SearchStudyResult, make_bundle_evaluator
+from repro.experiments.search_study import SearchStudyResult
 from repro.experiments.table1 import PAPER_TABLE1, Table1Result, run_table1
 from repro.experiments.table2 import PAPER_TABLE2, Table2Result, run_table2
 from repro.experiments.table3 import PAPER_TABLE3, Table3Result, run_table3
@@ -41,12 +47,12 @@ __all__ = [
     "BaselinePoint",
     "Fig7Result",
     "best_accelerator_for",
+    "fig7_spec",
     "run_fig7",
     "get_preset",
     "list_presets",
     "resolve_spec",
     "SearchStudyResult",
-    "make_bundle_evaluator",
     "PAPER_TABLE1",
     "Table1Result",
     "run_table1",

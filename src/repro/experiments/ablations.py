@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.study import replace_execution, run_study
 from repro.experiments.common import Scale, SpaceBundle, load_bundle
-from repro.experiments.fig7 import run_fig7, scaled_rungs
+from repro.experiments.fig7 import fig7_spec, run_fig7, scaled_rungs
 from repro.experiments.presets import get_preset
 from repro.search.runner import RepeatOutcome
 from repro.search.threshold_schedule import ThresholdRung
@@ -117,7 +117,12 @@ def run_random_ablation(
 def run_schedule_ablation(
     scale: Scale | None = None, master_seed: int = 3
 ) -> list[AblationRow]:
-    """A3: rising threshold schedule vs jumping straight to the top."""
+    """A3: rising threshold schedule vs jumping straight to the top.
+
+    Both variants run :func:`repro.experiments.fig7.fig7_spec` through
+    ``run_study`` from the same master seed; only the rung ladder
+    differs.
+    """
     scale = scale or Scale.from_env()
     scheduled = scaled_rungs(scale)
     total_target = sum(r.target_valid_points for r in scheduled)
@@ -127,7 +132,7 @@ def run_schedule_ablation(
 
     rows = []
     for variant, rungs in (("schedule (paper)", scheduled), ("fixed final threshold", fixed)):
-        fig7 = run_fig7(scale=scale, seed=master_seed, rungs=rungs)
+        fig7 = run_fig7(run_study(fig7_spec(scale, master_seed, rungs), scale=scale))
         top_entries = fig7.top10_per_threshold.get(final_threshold, [])
         best_acc = max(
             (e.metrics.accuracy for e in top_entries if e.metrics is not None),

@@ -7,30 +7,42 @@ Baselines are the ResNet and GoogLeNet cells paired with their *own*
 best accelerator (max perf/area over all 8640 configs).  The best
 discovered points that dominate each baseline on both axes are the
 run's Cod-1 / Cod-2.
+
+The search is the ``fig7`` study preset sized by :func:`fig7_spec` and
+run through :func:`repro.core.study.run_study`; :func:`run_fig7`
+packages the result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from repro.accelerator.space import AcceleratorSpace
 from repro.core.archive import ArchiveEntry
-from repro.core.evaluator import build_evaluator
-from repro.core.scenarios import CIFAR100_BOUNDS, cifar100_threshold
-from repro.core.search_space import JointSearchSpace
+from repro.core.study import StudySpec, replace_execution
 from repro.experiments.common import Scale
-from repro.hw import HardwarePlatform, default_platform
+from repro.experiments.presets import get_preset
+from repro.experiments.search_study import SearchStudyResult
+from repro.hw import HardwarePlatform, build_platform, default_platform
 from repro.nasbench.compile import compile_cell_ops
 from repro.nasbench.known_cells import googlenet_cell, resnet_cell
 from repro.nasbench.model_spec import ModelSpec
 from repro.nasbench.skeleton import CIFAR100_SKELETON
-from repro.search.registry import build_strategy
+from repro.nasbench.surrogate import extract_features
 from repro.search.threshold_schedule import ThresholdRung, default_rungs
+from repro.training.surrogate_trainer import SurrogateCifar100Trainer
 from repro.utils.tables import format_markdown
 
-__all__ = ["BaselinePoint", "Fig7Result", "run_fig7", "best_accelerator_for"]
+__all__ = [
+    "BaselinePoint",
+    "Fig7Result",
+    "best_accelerator_for",
+    "fig7_spec",
+    "run_fig7",
+    "scaled_rungs",
+]
 
 
 @dataclass(frozen=True)
@@ -184,49 +196,59 @@ def scaled_rungs(scale: Scale) -> list[ThresholdRung]:
     ]
 
 
-def run_fig7(
-    scale: Scale | None = None,
+def fig7_spec(
+    scale: Scale,
     seed: int = 0,
     rungs: list[ThresholdRung] | None = None,
-    train_store=None,
-    platform: HardwarePlatform | None = None,
-) -> Fig7Result:
-    """Run the CIFAR-100 threshold-schedule study.
+    hardware=None,
+) -> StudySpec:
+    """The ``fig7`` preset sized for one Fig. 7 search.
 
-    ``rungs`` defaults to :func:`scaled_rungs` of ``scale``.
-    ``train_store`` (a :class:`repro.parallel.EvalCache`) persists
-    per-cell training outcomes across runs; a warm re-run then reports
-    near-zero *paid* GPU-hours for already-trained cells.  The store
-    namespace (``trainer.cache_namespace()``) pins every
-    outcome-affecting trainer parameter so differently configured
-    surrogates never share rows.
-
-    The search and its evaluator are built through the declarative
-    registries only (the ``cifar100-trainer`` accuracy source and the
-    ``threshold-schedule`` strategy), the same construction path the
-    ``fig7`` / ``table2`` / ``table3`` study presets take — ``repro
-    study run fig7`` runs this search spec-driven.  ``platform`` swaps
-    the hardware backend for both the search and the baseline sweeps
-    (default: the reference ``dac2020``).
+    ``rungs`` (default: :func:`scaled_rungs` of ``scale``) become the
+    strategy's rung ladder, and their summed ``max_steps`` the step
+    budget, which the schedule never exceeds.  The search runs once,
+    from master seed ``seed``.  ``hardware`` is anything
+    :class:`~repro.core.study.StudySpec` accepts as its platform, e.g.
+    a registered name (default: the reference ``dac2020``).
     """
-    scale = scale or Scale.from_env()
-    platform = platform or default_platform()
     rungs = rungs or scaled_rungs(scale)
-    evaluator = build_evaluator(
-        "cifar100-trainer",
-        cifar100_threshold(rungs[0].threshold, CIFAR100_BOUNDS),
-        store=train_store,
-        platform=platform,
+    preset = get_preset("fig7")
+    (strategy,) = preset.strategies
+    params = {**strategy.params, "rungs": [asdict(rung) for rung in rungs]}
+    spec = replace(
+        preset,
+        strategies=(replace(strategy, params=params),),
+        hardware=hardware or (),
     )
-    trainer = evaluator.source_info["trainer"]
-    search = build_strategy(
-        "threshold-schedule",
-        seed,
-        JointSearchSpace(accelerator_space=platform.config_space()),
-        rungs=rungs,
-        bounds=CIFAR100_BOUNDS,
+    return replace_execution(
+        spec,
+        num_steps=sum(rung.max_steps for rung in rungs),
+        num_repeats=1,
+        master_seed=seed,
     )
-    result = search.run(evaluator)
+
+
+def run_fig7(study: SearchStudyResult) -> Fig7Result:
+    """Package a :func:`fig7_spec` study as Fig. 7.
+
+    The baselines pair the ResNet and GoogLeNet cells, scored by the
+    spec's trainer, with their best accelerator on the spec's platform;
+    Cod-1 / Cod-2 come from the per-rung archives.  The search cost is
+    read off the archive: the cells trained are its distinct valid
+    cells in first-seen order, and the GPU-hours are the trainer's cost
+    of one run on each.  That is what a cold serial run charges, so the
+    cost does not depend on the eval cache or the backend.
+    """
+    spec = study.extras["spec"]
+    (by_strategy,) = study.outcomes.values()
+    (outcome,) = by_strategy.values()
+    result = outcome.results[0]
+    hardware = spec.hardware[0]
+    platform = build_platform(hardware.name, hardware.params)
+    # The trainer the accuracy source built; 'skeleton' shapes latency only.
+    trainer = SurrogateCifar100Trainer(
+        **{k: v for k, v in spec.evaluator.params.items() if k != "skeleton"}
+    )
 
     baselines = {
         "resnet": best_accelerator_for(
@@ -243,13 +265,19 @@ def run_fig7(
         for archive in result.extras["per_rung"].values()
         for e in archive.feasible_entries()
     ]
+    trained: dict[str, ModelSpec] = {}
+    for entry in result.archive.entries:
+        if entry.spec.valid:
+            trained.setdefault(entry.spec.spec_hash(), entry.spec)
     return Fig7Result(
         top10_per_threshold=result.extras["top10"],
         baselines=baselines,
         cod1=_dominating_entry(feasible, baselines["resnet"]),
         cod2=_dominating_entry(feasible, baselines["googlenet"]),
-        gpu_hours=trainer.total_gpu_hours,
-        unique_cells_trained=evaluator.source_info["cached"].unique_cells_trained,
+        gpu_hours=sum(
+            trainer.gpu_hours(extract_features(cell)) for cell in trained.values()
+        ),
+        unique_cells_trained=len(trained),
         total_steps=len(result.archive),
         extras={"search_result": result},
     )

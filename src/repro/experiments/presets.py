@@ -120,9 +120,11 @@ def _cifar100_study(name: str) -> StudySpec:
     One threshold-schedule strategy over the CIFAR-100 trainer source;
     the rising (2, 8, 16, 30, 40) img/s/cm2 schedule is the strategy's
     default rung ladder, capped by ``num_steps`` (i.e. the scale).
-    This is the search behind Fig. 7 and Tables II/III — the fig7
-    packaging (baselines, Cod points, GPU-hour ledger) lives in
-    :func:`repro.experiments.fig7.run_fig7`.
+    This is the search behind Fig. 7 and Tables II/III:
+    :func:`repro.experiments.fig7.fig7_spec` sizes it (scaled rungs,
+    one repeat, a seed and a platform) for ``repro run fig7``, and
+    :func:`repro.experiments.fig7.run_fig7` packages the result
+    (baselines, Cod points, the search cost read off the archive).
     """
     return StudySpec(
         name=name,

@@ -18,25 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.evaluator import CodesignEvaluator
-from repro.core.reward import RewardConfig
-from repro.experiments.common import Scale, SpaceBundle
+from repro.experiments.common import Scale
 from repro.search.runner import RepeatOutcome
 
-__all__ = ["SearchStudyResult", "make_bundle_evaluator"]
-
-
-def make_bundle_evaluator(
-    bundle: SpaceBundle, scenario: RewardConfig
-) -> CodesignEvaluator:
-    """Database evaluator with the bundle's precomputed latency table."""
-    evaluator = CodesignEvaluator.from_database(
-        bundle.database, scenario, platform=bundle.platform
-    )
-    evaluator.attach_latency_table(
-        bundle.latency_ms, bundle.row_of_hash(), bundle.space
-    )
-    return evaluator
+__all__ = ["SearchStudyResult"]
 
 
 @dataclass

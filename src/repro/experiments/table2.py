@@ -5,8 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.archive import ArchiveEntry
-from repro.experiments.common import Scale
-from repro.experiments.fig7 import BaselinePoint, Fig7Result, run_fig7
+from repro.experiments.fig7 import BaselinePoint, Fig7Result
 from repro.utils.tables import format_markdown
 
 __all__ = ["Table2Result", "run_table2", "PAPER_TABLE2"]
@@ -98,19 +97,6 @@ class Table2Result:
         return f"Ours:\n{ours}\n\nPaper Table II:\n{paper}"
 
 
-def run_table2(
-    fig7: Fig7Result | None = None,
-    scale: Scale | None = None,
-    seed: int = 0,
-    train_store=None,
-) -> Table2Result:
-    """Build Table II (running the Fig. 7 search if not supplied).
-
-    ``train_store`` passes through to :func:`run_fig7` so re-runs
-    warm-start from previously trained cells.  The underlying search
-    is registry-built and preset-addressable: ``repro study run
-    table2`` runs the same threshold-schedule search from its
-    declarative spec (:mod:`repro.experiments.presets`).
-    """
-    fig7 = fig7 or run_fig7(scale=scale, seed=seed, train_store=train_store)
+def run_table2(fig7: Fig7Result) -> Table2Result:
+    """Build Table II from a Fig. 7 result (:func:`repro.experiments.fig7.run_fig7`)."""
     return Table2Result(fig7=fig7)

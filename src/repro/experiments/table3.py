@@ -5,8 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.accelerator.config import AcceleratorConfig
-from repro.experiments.common import Scale
-from repro.experiments.fig7 import Fig7Result, run_fig7
+from repro.experiments.fig7 import Fig7Result
 from repro.utils.tables import format_markdown
 
 __all__ = ["Table3Result", "run_table3", "PAPER_TABLE3"]
@@ -70,19 +69,6 @@ class Table3Result:
         )
 
 
-def run_table3(
-    fig7: Fig7Result | None = None,
-    scale: Scale | None = None,
-    seed: int = 0,
-    train_store=None,
-) -> Table3Result:
-    """Build Table III (running the Fig. 7 search if not supplied).
-
-    ``train_store`` passes through to :func:`run_fig7` so re-runs
-    warm-start from previously trained cells.  The underlying search
-    is registry-built and preset-addressable: ``repro study run
-    table3`` runs the same threshold-schedule search from its
-    declarative spec (:mod:`repro.experiments.presets`).
-    """
-    fig7 = fig7 or run_fig7(scale=scale, seed=seed, train_store=train_store)
+def run_table3(fig7: Fig7Result) -> Table3Result:
+    """Build Table III from a Fig. 7 result (:func:`repro.experiments.fig7.run_fig7`)."""
     return Table3Result(fig7=fig7)

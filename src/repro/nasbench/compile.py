@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import numpy as np
-
 from repro.nasbench import ops as O
 from repro.nasbench.model_spec import InvalidSpecError, ModelSpec
 from repro.nasbench.skeleton import SkeletonConfig, compute_vertex_channels
@@ -265,15 +263,14 @@ def compile_network(spec: ModelSpec, skeleton: SkeletonConfig) -> NetworkIR:
 
 
 @lru_cache(maxsize=4096)
-def _compile_cached(matrix_bytes: bytes, shape: int, ops: tuple[str, ...],
-                    skeleton: SkeletonConfig) -> NetworkIR:
-    matrix = np.frombuffer(matrix_bytes, dtype=np.int8).reshape(shape, shape)
-    return compile_network(ModelSpec(matrix, ops), skeleton)
+def _compile_cached(spec: ModelSpec, skeleton: SkeletonConfig) -> NetworkIR:
+    # ModelSpec hashes and compares by its pruned cell, the only part of
+    # it compile_network reads, so equal keys compile to equal IRs.
+    return compile_network(spec, skeleton)
 
 
 def compile_cell_ops(spec: ModelSpec, skeleton: SkeletonConfig) -> NetworkIR:
     """Cached variant of :func:`compile_network` keyed by pruned spec."""
     if not spec.valid:
         raise InvalidSpecError(f"cannot compile invalid spec: {spec.invalid_reason}")
-    return _compile_cached(spec.matrix.tobytes(), spec.matrix.shape[0],
-                           spec.ops, skeleton)
+    return _compile_cached(spec, skeleton)

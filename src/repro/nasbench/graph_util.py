@@ -88,6 +88,9 @@ def hash_module(matrix: np.ndarray, labeling: list[int]) -> str:
         raise ValueError(f"labeling length {len(labeling)} != vertex count {n}")
     in_deg = np.sum(matrix, axis=0).tolist()
     out_deg = np.sum(matrix, axis=1).tolist()
+    rows = matrix.tolist()
+    preds = [[w for w in range(n) if rows[w][v]] for v in range(n)]
+    succs = [[w for w in range(n) if rows[v][w]] for v in range(n)]
     hashes = [
         hashlib.md5(str((out_deg[v], in_deg[v], labeling[v])).encode()).hexdigest()
         for v in range(n)
@@ -95,8 +98,8 @@ def hash_module(matrix: np.ndarray, labeling: list[int]) -> str:
     for _ in range(n):
         new_hashes = []
         for v in range(n):
-            in_nb = sorted(hashes[w] for w in range(n) if matrix[w, v])
-            out_nb = sorted(hashes[w] for w in range(n) if matrix[v, w])
+            in_nb = sorted(hashes[w] for w in preds[v])
+            out_nb = sorted(hashes[w] for w in succs[v])
             material = "".join(in_nb) + "|" + "".join(out_nb) + "|" + hashes[v]
             new_hashes.append(hashlib.md5(material.encode()).hexdigest())
         hashes = new_hashes

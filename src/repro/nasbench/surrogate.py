@@ -22,7 +22,6 @@ preserves the statistical shape the search and Pareto analyses consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -180,14 +179,3 @@ class Cifar10Surrogate:
             self._test_accuracy(features, spec_hash),
             self._training_seconds(features, spec_hash),
         )
-
-    @lru_cache(maxsize=1 << 16)
-    def _cached_val(self, matrix_bytes: bytes, shape: int, ops: tuple[str, ...]) -> float:
-        spec = ModelSpec(
-            np.frombuffer(matrix_bytes, dtype=np.int8).reshape(shape, shape), ops
-        )
-        return self.validation_accuracy(spec)
-
-    def validation_accuracy_cached(self, spec: ModelSpec) -> float:
-        """Memoized accuracy lookup keyed by the pruned spec."""
-        return self._cached_val(spec.matrix.tobytes(), spec.matrix.shape[0], spec.ops)

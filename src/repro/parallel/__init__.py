@@ -21,12 +21,12 @@ hardware speed without changing a single result:
   checkpoints, and the cluster's task-lease table, so interrupted
   grids resume bit-identically instead of restarting from step 0.
 
-The repeat harness (:func:`repro.search.runner.run_repeats` /
-``run_grid``) wires them together behind a registry-validated
-``backend`` name and a ``ledger`` argument; every backend runs a task
-through the same :meth:`repro.search.runner.RepeatJob.run`, so under a
-fixed master seed every backend is result-for-result identical at any
-worker count, interrupted or not.
+The repeat harness (:func:`repro.search.runner.run_grid`) wires them
+together behind a registry-validated ``backend`` name and a ``ledger``
+argument; every backend runs a task through the same
+:meth:`repro.search.runner.RepeatJob.run`, so under a fixed master seed
+every backend is result-for-result identical at any worker count,
+interrupted or not.
 """
 
 from repro.parallel.cache import CacheEntry, EvalCache

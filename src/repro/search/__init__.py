@@ -18,7 +18,6 @@ from repro.search.runner import (
     RepeatOutcome,
     mean_reward_trace,
     run_grid,
-    run_repeats,
 )
 from repro.search.separate import SeparateSearch
 from repro.search.threshold_schedule import (
@@ -45,7 +44,6 @@ __all__ = [
     "RepeatOutcome",
     "mean_reward_trace",
     "run_grid",
-    "run_repeats",
     "SeparateSearch",
     "ThresholdRung",
     "ThresholdScheduleSearch",

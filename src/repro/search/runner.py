@@ -2,11 +2,14 @@
 
 The paper repeats every (strategy, scenario) experiment 10 times and
 reports the top result per repeat (Fig. 5) and the step-wise reward
-averaged over repeats (Fig. 6).  :func:`run_repeats` drives one such
-bag of repeats; :func:`run_grid` drives many (strategy, scenario) jobs
-at once so whole experiment grids fan out together.
+averaged over repeats (Fig. 6).  :func:`run_grid` drives many
+(strategy, scenario) jobs, each a :class:`RepeatJob`, at once so whole
+experiment grids fan out together; one experiment is a grid of one
+job.  :meth:`RepeatJob.run` is where every search starts, and
+:func:`repro.core.study.run_study` is the front end that builds the
+jobs from a study spec.
 
-Both dispatch execution through the pluggable backend registry
+Execution dispatches through the pluggable backend registry
 (:mod:`repro.parallel.pool`):
 
 * ``"serial"`` — the historical in-process loop;
@@ -58,7 +61,6 @@ __all__ = [
     "RepeatJob",
     "RepeatOutcome",
     "run_grid",
-    "run_repeats",
     "mean_reward_trace",
 ]
 
@@ -347,75 +349,6 @@ def run_grid(
             )
         outcomes[label].results.append(result)
     return outcomes
-
-
-def run_repeats(
-    strategy_factory: StrategyFactory,
-    evaluator_factory: EvaluatorFactory,
-    num_steps: int,
-    num_repeats: int = 10,
-    master_seed: int = 0,
-    backend: str | ExecutionBackend = "serial",
-    workers: int | None = None,
-    eval_cache: EvalCache | str | Path | None = None,
-    batch_size: int = 1,
-    ledger: RunLedger | str | Path | None = None,
-    checkpoint_every: int = 10,
-    label: str | None = None,
-    two_tier_factory: Callable[[CodesignEvaluator], object] | None = None,
-) -> RepeatOutcome:
-    """Run ``num_repeats`` independent searches of one experiment.
-
-    ``strategy_factory(seed)`` builds a fresh strategy per repeat;
-    ``evaluator_factory()`` builds (or shares) the evaluator — sharing
-    one evaluator across serial repeats is safe and reuses the metric
-    caches.  See :func:`run_grid` for ``backend`` / ``workers`` /
-    ``eval_cache`` / ``batch_size`` / ``ledger`` semantics.
-
-    ``label`` keys the experiment's ledger task rows.  By default it
-    is derived from the factories as ``"<scenario>/<strategy>"`` — the
-    same convention the grid-level entry points use — so the rows a
-    ``run_repeats`` run persists are interchangeable with those of an
-    equivalent single-job :func:`run_grid` (historically the label was
-    hardcoded to ``"job"``, which made every ``run_repeats`` ledger
-    collide with every other).  Without a ledger the label never
-    leaves this function, so no derivation happens.
-    """
-    if label is None:
-        if ledger is None:
-            label = "job"  # internal-only key, nothing persists it
-        else:
-            # Probe the factories once: a throwaway strategy (repeat-0
-            # seed, never run) names the strategy; a throwaway
-            # evaluator names the scenario.  Evaluation state is
-            # untouched — every repeat still builds its own strategy,
-            # and evaluator factories already tolerate per-task
-            # invocation.
-            strategy_name = strategy_factory(
-                hash_seed("repeat", master_seed, 0)
-            ).name
-            scenario_name = evaluator_factory().reward_fn.config.name
-            label = f"{scenario_name}/{strategy_name}"
-    outcomes = run_grid(
-        [
-            RepeatJob(
-                label,
-                strategy_factory,
-                evaluator_factory,
-                two_tier_factory=two_tier_factory,
-            )
-        ],
-        num_steps=num_steps,
-        num_repeats=num_repeats,
-        master_seed=master_seed,
-        backend=backend,
-        workers=workers,
-        eval_cache=eval_cache,
-        batch_size=batch_size,
-        ledger=ledger,
-        checkpoint_every=checkpoint_every,
-    )
-    return outcomes[label]
 
 
 def mean_reward_trace(

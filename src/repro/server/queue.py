@@ -46,11 +46,7 @@ import time
 from pathlib import Path
 
 from repro.core.study import StudySpec, new_study_id
-from repro.parallel.ledger import (
-    TERMINAL_STUDY_STATES,
-    LedgerError,
-    RunLedger,
-)
+from repro.parallel.ledger import LedgerError, RunLedger
 
 __all__ = ["StudyQueue"]
 
@@ -356,9 +352,6 @@ class StudyQueue:
     @staticmethod
     def _spec_of(ledger: RunLedger, study_id: str) -> StudySpec:
         return StudySpec.from_dict(ledger.study(study_id)["spec"])
-
-    def is_terminal(self, state: str) -> bool:
-        return state in TERMINAL_STUDY_STATES
 
 
 def _kill_group(proc: subprocess.Popen) -> None:

@@ -1,17 +1,16 @@
-"""Training-result cache with a GPU-hour ledger.
+"""Training-result cache.
 
 Wraps any :class:`TrainingOracle` so repeated proposals of the same
 cell are free — the paper's searches revisit cells constantly, and only
-the first visit pays the training cost.
+the first visit trains.
 
 The cache has two layers.  The in-memory dict covers one process
 lifetime; an optional :class:`repro.parallel.EvalCache` ``store``
 persists outcomes on disk (training rows use the sentinel config key
 ``"-"`` since accuracy is config-independent, and keep GPU-hours in
 the ``extra`` payload).  With a store attached, re-running a Section IV
-experiment warm-starts from every cell any earlier run ever trained —
-and those warm hits charge nothing to the GPU-hour ledger, exactly like
-in-memory hits.
+experiment warm-starts from every cell any earlier run ever trained,
+and those warm hits train nothing, exactly like in-memory hits.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ class CachedTrainer:
     _cache: dict[str, TrainOutcome] = field(default_factory=dict, init=False)
     hits: int = field(default=0, init=False)
     misses: int = field(default=0, init=False)
-    _gpu_hours_paid: float = field(default=0.0, init=False)
 
     def train_and_score(self, spec: ModelSpec) -> TrainOutcome:
         key = spec.spec_hash()
@@ -65,7 +63,6 @@ class CachedTrainer:
         self.misses += 1
         outcome = self.oracle.train_and_score(spec)
         self._cache[key] = outcome
-        self._gpu_hours_paid += outcome.gpu_hours
         if self.store is not None:
             self.store.put(
                 CacheEntry(
@@ -90,7 +87,3 @@ class CachedTrainer:
     @property
     def unique_cells_trained(self) -> int:
         return len(self._cache)
-
-    def total_gpu_hours(self) -> float:
-        """GPU-hours actually paid by this run (warm hits are free)."""
-        return self._gpu_hours_paid

@@ -18,9 +18,10 @@ Pinning is a small additive correction (< 0.7 points) on top of the
 surface, so the anchors are exact while the rest of the space keeps a
 smooth, NASBench-like landscape whose maximum (~75.5%) matches Fig. 7's
 upper range.  Each training run adds deterministic per-cell noise
-(run-to-run variance) and charges simulated GPU-hours to a ledger, so
-search budgets are measurable the way the paper reports them
-(~1000 GPU-hours to reach Cod-1).
+(run-to-run variance) and reports its simulated GPU-hours
+(:meth:`SurrogateCifar100Trainer.gpu_hours`), so search budgets are
+measurable the way the paper reports them (~1000 GPU-hours to reach
+Cod-1).
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ class SurrogateCifar100Trainer:
     gpu_hours_base: float = 0.45
     floor: float = 55.0
     ceiling: float = 76.5
-    total_gpu_hours: float = field(default=0.0, init=False)
     num_trainings: int = field(default=0, init=False)
     _anchor_offsets: dict[str, float] = field(default_factory=dict, init=False)
 
@@ -84,9 +84,9 @@ class SurrogateCifar100Trainer:
     def cache_namespace(self) -> str:
         """Store namespace pinning every outcome-affecting parameter.
 
-        Used by :func:`repro.experiments.fig7.run_fig7` when persisting
-        training outcomes — differently configured trainers must never
-        share rows.
+        The ``cifar100-trainer`` accuracy source persists training
+        outcomes under it (and keys the study's eval-cache rows by it),
+        so differently configured trainers never share rows.
         """
         return (
             f"train/cifar100/seed{self.seed}/noise{self.noise_std:g}"
@@ -98,23 +98,30 @@ class SurrogateCifar100Trainer:
         """Noise-free accuracy (anchored surface), percent."""
         if not spec.valid:
             raise ValueError("cannot train an invalid spec")
-        features = extract_features(spec)
+        return self._mean_accuracy(extract_features(spec), spec.spec_hash())
+
+    def _mean_accuracy(self, features: CellFeatures, spec_hash: str) -> float:
         value = _surface(features)
-        value += self._anchor_offsets.get(spec.spec_hash(), 0.0)
+        value += self._anchor_offsets.get(spec_hash, 0.0)
         return float(np.clip(value, self.floor, self.ceiling))
+
+    def gpu_hours(self, features: CellFeatures) -> float:
+        """Simulated GPU-hours of one training run of a cell."""
+        return self.gpu_hours_base + self.gpu_hours_per_gmac * features.giga_macs
 
     def train_and_score(self, spec: ModelSpec) -> TrainOutcome:
         """One simulated training run (deterministic per cell+seed)."""
-        mean = self.mean_accuracy(spec)
-        rng = np.random.default_rng(hash_seed("c100", self.seed, spec.spec_hash()))
+        if not spec.valid:
+            raise ValueError("cannot train an invalid spec")
+        features = extract_features(spec)
+        spec_hash = spec.spec_hash()
+        mean = self._mean_accuracy(features, spec_hash)
+        rng = np.random.default_rng(hash_seed("c100", self.seed, spec_hash))
         accuracy = float(
             np.clip(mean + rng.normal(0.0, self.noise_std), self.floor, self.ceiling)
         )
-        features = extract_features(spec)
-        gpu_hours = self.gpu_hours_base + self.gpu_hours_per_gmac * features.giga_macs
-        self.total_gpu_hours += gpu_hours
         self.num_trainings += 1
-        return TrainOutcome(accuracy=accuracy, gpu_hours=gpu_hours)
+        return TrainOutcome(accuracy=accuracy, gpu_hours=self.gpu_hours(features))
 
     # ------------------------------------------------------------------
     def accuracy_fn(self, spec: ModelSpec) -> float | None:
@@ -126,9 +133,3 @@ class SurrogateCifar100Trainer:
         if not spec.valid:
             return None
         return self.train_and_score(spec).accuracy
-
-    def wall_clock_hours(self, num_parallel_gpus: int = 48) -> float:
-        """Simulated wall-clock given the paper's 6x8-GPU fleet."""
-        if num_parallel_gpus < 1:
-            raise ValueError("num_parallel_gpus must be positive")
-        return self.total_gpu_hours / num_parallel_gpus

@@ -237,9 +237,14 @@ class TestPathEquivalence:
 
 class TestBatchBookkeeping:
     def test_duplicates_share_results_and_count(self, micro4_bundle):
-        from repro.experiments.search_study import make_bundle_evaluator
+        from repro.core.evaluator import build_evaluator
 
-        ev = make_bundle_evaluator(micro4_bundle, unconstrained(micro4_bundle.bounds))
+        ev = build_evaluator(
+            "database",
+            unconstrained(micro4_bundle.bounds),
+            bundle=micro4_bundle,
+            platform=micro4_bundle.platform,
+        )
         pairs = _matrix_pairs("database-table", micro4_bundle)[:10]
         results = ev.evaluate_batch(pairs + pairs)
         assert ev.num_evaluations == 20

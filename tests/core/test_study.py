@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.evaluator import build_evaluator
 from repro.core.scenarios import unconstrained
 from repro.core.search_space import JointSearchSpace
 from repro.core.study import (
@@ -21,7 +22,6 @@ from repro.core.study import (
 )
 from repro.experiments.common import Scale
 from repro.experiments.presets import get_preset, list_presets, resolve_spec
-from repro.experiments.search_study import make_bundle_evaluator
 from repro.parallel.ledger import LedgerError
 from repro.search.combined import CombinedSearch
 from repro.search.runner import RepeatJob, run_grid
@@ -258,7 +258,9 @@ class TestRunStudy:
         """One strategy x scenario: run_study == hand-rolled closures."""
         scenario = unconstrained(micro4_bundle.bounds)
         space = JointSearchSpace(cell_encoding=micro4_bundle.cell_encoding)
-        evaluator = make_bundle_evaluator(micro4_bundle, scenario)
+        evaluator = build_evaluator(
+            "database", scenario, bundle=micro4_bundle, platform=micro4_bundle.platform
+        )
         legacy = run_grid(
             [
                 RepeatJob(

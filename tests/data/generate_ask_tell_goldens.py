@@ -26,10 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.evaluator import build_evaluator
 from repro.core.scenarios import PAPER_SCENARIOS
 from repro.core.search_space import JointSearchSpace
 from repro.experiments.common import load_bundle
-from repro.experiments.search_study import make_bundle_evaluator
 from repro.search.combined import CombinedSearch
 from repro.search.evolution import EvolutionSearch
 from repro.search.phase import PhaseSearch
@@ -75,7 +75,9 @@ def main() -> None:
         scenario = scenario_factory(bundle.bounds)
         for strategy_name, factory in STRATEGY_FACTORIES.items():
             for seed in SEEDS:
-                evaluator = make_bundle_evaluator(bundle, scenario)
+                evaluator = build_evaluator(
+                    "database", scenario, bundle=bundle, platform=bundle.platform
+                )
                 result = factory(space, seed).run(evaluator, NUM_STEPS)
                 key = f"{strategy_name}__{scenario_name}__{seed}"
                 arrays[key] = result.reward_trace()

@@ -40,10 +40,10 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.evaluator import build_evaluator
 from repro.core.scenarios import PAPER_SCENARIOS, unconstrained
 from repro.core.search_space import JointSearchSpace
 from repro.experiments.common import load_bundle
-from repro.experiments.search_study import make_bundle_evaluator
 from repro.parallel import MemoryCheckpoint
 from repro.search.combined import CombinedSearch
 from repro.search.phase import PhaseSearch
@@ -134,19 +134,32 @@ def run_case(name: str, bundle) -> dict[str, str | int]:
     kind, *rest = name.split("/")
     if kind == "batch16":
         strategy, scenario, seed = rest
-        evaluator = make_bundle_evaluator(
-            bundle, PAPER_SCENARIOS[scenario](bundle.bounds)
+        evaluator = build_evaluator(
+            "database",
+            PAPER_SCENARIOS[scenario](bundle.bounds),
+            bundle=bundle,
+            platform=bundle.platform,
         )
         search = STRATEGY_FACTORIES[strategy](space, int(seed))
         return trace_digests(search.run(evaluator, BATCH16_STEPS, batch_size=16))
     if kind == "threshold":
         batch, seed = rest
-        evaluator = make_bundle_evaluator(bundle, unconstrained(bundle.bounds))
+        evaluator = build_evaluator(
+            "database",
+            unconstrained(bundle.bounds),
+            bundle=bundle,
+            platform=bundle.platform,
+        )
         search = ThresholdScheduleSearch(space, seed=int(seed), rungs=THRESHOLD_RUNGS)
         return trace_digests(search.run(evaluator, batch_size=int(batch[1:])))
     if name.startswith("checkpoint/threshold/"):
         rungs, batch_size, every, num_steps = THRESHOLD_CHECKPOINT_RUNS[rest[1]]
-        evaluator = make_bundle_evaluator(bundle, unconstrained(bundle.bounds))
+        evaluator = build_evaluator(
+            "database",
+            unconstrained(bundle.bounds),
+            bundle=bundle,
+            platform=bundle.platform,
+        )
         log = SaveLog()
         ThresholdScheduleSearch(space, seed=0, rungs=rungs).run(
             evaluator,
@@ -164,7 +177,12 @@ def run_case(name: str, bundle) -> dict[str, str | int]:
         steps = CHECKPOINT_STEPS
         if strategy == "phase-cnn-only":
             strategy, steps = "phase", 8
-        evaluator = make_bundle_evaluator(bundle, unconstrained(bundle.bounds))
+        evaluator = build_evaluator(
+            "database",
+            unconstrained(bundle.bounds),
+            bundle=bundle,
+            platform=bundle.platform,
+        )
         checkpoint = MemoryCheckpoint()
         STRATEGY_FACTORIES[strategy](space, 0).run(
             evaluator, steps, batch_size=int(batch[1:]), checkpoint=checkpoint

@@ -5,19 +5,24 @@ import pytest
 
 from repro.core.scenarios import unconstrained
 from repro.core.study import replace_execution, run_study
-from repro.experiments.ablations import run_punishment_ablation, run_random_ablation
+from repro.experiments.ablations import (
+    run_punishment_ablation,
+    run_random_ablation,
+    run_schedule_ablation,
+)
 from repro.experiments import common
 from repro.experiments.common import Scale, load_bundle
 from repro.experiments.fig4 import run_fig4
 from repro.experiments.fig5 import run_fig5
 from repro.experiments.fig6 import run_fig6
-from repro.experiments.fig7 import best_accelerator_for, run_fig7
+from repro.experiments.fig7 import best_accelerator_for, fig7_spec, run_fig7
 from repro.experiments.presets import get_preset
 from repro.experiments.table1 import PAPER_TABLE1, run_table1
 from repro.experiments.table2 import run_table2
 from repro.experiments.table3 import run_table3
 from repro.experiments.validation import run_validation
 from repro.nasbench.known_cells import resnet_cell
+from repro.parallel import EvalCache
 from repro.search.threshold_schedule import ThresholdRung
 from repro.training.surrogate_trainer import SurrogateCifar100Trainer
 
@@ -151,10 +156,23 @@ class TestSearchStudy:
 
 
 class TestFig7AndTables:
+    RUNGS = [ThresholdRung(2.0, 15, 60), ThresholdRung(16.0, 15, 60)]
+
     @pytest.fixture(scope="class")
-    def fig7(self):
-        rungs = [ThresholdRung(2.0, 15, 60), ThresholdRung(16.0, 15, 60)]
-        return run_fig7(scale=TINY, seed=1, rungs=rungs)
+    def spec(self):
+        return fig7_spec(TINY, seed=1, rungs=self.RUNGS)
+
+    @pytest.fixture(scope="class")
+    def fig7(self, spec):
+        return run_fig7(run_study(spec, scale=TINY))
+
+    def test_spec_sizes_one_search(self, spec):
+        assert spec.execution.num_steps == 120
+        assert spec.execution.num_repeats == 1
+        assert spec.execution.master_seed == 1
+        assert spec.strategies[0].params["rungs"][1] == {
+            "threshold": 16.0, "target_valid_points": 15, "max_steps": 60,
+        }
 
     def test_baselines_present(self, fig7):
         assert fig7.baselines["resnet"].accuracy == pytest.approx(72.9)
@@ -172,6 +190,41 @@ class TestFig7AndTables:
     def test_gpu_ledger_positive(self, fig7):
         assert fig7.gpu_hours > 0
         assert fig7.unique_cells_trained > 0
+
+    def test_gpu_hours_are_what_a_cold_serial_run_charges(
+        self, spec, fig7, tmp_path, monkeypatch
+    ):
+        charged = []
+        train_and_score = SurrogateCifar100Trainer.train_and_score
+
+        def charging(self, cell):
+            outcome = train_and_score(self, cell)
+            charged.append(outcome.gpu_hours)
+            return outcome
+
+        monkeypatch.setattr(SurrogateCifar100Trainer, "train_and_score", charging)
+        cache = EvalCache(tmp_path / "ec.sqlite")
+        cold = run_fig7(run_study(spec, scale=TINY, eval_cache=cache))
+        assert cold.gpu_hours == sum(charged)  # bit for bit
+        assert cold.unique_cells_trained == len(charged)
+        # A warm re-run trains nothing and reports the same search.
+        del charged[:]
+        warm = run_fig7(run_study(spec, scale=TINY, eval_cache=cache))
+        assert charged == []
+        assert warm == cold == fig7
+
+    def test_process_backend_matches_serial(self, spec):
+        # Two repeats, so the pool forks and the packaged first repeat
+        # runs in a worker, away from the parent's trainer.
+        spec = replace_execution(spec, num_repeats=2)
+        serial = run_fig7(run_study(spec, scale=TINY))
+        process = run_fig7(
+            run_study(
+                replace_execution(spec, backend="process", workers=2), scale=TINY
+            )
+        )
+        assert process == serial
+        assert process.to_markdown() == serial.to_markdown()
 
     def test_table2_structure(self, fig7):
         table = run_table2(fig7)
@@ -207,6 +260,13 @@ class TestAblations:
         assert {r.variant for r in rows} == {"combined (RL)", "random"}
         for row in rows:
             assert np.isfinite(row.best_reward)
+
+    def test_schedule_rows(self):
+        rows = run_schedule_ablation(TINY, master_seed=0)
+        assert [r.variant for r in rows] == ["schedule (paper)", "fixed final threshold"]
+        for row in rows:
+            assert np.isfinite(row.best_reward)
+            assert 0.0 < row.feasible_rate <= 1.0
 
 
 class TestStudyScenarioNames:

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.evaluator import CodesignEvaluator
+from repro.core.evaluator import CodesignEvaluator, build_evaluator
 from repro.core.pareto import product_space_pareto
 from repro.core.scenarios import one_constraint, unconstrained
 from repro.core.search_space import JointSearchSpace
-from repro.experiments.search_study import make_bundle_evaluator
 from repro.nasbench.skeleton import CIFAR10_SKELETON
 from repro.search.combined import CombinedSearch
 from repro.training.cache import CachedTrainer
@@ -21,7 +20,9 @@ class TestSearchVsEnumeration:
         bundle = micro4_bundle
         scenario = unconstrained(bundle.bounds)
         space = JointSearchSpace(cell_encoding=bundle.cell_encoding)
-        evaluator = make_bundle_evaluator(bundle, scenario)
+        evaluator = build_evaluator(
+            "database", scenario, bundle=bundle, platform=bundle.platform
+        )
         result = CombinedSearch(space, seed=0).run(evaluator, 50)
         rows = bundle.row_of_hash()
         for entry in result.archive.feasible_entries()[:20]:
@@ -38,7 +39,9 @@ class TestSearchVsEnumeration:
         front = product_space_pareto(bundle.accuracy, bundle.area_mm2, bundle.latency_ms)
         scenario = one_constraint(bundle.bounds)
         space = JointSearchSpace(cell_encoding=bundle.cell_encoding)
-        evaluator = make_bundle_evaluator(bundle, scenario)
+        evaluator = build_evaluator(
+            "database", scenario, bundle=bundle, platform=bundle.platform
+        )
         result = CombinedSearch(space, seed=3).run(evaluator, 200)
         best = result.best
         if best is None:
@@ -65,7 +68,9 @@ class TestSearchVsEnumeration:
         )
         best_possible = np.nanmax(rewards)
         space = JointSearchSpace(cell_encoding=bundle.cell_encoding)
-        evaluator = make_bundle_evaluator(bundle, scenario)
+        evaluator = build_evaluator(
+            "database", scenario, bundle=bundle, platform=bundle.platform
+        )
         result = CombinedSearch(space, seed=5).run(evaluator, 400)
         assert result.best.reward >= best_possible - 0.05
 
@@ -104,7 +109,9 @@ class TestDeterminism:
         space = JointSearchSpace(cell_encoding=bundle.cell_encoding)
 
         def run():
-            evaluator = make_bundle_evaluator(bundle, scenario)
+            evaluator = build_evaluator(
+                "database", scenario, bundle=bundle, platform=bundle.platform
+            )
             return CombinedSearch(space, seed=9).run(evaluator, 40).reward_trace()
 
         assert np.array_equal(run(), run())

@@ -78,11 +78,6 @@ class TestAccuracy:
         spec = resnet_cell()
         assert s.test_accuracy(spec) < s.validation_accuracy(spec)
 
-    def test_cached_matches_uncached(self):
-        s = Cifar10Surrogate()
-        spec = googlenet_cell()
-        assert s.validation_accuracy_cached(spec) == s.validation_accuracy(spec)
-
 
 class TestTrainingTime:
     def test_positive_and_scales_with_macs(self):

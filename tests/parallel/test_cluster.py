@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.evaluator import build_evaluator
 from repro.core.scenarios import one_constraint, unconstrained
 from repro.core.search_space import JointSearchSpace
-from repro.experiments.search_study import make_bundle_evaluator
 from repro.parallel import RunLedger
 from repro.parallel.cluster import ClusterBackend, run_worker
 from repro.parallel.ledger import LedgerError
@@ -22,7 +22,9 @@ def ledger(tmp_path):
 def small_result(micro4_bundle):
     scenario = unconstrained(micro4_bundle.bounds)
     space = JointSearchSpace(cell_encoding=micro4_bundle.cell_encoding)
-    evaluator = make_bundle_evaluator(micro4_bundle, scenario)
+    evaluator = build_evaluator(
+        "database", scenario, bundle=micro4_bundle, platform=micro4_bundle.platform
+    )
     return RandomSearch(space, seed=11).run(evaluator, 15)
 
 
@@ -35,8 +37,8 @@ def two_job_grid(bundle):
             RepeatJob(
                 label=name,
                 strategy_factory=lambda seed: RandomSearch(space, seed=seed),
-                evaluator_factory=lambda sc=scenario: make_bundle_evaluator(
-                    bundle, sc
+                evaluator_factory=lambda sc=scenario: build_evaluator(
+                    "database", sc, bundle=bundle, platform=bundle.platform
                 ),
                 cache_scenario=name,
             )

@@ -5,8 +5,8 @@ import sqlite3
 
 import pytest
 
+from repro.core.evaluator import build_evaluator
 from repro.core.scenarios import unconstrained
-from repro.experiments.search_study import make_bundle_evaluator
 from repro.nasbench.known_cells import resnet_cell
 from repro.parallel import CacheEntry, EvalCache
 from repro.training.cache import CachedTrainer
@@ -217,7 +217,9 @@ class TestForkInheritance:
 class TestEvaluatorIntegration:
     def test_evaluator_consults_cache_before_computing(self, micro4_bundle):
         scenario = unconstrained(micro4_bundle.bounds)
-        evaluator = make_bundle_evaluator(micro4_bundle, scenario)
+        evaluator = build_evaluator(
+            "database", scenario, bundle=micro4_bundle, platform=micro4_bundle.platform
+        )
         cache = EvalCache()
         evaluator.attach_eval_cache(cache, scenario="test")
         spec = micro4_bundle.database.records[0].spec
@@ -235,13 +237,17 @@ class TestEvaluatorIntegration:
         config = micro4_bundle.space.config_at(17)
 
         cold_cache = EvalCache(path)
-        cold = make_bundle_evaluator(micro4_bundle, scenario)
+        cold = build_evaluator(
+            "database", scenario, bundle=micro4_bundle, platform=micro4_bundle.platform
+        )
         cold.attach_eval_cache(cold_cache, scenario="test")
         cold_result = cold.evaluate(spec, config)
         cold_cache.flush()
 
         warm_cache = EvalCache(path)
-        warm = make_bundle_evaluator(micro4_bundle, scenario)
+        warm = build_evaluator(
+            "database", scenario, bundle=micro4_bundle, platform=micro4_bundle.platform
+        )
         warm.attach_eval_cache(warm_cache, scenario="test")
         warm_result = warm.evaluate(spec, config)
         assert warm_cache.stats["hits"] == 1
@@ -250,14 +256,18 @@ class TestEvaluatorIntegration:
 
     def test_evaluate_batch_matches_scalar(self, micro4_bundle):
         scenario = unconstrained(micro4_bundle.bounds)
-        evaluator = make_bundle_evaluator(micro4_bundle, scenario)
+        evaluator = build_evaluator(
+            "database", scenario, bundle=micro4_bundle, platform=micro4_bundle.platform
+        )
         records = micro4_bundle.database.records
         pairs = [
             (records[i % len(records)].spec, micro4_bundle.space.config_at(i * 7))
             for i in range(6)
         ] * 2  # duplicates exercise the dedup path
         batch = evaluator.evaluate_batch(pairs)
-        reference = make_bundle_evaluator(micro4_bundle, scenario)
+        reference = build_evaluator(
+            "database", scenario, bundle=micro4_bundle, platform=micro4_bundle.platform
+        )
         assert len(batch) == len(pairs)
         assert evaluator.num_evaluations == len(pairs)
         for (spec, config), result in zip(pairs, batch):
@@ -269,14 +279,13 @@ class TestCachedTrainerStore:
         store = EvalCache()
         first = CachedTrainer(SurrogateCifar100Trainer(), store=store, namespace="t")
         outcome = first.train_and_score(resnet_cell())
-        assert first.total_gpu_hours() > 0
+        assert first.oracle.num_trainings == 1
 
         second = CachedTrainer(SurrogateCifar100Trainer(), store=store, namespace="t")
         warm = second.train_and_score(resnet_cell())
         assert warm.accuracy == outcome.accuracy
         assert warm.gpu_hours == outcome.gpu_hours
         assert second.hits == 1 and second.misses == 0
-        assert second.total_gpu_hours() == 0.0
         assert second.oracle.num_trainings == 0
 
     def test_namespaces_isolate_oracles(self):

@@ -5,10 +5,10 @@ import pytest
 
 from repro.accelerator.config import AcceleratorConfig
 from repro.core.archive import SearchArchive
+from repro.core.evaluator import build_evaluator
 from repro.core.metrics import Metrics
 from repro.core.scenarios import unconstrained
 from repro.core.search_space import JointSearchSpace
-from repro.experiments.search_study import make_bundle_evaluator
 from repro.nasbench.known_cells import resnet_cell
 from repro.parallel import LedgerError, MemoryCheckpoint, RunLedger
 from repro.parallel.ledger import decode_state, encode_state
@@ -19,7 +19,9 @@ from repro.search.random_search import RandomSearch
 def small_result(micro4_bundle):
     scenario = unconstrained(micro4_bundle.bounds)
     space = JointSearchSpace(cell_encoding=micro4_bundle.cell_encoding)
-    evaluator = make_bundle_evaluator(micro4_bundle, scenario)
+    evaluator = build_evaluator(
+        "database", scenario, bundle=micro4_bundle, platform=micro4_bundle.platform
+    )
     return RandomSearch(space, seed=11).run(evaluator, 15)
 
 

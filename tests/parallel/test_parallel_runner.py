@@ -5,28 +5,43 @@ import os
 import numpy as np
 import pytest
 
+from repro.core.evaluator import build_evaluator
 from repro.core.scenarios import one_constraint, unconstrained
 from repro.core.search_space import JointSearchSpace
 from repro.core.study import replace_execution, run_study
 from repro.experiments.common import Scale
 from repro.experiments.presets import get_preset
-from repro.experiments.search_study import make_bundle_evaluator
 from repro.parallel import EvalCache
 from repro.search.combined import CombinedSearch
 from repro.search.random_search import RandomSearch
-from repro.search.runner import RepeatJob, run_grid, run_repeats
+from repro.search.runner import RepeatJob, run_grid
+
+#: The grid the ``job`` fixture runs at.
+GRID = dict(num_steps=40, num_repeats=3, master_seed=0)
+
+
+def unconstrained_evaluator(bundle):
+    """A new database evaluator under the unconstrained scenario."""
+    return build_evaluator(
+        "database", unconstrained(bundle.bounds), bundle=bundle, platform=bundle.platform
+    )
+
+
+def random_job(bundle, evaluator_factory) -> RepeatJob:
+    """Random search over ``bundle``'s cells, scored by ``evaluator_factory``."""
+    space = JointSearchSpace(cell_encoding=bundle.cell_encoding)
+    return RepeatJob(
+        "job", lambda seed: RandomSearch(space, seed=seed), evaluator_factory
+    )
 
 
 @pytest.fixture
-def repeat_kwargs(micro4_bundle):
-    scenario = unconstrained(micro4_bundle.bounds)
+def job(micro4_bundle):
     space = JointSearchSpace(cell_encoding=micro4_bundle.cell_encoding)
-    return dict(
+    return RepeatJob(
+        "job",
         strategy_factory=lambda seed: CombinedSearch(space, seed=seed),
-        evaluator_factory=lambda: make_bundle_evaluator(micro4_bundle, scenario),
-        num_steps=40,
-        num_repeats=3,
-        master_seed=0,
+        evaluator_factory=lambda: unconstrained_evaluator(micro4_bundle),
     )
 
 
@@ -42,19 +57,20 @@ def assert_outcomes_identical(a, b):
 
 
 class TestProcessEqualsSerial:
-    def test_run_repeats_identical(self, repeat_kwargs):
-        serial = run_repeats(**repeat_kwargs, backend="serial")
-        process = run_repeats(**repeat_kwargs, backend="process", workers=4)
+    def test_repeats_identical(self, job):
+        serial = run_grid([job], **GRID, backend="serial")["job"]
+        process = run_grid([job], **GRID, backend="process", workers=4)["job"]
         assert_outcomes_identical(serial, process)
 
-    def test_identical_with_shared_cache(self, repeat_kwargs, tmp_path):
-        serial = run_repeats(**repeat_kwargs, backend="serial")
-        process = run_repeats(
-            **repeat_kwargs,
+    def test_identical_with_shared_cache(self, job, tmp_path):
+        serial = run_grid([job], **GRID, backend="serial")["job"]
+        process = run_grid(
+            [job],
+            **GRID,
             backend="process",
             workers=2,
             eval_cache=tmp_path / "ec.sqlite",
-        )
+        )["job"]
         assert_outcomes_identical(serial, process)
 
     def test_grid_parallelizes_independent_jobs(self, micro4_bundle):
@@ -66,8 +82,11 @@ class TestProcessEqualsSerial:
                 RepeatJob(
                     label=name,
                     strategy_factory=lambda seed: RandomSearch(space, seed=seed),
-                    evaluator_factory=lambda sc=scenario: make_bundle_evaluator(
-                        micro4_bundle, sc
+                    evaluator_factory=lambda sc=scenario: build_evaluator(
+                        "database",
+                        sc,
+                        bundle=micro4_bundle,
+                        platform=micro4_bundle.platform,
                     ),
                     cache_scenario=name,
                 )
@@ -80,71 +99,61 @@ class TestProcessEqualsSerial:
         for label in serial:
             assert_outcomes_identical(serial[label], process[label])
 
-    def test_unknown_backend_rejected(self, repeat_kwargs):
+    def test_unknown_backend_rejected(self, job):
         with pytest.raises(ValueError):
-            run_repeats(**repeat_kwargs, backend="gpu")
+            run_grid([job], **GRID, backend="gpu")
 
-    def test_zero_repeats_rejected(self, repeat_kwargs):
-        kwargs = {**repeat_kwargs, "num_repeats": 0}
+    def test_zero_repeats_rejected(self, job):
         with pytest.raises(ValueError):
-            run_repeats(**kwargs)
+            run_grid([job], **{**GRID, "num_repeats": 0})
 
-    def test_zero_workers_rejected(self, repeat_kwargs):
+    def test_zero_workers_rejected(self, job):
         with pytest.raises(ValueError, match="workers"):
-            run_repeats(**repeat_kwargs, backend="process", workers=0)
+            run_grid([job], **GRID, backend="process", workers=0)
 
 
 class TestWarmStarts:
-    def test_second_run_hits_cache(self, repeat_kwargs, tmp_path):
+    def test_second_run_hits_cache(self, job, tmp_path):
         path = tmp_path / "ec.sqlite"
         cold = EvalCache(path)
-        first = run_repeats(**repeat_kwargs, eval_cache=cold)
+        first = run_grid([job], **GRID, eval_cache=cold)["job"]
         assert len(cold) > 0
 
         warm = EvalCache(path)
-        second = run_repeats(**repeat_kwargs, eval_cache=warm)
+        second = run_grid([job], **GRID, eval_cache=warm)["job"]
         assert warm.stats["hit_rate"] > 0.0
         assert warm.stats["misses"] == 0  # identical run => fully warm
         assert_outcomes_identical(first, second)
 
-    def test_workers_merge_rows_back(self, repeat_kwargs, tmp_path):
+    def test_workers_merge_rows_back(self, job, tmp_path):
         cache = EvalCache(tmp_path / "ec.sqlite")
-        run_repeats(**repeat_kwargs, backend="process", workers=2, eval_cache=cache)
+        run_grid([job], **GRID, backend="process", workers=2, eval_cache=cache)
         assert len(cache) > 0
         assert cache.stats["pending"] == 0  # merged and flushed
 
     def test_shared_evaluator_rows_still_merge(self, micro4_bundle, tmp_path):
         # A factory returning one shared evaluator (the documented serial
         # idiom) must not lose cache rows or stats in process mode.
-        scenario = unconstrained(micro4_bundle.bounds)
-        space = JointSearchSpace(cell_encoding=micro4_bundle.cell_encoding)
-        shared = make_bundle_evaluator(micro4_bundle, scenario)
+        shared = unconstrained_evaluator(micro4_bundle)
+        grid = dict(num_steps=25, num_repeats=4, backend="process", workers=2)
         shared_cache = EvalCache(tmp_path / "shared.sqlite")
-        run_repeats(
-            strategy_factory=lambda seed: RandomSearch(space, seed=seed),
-            evaluator_factory=lambda: shared,
-            num_steps=25,
-            num_repeats=4,
-            backend="process",
-            workers=2,
+        run_grid(
+            [random_job(micro4_bundle, lambda: shared)],
+            **grid,
             eval_cache=shared_cache,
         )
         fresh_cache = EvalCache(tmp_path / "fresh.sqlite")
-        run_repeats(
-            strategy_factory=lambda seed: RandomSearch(space, seed=seed),
-            evaluator_factory=lambda: make_bundle_evaluator(micro4_bundle, scenario),
-            num_steps=25,
-            num_repeats=4,
-            backend="process",
-            workers=2,
+        run_grid(
+            [random_job(micro4_bundle, lambda: unconstrained_evaluator(micro4_bundle))],
+            **grid,
             eval_cache=fresh_cache,
         )
         assert len(shared_cache) == len(fresh_cache) > 0
         assert shared_cache.hits + shared_cache.misses > 0
 
-    def test_cache_path_accepted_directly(self, repeat_kwargs, tmp_path):
+    def test_cache_path_accepted_directly(self, job, tmp_path):
         path = tmp_path / "ec.sqlite"
-        run_repeats(**repeat_kwargs, eval_cache=path)
+        run_grid([job], **GRID, eval_cache=path)
         assert len(EvalCache(path)) > 0
 
 
@@ -320,21 +329,18 @@ class TestWorkerCacheForkGuard:
     def test_forked_workers_never_touch_parent_connection(
         self, micro4_bundle, tmp_path
     ):
-        scenario = unconstrained(micro4_bundle.bounds)
-        space = JointSearchSpace(cell_encoding=micro4_bundle.cell_encoding)
         log_path = tmp_path / "spy.log"
         spy = _SpyCache(tmp_path / "spy.sqlite", log_path)
-        shared = make_bundle_evaluator(micro4_bundle, scenario)
+        shared = unconstrained_evaluator(micro4_bundle)
         shared.attach_eval_cache(spy, scenario="guard")
 
-        outcome = run_repeats(
-            strategy_factory=lambda seed: RandomSearch(space, seed=seed),
-            evaluator_factory=lambda: shared,
+        outcome = run_grid(
+            [random_job(micro4_bundle, lambda: shared)],
             num_steps=20,
             num_repeats=4,
             backend="process",
             workers=2,
-        )
+        )["job"]
         assert len(outcome.results) == 4
         assert log_path.exists()  # the workers did use the store
         assert foreign_queries(log_path) == []
@@ -346,13 +352,11 @@ class TestWorkerCacheForkGuard:
         # caching in the workers — over their own connections to its
         # path — and their new rows persist even though run_grid
         # itself was never handed an eval_cache.
-        scenario = unconstrained(micro4_bundle.bounds)
-        space = JointSearchSpace(cell_encoding=micro4_bundle.cell_encoding)
         store_path = tmp_path / "warm.sqlite"
         accuracy_log = tmp_path / "accuracy_calls.log"
 
         def make_shared():
-            shared = make_bundle_evaluator(micro4_bundle, scenario)
+            shared = unconstrained_evaluator(micro4_bundle)
             inner = shared.accuracy_fn
 
             def logging_accuracy(spec):
@@ -365,14 +369,13 @@ class TestWorkerCacheForkGuard:
             return shared
 
         def run_process(shared):
-            return run_repeats(
-                strategy_factory=lambda seed: RandomSearch(space, seed=seed),
-                evaluator_factory=lambda: shared,
+            return run_grid(
+                [random_job(micro4_bundle, lambda: shared)],
                 num_steps=20,
                 num_repeats=4,
                 backend="process",
                 workers=2,
-            )
+            )["job"]
 
         cold = run_process(make_shared())
         # The workers flushed their rows into the store.
@@ -399,13 +402,11 @@ class TestWorkerConnectionHygiene:
         # close them deterministically rather than trust refcounting.
         import os
 
-        scenario = unconstrained(micro4_bundle.bounds)
-        space = JointSearchSpace(cell_encoding=micro4_bundle.cell_encoding)
         store_path = tmp_path / "perfactory.sqlite"
         fd_log = tmp_path / "fds.log"
 
         def factory():
-            evaluator = make_bundle_evaluator(micro4_bundle, scenario)
+            evaluator = unconstrained_evaluator(micro4_bundle)
             evaluator.attach_eval_cache(EvalCache(store_path), scenario="fd")
             inner = evaluator.accuracy_fn
 
@@ -419,9 +420,8 @@ class TestWorkerConnectionHygiene:
             evaluator.accuracy_fn = probing_accuracy
             return evaluator
 
-        run_repeats(
-            strategy_factory=lambda seed: RandomSearch(space, seed=seed),
-            evaluator_factory=factory,
+        run_grid(
+            [random_job(micro4_bundle, factory)],
             num_steps=15,
             num_repeats=12,
             backend="process",
@@ -452,7 +452,12 @@ class TestLedgerGrid:
             scenario = factory(micro4_bundle.bounds)
 
             def evaluator_factory(sc=scenario):
-                evaluator = make_bundle_evaluator(micro4_bundle, sc)
+                evaluator = build_evaluator(
+                    "database",
+                    sc,
+                    bundle=micro4_bundle,
+                    platform=micro4_bundle.platform,
+                )
                 if accuracy_wrapper is not None:
                     evaluator.accuracy_fn = accuracy_wrapper(evaluator.accuracy_fn)
                 return evaluator
@@ -607,8 +612,6 @@ class TestWorkerSharedPostForkCache:
         # attaches it to a fresh evaluator per task (a natural
         # warm-rows-across-tasks pattern) must keep working: the
         # harness must not close a cache the factory still references.
-        scenario = unconstrained(micro4_bundle.bounds)
-        space = JointSearchSpace(cell_encoding=micro4_bundle.cell_encoding)
         store_path = tmp_path / "lazy.sqlite"
         holder: dict = {}
 
@@ -618,26 +621,24 @@ class TestWorkerSharedPostForkCache:
             if holder.get("pid") != os.getpid():
                 holder["pid"] = os.getpid()
                 holder["cache"] = EvalCache(store_path)
-            evaluator = make_bundle_evaluator(micro4_bundle, scenario)
+            evaluator = unconstrained_evaluator(micro4_bundle)
             evaluator.attach_eval_cache(holder["cache"], scenario="lazy")
             return evaluator
 
-        outcome = run_repeats(
-            strategy_factory=lambda seed: RandomSearch(space, seed=seed),
-            evaluator_factory=factory,
+        outcome = run_grid(
+            [random_job(micro4_bundle, factory)],
             num_steps=15,
             num_repeats=6,
             backend="process",
             workers=2,
-        )
+        )["job"]
         assert len(outcome.results) == 6
-        reference = run_repeats(
-            strategy_factory=lambda seed: RandomSearch(space, seed=seed),
-            evaluator_factory=lambda: make_bundle_evaluator(micro4_bundle, scenario),
+        reference = run_grid(
+            [random_job(micro4_bundle, lambda: unconstrained_evaluator(micro4_bundle))],
             num_steps=15,
             num_repeats=6,
             backend="serial",
-        )
+        )["job"]
         assert_outcomes_identical(reference, outcome)
 
 

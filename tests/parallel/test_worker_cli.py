@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.study import StudySpec, run_study
 from repro.parallel import RunLedger
-from repro.search.runner import run_repeats
+from repro.search.runner import RepeatJob, run_grid
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -58,23 +58,22 @@ class TestWorkerEntryPoint:
     def test_non_spec_ledger_rejected(self, tmp_path, micro4_bundle):
         # A ledger from a raw run_grid (no pinned StudySpec) cannot
         # serve external workers: they rebuild jobs from the spec.
+        from repro.core.evaluator import build_evaluator
         from repro.core.scenarios import unconstrained
         from repro.core.search_space import JointSearchSpace
-        from repro.experiments.search_study import make_bundle_evaluator
         from repro.search.random_search import RandomSearch
 
         ledger_path = tmp_path / "raw.ledger"
         space = JointSearchSpace(cell_encoding=micro4_bundle.cell_encoding)
         scenario = unconstrained(micro4_bundle.bounds)
-        run_repeats(
+        job = RepeatJob(
+            "unconstrained/random",
             strategy_factory=lambda seed: RandomSearch(space, seed=seed),
-            evaluator_factory=lambda: make_bundle_evaluator(
-                micro4_bundle, scenario
+            evaluator_factory=lambda: build_evaluator(
+                "database", scenario, bundle=micro4_bundle, platform=micro4_bundle.platform
             ),
-            num_steps=5,
-            num_repeats=1,
-            ledger=ledger_path,
         )
+        run_grid([job], num_steps=5, num_repeats=1, ledger=ledger_path)
         proc = run_worker_process("--ledger", str(ledger_path))
         assert proc.returncode != 0
         assert "study_spec" in proc.stderr

@@ -23,9 +23,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.evaluator import build_evaluator
 from repro.core.scenarios import PAPER_SCENARIOS, get_scenario, list_scenarios
 from repro.core.search_space import JointSearchSpace
-from repro.experiments.search_study import make_bundle_evaluator
 from repro.search.combined import CombinedSearch
 from repro.search.evolution import EvolutionSearch
 from repro.search.phase import PhaseSearch
@@ -88,7 +88,9 @@ class TestLegacyGoldens:
     ):
         arrays, digests = goldens
         scenario = PAPER_SCENARIOS[scenario_name](micro4_bundle.bounds)
-        evaluator = make_bundle_evaluator(micro4_bundle, scenario)
+        evaluator = build_evaluator(
+            "database", scenario, bundle=micro4_bundle, platform=micro4_bundle.platform
+        )
         strategy = STRATEGY_FACTORIES[strategy_name](space, seed)
         result = strategy.run(evaluator, NUM_STEPS, batch_size=1)
         key = f"{strategy_name}__{scenario_name}__{seed}"
@@ -118,7 +120,12 @@ class TestBatchPathAgreesWithPointwise:
         scenario = get_scenario(scenario_name, micro4_bundle.bounds)
 
         def run(pointwise):
-            evaluator = make_bundle_evaluator(micro4_bundle, scenario)
+            evaluator = build_evaluator(
+                "database",
+                scenario,
+                bundle=micro4_bundle,
+                platform=micro4_bundle.platform,
+            )
             if pointwise:
                 batch = evaluator.evaluate_batch
                 evaluator.evaluate_batch = lambda pairs: [

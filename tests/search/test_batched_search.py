@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.core.evaluator import build_evaluator
 from repro.core.scenarios import unconstrained
 from repro.core.search_space import JointSearchSpace
-from repro.experiments.search_study import make_bundle_evaluator
 from repro.search.base import Proposal, SearchStrategy
 from repro.search.combined import CombinedSearch
 from repro.search.evolution import EvolutionSearch
 from repro.search.phase import PhaseSearch
 from repro.search.random_search import RandomSearch
-from repro.search.runner import run_repeats
+from repro.search.runner import RepeatJob, run_grid
 from repro.search.separate import SeparateSearch
 from repro.search.threshold_schedule import ThresholdRung, ThresholdScheduleSearch
 
@@ -23,7 +23,12 @@ def space(micro4_bundle):
 
 @pytest.fixture
 def evaluator(micro4_bundle):
-    return make_bundle_evaluator(micro4_bundle, unconstrained(micro4_bundle.bounds))
+    return build_evaluator(
+        "database",
+        unconstrained(micro4_bundle.bounds),
+        bundle=micro4_bundle,
+        platform=micro4_bundle.platform,
+    )
 
 
 class TestDriver:
@@ -94,7 +99,12 @@ class TestRandomBatchSemantics:
         scenario = unconstrained(micro4_bundle.bounds)
         traces = []
         for batch_size in (1, 7, 16):
-            ev = make_bundle_evaluator(micro4_bundle, scenario)
+            ev = build_evaluator(
+                "database",
+                scenario,
+                bundle=micro4_bundle,
+                platform=micro4_bundle.platform,
+            )
             result = RandomSearch(space, seed=5).run(ev, 60, batch_size=batch_size)
             traces.append(result.reward_trace())
         assert np.array_equal(traces[0], traces[1], equal_nan=True)
@@ -162,8 +172,11 @@ class TestReinforceBatchSemantics:
         rungs = [ThresholdRung(2.0, 5, 20), ThresholdRung(8.0, 5, 20)]
 
         def run(batch_size):
-            ev = make_bundle_evaluator(
-                micro4_bundle, unconstrained(scenario_bounds)
+            ev = build_evaluator(
+                "database",
+                unconstrained(scenario_bounds),
+                bundle=micro4_bundle,
+                platform=micro4_bundle.platform,
             )
             strategy = ThresholdScheduleSearch(
                 space, seed=0, rungs=rungs, bounds=scenario_bounds
@@ -177,28 +190,25 @@ class TestReinforceBatchSemantics:
 
 
 class TestRunnerBatchPlumbing:
-    def test_run_repeats_accepts_batch_size(self, space, micro4_bundle):
+    @pytest.fixture
+    def job(self, space, micro4_bundle):
         scenario = unconstrained(micro4_bundle.bounds)
-        outcome = run_repeats(
+        return RepeatJob(
+            "unconstrained/random",
             strategy_factory=lambda seed: RandomSearch(space, seed=seed),
-            evaluator_factory=lambda: make_bundle_evaluator(micro4_bundle, scenario),
-            num_steps=20,
-            num_repeats=2,
-            batch_size=8,
+            evaluator_factory=lambda: build_evaluator(
+                "database", scenario, bundle=micro4_bundle, platform=micro4_bundle.platform
+            ),
         )
+
+    def test_run_grid_accepts_batch_size(self, job):
+        outcome = run_grid([job], num_steps=20, num_repeats=2, batch_size=8)[job.label]
         assert all(len(r.archive) == 20 for r in outcome.results)
 
-    def test_random_repeats_identical_across_batch_sizes(self, space, micro4_bundle):
-        scenario = unconstrained(micro4_bundle.bounds)
-
+    def test_random_repeats_identical_across_batch_sizes(self, job):
         def run(batch_size):
-            return run_repeats(
-                strategy_factory=lambda seed: RandomSearch(space, seed=seed),
-                evaluator_factory=lambda: make_bundle_evaluator(micro4_bundle, scenario),
-                num_steps=15,
-                num_repeats=2,
-                batch_size=batch_size,
-            )
+            grid = run_grid([job], num_steps=15, num_repeats=2, batch_size=batch_size)
+            return grid[job.label]
 
         a, b = run(1), run(5)
         for ra, rb in zip(a.results, b.results):

@@ -16,9 +16,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.evaluator import build_evaluator
 from repro.core.scenarios import unconstrained
 from repro.core.search_space import JointSearchSpace
-from repro.experiments.search_study import make_bundle_evaluator
 from repro.parallel import MemoryCheckpoint
 from repro.search.combined import CombinedSearch
 from repro.search.evolution import EvolutionSearch
@@ -69,7 +69,9 @@ def space(micro4_bundle):
 @pytest.fixture
 def make_evaluator(micro4_bundle):
     scenario = unconstrained(micro4_bundle.bounds)
-    return lambda: make_bundle_evaluator(micro4_bundle, scenario)
+    return lambda: build_evaluator(
+        "database", scenario, bundle=micro4_bundle, platform=micro4_bundle.platform
+    )
 
 
 def assert_results_identical(a, b):

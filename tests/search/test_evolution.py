@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.evaluator import build_evaluator
 from repro.core.scenarios import unconstrained
 from repro.core.search_space import JointSearchSpace
-from repro.experiments.search_study import make_bundle_evaluator
 from repro.search.evolution import EvolutionSearch
 from repro.search.random_search import RandomSearch
 
@@ -15,9 +15,16 @@ def space(micro4_bundle):
     return JointSearchSpace(cell_encoding=micro4_bundle.cell_encoding)
 
 
+def unconstrained_evaluator(bundle):
+    """A new database evaluator under the unconstrained scenario."""
+    return build_evaluator(
+        "database", unconstrained(bundle.bounds), bundle=bundle, platform=bundle.platform
+    )
+
+
 @pytest.fixture
 def evaluator(micro4_bundle):
-    return make_bundle_evaluator(micro4_bundle, unconstrained(micro4_bundle.bounds))
+    return unconstrained_evaluator(micro4_bundle)
 
 
 class TestEvolution:
@@ -41,10 +48,8 @@ class TestEvolution:
         assert sum(a != b for a, b in zip(actions, child)) == 1
 
     def test_deterministic(self, space, micro4_bundle):
-        scenario = unconstrained(micro4_bundle.bounds)
-
         def run():
-            evaluator = make_bundle_evaluator(micro4_bundle, scenario)
+            evaluator = unconstrained_evaluator(micro4_bundle)
             strategy = EvolutionSearch(space, seed=4, population_size=8, tournament_size=3)
             return strategy.run(evaluator, 40).reward_trace()
 
@@ -65,12 +70,11 @@ class TestEvolution:
 
     def test_competitive_with_random(self, space, micro4_bundle):
         """Evolution exploits: best-found should match or beat random."""
-        scenario = unconstrained(micro4_bundle.bounds)
         evo = EvolutionSearch(space, seed=7, population_size=20, tournament_size=5).run(
-            make_bundle_evaluator(micro4_bundle, scenario), 250
+            unconstrained_evaluator(micro4_bundle), 250
         )
         rnd = RandomSearch(space, seed=7).run(
-            make_bundle_evaluator(micro4_bundle, scenario), 250
+            unconstrained_evaluator(micro4_bundle), 250
         )
         assert evo.best.reward >= rnd.best.reward - 0.01
 

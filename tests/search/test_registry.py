@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.evaluator import build_evaluator
 from repro.core.scenarios import unconstrained
 from repro.core.search_space import JointSearchSpace
-from repro.experiments.search_study import make_bundle_evaluator
 from repro.search.base import SearchStrategy
 from repro.search.combined import CombinedSearch
 from repro.search.evolution import EvolutionSearch
@@ -77,8 +77,11 @@ class TestFromParams:
 
     def test_seed_matches_direct_construction(self, micro4_bundle):
         space = JointSearchSpace(cell_encoding=micro4_bundle.cell_encoding)
-        evaluator = make_bundle_evaluator(
-            micro4_bundle, unconstrained(micro4_bundle.bounds)
+        evaluator = build_evaluator(
+            "database",
+            unconstrained(micro4_bundle.bounds),
+            bundle=micro4_bundle,
+            platform=micro4_bundle.platform,
         )
         direct = CombinedSearch(space, seed=11).run(evaluator, 15)
         via_registry = build_strategy("combined", 11, space).run(

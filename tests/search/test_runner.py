@@ -3,30 +3,29 @@
 import numpy as np
 import pytest
 
+from repro.core.evaluator import build_evaluator
 from repro.core.scenarios import unconstrained
 from repro.core.search_space import JointSearchSpace
-from repro.experiments.search_study import make_bundle_evaluator
-from repro.parallel.ledger import RunLedger
 from repro.search.random_search import RandomSearch
-from repro.search.runner import (
-    RepeatJob,
-    mean_reward_trace,
-    run_grid,
-    run_repeats,
-)
+from repro.search.runner import RepeatJob, mean_reward_trace, run_grid
 
 
 @pytest.fixture
-def outcome(micro4_bundle):
+def job(micro4_bundle):
     scenario = unconstrained(micro4_bundle.bounds)
     space = JointSearchSpace(cell_encoding=micro4_bundle.cell_encoding)
-    return run_repeats(
+    return RepeatJob(
+        "unconstrained/random",
         strategy_factory=lambda seed: RandomSearch(space, seed=seed),
-        evaluator_factory=lambda: make_bundle_evaluator(micro4_bundle, scenario),
-        num_steps=30,
-        num_repeats=3,
-        master_seed=0,
+        evaluator_factory=lambda: build_evaluator(
+            "database", scenario, bundle=micro4_bundle, platform=micro4_bundle.platform
+        ),
     )
+
+
+@pytest.fixture
+def outcome(job):
+    return run_grid([job], num_steps=30, num_repeats=3, master_seed=0)[job.label]
 
 
 class TestRunRepeats:
@@ -46,100 +45,9 @@ class TestRunRepeats:
     def test_mean_best_reward_finite(self, outcome):
         assert np.isfinite(outcome.mean_best_reward())
 
-    def test_zero_repeats_rejected(self, micro4_bundle):
-        scenario = unconstrained(micro4_bundle.bounds)
-        space = JointSearchSpace(cell_encoding=micro4_bundle.cell_encoding)
+    def test_zero_repeats_rejected(self, job):
         with pytest.raises(ValueError):
-            run_repeats(
-                strategy_factory=lambda seed: RandomSearch(space, seed=seed),
-                evaluator_factory=lambda: make_bundle_evaluator(micro4_bundle, scenario),
-                num_steps=5,
-                num_repeats=0,
-            )
-
-
-class TestRepeatLabels:
-    """run_repeats derives its ledger label from the factories."""
-
-    def repeat_kwargs(self, micro4_bundle):
-        scenario = unconstrained(micro4_bundle.bounds)
-        space = JointSearchSpace(cell_encoding=micro4_bundle.cell_encoding)
-        return dict(
-            strategy_factory=lambda seed: RandomSearch(space, seed=seed),
-            evaluator_factory=lambda: make_bundle_evaluator(
-                micro4_bundle, scenario
-            ),
-            num_steps=10,
-            num_repeats=2,
-            master_seed=0,
-        )
-
-    def test_derived_label_is_scenario_slash_strategy(
-        self, micro4_bundle, tmp_path
-    ):
-        ledger_path = tmp_path / "repeats.ledger"
-        run_repeats(**self.repeat_kwargs(micro4_bundle), ledger=ledger_path)
-        with RunLedger(ledger_path) as ledger:
-            assert ledger.run_config()["labels"] == ["unconstrained/random"]
-            assert ledger.load_result("unconstrained/random", 0) is not None
-            assert ledger.load_result("job", 0) is None
-
-    def test_rows_interchangeable_with_equivalent_run_grid(
-        self, micro4_bundle, tmp_path
-    ):
-        kwargs = self.repeat_kwargs(micro4_bundle)
-        ledger_path = tmp_path / "shared.ledger"
-        first = run_repeats(**kwargs, ledger=ledger_path)
-        # The equivalent single-job grid resumes from the same ledger:
-        # every repeat loads instead of re-running.
-        grid = run_grid(
-            [
-                RepeatJob(
-                    "unconstrained/random",
-                    kwargs["strategy_factory"],
-                    kwargs["evaluator_factory"],
-                )
-            ],
-            num_steps=kwargs["num_steps"],
-            num_repeats=kwargs["num_repeats"],
-            master_seed=kwargs["master_seed"],
-            ledger=ledger_path,
-        )["unconstrained/random"]
-        for ours, theirs in zip(first.results, grid.results):
-            assert np.array_equal(
-                ours.reward_trace(), theirs.reward_trace(), equal_nan=True
-            )
-
-    def test_no_probe_without_ledger(self, micro4_bundle):
-        kwargs = self.repeat_kwargs(micro4_bundle)
-        calls = {"strategy": 0, "evaluator": 0}
-
-        def counting_strategy(seed, inner=kwargs["strategy_factory"]):
-            calls["strategy"] += 1
-            return inner(seed)
-
-        def counting_evaluator(inner=kwargs["evaluator_factory"]):
-            calls["evaluator"] += 1
-            return inner()
-
-        kwargs["strategy_factory"] = counting_strategy
-        kwargs["evaluator_factory"] = counting_evaluator
-        run_repeats(**kwargs)
-        # One call per repeat — the label probe only runs for ledgers.
-        assert calls == {
-            "strategy": kwargs["num_repeats"],
-            "evaluator": kwargs["num_repeats"],
-        }
-
-    def test_explicit_label_wins(self, micro4_bundle, tmp_path):
-        ledger_path = tmp_path / "named.ledger"
-        run_repeats(
-            **self.repeat_kwargs(micro4_bundle),
-            ledger=ledger_path,
-            label="my-experiment",
-        )
-        with RunLedger(ledger_path) as ledger:
-            assert ledger.load_result("my-experiment", 0) is not None
+            run_grid([job], num_steps=5, num_repeats=0)
 
 
 class TestMeanTrace:

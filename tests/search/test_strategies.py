@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.evaluator import build_evaluator
 from repro.core.scenarios import one_constraint, unconstrained
 from repro.core.search_space import JointSearchSpace
-from repro.experiments.search_study import make_bundle_evaluator
 from repro.search.combined import CombinedSearch
 from repro.search.phase import PhaseSearch
 from repro.search.random_search import RandomSearch
@@ -17,9 +17,16 @@ def space(micro4_bundle):
     return JointSearchSpace(cell_encoding=micro4_bundle.cell_encoding)
 
 
+def unconstrained_evaluator(bundle):
+    """A new database evaluator under the unconstrained scenario."""
+    return build_evaluator(
+        "database", unconstrained(bundle.bounds), bundle=bundle, platform=bundle.platform
+    )
+
+
 @pytest.fixture
 def evaluator(micro4_bundle):
-    return make_bundle_evaluator(micro4_bundle, unconstrained(micro4_bundle.bounds))
+    return unconstrained_evaluator(micro4_bundle)
 
 
 class TestCombined:
@@ -30,22 +37,20 @@ class TestCombined:
         assert result.scenario == "unconstrained"
 
     def test_deterministic_given_seed(self, space, micro4_bundle):
-        scenario = unconstrained(micro4_bundle.bounds)
         a = CombinedSearch(space, seed=5).run(
-            make_bundle_evaluator(micro4_bundle, scenario), 40
+            unconstrained_evaluator(micro4_bundle), 40
         )
         b = CombinedSearch(space, seed=5).run(
-            make_bundle_evaluator(micro4_bundle, scenario), 40
+            unconstrained_evaluator(micro4_bundle), 40
         )
         assert np.array_equal(a.reward_trace(), b.reward_trace())
 
     def test_different_seeds_differ(self, space, micro4_bundle):
-        scenario = unconstrained(micro4_bundle.bounds)
         a = CombinedSearch(space, seed=1).run(
-            make_bundle_evaluator(micro4_bundle, scenario), 40
+            unconstrained_evaluator(micro4_bundle), 40
         )
         b = CombinedSearch(space, seed=2).run(
-            make_bundle_evaluator(micro4_bundle, scenario), 40
+            unconstrained_evaluator(micro4_bundle), 40
         )
         assert not np.array_equal(a.reward_trace(), b.reward_trace())
 
@@ -122,11 +127,10 @@ class TestRandom:
 class TestControllerBeatsRandomEventually:
     def test_combined_at_least_matches_random(self, space, micro4_bundle):
         """RL should find an equal-or-better best point than random."""
-        scenario = unconstrained(micro4_bundle.bounds)
         rl = CombinedSearch(space, seed=11).run(
-            make_bundle_evaluator(micro4_bundle, scenario), 300
+            unconstrained_evaluator(micro4_bundle), 300
         )
         rnd = RandomSearch(space, seed=11).run(
-            make_bundle_evaluator(micro4_bundle, scenario), 300
+            unconstrained_evaluator(micro4_bundle), 300
         )
         assert rl.best.reward >= rnd.best.reward - 0.01

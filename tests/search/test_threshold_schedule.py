@@ -3,9 +3,12 @@
 import pytest
 
 from repro.core.evaluator import CodesignEvaluator
-from repro.core.scenarios import CIFAR100_THRESHOLD_SCHEDULE, cifar100_threshold
+from repro.core.scenarios import (
+    CIFAR100_BOUNDS,
+    CIFAR100_THRESHOLD_SCHEDULE,
+    cifar100_threshold,
+)
 from repro.core.search_space import JointSearchSpace
-from repro.experiments.fig7 import CIFAR100_BOUNDS
 from repro.nasbench.skeleton import CIFAR100_SKELETON
 from repro.search.threshold_schedule import (
     ThresholdRung,

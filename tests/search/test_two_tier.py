@@ -10,10 +10,10 @@ exactly.
 import numpy as np
 import pytest
 
+from repro.core.evaluator import build_evaluator
 from repro.core.scenarios import unconstrained
 from repro.core.search_space import JointSearchSpace
 from repro.core.study import ExecutionSpec
-from repro.experiments.search_study import make_bundle_evaluator
 from repro.hw.surrogate import SurrogatePlatform, surrogate_model_for
 from repro.search.base import Proposal
 from repro.search.combined import CombinedSearch
@@ -30,7 +30,12 @@ def space(micro4_bundle):
 
 @pytest.fixture
 def evaluator(micro4_bundle):
-    return make_bundle_evaluator(micro4_bundle, unconstrained(micro4_bundle.bounds))
+    return build_evaluator(
+        "database",
+        unconstrained(micro4_bundle.bounds),
+        bundle=micro4_bundle,
+        platform=micro4_bundle.platform,
+    )
 
 
 @pytest.fixture

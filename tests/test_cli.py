@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import EXPERIMENTS, main
+from repro.experiments.common import Scale
 from repro.experiments.presets import get_preset, list_presets
 
 
@@ -204,6 +205,24 @@ class TestStudyCommand:
     def test_study_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main(["study"])
+
+
+class TestRunFig7:
+    def test_warm_cache_rerun_prints_identical_report(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        # The search cost is read off the archive, so a re-run served
+        # from the eval cache reports the same GPU-hours as the cold run.
+        tiny = Scale("tiny", search_steps=12, num_repeats=1, fig7_target_scale=0.01)
+        monkeypatch.setattr("repro.cli._resolve_scale", lambda name: tiny)
+        runs = []
+        for _ in range(2):
+            assert main(["run", "fig7", "--cache-dir", str(tmp_path)]) == 0
+            runs.append(capsys.readouterr())
+        cold, warm = runs
+        assert "simulated GPU-hours" in cold.out
+        assert "100% hit rate" in warm.err
+        assert warm.out == cold.out
 
 
 class TestRunGoldens:

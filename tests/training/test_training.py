@@ -6,6 +6,7 @@ import pytest
 from repro.nasbench.known_cells import KNOWN_CELLS, googlenet_cell, resnet_cell
 from repro.nasbench.model_spec import ModelSpec
 from repro.nasbench.ops import CONV3X3, INPUT, OUTPUT
+from repro.nasbench.surrogate import extract_features
 from repro.training.cache import CachedTrainer
 from repro.training.numpy_trainer import TOY_SKELETON, NumpyTrainerOracle
 from repro.training.oracle import TrainOutcome
@@ -37,13 +38,35 @@ class TestSurrogateTrainer:
         b = SurrogateCifar100Trainer(seed=2).train_and_score(resnet_cell()).accuracy
         assert a != b
 
-    def test_gpu_hours_ledger(self):
+    def test_gpu_hours_per_run(self):
         trainer = SurrogateCifar100Trainer()
-        trainer.train_and_score(resnet_cell())
-        trainer.train_and_score(googlenet_cell())
+        for cell in (resnet_cell(), googlenet_cell()):
+            outcome = trainer.train_and_score(cell)
+            assert outcome.gpu_hours == trainer.gpu_hours(extract_features(cell))
+            assert outcome.gpu_hours > trainer.gpu_hours_base
         assert trainer.num_trainings == 2
-        assert trainer.total_gpu_hours > 0
-        assert trainer.wall_clock_hours(48) == pytest.approx(trainer.total_gpu_hours / 48)
+
+    def test_featurizes_and_hashes_once_per_run(self, monkeypatch):
+        import repro.training.surrogate_trainer as module
+
+        trainer = SurrogateCifar100Trainer()
+        cell = KNOWN_CELLS["cod1"]()
+        expected = trainer.train_and_score(cell)
+        calls = {"features": 0, "hash": 0}
+        spec_hash = ModelSpec.spec_hash
+
+        def counting_features(spec):
+            calls["features"] += 1
+            return extract_features(spec)
+
+        def counting_hash(self):
+            calls["hash"] += 1
+            return spec_hash(self)
+
+        monkeypatch.setattr(module, "extract_features", counting_features)
+        monkeypatch.setattr(ModelSpec, "spec_hash", counting_hash)
+        assert trainer.train_and_score(cell) == expected
+        assert calls == {"features": 1, "hash": 1}
 
     def test_accuracy_within_bounds(self):
         trainer = SurrogateCifar100Trainer()
@@ -56,10 +79,6 @@ class TestSurrogateTrainer:
         with pytest.raises(ValueError):
             trainer.train_and_score(bad)
         assert trainer.accuracy_fn(bad) is None
-
-    def test_wall_clock_validation(self):
-        with pytest.raises(ValueError):
-            SurrogateCifar100Trainer().wall_clock_hours(0)
 
 
 class TestNumpyTrainer:
@@ -94,12 +113,13 @@ class TestCache:
         assert cached.misses == 1
         assert cached.unique_cells_trained == 1
 
-    def test_total_gpu_hours_counts_unique_only(self):
+    def test_trains_unique_cells_only(self):
         cached = CachedTrainer(SurrogateCifar100Trainer())
         cached.train_and_score(resnet_cell())
         cached.train_and_score(resnet_cell())
         cached.train_and_score(googlenet_cell())
-        assert cached.total_gpu_hours() == pytest.approx(cached.oracle.total_gpu_hours)
+        assert cached.oracle.num_trainings == cached.misses == 2
+        assert cached.hits == 1
 
     def test_accuracy_fn_none_for_invalid(self):
         cached = CachedTrainer(SurrogateCifar100Trainer())
