@@ -1,14 +1,14 @@
 """Benchmark the learned hardware-cost surrogates against the exact models.
 
-For each base platform, build its ``surrogate:`` twin (fitting or
-loading the artifact) and measure points/sec on a config sample three
-ways — the exact scalar loop, the exact batched path, and the surrogate
-batched path — for both area and network latency.  Alongside raw
-throughput, report the surrogate's Spearman rank correlation against
-the exact model on the sampled configs: the two-tier search only uses
-surrogate *rankings* to pick which proposals get exact scoring, so rank
-fidelity (not absolute error) is the number that decides search
-quality.
+For each registered platform, build its learned twin as two-tier
+search does (fitting or loading the artifact) and measure points/sec
+on a config sample three ways — the exact scalar loop, the exact
+batched path, and the surrogate batched path — for both area and
+network latency.  Alongside raw throughput, report the surrogate's
+Spearman rank correlation against the exact model on the sampled
+configs: the two-tier search only uses surrogate *rankings* to pick
+which proposals get exact scoring, so rank fidelity (not absolute
+error) is the number that decides search quality.
 
 Gates (both on by default, tunable/disabled via flags):
 
@@ -31,8 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.hw import SURROGATE_PREFIX, build_platform, list_platforms
-from repro.hw.surrogate import spearman_rank_correlation
+from repro.hw import SurrogatePlatform, build_platform, list_platforms
+from repro.hw.surrogate import spearman_rank_correlation, surrogate_model_for
 from repro.nasbench.compile import compile_cell_ops
 from repro.nasbench.known_cells import resnet_cell
 from repro.nasbench.skeleton import CIFAR10_SKELETON
@@ -72,12 +72,11 @@ def main() -> None:
     args = parser.parse_args()
 
     ir = compile_cell_ops(resnet_cell(), CIFAR10_SKELETON)
-    bases = [n for n in list_platforms() if not n.startswith(SURROGATE_PREFIX)]
     rows = []
     report: dict[str, dict] = {}
-    for name in bases:
+    for name in list_platforms():
         base = build_platform(name)
-        surrogate = build_platform(f"{SURROGATE_PREFIX}{name}")
+        surrogate = SurrogatePlatform(base, surrogate_model_for(base))
         space = base.config_space()
 
         rng = np.random.default_rng(0)

@@ -7,8 +7,8 @@ Three sections, each a claim the ``repro.workloads`` subsystem makes:
    ``charm-u50`` via the exact scalar loop vs the exact batched
    column-wise path.  The batched path is what makes surrogate
    *fitting* affordable on a 393k-config space.
-2. **Sampled-surrogate fidelity** — ``surrogate:charm-u50`` is fitted
-   on a *sampled* slice of the space (the space is past the
+2. **Sampled-surrogate fidelity** — ``charm-u50``'s learned twin is
+   fitted on a *sampled* slice of the space (the space is past the
    enumeration cap, so enumeration is off the table); its Spearman
    rank correlation against the exact latency model on a fresh uniform
    sample must clear ``--min-rank-corr`` (default 0.85).  The two-tier
@@ -36,9 +36,9 @@ import numpy as np
 
 from repro.core.study import outcome_summary, run_study
 from repro.experiments.presets import get_preset
-from repro.hw import build_platform
+from repro.hw import SurrogatePlatform, build_platform
 from repro.hw.gemm import CANONICAL_TRANSFORMERS, transformer_gemm_ir
-from repro.hw.surrogate import spearman_rank_correlation
+from repro.hw.surrogate import spearman_rank_correlation, surrogate_model_for
 from repro.utils.tables import format_markdown
 
 PLATFORM = "charm-u50"
@@ -103,7 +103,7 @@ def bench_throughput(args) -> tuple[list, dict]:
 
 def bench_surrogate_fidelity(args) -> dict:
     base = build_platform(PLATFORM)
-    surrogate = build_platform(f"surrogate:{PLATFORM}")
+    surrogate = SurrogatePlatform(base, surrogate_model_for(base))
     space = base.config_space()
     # Fresh uniform sample, disjoint RNG stream from the fit (seed 1
     # vs the fitter's internal stream) — includes over-budget configs,

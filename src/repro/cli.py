@@ -22,7 +22,7 @@ Usage::
     python -m repro hw show dac2020-scaled
     python -m repro workload list
     python -m repro workload show transformer
-    python -m repro study run bert-u50 --surrogate --exact-fraction 0.1
+    python -m repro study run bert-u50 --exact-fraction 0.1
     python -m repro run fig5 --hardware embedded-lite
     python -m repro study run smoke --hardware dac2020-scaled --set 'hardware.params.clock_mhz=300'
     python -m repro study run hw-sweep
@@ -265,8 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     hw_validate.add_argument(
         "platform",
         metavar="PLATFORM",
-        help="a registered platform name, with or without the "
-        "'surrogate:' prefix (see 'repro hw list')",
+        help="a registered platform name (see 'repro hw list')",
     )
     hw_validate.add_argument(
         "--samples",
@@ -385,7 +384,8 @@ def _add_spec_arguments(sp: argparse.ArgumentParser) -> None:
         type=float,
         default=None,
         metavar="F",
-        help="with --surrogate: fraction (0, 1] of each surrogate-ranked "
+        help="in two-tier mode (--surrogate or a spec with "
+        "execution.surrogate): fraction (0, 1] of each surrogate-ranked "
         "batch that earns an exact evaluation (default: the spec's "
         "execution.exact_fraction, 0.25)",
     )
@@ -706,34 +706,14 @@ def _study_markdown(result) -> str:
     )
 
 
-def _parse_hw_params(pairs: list[str], parser: argparse.ArgumentParser) -> dict:
-    """Flat NAME=VALUE platform params (values JSON, falling back to str)."""
-    import json
-
-    params = {}
-    for pair in pairs:
-        name, sep, raw = pair.partition("=")
-        if not sep or not name:
-            parser.error(f"--set expects NAME=VALUE, got {pair!r}")
-        try:
-            params[name] = json.loads(raw)
-        except json.JSONDecodeError:
-            params[name] = raw
-    return params
-
-
 def _main_hw(args, parser: argparse.ArgumentParser) -> int:
     import json
 
     if args.hw_command == "list":
         from repro.hw.tensorized import TENSORIZE_MAX_CONFIGS
 
-        sizes: dict[str, int] = {}
         for name in list_platforms():
-            base = name.removeprefix("surrogate:")
-            if base not in sizes:
-                sizes[base] = build_platform(base).config_space().size
-            size = sizes[base]
+            size = build_platform(name).config_space().size
             note = (
                 f"size={size}"
                 if size <= TENSORIZE_MAX_CONFIGS
@@ -765,8 +745,8 @@ def _main_hw(args, parser: argparse.ArgumentParser) -> int:
         return 0
     try:
         entry = get_platform(args.platform)
-        platform = build_platform(args.platform, _parse_hw_params(args.params, parser))
-    except HardwarePlatformError as err:
+        platform = build_platform(args.platform, parse_assignments(args.params))
+    except (HardwarePlatformError, StudyError) as err:
         parser.error(str(err))
     description = dict(platform.describe())
     if entry.description:
@@ -806,16 +786,14 @@ def _resolve_cli_spec(args, parser: argparse.ArgumentParser):
             spec = spec.with_overrides({"hardware": {"name": args.hardware}})
         if args.workload is not None:
             spec = spec.with_overrides({"workload": args.workload})
-        if args.exact_fraction is not None and not args.surrogate:
-            parser.error("--exact-fraction requires --surrogate (it only "
-                         "shapes the two-tier filtering batches)")
+        # One override pass, so the spec checks the two-tier flags
+        # against every --set, in either order.
+        overrides = {}
         if args.surrogate:
-            spec = spec.with_overrides({"execution.surrogate": True})
+            overrides["execution.surrogate"] = True
         if args.exact_fraction is not None:
-            spec = spec.with_overrides(
-                {"execution.exact_fraction": args.exact_fraction}
-            )
-        overrides = parse_assignments(args.overrides)
+            overrides["execution.exact_fraction"] = args.exact_fraction
+        overrides.update(parse_assignments(args.overrides))
         if overrides:
             spec = spec.with_overrides(overrides)
     except StudyError as err:
@@ -1005,11 +983,10 @@ def main(argv: list[str] | None = None) -> int:
         study_flags.append("--batch-size")
     if args.ledger is not None:
         study_flags.append("--ledger")
-    if getattr(args, "exact_fraction", None) is not None and not args.surrogate:
-        parser.error("--exact-fraction requires --surrogate (it only shapes "
-                     "the two-tier filtering batches)")
     if args.surrogate:
         study_flags.append("--surrogate")
+    if args.exact_fraction is not None:
+        study_flags.append("--exact-fraction")
     if args.backend is not None:
         study_flags.append("--backend")
         if args.backend == "cluster" and args.ledger is None:

@@ -351,8 +351,9 @@ class CodesignEvaluator:
     def with_platform(self, platform: HardwarePlatform) -> "CodesignEvaluator":
         """Same accuracy source and scenario on a different platform.
 
-        Used by the two-tier search mode, which scores proposals on a
-        :class:`repro.hw.SurrogatePlatform` twin of the exact platform:
+        Used by the two-tier search mode, which scores proposals on the
+        exact platform's :class:`repro.hw.SurrogatePlatform` twin (built
+        by ``build_study``):
         the accuracy memo and the content-hash memo are shared (cell
         accuracy is platform-independent — re-deriving it would
         re-train trainer-backed sources), but every hardware-derived

@@ -167,10 +167,17 @@ class StrategySpec:
     def effective_label(self) -> str:
         return self.label if self.label is not None else self.name
 
+    def _fields_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "params": _jsonify(self.params, "params"),
+            "label": self.label,
+        }
+
     def to_dict(self) -> dict:
-        out: dict = {"name": self.name, "params": _jsonify(self.params, "params")}
-        if self.label is not None:
-            out["label"] = self.label
+        out = self._fields_dict()
+        if self.label is None:
+            del out["label"]
         return out
 
     @classmethod
@@ -251,14 +258,22 @@ class HardwareSpec:
     def effective_label(self) -> str:
         return self.label if self.label is not None else self.name
 
+    def _fields_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "params": _jsonify(self.params, "params"),
+            "label": self.label,
+            "tensorize": self.tensorize,
+        }
+
     def to_dict(self) -> dict:
-        out: dict = {"name": self.name, "params": _jsonify(self.params, "params")}
-        if self.label is not None:
-            out["label"] = self.label
-        if self.tensorize is not None:
+        out = self._fields_dict()
+        if self.label is None:
+            del out["label"]
+        if self.tensorize is None:
             # Written back only when an archived spec carried it, so
             # ledger-pinned spec dicts stay byte-identical.
-            out["tensorize"] = self.tensorize
+            del out["tensorize"]
         return out
 
     @classmethod
@@ -322,6 +337,14 @@ class ExecutionSpec:
             f"{self.exact_fraction!r}",
         )
         object.__setattr__(self, "exact_fraction", float(self.exact_fraction))
+        # to_dict drops exact_fraction with the mode off, so a value set
+        # there would change nothing and vanish on a round trip.
+        _require(
+            self.surrogate or self.exact_fraction == ExecutionSpec.exact_fraction,
+            "execution.exact_fraction only shapes two-tier batches; set "
+            "execution.surrogate to true or leave exact_fraction at "
+            f"{ExecutionSpec.exact_fraction}, got {self.exact_fraction!r}",
+        )
         _check_int(self.num_steps, "execution.num_steps", 1, optional=True)
         _check_int(self.num_repeats, "execution.num_repeats", 1, optional=True)
         _check_int(self.master_seed, "execution.master_seed")
@@ -353,8 +376,8 @@ class ExecutionSpec:
                 f"execution.{name} must be null or a file path string, got {value!r}",
             )
 
-    def to_dict(self) -> dict:
-        out = {
+    def _fields_dict(self) -> dict:
+        return {
             "num_steps": self.num_steps,
             "num_repeats": self.num_repeats,
             "master_seed": self.master_seed,
@@ -364,22 +387,28 @@ class ExecutionSpec:
             "cache": self.cache,
             "ledger": self.ledger,
             "checkpoint_every": self.checkpoint_every,
+            "backend_params": _jsonify(self.backend_params, "backend_params"),
+            "tensorize": self.tensorize,
+            "surrogate": self.surrogate,
+            "exact_fraction": self.exact_fraction,
         }
-        if self.backend_params:
+
+    def to_dict(self) -> dict:
+        out = self._fields_dict()
+        if not self.backend_params:
             # Omitted when empty (like tensorize below), so spec dicts
             # from before backend params existed — including
             # ledger-pinned ones — stay byte-identical and resumable.
-            out["backend_params"] = _jsonify(self.backend_params, "backend_params")
-        if self.tensorize:
+            del out["backend_params"]
+        if not self.tensorize:
             # Written back only when an archived spec set it, so
             # ledger-pinned spec dicts stay byte-identical and resumable.
-            out["tensorize"] = True
-        if self.surrogate:
+            del out["tensorize"]
+        if not self.surrogate:
             # Same omission contract: two-tier fields only appear when
             # the mode is armed, so pre-surrogate spec dicts —
             # including ledger-pinned ones — stay byte-identical.
-            out["surrogate"] = True
-            out["exact_fraction"] = self.exact_fraction
+            del out["surrogate"], out["exact_fraction"]
         return out
 
     @classmethod
@@ -531,37 +560,46 @@ class StudySpec:
                 self, "execution", ExecutionSpec.from_dict(self.execution)
             )
 
-    def _hardware_dict(self):
-        return (
-            self.hardware[0].to_dict()
-            if len(self.hardware) == 1
-            else [h.to_dict() for h in self.hardware]
-        )
-
     # -- serialization -----------------------------------------------------
-    def to_dict(self) -> dict:
-        out = {
+    def _fields_dict(self) -> dict:
+        """Every field ``from_dict`` accepts, nested specs included.
+
+        :meth:`with_overrides` edits this form, so a path reaches any
+        field; :meth:`to_dict` alone decides which defaults to omit.
+        """
+        hardware = [h._fields_dict() for h in self.hardware]
+        return {
             "name": self.name,
-            "strategies": [s.to_dict() for s in self.strategies],
+            "strategies": [s._fields_dict() for s in self.strategies],
             "scenarios": [
                 s if isinstance(s, str) else _jsonify(s, "scenario")
                 for s in self.scenarios
             ],
             "evaluator": self.evaluator.to_dict(),
-            "hardware": self._hardware_dict(),
-            "execution": self.execution.to_dict(),
+            "hardware": hardware[0] if len(hardware) == 1 else hardware,
+            "execution": self.execution._fields_dict(),
+            "workload": self.workload,
         }
+
+    def to_dict(self) -> dict:
+        out = self._fields_dict()
+        hardware = [h.to_dict() for h in self.hardware]
+        out.update(
+            strategies=[s.to_dict() for s in self.strategies],
+            hardware=hardware[0] if len(hardware) == 1 else hardware,
+            execution=self.execution.to_dict(),
+        )
         if self.hardware == (HardwareSpec(),):
             # The implicit reference platform serializes to nothing, so
             # pre-platform spec dicts — including the ones crash-safe
             # ledgers pinned before this field existed — stay
             # byte-identical and remain resumable.
             del out["hardware"]
-        if self.workload != "cnn-cell":
+        if self.workload == "cnn-cell":
             # Same omission contract as 'hardware': the reference
             # workload serializes to nothing, keeping pre-workload spec
             # dicts byte-identical.
-            out["workload"] = self.workload
+            del out["workload"]
         return out
 
     @classmethod
@@ -706,23 +744,9 @@ class StudySpec:
         (overriding a field that does not exist would silently change
         nothing).
         """
-        data = self.to_dict()
-        # to_dict omits the implicit default platform and the
-        # tensorize toggles when at their defaults (ledger byte-compat);
-        # overrides still address them by path.
-        data.setdefault("hardware", self._hardware_dict())
-        data.setdefault("workload", self.workload)
-        data["execution"].setdefault("tensorize", self.execution.tensorize)
-        data["execution"].setdefault("backend_params", dict(self.execution.backend_params))
-        data["execution"].setdefault("surrogate", self.execution.surrogate)
-        data["execution"].setdefault("exact_fraction", self.execution.exact_fraction)
-        hw_entries = (
-            data["hardware"]
-            if isinstance(data["hardware"], list)
-            else [data["hardware"]]
-        )
-        for entry, hw in zip(hw_entries, self.hardware):
-            entry.setdefault("tensorize", hw.tensorize)
+        # Not to_dict: a field it omits at its default (ledger byte
+        # compatibility) must still be addressable by path.
+        data = self._fields_dict()
         for path, value in assignments.items():
             _assign(data, path, value)
         return StudySpec.from_dict(data)
@@ -792,18 +816,21 @@ def _list_index(target: list, part: str, path: str) -> int:
 
 
 def parse_assignments(pairs: list[str]) -> dict[str, Any]:
-    """Parse CLI ``--set path=value`` pairs into an override mapping.
+    """Parse CLI ``--set path=value`` pairs into a mapping.
 
-    Values parse as JSON when possible (``16``, ``true``, ``null``,
-    ``[1,2]``) and fall back to plain strings (``process``).
+    The one parser of ``repro study``'s spec overrides and ``repro hw
+    show``'s platform params (a flat path).  Values parse as JSON when
+    possible (``16``, ``true``, ``null``, ``[1,2]``) and fall back to
+    plain strings (``process``).
     """
     out: dict[str, Any] = {}
     for pair in pairs:
         path, sep, raw = pair.partition("=")
         if not sep or not path:
             raise StudyError(
-                f"--set expects path=value, got {pair!r} "
-                "(e.g. --set execution.batch_size=16)"
+                f"--set expects path=value, got {pair!r} (e.g. --set "
+                "execution.batch_size=16 on a study, --set "
+                "max_pixel_par=16 on a platform)"
             )
         try:
             out[path] = json.loads(raw)
@@ -874,7 +901,8 @@ def build_study(spec: StudySpec, bundle=None, scale=None, store=None) -> Study:
     )
     from repro.core.search_space import JointSearchSpace
     from repro.experiments.common import Scale
-    from repro.hw import SURROGATE_PREFIX, HardwarePlatformError, build_platform
+    from repro.hw import HardwarePlatformError, build_platform
+    from repro.hw.surrogate import SurrogatePlatform, surrogate_model_for
     from repro.search.registry import build_strategy
     from repro.search.runner import RepeatJob
     from repro.search.two_tier import TwoTierFilter
@@ -901,27 +929,20 @@ def build_study(spec: StudySpec, bundle=None, scale=None, store=None) -> Study:
             hw.effective_label: build_platform(hw.name, hw.params)
             for hw in spec.hardware
         }
+        # Two-tier mode: each platform gets a fitted surrogate twin
+        # that ranks inflated proposal batches; only the top
+        # exact_fraction slice reaches the exact evaluator (and hence
+        # the archive, the eval cache, and the ledger).
+        surrogate_twins = (
+            {
+                label: SurrogatePlatform(platform, surrogate_model_for(platform))
+                for label, platform in platforms.items()
+            }
+            if spec.execution.surrogate
+            else {}
+        )
     except HardwarePlatformError as err:
         raise StudyError(f"study {spec.name!r}: {err}") from None
-    # Two-tier mode: each platform gets a fitted surrogate twin that
-    # ranks inflated proposal batches; only the top exact_fraction
-    # slice reaches the exact evaluator (and hence the archive, the
-    # eval cache, and the ledger).
-    surrogate_twins: dict[str, Any] = {}
-    if spec.execution.surrogate:
-        for hw in spec.hardware:
-            if hw.name.startswith(SURROGATE_PREFIX):
-                raise StudyError(
-                    f"study {spec.name!r}: execution.surrogate cannot wrap "
-                    f"platform {hw.name!r} — it is already a surrogate "
-                    "(searching a surrogate directly needs no two-tier mode)"
-                )
-            try:
-                surrogate_twins[hw.effective_label] = build_platform(
-                    f"{SURROGATE_PREFIX}{hw.name}", hw.params
-                )
-            except HardwarePlatformError as err:
-                raise StudyError(f"study {spec.name!r}: {err}") from None
     multi_platform = len(platforms) > 1
     namespaces = {
         label: hardware_namespace(source_namespace, platform)

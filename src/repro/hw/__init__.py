@@ -19,18 +19,13 @@ from repro.hw.platform import (
     platform_from_spec,
     register_platform,
 )
-
-# charm must register before the surrogate module enumerates the
-# registry to create its import-time `surrogate:<name>` twins.
 from repro.hw.charm import CharmConfig, CharmSpace, CharmU50Platform
 from repro.hw.gemm import GemmIR, GemmOp, transformer_gemm_ir
 from repro.hw.surrogate import (
     DEFAULT_ERROR_BUDGET,
-    SURROGATE_PREFIX,
     SurrogateModel,
     SurrogatePlatform,
     fit_surrogate,
-    register_surrogate_platforms,
     surrogate_model_for,
     validate_surrogate,
 )
@@ -48,7 +43,6 @@ __all__ = [
     "HardwarePlatform",
     "HardwarePlatformError",
     "PlatformEntry",
-    "SURROGATE_PREFIX",
     "SurrogateModel",
     "SurrogatePlatform",
     "TENSORIZE_MAX_CONFIGS",
@@ -60,7 +54,6 @@ __all__ = [
     "list_platforms",
     "platform_from_spec",
     "register_platform",
-    "register_surrogate_platforms",
     "surrogate_model_for",
     "transformer_gemm_ir",
     "validate_surrogate",

@@ -1,4 +1,4 @@
-"""Learned hardware-cost surrogates: ``surrogate:<platform>``.
+"""Learned hardware-cost surrogates of the exact platforms.
 
 Spaces beyond :data:`~repro.hw.tensorized.TENSORIZE_MAX_CONFIGS`
 configurations are too large to enumerate with the exact scheduler/LUT
@@ -22,10 +22,12 @@ instead of enumerating them:
   exact probe pass is silently discarded and refitted, so a drifted
   model never serves a stale fit;
 * :class:`SurrogatePlatform` — the full :class:`HardwarePlatform`
-  protocol over the fitted models, registered as ``surrogate:<name>``
-  for every shipped platform.  Batch and scalar queries agree bit for
-  bit because prediction is strictly element-wise (feature columns are
-  combined with explicit per-feature accumulation, never a matmul);
+  protocol over the fitted models of one exact platform instance:
+  ``SurrogatePlatform(platform, surrogate_model_for(platform))`` is the
+  twin two-tier studies build for any platform, plugins included.
+  Batch and scalar queries agree bit for bit because prediction is
+  strictly element-wise (feature columns are combined with explicit
+  per-feature accumulation, never a matmul);
 * :func:`validate_surrogate` — the error-budget harness behind
   ``repro hw validate-surrogate``: MAE, max relative error, and
   Spearman rank correlation against the exact platform on a held-out
@@ -55,8 +57,6 @@ from repro.hw.platform import (
     HardwarePlatform,
     HardwarePlatformError,
     build_platform,
-    list_platforms,
-    register_platform,
 )
 from repro.hw.tensorized import skeleton_token
 from repro.nasbench import ops as O
@@ -66,7 +66,6 @@ from repro.nasbench.skeleton import CIFAR10_SKELETON, SkeletonConfig
 from repro.utils.rng import hash_seed, make_rng
 
 __all__ = [
-    "SURROGATE_PREFIX",
     "DEFAULT_FIT_SAMPLES",
     "DEFAULT_FIT_SEED",
     "DEFAULT_ERROR_BUDGET",
@@ -81,15 +80,11 @@ __all__ = [
     "latency_features",
     "fit_surrogate",
     "surrogate_model_for",
-    "register_surrogate_platforms",
     "validate_surrogate",
     "spearman_rank_correlation",
 ]
 
-#: Registry prefix: ``surrogate:dac2020`` wraps the ``dac2020`` recipe.
-SURROGATE_PREFIX = "surrogate:"
-
-#: Default training-sample count / seed used by the registry builders.
+#: Default training-sample count / seed of :func:`surrogate_model_for`.
 DEFAULT_FIT_SAMPLES = 512
 DEFAULT_FIT_SEED = 0
 
@@ -968,7 +963,7 @@ class SurrogatePlatform(HardwarePlatform):
             )
         self.base = base
         self.model = model
-        self.name = f"{SURROGATE_PREFIX}{base.name}"
+        self.name = f"surrogate:{base.name}"
         self.params = dict(base.params)
         self._space = base.config_space()
 
@@ -1011,21 +1006,6 @@ class SurrogatePlatform(HardwarePlatform):
 
     def cache_namespace(self) -> str:
         return f"hw/{self.name}/m{self.model.digest[:10]}"
-
-    def describe(self) -> dict:
-        out = super().describe()
-        out.update(
-            base_namespace=self.model.base_namespace,
-            fit={
-                "n_samples": self.model.n_samples,
-                "seed": self.model.seed,
-                "feature_version": self.model.feature_version,
-                "skeleton_token": self.model.skeleton_token,
-            },
-            error_report=self.model.report,
-            error_budget=budget_verdict(self.model.report),
-        )
-        return out
 
 
 def budget_verdict(report: dict, budget: dict | None = None) -> dict:
@@ -1078,10 +1058,7 @@ def validate_surrogate(
     turns ``report["budget"]["passed"] == False`` into a non-zero exit.
     """
     if isinstance(platform, str):
-        name = platform[len(SURROGATE_PREFIX):] if platform.startswith(
-            SURROGATE_PREFIX
-        ) else platform
-        platform = build_platform(name)
+        platform = build_platform(platform)
     if isinstance(platform, SurrogatePlatform):
         platform = platform.base
     model = model or surrogate_model_for(platform)
@@ -1120,48 +1097,3 @@ def validate_surrogate(
     }
     report["budget"] = budget_verdict(report, budget)
     return report
-
-
-# ---------------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------------
-
-def _surrogate_builder(base_name: str):
-    def build(params: dict) -> SurrogatePlatform:
-        base = build_platform(base_name, params)
-        model = surrogate_model_for(base)
-        return SurrogatePlatform(base, model)
-
-    return build
-
-
-def register_surrogate_platforms(overwrite: bool = False) -> list[str]:
-    """Register ``surrogate:<name>`` for every non-surrogate platform.
-
-    Called at import for the shipped platforms; plugin platforms
-    registered later can call it again (idempotent with
-    ``overwrite=True``) to gain their surrogate twins.
-    """
-    registered = []
-    for name in list_platforms():
-        if name.startswith(SURROGATE_PREFIX):
-            continue
-        surrogate_name = f"{SURROGATE_PREFIX}{name}"
-        if surrogate_name in list_platforms() and not overwrite:
-            continue
-        register_platform(
-            surrogate_name,
-            _surrogate_builder(name),
-            description=(
-                f"learned cost surrogate of {name!r}: ridge + boosted-stump "
-                "area/latency models fitted on seeded samples of the exact "
-                "paths (see repro.hw.surrogate; params are the base "
-                "platform's)"
-            ),
-            overwrite=overwrite,
-        )
-        registered.append(surrogate_name)
-    return registered
-
-
-register_surrogate_platforms()

@@ -3,9 +3,12 @@
 The two-tier mode trades controller samples (cheap: an LSTM rollout)
 for exact hardware evaluations (the budgeted resource): each iteration
 the driver asks the strategy for an *inflated* batch, a
-:class:`TwoTierFilter` scores every proposal with a learned surrogate
-platform (:mod:`repro.hw.surrogate`), and only the top
-``exact_fraction`` slice is re-scored by the exact platform.  The
+:class:`TwoTierFilter` scores every proposal with the exact platform's
+learned twin (``SurrogatePlatform(platform,
+surrogate_model_for(platform))``, :mod:`repro.hw.surrogate`, which
+:func:`repro.core.study.build_study` builds for each platform of a
+two-tier study), and only the top ``exact_fraction`` slice is
+re-scored by the exact platform.  The
 exact results are what gets told / cached / ledgered — the surrogate
 tier only decides *which* proposals deserve an exact evaluation, so
 the resume and bit-identity contracts of the exact path are untouched,

@@ -45,11 +45,6 @@ __all__ = [
 #: resolves to — the paper's original CNN-cell space.
 DEFAULT_WORKLOAD = "cnn-cell"
 
-#: Prefix of learned-surrogate platform twins (mirrors
-#: ``repro.hw.surrogate.SURROGATE_PREFIX``; duplicated rather than
-#: imported so this module stays importable before ``repro.hw``).
-_SURROGATE_PREFIX = "surrogate:"
-
 
 class WorkloadError(ValueError):
     """A workload name could not be resolved, or a recipe is invalid."""
@@ -79,14 +74,7 @@ class Workload:
         return self.encoding_factory(bundle)
 
     def supports_platform(self, platform_name: str) -> bool:
-        """Whether a platform's latency model understands this IR.
-
-        A learned surrogate twin schedules exactly the IRs its base
-        platform does, so ``surrogate:<name>`` matches iff ``<name>``
-        does.
-        """
-        if platform_name.startswith(_SURROGATE_PREFIX):
-            platform_name = platform_name[len(_SURROGATE_PREFIX):]
+        """Whether a platform's latency model understands this IR."""
         return platform_name in self.platforms
 
     def describe(self) -> dict:

@@ -16,6 +16,7 @@ from repro.core.study import (
     StudyError,
     StudySpec,
     build_study,
+    outcome_summary,
     parse_assignments,
     replace_execution,
     run_study,
@@ -184,6 +185,16 @@ class TestValidation:
             with pytest.raises(StudyError, match=field):
                 StudySpec.from_dict(data)
 
+    def test_exact_fraction_needs_two_tier_mode(self):
+        # to_dict drops exact_fraction with surrogate off, so accepting
+        # it would break StudySpec.from_dict(s.to_dict()) == s.
+        with pytest.raises(StudyError, match="execution.exact_fraction"):
+            get_preset("smoke").with_overrides({"execution.exact_fraction": 0.5})
+        with pytest.raises(StudyError, match="execution.exact_fraction"):
+            ExecutionSpec(exact_fraction=0.5)
+        armed = ExecutionSpec(surrogate=True, exact_fraction=0.5)
+        assert ExecutionSpec.from_dict(armed.to_dict()) == armed
+
     def test_non_json_param_rejected(self):
         with pytest.raises(StudyError, match="JSON"):
             StrategySpec("random", params={"rng": object()})
@@ -237,6 +248,21 @@ class TestOverrides:
     def test_parse_assignments_rejects_bare_word(self):
         with pytest.raises(StudyError, match="path=value"):
             parse_assignments(["batch_size"])
+
+    def test_unset_labels_are_addressable(self):
+        # to_dict leaves unset labels out; a path must reach them anyway.
+        smoke = get_preset("smoke").with_overrides({"strategies.0.label": "x"})
+        assert smoke.strategies[0].effective_label == "x"
+        sweep = get_preset("hw-sweep")
+        assert sweep.hardware[0].label is None
+        relabeled = sweep.with_overrides({"hardware.0.label": "ref"})
+        assert relabeled.hardware[0].effective_label == "ref"
+        assert relabeled.hardware[1:] == sweep.hardware[1:]
+
+    def test_overrides_leave_to_dict_unchanged(self):
+        for name in list_presets():
+            spec = get_preset(name)
+            assert spec.with_overrides({}).to_dict() == spec.to_dict(), name
 
 
 class TestResolveSpec:
@@ -431,6 +457,27 @@ class TestBuildStudy:
         )
         assert study.num_steps == TINY.search_steps
         assert study.num_repeats == TINY.num_repeats
+
+    def test_platform_registered_after_import_runs_two_tier(
+        self, tmp_path, monkeypatch
+    ):
+        # A plugin registered after `import repro.hw` gets its learned
+        # twin built on demand, like every shipped platform.
+        from repro.hw import get_platform, register_platform
+        from repro.hw.platform import _PLATFORMS
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        register_platform("plugin-lite", get_platform("embedded-lite").build)
+        try:
+            def run(platform):
+                spec = get_preset("smoke").with_overrides(
+                    {"hardware": {"name": platform}, "execution.surrogate": True}
+                )
+                return outcome_summary(run_study(spec))
+
+            assert run("plugin-lite") == run("embedded-lite")
+        finally:
+            _PLATFORMS.unregister("plugin-lite")
 
     def test_replace_execution_keeps_nones(self):
         spec = tiny_spec()

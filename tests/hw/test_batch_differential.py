@@ -73,7 +73,7 @@ class TestEnumerability:
         # charm-u50's tile space deliberately exceeds the enumeration
         # cap (it exists to exercise sampled surrogate fits); every
         # other shipped platform must stay enumerable.
-        oversized = {"charm-u50", "surrogate:charm-u50"}
+        oversized = {"charm-u50"}
         for name, platform in platforms.items():
             if name in oversized:
                 assert not enumerable(platform), name
@@ -230,14 +230,8 @@ class TestGoldenTensorSlices:
         return json.loads((DATA_DIR / "tensorized_goldens.json").read_text())
 
     def test_covers_every_registered_platform(self, goldens):
-        # surrogate:* platforms are derived from the pinned base models;
-        # their own drift guard is the artifact probe contract
-        # (tests/hw/test_hw_surrogate.py), not golden slices.
         pinned = {entry["platform"] for entry in goldens.values()}
-        exact = {
-            name for name in list_platforms() if not name.startswith("surrogate:")
-        }
-        assert pinned == exact
+        assert pinned == set(list_platforms())
 
     def test_slices_match_goldens(self, goldens, resnet_ir):
         for label, entry in goldens.items():

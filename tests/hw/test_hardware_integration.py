@@ -403,13 +403,13 @@ class TestHardwareCli:
         with pytest.raises(SystemExit):
             main(["hw", "show", "tpu-v9"])
 
-    def test_hw_list_includes_surrogate_twins(self, capsys):
+    def test_hw_list_prints_each_platform_once(self, capsys):
         from repro.cli import main
+        from repro.hw import list_platforms
 
         assert main(["hw", "list"]) == 0
-        out = capsys.readouterr().out.split()
-        assert "surrogate:dac2020" in out
-        assert "surrogate:embedded-lite" in out
+        rows = capsys.readouterr().out.splitlines()
+        assert [row.split()[0] for row in rows] == list_platforms()
 
     def test_hw_show_set_reports_effective_space(self, capsys):
         # The regression: show once printed the default-params space
@@ -423,19 +423,6 @@ class TestHardwareCli:
         shown = json.loads(capsys.readouterr().out)
         assert shown["config_space_size"] == 5184
         assert max(shown["parameter_values"]["pixel_par"]) == 16
-
-    def test_hw_show_surrogate_includes_budget_report(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        from repro.cli import main
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        assert main(["hw", "show", "surrogate:embedded-lite"]) == 0
-        shown = json.loads(capsys.readouterr().out)
-        assert shown["name"] == "surrogate:embedded-lite"
-        assert shown["cache_namespace"].startswith("hw/surrogate:embedded-lite/m")
-        assert shown["error_budget"]["passed"] is True
-        assert "latency" in shown["error_report"]
 
     def test_hw_validate_surrogate(self, capsys, tmp_path, monkeypatch):
         from repro.cli import main

@@ -2,9 +2,10 @@
 
 Covers the JSON fit artifact's cache contract (round-trip, drift
 refusal, corruption), and pins the platform
-contract the search stack depends on: batch == scalar bit for bit, a
-cache namespace that can never collide with exact rows, and an error
-budget the shipped platforms actually clear.
+contract the search stack depends on: every registered platform's twin
+answers batch == scalar bit for bit, a cache namespace that can never
+collide with exact rows, and an error budget the shipped platforms
+actually clear.
 """
 
 import json
@@ -19,7 +20,6 @@ from repro.hw import (
 )
 from repro.hw import surrogate as surrogate_mod
 from repro.hw.surrogate import (
-    SURROGATE_PREFIX,
     SurrogateModel,
     SurrogatePlatform,
     budget_verdict,
@@ -52,6 +52,26 @@ def resnet_ir():
     return compile_cell_ops(resnet_cell(), CIFAR10_SKELETON)
 
 
+@pytest.fixture(scope="module", params=list_platforms())
+def twin(request):
+    """The learned twin of one registered platform, as two-tier builds it."""
+    exact = build_platform(request.param)
+    return SurrogatePlatform(exact, surrogate_model_for(exact, use_disk_cache=False))
+
+
+#: Twins of spaces up to this size are checked over the whole space;
+#: larger ones on a seeded sample of this many configs.
+FULL_SPACE_LIMIT = 500
+SAMPLE_SIZE = 64
+
+
+def _checked_indices(space):
+    if space.size <= FULL_SPACE_LIMIT:
+        return np.arange(space.size)
+    rng = np.random.default_rng(0)
+    return np.sort(rng.choice(space.size, SAMPLE_SIZE, replace=False))
+
+
 class TestFit:
     def test_fit_is_deterministic(self, base):
         a = fit_surrogate(base, n_samples=64, seed=3)
@@ -73,30 +93,36 @@ class TestFit:
 
     def test_holdout_report_clears_default_budget(self, model):
         # The fit-time holdout errors (a fifth of the configs plus an
-        # entire held-out cell) are what `hw show surrogate:*` prints;
-        # the shipped platform must clear the shipped budget.
+        # entire held-out cell) are stored in the artifact; the shipped
+        # platform must clear the shipped budget.
         verdict = budget_verdict(model.report)
         assert verdict["passed"], verdict
         assert set(verdict["metrics"]) == {"area", "latency"}
 
 
 class TestPlatformContract:
-    def test_batch_equals_scalar_on_full_space(self, platform, resnet_ir):
-        space = platform.config_space()
-        cols = space.columns()
-        batch_area = platform.batch_area_mm2(cols)
-        batch_latency = platform.batch_network_latency_s(resnet_ir, cols)
-        for i in range(space.size):
-            config = space.config_at(i)
-            assert batch_area[i] == platform.area_mm2(config)
-            assert batch_latency[i] == platform.network_latency_s(resnet_ir, config)
+    def test_batch_equals_scalar(self, twin):
+        space = twin.config_space()
+        indices = _checked_indices(space)
+        cols = space.columns_at(indices)
+        # The platform's own probe IR: a GEMM IR on charm-u50, a cell
+        # network on the rest.
+        ir = surrogate_mod._platform_probe_ir(twin.base, CIFAR10_SKELETON)
+        batch_area = twin.batch_area_mm2(cols)
+        batch_latency = twin.batch_network_latency_s(ir, cols)
+        for pos, index in enumerate(indices):
+            config = space.config_at(int(index))
+            assert batch_area[pos] == twin.area_mm2(config)
+            assert batch_latency[pos] == twin.network_latency_s(ir, config)
 
-    def test_space_and_validity_delegate_to_base(self, base, platform):
-        space = platform.config_space()
-        assert space.size == base.config_space().size
-        cols = space.columns()
+    def test_space_and_validity_delegate_to_base(self, twin):
+        # Two-tier screens with the twin's validity, so it must be the
+        # exact platform's, charm-u50's own rules included.
+        space = twin.config_space()
+        assert space.size == twin.base.config_space().size
+        cols = space.columns_at(_checked_indices(space))
         assert np.array_equal(
-            platform.batch_config_valid(cols), base.batch_config_valid(cols)
+            twin.batch_config_valid(cols), twin.base.batch_config_valid(cols)
         )
 
     def test_operand_coercion_matches_full_columns(self, platform, resnet_ir):
@@ -109,33 +135,19 @@ class TestPlatformContract:
         from_list = platform.batch_network_latency_s(resnet_ir, configs)
         assert np.array_equal(from_list, full[[0, 7, space.size - 1]])
 
-    def test_namespace_pins_model_digest(self, base, platform):
-        ns = platform.cache_namespace()
-        assert ns.startswith("hw/surrogate:embedded-lite/m")
-        assert ns != base.cache_namespace()
-        other = SurrogatePlatform(base, fit_surrogate(base, n_samples=64, seed=3))
+    def test_namespace_pins_model_digest(self, twin):
+        ns = twin.cache_namespace()
+        assert ns == f"hw/surrogate:{twin.base.name}/m{twin.model.digest[:10]}"
+        assert ns != twin.base.cache_namespace()
+        other = SurrogatePlatform(
+            twin.base, fit_surrogate(twin.base, n_samples=64, seed=3)
+        )
         # A differently fitted model must key different cache rows.
         assert other.cache_namespace() != ns
 
     def test_mismatched_base_refused(self, model):
         with pytest.raises(HardwarePlatformError, match="fitted for platform"):
             SurrogatePlatform(build_platform("dac2020"), model)
-
-    def test_every_base_platform_has_a_registered_twin(self):
-        names = set(list_platforms())
-        for name in names:
-            if name.startswith(SURROGATE_PREFIX):
-                continue
-            assert f"{SURROGATE_PREFIX}{name}" in names
-
-    def test_registry_builds_surrogate_platform(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        built = build_platform("surrogate:embedded-lite")
-        assert isinstance(built, SurrogatePlatform)
-        description = built.describe()
-        assert description["base_namespace"] == built.base.cache_namespace()
-        assert description["error_budget"]["passed"]
-        assert description["fit"]["n_samples"] == surrogate_mod.DEFAULT_FIT_SAMPLES
 
 
 class TestArtifact:
@@ -290,6 +302,14 @@ class TestValidate:
                 "mae", "mean_rel_error", "max_rel_error", "rank_corr",
             }
 
+    def test_every_twin_clears_budget(self, twin):
+        # What `repro hw validate-surrogate` checks for every platform
+        # `repro hw list` prints: the model two-tier builds passes the
+        # shipped budget on a fresh sample.
+        report = validate_surrogate(twin, model=twin.model)
+        assert report["platform"] == twin.base.name
+        assert report["budget"]["passed"], report["budget"]
+
     def test_validation_sample_is_disjoint_from_fit_stream(self, base, model):
         # Same (n, seed) inputs on both sides must still draw different
         # configs — validation scores generalization, not memorization.
@@ -298,12 +318,10 @@ class TestValidate:
         )
         assert report["latency"]["mean_rel_error"] > 0
 
-    def test_name_accepts_surrogate_prefix(self, model):
-        by_base = validate_surrogate("embedded-lite", n_samples=32, model=model)
-        by_twin = validate_surrogate(
-            "surrogate:embedded-lite", n_samples=32, model=model
-        )
-        assert by_base == by_twin
+    def test_name_and_twin_score_alike(self, platform, model):
+        by_name = validate_surrogate("embedded-lite", n_samples=32, model=model)
+        by_twin = validate_surrogate(platform, n_samples=32, model=model)
+        assert by_name == by_twin
 
     def test_tight_budget_fails(self, base, model):
         impossible = {

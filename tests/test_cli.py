@@ -106,11 +106,15 @@ class TestStudyFlags:
         assert "different run configuration" in err
         assert "Traceback" not in err
 
-    def test_surrogate_of_a_surrogate_platform_is_a_usage_error(self, small_run, capsys):
+    def test_retired_surrogate_platform_name_is_a_usage_error(self, small_run, capsys):
+        # Learned twins are no longer registered platforms, so a ledger
+        # that pinned a `surrogate:<name>` platform cannot resume silently.
         with pytest.raises(SystemExit) as exit_info:
             main(["run", "fig5", "--hardware", "surrogate:embedded-lite", "--surrogate"])
         assert exit_info.value.code == 2
-        assert "execution.surrogate cannot wrap" in capsys.readouterr().err
+        assert "unknown hardware platform 'surrogate:embedded-lite'" in (
+            capsys.readouterr().err
+        )
 
 
 class TestStudyCommand:
@@ -201,6 +205,17 @@ class TestStudyCommand:
             main(["study", "run", "smoke", *flags, "--set", "execution.master_seed=1"])
         assert exit_info.value.code == 2
         assert "different run configuration" in capsys.readouterr().err
+
+    def test_exact_fraction_on_a_two_tier_preset(self, capsys):
+        # bert-u50 is two-tier already: the flag needs no --surrogate.
+        assert main(["study", "show", "bert-u50", "--exact-fraction", "0.1"]) == 0
+        assert json.loads(capsys.readouterr().out)["execution"]["exact_fraction"] == 0.1
+
+    def test_exact_fraction_without_two_tier_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["study", "show", "smoke", "--set", "execution.exact_fraction=0.5"])
+        assert exit_info.value.code == 2
+        assert "execution.exact_fraction" in capsys.readouterr().err
 
     def test_study_requires_subcommand(self):
         with pytest.raises(SystemExit):

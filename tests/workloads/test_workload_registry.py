@@ -82,11 +82,9 @@ class TestRegistryDrift:
             for platform in workload.platforms:
                 assert platform in registered, f"{name}: {platform}"
 
-    def test_supports_platform_strips_surrogate_prefix(self, workloads):
+    def test_supports_platform(self, workloads):
         for name, workload in workloads.items():
-            base = workload.platforms[0]
-            assert workload.supports_platform(base), name
-            assert workload.supports_platform(f"surrogate:{base}"), name
+            assert workload.supports_platform(workload.platforms[0]), name
             assert not workload.supports_platform("tpu-v9"), name
 
     def test_decode_encode_round_trip(self, workloads):
