@@ -855,6 +855,8 @@ def _main_serve(args, parser: argparse.ArgumentParser) -> int:
             imports=tuple(args.imports),
             stale_after=args.stale_after,
         )
+    except ValueError as err:
+        parser.error(str(err))
     except OSError as err:
         parser.error(f"cannot bind {args.host}:{args.port}: {err}")
     # Stdout on purpose: scripts (and the CI smoke step) bind port 0

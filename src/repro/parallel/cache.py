@@ -10,10 +10,10 @@ share one pool of already-evaluated points.
 The store is a single sqlite file keyed by
 ``(scenario, spec_hash, config_key)`` holding the deterministic metric
 triple ``(accuracy, latency_s, area_mm2)`` plus an optional JSON
-``extra`` payload (used by :class:`repro.training.CachedTrainer` to
-persist GPU-hour ledgers).  Because every metric in the library is a
-pure function of the key, caching can never change results — only how
-fast they are produced.
+``extra`` payload (:class:`repro.training.CachedTrainer` keeps one
+cell's training GPU-hours there).  Because every metric in the library
+is a pure function of the key, caching can never change results — only
+how fast they are produced.
 
 Concurrency model: writers buffer rows in memory and persist them in
 one transaction on :meth:`flush`.  Connections are guarded by process

@@ -8,10 +8,10 @@ shared state directory — cooperate through the run ledger's
 ``task_leases`` table:
 
 * every pending (label, repeat) task gets a lease row;
-* workers atomically claim the next runnable task (``BEGIN
-  IMMEDIATE`` — never two claimants), heartbeat while searching it,
-  and record the result through
-  :meth:`~repro.parallel.ledger.RunLedger.record_done_leased`;
+* workers claim, heartbeat and end leases through the ledger's one
+  lease lifecycle, the same one ``repro serve`` leases studies with:
+  a claim is atomic (never two claimants), and the result is recorded
+  through :meth:`~repro.parallel.ledger.RunLedger.record_done_leased`;
 * a crashed or stalled worker's lease heartbeat goes stale and the
   task is re-issued — resuming from its last checkpoint, so the work
   already persisted is replayed, not recomputed;
@@ -50,7 +50,7 @@ import time
 from pathlib import Path
 
 from repro.parallel.cache import EvalCache
-from repro.parallel.ledger import LedgerError, RunLedger
+from repro.parallel.ledger import LedgerError, RunLedger, check_lease_timing
 from repro.parallel.pool import (
     ExecutionBackend,
     _mark_worker,
@@ -109,6 +109,7 @@ def run_worker(
     what :meth:`RunLedger.begin_run` pins, and the caller is expected
     to have validated against ``ledger.run_config()``.
     """
+    check_lease_timing(stale_after, heartbeat_every, poll_every)
     if not isinstance(ledger, RunLedger):
         ledger = RunLedger(ledger)
     if ledger.path is None:
@@ -205,17 +206,7 @@ class ClusterBackend(ExecutionBackend):
         heartbeat_every: float = 1.0,
         poll_every: float = 0.2,
     ) -> None:
-        if stale_after <= 0:
-            raise ValueError(f"stale_after must be > 0, got {stale_after}")
-        if heartbeat_every <= 0:
-            raise ValueError(f"heartbeat_every must be > 0, got {heartbeat_every}")
-        if heartbeat_every >= stale_after:
-            raise ValueError(
-                f"heartbeat_every ({heartbeat_every}) must be smaller than "
-                f"stale_after ({stale_after}) or live leases look stale"
-            )
-        if poll_every <= 0:
-            raise ValueError(f"poll_every must be > 0, got {poll_every}")
+        check_lease_timing(stale_after, heartbeat_every, poll_every)
         self.stale_after = float(stale_after)
         self.heartbeat_every = float(heartbeat_every)
         self.poll_every = float(poll_every)

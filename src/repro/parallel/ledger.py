@@ -16,18 +16,17 @@ layer behind ``run_grid(..., ledger=...)``:
 * ``meta`` pins the run configuration (steps, repeats, master seed,
   batch size, job labels) so a ledger can never silently mix results
   from incompatible runs;
-* ``studies`` is the serving layer's job queue (:mod:`repro.server`):
-  submitted StudySpecs with a leased/heartbeat lifecycle, so a killed
-  server's in-flight studies are re-leased — and resumed from their
-  per-study ledgers — by the next server to open the same queue file;
-* ``task_leases`` is the cluster backend's coordination table
-  (:mod:`repro.parallel.cluster`): per-(label, repeat) leases with the
-  same claim/heartbeat/stale-reissue lifecycle as ``studies``, but at
-  task granularity — many worker processes (possibly on different
-  machines sharing the ledger file) each atomically claim the next
-  runnable task, heartbeat while searching it, and record its result;
-  a SIGKILLed worker's leases go stale and are re-claimed, resuming
-  from the task's last checkpoint.
+* ``studies`` (the :mod:`repro.server` job queue, one row per study)
+  and ``task_leases`` (the :mod:`repro.parallel.cluster` coordination
+  table, one row per task) are leased by one claim, one heartbeat and
+  one end (:class:`_LeaseTable`).  A claim takes the oldest waiting
+  row, or one whose holder (a server, a worker on any machine sharing
+  the file) died and let its heartbeat go stale; the work resumes from
+  its checkpoints.  Heartbeats and the terminal write name the holder
+  and are refused once the lease has moved on (re-issued, cancelled).
+
+``PRAGMA user_version`` versions the schema; opening a version-0 file
+adds the ``worker``/``claims`` lease columns to its ``studies``.
 
 On resume, ``run_grid`` loads ``done`` tasks instead of re-running
 them and restarts interrupted tasks from their last checkpoint;
@@ -56,6 +55,8 @@ import base64
 import json
 import os
 import sqlite3
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -68,6 +69,7 @@ __all__ = [
     "RunLedger",
     "STUDY_STATES",
     "TERMINAL_STUDY_STATES",
+    "check_lease_timing",
     "decode_state",
     "encode_state",
 ]
@@ -75,6 +77,10 @@ __all__ = [
 #: Matches the EvalCache: generous, because every write is one small
 #: transaction and contention only comes from checkpoint bursts.
 _BUSY_TIMEOUT_MS = 30_000
+
+#: ``PRAGMA user_version`` of the schema below.  Version 1 gave
+#: ``studies`` the lease columns of ``task_leases``: ``worker``, ``claims``.
+_SCHEMA_VERSION = 1
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -105,7 +111,9 @@ CREATE TABLE IF NOT EXISTS studies (
     lease_pid    INTEGER,
     heartbeat    REAL,
     result       TEXT,
-    error        TEXT
+    error        TEXT,
+    worker       TEXT,
+    claims       INTEGER NOT NULL DEFAULT 0
 );
 CREATE TABLE IF NOT EXISTS task_leases (
     label     TEXT NOT NULL,
@@ -308,6 +316,118 @@ def _loads(text: str) -> Any:
 
 
 # ---------------------------------------------------------------------------
+# Write transactions and leases
+# ---------------------------------------------------------------------------
+
+@contextmanager
+def _immediate(db: sqlite3.Connection):
+    """One write transaction holding sqlite's write lock from the start,
+    so a read-then-write (a claim, an owner check) is atomic across
+    every process sharing the file."""
+    db.execute("BEGIN IMMEDIATE")
+    try:
+        yield db
+        db.execute("COMMIT")
+    except BaseException:
+        if db.in_transaction:
+            db.execute("ROLLBACK")
+        raise
+
+
+def check_lease_timing(
+    stale_after: float, heartbeat_every: float, poll_every: float
+) -> None:
+    """Raise :class:`ValueError` on timings under which leases break: a
+    holder that beats less often than ``stale_after`` loses live leases."""
+    if stale_after <= 0:
+        raise ValueError(f"stale_after must be > 0, got {stale_after}")
+    if heartbeat_every <= 0:
+        raise ValueError(f"heartbeat_every must be > 0, got {heartbeat_every}")
+    if heartbeat_every >= stale_after:
+        raise ValueError(
+            f"heartbeat_every ({heartbeat_every}) must be smaller than "
+            f"stale_after ({stale_after}) or live leases look stale"
+        )
+    if poll_every <= 0:
+        raise ValueError(f"poll_every must be > 0, got {poll_every}")
+
+
+@dataclass(frozen=True)
+class _LeaseTable:
+    """One lease table, as the shared claim/heartbeat/end statements see it.
+
+    A row is claimable when it is ``waiting``, or ``held`` with a stale
+    heartbeat.  Each statement runs inside the caller's
+    :func:`_immediate` transaction, which may add its own writes.
+    """
+
+    table: str
+    key: tuple[str, ...]
+    waiting: str
+    held: str
+    #: Claim order (SQL ``ORDER BY`` terms).
+    order: str
+    #: Extra claim condition (SQL, ANDed), e.g. "not already done".
+    runnable: str = ""
+
+    def _where(self) -> str:
+        return " AND ".join(f"{column}=?" for column in self.key)
+
+    def claim(
+        self, db, worker: str, pid: int, now: float, stale_after: float
+    ) -> tuple | None:
+        """Lease the next claimable row to ``worker``; its key, or ``None``."""
+        key = db.execute(
+            f"SELECT {', '.join(self.key)} FROM {self.table}"
+            " WHERE (state=? OR (state=? AND (heartbeat IS NULL OR heartbeat < ?)))"
+            f"{self.runnable} ORDER BY {self.order} LIMIT 1",
+            (self.waiting, self.held, now - stale_after),
+        ).fetchone()
+        if key is not None:
+            db.execute(
+                f"UPDATE {self.table} SET state=?, worker=?, lease_pid=?,"
+                f" heartbeat=?, claims=claims+1 WHERE {self._where()}",
+                (self.held, worker, pid, now, *key),
+            )
+        return key
+
+    def heartbeat(self, db, key: tuple, worker: str, now: float, pid=None) -> bool:
+        """Stamp ``worker``'s lease (and ``lease_pid``, if given); ``False``
+        once the lease is not ``worker``'s."""
+        return db.execute(
+            f"UPDATE {self.table} SET heartbeat=?, lease_pid=COALESCE(?, lease_pid)"
+            f" WHERE {self._where()} AND worker=? AND state=?",
+            (now, pid, *key, worker, self.held),
+        ).rowcount > 0
+
+    def end(self, db, key: tuple, worker: str, state: str, **columns) -> bool:
+        """Move ``worker``'s lease to ``state``, setting ``columns``;
+        ``False`` (nothing written) once the lease is not ``worker``'s."""
+        sets = "".join(f", {column}=?" for column in columns)
+        return db.execute(
+            f"UPDATE {self.table} SET state=?{sets}"
+            f" WHERE {self._where()} AND worker=? AND state=?",
+            (state, *columns.values(), *key, worker, self.held),
+        ).rowcount > 0
+
+
+_STUDY_LEASES = _LeaseTable(
+    "studies", ("study_id",), "queued", "running", "submitted_at, study_id"
+)
+_TASK_LEASES = _LeaseTable(
+    "task_leases", ("label", "repeat"), "pending", "leased", "label, repeat",
+    runnable=" AND NOT EXISTS (SELECT 1 FROM tasks t"
+    " WHERE t.label=task_leases.label AND t.repeat=task_leases.repeat"
+    " AND t.status='done')",
+)
+
+_STUDY_SELECT = (
+    "SELECT study_id, spec, state, submitted_at, started_at, finished_at,"
+    " lease_pid, heartbeat, result, error, worker, claims FROM studies"
+)
+
+
+# ---------------------------------------------------------------------------
 # The ledger
 # ---------------------------------------------------------------------------
 
@@ -334,6 +454,15 @@ class RunLedger:
             conn.execute(f"PRAGMA busy_timeout={_BUSY_TIMEOUT_MS}")
         conn.executescript(_SCHEMA)
         conn.commit()
+        if conn.execute("PRAGMA user_version").fetchone()[0] < _SCHEMA_VERSION:
+            # A version-0 file: ``studies`` gains the lease columns, unless
+            # another process opening it at the same time added them first.
+            with _immediate(conn):
+                info = conn.execute("PRAGMA table_info(studies)").fetchall()
+                if "claims" not in {row[1] for row in info}:
+                    for column in ("worker TEXT", "claims INTEGER NOT NULL DEFAULT 0"):
+                        conn.execute(f"ALTER TABLE studies ADD COLUMN {column}")
+                conn.execute(f"PRAGMA user_version={_SCHEMA_VERSION}")
         return conn
 
     def _db(self) -> sqlite3.Connection:
@@ -471,19 +600,14 @@ class RunLedger:
     def study(self, study_id: str) -> dict | None:
         """One study's queue row as a dict (spec parsed), or ``None``."""
         row = self._db().execute(
-            "SELECT study_id, spec, state, submitted_at, started_at,"
-            " finished_at, lease_pid, heartbeat, result, error"
-            " FROM studies WHERE study_id=?",
-            (study_id,),
+            _STUDY_SELECT + " WHERE study_id=?", (study_id,)
         ).fetchone()
         return self._study_row(row) if row is not None else None
 
     def studies(self) -> list[dict]:
         """Every queue row, oldest submission first."""
         rows = self._db().execute(
-            "SELECT study_id, spec, state, submitted_at, started_at,"
-            " finished_at, lease_pid, heartbeat, result, error"
-            " FROM studies ORDER BY submitted_at, study_id"
+            _STUDY_SELECT + " ORDER BY submitted_at, study_id"
         ).fetchall()
         return [self._study_row(row) for row in rows]
 
@@ -500,146 +624,83 @@ class RunLedger:
             "heartbeat": row[7],
             "result": json.loads(row[8]) if row[8] else None,
             "error": row[9],
+            "worker": row[10],
+            "claims": int(row[11]),
         }
 
     def claim_study(
-        self, pid: int, now: float, stale_after: float
+        self, worker: str, pid: int, now: float, stale_after: float
     ) -> str | None:
-        """Atomically lease the next runnable study; ``None`` if idle.
-
-        Runnable means ``queued``, or ``running`` with a lease
-        heartbeat older than ``stale_after`` seconds — i.e. abandoned
-        by a crashed server and due for resumption.  The lease is
-        taken under ``BEGIN IMMEDIATE`` so concurrent workers (threads
-        or whole servers sharing one queue file) never claim the same
-        study twice.
-        """
-        db = self._db()
-        db.execute("BEGIN IMMEDIATE")
-        try:
-            row = db.execute(
-                "SELECT study_id FROM studies WHERE state='queued'"
-                " OR (state='running' AND (heartbeat IS NULL OR heartbeat < ?))"
-                " ORDER BY submitted_at, study_id LIMIT 1",
-                (now - stale_after,),
-            ).fetchone()
-            if row is None:
-                db.execute("ROLLBACK")
+        """Lease the oldest ``queued`` (or stale ``running``) study to
+        ``worker``; ``None`` if idle.  The first claim stamps ``started_at``."""
+        with _immediate(self._db()) as db:
+            key = _STUDY_LEASES.claim(db, worker, pid, now, stale_after)
+            if key is None:
                 return None
             db.execute(
-                "UPDATE studies SET state='running', lease_pid=?,"
-                " heartbeat=?, started_at=COALESCE(started_at, ?)"
+                "UPDATE studies SET started_at=COALESCE(started_at, ?)"
                 " WHERE study_id=?",
-                (pid, now, now, row[0]),
+                (now, *key),
             )
-            db.execute("COMMIT")
-        except BaseException:
-            db.execute("ROLLBACK")
-            raise
-        return row[0]
+        return key[0]
 
     def heartbeat_study(
-        self, study_id: str, now: float, pid: int | None = None
+        self, study_id: str, worker: str, now: float, pid: int | None = None
+    ) -> bool:
+        """Refresh ``worker``'s lease; ``False`` once it is cancelled or
+        re-leased, and the caller must stop its runner.  ``pid`` re-points
+        ``lease_pid`` at that runner, whose process group a cancel kills."""
+        with _immediate(self._db()) as db:
+            return _STUDY_LEASES.heartbeat(db, (study_id,), worker, now, pid)
+
+    def finish_study(
+        self, study_id: str, worker: str, result: dict, now: float
     ) -> None:
-        """Refresh a leased study's liveness stamp.
+        """Mark ``worker``'s running study ``done`` with its result summary."""
+        result = json.dumps(result, separators=(",", ":"))
+        self._end_study(study_id, worker, "done", finished_at=now, result=result)
 
-        ``pid`` (when given) re-points ``lease_pid`` at the process
-        actually executing the study — the server leases under its own
-        pid but delegates to a runner subprocess, and cancellation /
-        the durability tests need the runner's process group, not the
-        server's.
-        """
-        db = self._db()
-        if pid is None:
-            db.execute(
-                "UPDATE studies SET heartbeat=?"
-                " WHERE study_id=? AND state='running'",
-                (now, study_id),
-            )
-        else:
-            db.execute(
-                "UPDATE studies SET heartbeat=?, lease_pid=?"
-                " WHERE study_id=? AND state='running'",
-                (now, pid, study_id),
-            )
-        db.commit()
+    def fail_study(self, study_id: str, worker: str, error: str, now: float) -> None:
+        """Mark ``worker``'s running study ``failed`` with a diagnostic."""
+        self._end_study(study_id, worker, "failed", finished_at=now, error=error)
 
-    def finish_study(self, study_id: str, result: dict, now: float) -> None:
-        """Mark a running study ``done`` with its result summary."""
-        self._finish(study_id, "done", now, result=result)
-
-    def fail_study(self, study_id: str, error: str, now: float) -> None:
-        """Mark a running study ``failed`` with a diagnostic."""
-        self._finish(study_id, "failed", now, error=error)
-
-    def _finish(
-        self,
-        study_id: str,
-        state: str,
-        now: float,
-        result: dict | None = None,
-        error: str | None = None,
-    ) -> None:
-        db = self._db()
-        changed = db.execute(
-            "UPDATE studies SET state=?, finished_at=?, result=?, error=?"
-            " WHERE study_id=? AND state='running'",
-            (
-                state,
-                now,
-                json.dumps(result, separators=(",", ":")) if result is not None else None,
-                error,
-                study_id,
-            ),
-        ).rowcount
-        db.commit()
-        if not changed:
-            row = self.study(study_id)
-            raise LedgerError(
-                f"cannot mark study {study_id!r} {state}: "
-                + ("unknown study" if row is None else f"state is {row['state']!r}")
-            )
+    def _end_study(self, study_id: str, worker: str, state: str, **columns) -> None:
+        """End ``worker``'s lease, or raise :class:`LedgerError` naming why not."""
+        with _immediate(self._db()) as db:
+            if _STUDY_LEASES.end(db, (study_id,), worker, state, **columns):
+                return
+            row = db.execute(
+                "SELECT state, worker FROM studies WHERE study_id=?", (study_id,)
+            ).fetchone()
+        why = (
+            "unknown study" if row is None
+            else f"state is {row[0]!r}, held by {row[1]!r}"
+        )
+        raise LedgerError(f"cannot mark study {study_id!r} {state}: {why}")
 
     def cancel_study(self, study_id: str, now: float) -> str | None:
         """Cancel a ``queued``/``running`` study; returns its prior state.
 
+        Anyone may cancel; the holder's next heartbeat is then refused.
         Terminal studies are left untouched (``None`` is returned) —
         cancellation must never overwrite a concurrently recorded
-        ``done``/``failed`` outcome.  Killing the worker actually
-        running the study is the server's job; the queue only flips
-        the state.
+        ``done``/``failed`` outcome.
         """
-        db = self._db()
-        db.execute("BEGIN IMMEDIATE")
-        try:
+        with _immediate(self._db()) as db:
             row = db.execute(
                 "SELECT state FROM studies WHERE study_id=?"
                 " AND state IN ('queued', 'running')",
                 (study_id,),
             ).fetchone()
-            if row is None:
-                db.execute("ROLLBACK")
-                return None
-            db.execute(
-                "UPDATE studies SET state='cancelled', finished_at=?"
-                " WHERE study_id=?",
-                (now, study_id),
-            )
-            db.execute("COMMIT")
-        except BaseException:
-            db.execute("ROLLBACK")
-            raise
-        return row[0]
+            if row is not None:
+                db.execute(
+                    "UPDATE studies SET state='cancelled', finished_at=?"
+                    " WHERE study_id=?",
+                    (now, study_id),
+                )
+        return None if row is None else row[0]
 
     # -- cluster task leases -----------------------------------------------
-    #
-    # The cluster backend (:mod:`repro.parallel.cluster`) promotes the
-    # ledger from checkpoint store to coordination substrate: every
-    # (label, repeat) task gets a lease row, worker processes claim
-    # the next runnable one under ``BEGIN IMMEDIATE`` (never two
-    # claimants), heartbeat while searching, and record results
-    # through :meth:`record_done_leased` — which refuses stragglers
-    # whose lease was re-issued, so no task is recorded twice.
 
     def seed_task_leases(self, tasks: list[tuple[str, int]]) -> None:
         """Ensure a lease row exists for every (label, repeat) task.
@@ -650,9 +711,7 @@ class RunLedger:
         backend before a resume — are marked ``done`` so the cluster's
         progress accounting converges.
         """
-        db = self._db()
-        db.execute("BEGIN IMMEDIATE")
-        try:
+        with _immediate(self._db()) as db:
             db.executemany(
                 "INSERT OR IGNORE INTO task_leases (label, repeat) VALUES (?, ?)",
                 [(label, int(repeat)) for label, repeat in tasks],
@@ -662,110 +721,44 @@ class RunLedger:
                 " AND EXISTS (SELECT 1 FROM tasks t WHERE t.label=task_leases.label"
                 " AND t.repeat=task_leases.repeat AND t.status='done')"
             )
-            db.execute("COMMIT")
-        except BaseException:
-            db.execute("ROLLBACK")
-            raise
 
     def claim_task(
         self, worker: str, pid: int, now: float, stale_after: float
     ) -> tuple[str, int] | None:
-        """Atomically lease the next runnable task; ``None`` if none.
+        """Lease the first ``pending`` (or stale ``leased``) task not yet
+        ``done`` in ``tasks`` to ``worker``, in (label, repeat) order;
+        ``None`` if none."""
+        with _immediate(self._db()) as db:
+            key = _TASK_LEASES.claim(db, worker, pid, now, stale_after)
+        return None if key is None else (key[0], int(key[1]))
 
-        Runnable means ``pending``, or ``leased`` with a heartbeat
-        older than ``stale_after`` seconds (abandoned by a crashed or
-        stalled worker, due for re-issue).  Tasks already ``done`` in
-        the ``tasks`` table are never claimable.  Deterministic claim
-        order (label, then repeat) keeps cluster scheduling easy to
-        reason about, though results never depend on it.
-        """
-        db = self._db()
-        db.execute("BEGIN IMMEDIATE")
-        try:
-            row = db.execute(
-                "SELECT label, repeat FROM task_leases"
-                " WHERE (state='pending' OR (state='leased'"
-                "   AND (heartbeat IS NULL OR heartbeat < ?)))"
-                " AND NOT EXISTS (SELECT 1 FROM tasks t"
-                "   WHERE t.label=task_leases.label"
-                "   AND t.repeat=task_leases.repeat AND t.status='done')"
-                " ORDER BY label, repeat LIMIT 1",
-                (now - stale_after,),
-            ).fetchone()
-            if row is None:
-                db.execute("ROLLBACK")
-                return None
-            db.execute(
-                "UPDATE task_leases SET state='leased', worker=?, lease_pid=?,"
-                " heartbeat=?, claims=claims+1 WHERE label=? AND repeat=?",
-                (worker, pid, now, row[0], row[1]),
-            )
-            db.execute("COMMIT")
-        except BaseException:
-            db.execute("ROLLBACK")
-            raise
-        return (row[0], int(row[1]))
-
-    def heartbeat_task(
-        self, label: str, repeat: int, worker: str, now: float
-    ) -> bool:
-        """Refresh a held lease's liveness stamp.
-
-        Returns ``False`` when the lease is no longer ours (re-issued
-        after going stale) — the worker should abandon the task; the
-        new holder owns it now, and :meth:`record_done_leased` would
-        refuse our result anyway.
-        """
-        db = self._db()
-        changed = db.execute(
-            "UPDATE task_leases SET heartbeat=?"
-            " WHERE label=? AND repeat=? AND worker=? AND state='leased'",
-            (now, label, int(repeat), worker),
-        ).rowcount
-        db.commit()
-        return bool(changed)
+    def heartbeat_task(self, label: str, repeat: int, worker: str, now: float) -> bool:
+        """Refresh ``worker``'s lease; ``False`` once it was re-issued, and
+        :meth:`record_done_leased` would refuse the worker's result."""
+        with _immediate(self._db()) as db:
+            return _TASK_LEASES.heartbeat(db, (label, int(repeat)), worker, now)
 
     def record_done_leased(
         self, label: str, repeat: int, worker: str, result: "SearchResult"
     ) -> bool:
-        """Persist a leased task's result iff the lease is still ours.
+        """Persist a leased task's result iff the lease is still ``worker``'s.
 
-        One transaction checks lease ownership, writes the ``tasks``
-        row, drops the task's checkpoint, and marks the lease ``done``.
-        A straggler whose lease was re-issued (its heartbeat went
-        stale and another worker claimed the task) gets ``False`` and
-        must discard its result — the current holder will record the
-        bit-identical one — so no (label, repeat) is ever recorded by
-        two workers.
+        One transaction ends the lease, writes the ``tasks`` row and
+        drops the checkpoint.  A straggler whose lease was re-issued
+        gets ``False``: the current holder records the bit-identical
+        result, so no (label, repeat) is recorded by two workers.
         """
-        db = self._db()
-        db.execute("BEGIN IMMEDIATE")
-        try:
-            row = db.execute(
-                "SELECT worker FROM task_leases"
-                " WHERE label=? AND repeat=? AND state='leased'",
-                (label, int(repeat)),
-            ).fetchone()
-            if row is None or row[0] != worker:
-                db.execute("ROLLBACK")
+        key = (label, int(repeat))
+        blob = _dumps(result)
+        with _immediate(self._db()) as db:
+            if not _TASK_LEASES.end(db, key, worker, "done"):
                 return False
             db.execute(
                 "INSERT OR REPLACE INTO tasks (label, repeat, status, result)"
                 " VALUES (?, ?, 'done', ?)",
-                (label, int(repeat), _dumps(result)),
+                (*key, blob),
             )
-            db.execute(
-                "DELETE FROM checkpoints WHERE label=? AND repeat=?",
-                (label, int(repeat)),
-            )
-            db.execute(
-                "UPDATE task_leases SET state='done' WHERE label=? AND repeat=?",
-                (label, int(repeat)),
-            )
-            db.execute("COMMIT")
-        except BaseException:
-            db.execute("ROLLBACK")
-            raise
+            db.execute("DELETE FROM checkpoints WHERE label=? AND repeat=?", key)
         return True
 
     def cluster_progress(self) -> dict[str, int]:
@@ -809,9 +802,7 @@ class RunLedger:
         which backend actually executed each of its runs, not just
         what its spec asked for.
         """
-        db = self._db()
-        db.execute("BEGIN IMMEDIATE")
-        try:
+        with _immediate(self._db()) as db:
             row = db.execute(
                 "SELECT value FROM meta WHERE key='executions'"
             ).fetchone()
@@ -822,10 +813,6 @@ class RunLedger:
                 " VALUES ('executions', ?)",
                 (json.dumps(entries, separators=(",", ":")),),
             )
-            db.execute("COMMIT")
-        except BaseException:
-            db.execute("ROLLBACK")
-            raise
 
     def executions(self) -> list[dict]:
         """Every recorded backend execution, oldest first."""

@@ -42,7 +42,7 @@ import time
 
 from repro.parallel.cache import EvalCache
 from repro.parallel.cluster import run_worker
-from repro.parallel.ledger import RunLedger
+from repro.parallel.ledger import RunLedger, check_lease_timing
 
 __all__ = ["main"]
 
@@ -133,7 +133,12 @@ def _load_pinned_config(ledger: RunLedger, wait: float) -> dict:
 
 
 def main(argv: list[str] | None = None, prog: str | None = None) -> int:
-    args = _build_parser(prog).parse_args(argv)
+    parser = _build_parser(prog)
+    args = parser.parse_args(argv)
+    try:
+        check_lease_timing(args.stale_after, args.heartbeat_every, args.poll_every)
+    except ValueError as err:
+        parser.error(str(err))
     for module in args.imports:
         importlib.import_module(module)
 

@@ -24,7 +24,10 @@ repro.server.runner``), each in its own session/process group.  That
 buys two things threads cannot: cancellation is a real ``killpg`` (a
 study stuck in native code still dies), and a crashing study can
 never take the server down with it.  Worker threads only lease,
-spawn, heartbeat, and reconcile.
+spawn, heartbeat, and reconcile, each under its own lease holder id
+(``<host>-<pid>-<thread name>``): once a study is cancelled (through
+any server sharing the queue file) or re-leased, its holder's next
+heartbeat is refused and the holder kills its runner.
 
 Sqlite connections are neither thread- nor fork-safe, so no
 :class:`~repro.parallel.RunLedger` instance ever crosses a thread
@@ -34,11 +37,13 @@ each worker thread owns one for its lifetime.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -46,7 +51,7 @@ import time
 from pathlib import Path
 
 from repro.core.study import StudySpec, new_study_id
-from repro.parallel.ledger import LedgerError, RunLedger
+from repro.parallel.ledger import LedgerError, RunLedger, check_lease_timing
 
 __all__ = ["StudyQueue"]
 
@@ -57,7 +62,8 @@ class StudyQueue:
     ``scale`` (a preset name) and ``imports`` (plugin modules) are
     forwarded to every runner subprocess; ``stale_after`` is how many
     seconds a ``running`` study's heartbeat may age before another
-    worker treats it as abandoned and re-leases it.
+    worker treats it as abandoned and re-leases it (timings go through
+    :func:`~repro.parallel.ledger.check_lease_timing`).
     """
 
     def __init__(
@@ -70,6 +76,7 @@ class StudyQueue:
         stale_after: float = 15.0,
         imports: tuple[str, ...] = (),
     ) -> None:
+        check_lease_timing(stale_after, heartbeat_every, poll_every)
         self.state_dir = Path(state_dir)
         self.queue_path = self.state_dir / "queue.sqlite"
         self.studies_dir = self.state_dir / "studies"
@@ -145,8 +152,8 @@ class StudyQueue:
         ``None`` means the study is unknown or already terminal (the
         caller distinguishes via :meth:`status`).  A study running
         under *this* server is killed outright; one leased by another
-        server just flips state, and that runner's final
-        ``finish_study`` is refused by the ledger.
+        server just flips state, and that server kills its runner when
+        its next heartbeat is refused.
         """
         prior = self.open_ledger().cancel_study(study_id, time.time())
         if prior == "running":
@@ -239,9 +246,11 @@ class StudyQueue:
             return
         self._stop.clear()
         for index in range(self.workers):
+            # The name goes into the thread's lease holder id, which two
+            # queues in one process must not share.
             thread = threading.Thread(
                 target=self._worker_loop,
-                name=f"study-worker-{index}",
+                name=f"study-worker-{id(self):x}-{index}",
                 daemon=True,
             )
             thread.start()
@@ -267,24 +276,24 @@ class StudyQueue:
 
     def _worker_loop(self) -> None:
         ledger = self.open_ledger()
+        name = threading.current_thread().name
+        worker = f"{socket.gethostname()}-{os.getpid()}-{name}"
         while not self._stop.is_set():
             study_id = ledger.claim_study(
-                os.getpid(), time.time(), self.stale_after
+                worker, os.getpid(), time.time(), self.stale_after
             )
             if study_id is None:
                 self._stop.wait(self.poll_every)
                 continue
-            self._run_one(ledger, study_id)
+            self._run_one(ledger, worker, study_id)
 
-    def _run_one(self, ledger: RunLedger, study_id: str) -> None:
-        """Spawn the runner for one leased study and shepherd it."""
+    def _run_one(self, ledger: RunLedger, worker: str, study_id: str) -> None:
+        """Spawn the runner for one study leased to ``worker``; shepherd it."""
         try:
-            spec = self._spec_of(ledger, study_id)
+            spec = StudySpec.from_dict(ledger.study(study_id)["spec"])
         except Exception as err:  # hand-edited queue row; submit validated
-            try:
-                ledger.fail_study(study_id, f"invalid spec: {err}", time.time())
-            except LedgerError:
-                pass
+            with contextlib.suppress(LedgerError):
+                ledger.fail_study(study_id, worker, f"invalid spec: {err}", time.time())
             return
         cmd = [
             sys.executable,
@@ -294,6 +303,8 @@ class StudyQueue:
             str(self.queue_path),
             "--study-id",
             study_id,
+            "--worker",
+            worker,
             "--ledger",
             str(self.study_ledger_path(study_id)),
             "--cache",
@@ -326,32 +337,30 @@ class StudyQueue:
         with self._lock:
             self._procs[study_id] = proc
         try:
-            ledger.heartbeat_study(study_id, time.time(), pid=proc.pid)
             while proc.poll() is None:
-                if self._stop.wait(self.heartbeat_every):
+                held = ledger.heartbeat_study(
+                    study_id, worker, time.time(), pid=proc.pid
+                )
+                if not held or self._stop.wait(self.heartbeat_every):
+                    # Refused: cancelled, or re-leased after this server
+                    # went stale; the row is its new holder's.  On stop
+                    # it stays 'running' and is reclaimed on next boot.
                     _kill_group(proc)
                     proc.wait()
-                    return  # stays 'running'; reclaimed on next boot
-                ledger.heartbeat_study(study_id, time.time(), pid=proc.pid)
+                    return
         finally:
             with self._lock:
                 self._procs.pop(study_id, None)
-        row = ledger.study(study_id)
-        if row is not None and row["state"] == "running":
-            # The runner died without reporting (segfault, OOM kill,
-            # unhandled exit) — record the failure with its log tail.
-            message = f"runner exited with code {proc.returncode}"
-            tail = _log_tail(log_path)
-            if tail:
-                message += "\n" + tail
-            try:
-                ledger.fail_study(study_id, message, time.time())
-            except LedgerError:
-                pass  # lost a race with cancel/reclaim; their word stands
-
-    @staticmethod
-    def _spec_of(ledger: RunLedger, study_id: str) -> StudySpec:
-        return StudySpec.from_dict(ledger.study(study_id)["spec"])
+        # The runner exited on its own.  If it died without reporting
+        # (segfault, OOM kill, unhandled exit), record the failure with
+        # its log tail; a refusal means it did report, or another
+        # holder's word stands.
+        message = f"runner exited with code {proc.returncode}"
+        tail = _log_tail(log_path)
+        if tail:
+            message += "\n" + tail
+        with contextlib.suppress(LedgerError):
+            ledger.fail_study(study_id, worker, message, time.time())
 
 
 def _kill_group(proc: subprocess.Popen) -> None:

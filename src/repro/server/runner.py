@@ -7,10 +7,13 @@ queued spec, runs it through :func:`repro.core.study.run_study`
 against the study's *own* run ledger (so every repeat and checkpoint
 is crash-safe), and reports the terminal state back to the queue:
 
-* success    -> ``finish_study`` with the JSON outcome summary
+* success    -> ``finish_study`` with the JSON outcome summary, which
+  is discarded (exit 3) if the study was cancelled or re-leased
 * exception  -> ``fail_study`` with the traceback tail
 * SIGKILL    -> nothing; the queue row stays ``running`` with a stale
   heartbeat and the next worker to reclaim it resumes from the ledger
+
+Both writes name the lease holder ``--worker`` (the spawning thread).
 
 ``--import MODULE`` (repeatable) imports plugin modules before the
 spec is materialized, so deployments can register extra accuracy
@@ -36,6 +39,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--queue", required=True, type=Path)
     parser.add_argument("--study-id", required=True)
+    parser.add_argument("--worker", required=True)
     parser.add_argument("--ledger", required=True, type=Path)
     parser.add_argument("--cache", required=True, type=Path)
     parser.add_argument("--scale", default=None)
@@ -66,7 +70,7 @@ def main(argv: list[str] | None = None) -> int:
         error = traceback.format_exc()
         print(error, file=sys.stderr)
         try:
-            queue.fail_study(args.study_id, error[-2000:], time.time())
+            queue.fail_study(args.study_id, args.worker, error[-2000:], time.time())
         except LedgerError:
             pass  # cancelled or reclaimed while we were dying
         return 1
@@ -76,10 +80,10 @@ def main(argv: list[str] | None = None) -> int:
         "outcomes": outcome_summary(result),
     }
     try:
-        queue.finish_study(args.study_id, payload, time.time())
+        queue.finish_study(args.study_id, args.worker, payload, time.time())
     except LedgerError as err:
-        # Cancelled (or reclaimed as stale) after the work finished:
-        # the queue's word stands, this result is discarded.
+        # Cancelled, or re-leased to another holder after ours went
+        # stale: the queue's word stands, this result is discarded.
         print(f"result discarded: {err}", file=sys.stderr)
         return 3
     return 0

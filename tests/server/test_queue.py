@@ -45,13 +45,13 @@ class TestLedgerQueue:
     def test_claim_is_fifo_by_submission(self, ledger):
         ledger.submit_study("st-b", {}, now=2.0)
         ledger.submit_study("st-a", {}, now=1.0)
-        assert ledger.claim_study(pid=7, now=3.0, stale_after=10.0) == "st-a"
-        assert ledger.claim_study(pid=7, now=3.0, stale_after=10.0) == "st-b"
-        assert ledger.claim_study(pid=7, now=3.0, stale_after=10.0) is None
+        assert ledger.claim_study("w7", pid=7, now=3.0, stale_after=10.0) == "st-a"
+        assert ledger.claim_study("w7", pid=7, now=3.0, stale_after=10.0) == "st-b"
+        assert ledger.claim_study("w7", pid=7, now=3.0, stale_after=10.0) is None
 
     def test_claim_records_lease(self, ledger):
         ledger.submit_study("st-a", {}, now=1.0)
-        ledger.claim_study(pid=42, now=5.0, stale_after=10.0)
+        ledger.claim_study("w42", pid=42, now=5.0, stale_after=10.0)
         row = ledger.study("st-a")
         assert row["state"] == "running"
         assert row["lease_pid"] == 42
@@ -60,17 +60,17 @@ class TestLedgerQueue:
 
     def test_fresh_heartbeat_blocks_reclaim(self, ledger):
         ledger.submit_study("st-a", {}, now=0.0)
-        ledger.claim_study(pid=1, now=0.0, stale_after=10.0)
-        ledger.heartbeat_study("st-a", now=8.0)
-        assert ledger.claim_study(pid=2, now=9.0, stale_after=10.0) is None
+        ledger.claim_study("w1", pid=1, now=0.0, stale_after=10.0)
+        ledger.heartbeat_study("st-a", "w1", now=8.0)
+        assert ledger.claim_study("w2", pid=2, now=9.0, stale_after=10.0) is None
 
     def test_stale_heartbeat_is_reclaimed(self, ledger):
         # The crash-recovery path: a SIGKILLed server stops
         # heartbeating, and once the lease goes stale any worker may
         # re-lease the study and resume it.
         ledger.submit_study("st-a", {}, now=0.0)
-        ledger.claim_study(pid=1, now=0.0, stale_after=10.0)
-        assert ledger.claim_study(pid=2, now=11.0, stale_after=10.0) == "st-a"
+        ledger.claim_study("w1", pid=1, now=0.0, stale_after=10.0)
+        assert ledger.claim_study("w2", pid=2, now=11.0, stale_after=10.0) == "st-a"
         row = ledger.study("st-a")
         assert row["lease_pid"] == 2
         assert row["started_at"] == 0.0  # first start is preserved
@@ -79,14 +79,14 @@ class TestLedgerQueue:
         # The server leases under its own pid, then hands the lease to
         # the runner subprocess it spawned.
         ledger.submit_study("st-a", {}, now=0.0)
-        ledger.claim_study(pid=1, now=0.0, stale_after=10.0)
-        ledger.heartbeat_study("st-a", now=1.0, pid=999)
+        ledger.claim_study("w1", pid=1, now=0.0, stale_after=10.0)
+        ledger.heartbeat_study("st-a", "w1", now=1.0, pid=999)
         assert ledger.study("st-a")["lease_pid"] == 999
 
     def test_finish_round_trips_result(self, ledger):
         ledger.submit_study("st-a", {}, now=0.0)
-        ledger.claim_study(pid=1, now=0.0, stale_after=10.0)
-        ledger.finish_study("st-a", {"outcomes": {"s": 1}}, now=2.0)
+        ledger.claim_study("w1", pid=1, now=0.0, stale_after=10.0)
+        ledger.finish_study("st-a", "w1", {"outcomes": {"s": 1}}, now=2.0)
         row = ledger.study("st-a")
         assert row["state"] == "done"
         assert row["result"] == {"outcomes": {"s": 1}}
@@ -94,8 +94,8 @@ class TestLedgerQueue:
 
     def test_fail_records_error(self, ledger):
         ledger.submit_study("st-a", {}, now=0.0)
-        ledger.claim_study(pid=1, now=0.0, stale_after=10.0)
-        ledger.fail_study("st-a", "Traceback ...", now=2.0)
+        ledger.claim_study("w1", pid=1, now=0.0, stale_after=10.0)
+        ledger.fail_study("st-a", "w1", "Traceback ...", now=2.0)
         row = ledger.study("st-a")
         assert row["state"] == "failed"
         assert row["error"] == "Traceback ..."
@@ -103,14 +103,14 @@ class TestLedgerQueue:
     def test_finish_requires_running(self, ledger):
         ledger.submit_study("st-a", {}, now=0.0)
         with pytest.raises(LedgerError, match="'queued'"):
-            ledger.finish_study("st-a", {}, now=1.0)
+            ledger.finish_study("st-a", "w1", {}, now=1.0)
         with pytest.raises(LedgerError, match="unknown study"):
-            ledger.finish_study("st-missing", {}, now=1.0)
+            ledger.finish_study("st-missing", "w1", {}, now=1.0)
 
     def test_cancel_from_queued_and_running(self, ledger):
         ledger.submit_study("st-a", {}, now=0.0)
         ledger.submit_study("st-b", {}, now=0.0)
-        ledger.claim_study(pid=1, now=0.0, stale_after=10.0)
+        ledger.claim_study("w1", pid=1, now=0.0, stale_after=10.0)
         assert ledger.cancel_study("st-a", now=1.0) == "running"
         assert ledger.cancel_study("st-b", now=1.0) == "queued"
         assert ledger.study("st-a")["state"] == "cancelled"
@@ -118,8 +118,8 @@ class TestLedgerQueue:
 
     def test_cancel_never_overwrites_a_terminal_state(self, ledger):
         ledger.submit_study("st-a", {}, now=0.0)
-        ledger.claim_study(pid=1, now=0.0, stale_after=10.0)
-        ledger.finish_study("st-a", {"ok": True}, now=1.0)
+        ledger.claim_study("w1", pid=1, now=0.0, stale_after=10.0)
+        ledger.finish_study("st-a", "w1", {"ok": True}, now=1.0)
         assert ledger.cancel_study("st-a", now=2.0) is None
         assert ledger.study("st-a")["state"] == "done"
         assert ledger.cancel_study("st-missing", now=2.0) is None
@@ -128,10 +128,10 @@ class TestLedgerQueue:
         # A runner finishing after a concurrent cancel must be refused
         # — the queue's word stands.
         ledger.submit_study("st-a", {}, now=0.0)
-        ledger.claim_study(pid=1, now=0.0, stale_after=10.0)
+        ledger.claim_study("w1", pid=1, now=0.0, stale_after=10.0)
         ledger.cancel_study("st-a", now=1.0)
         with pytest.raises(LedgerError, match="'cancelled'"):
-            ledger.finish_study("st-a", {"late": True}, now=2.0)
+            ledger.finish_study("st-a", "w1", {"late": True}, now=2.0)
 
     def test_studies_lists_oldest_first(self, ledger):
         ledger.submit_study("st-b", {}, now=2.0)
