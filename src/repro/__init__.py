@@ -20,7 +20,7 @@ Package map: :mod:`repro.nasbench` (CNN search space),
 engine), :mod:`repro.parallel` (process fan-out + persistent eval
 cache), :mod:`repro.nn` (numpy NN substrate), :mod:`repro.training`
 (training oracles), :mod:`repro.experiments` (per-table/figure
-harness), :mod:`repro.utils` (rng/serialization/tables/timing).
+harness), :mod:`repro.utils` (rng/serialization/tables/registry).
 See ``docs/architecture.md`` for the module-by-module tour.
 """
 

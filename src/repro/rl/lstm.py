@@ -41,6 +41,7 @@ class LSTMCache:
     g: np.ndarray
     o: np.ndarray
     c: np.ndarray
+    h: np.ndarray
 
 
 class LSTMCell:
@@ -73,7 +74,9 @@ class LSTMCell:
         o = sigmoid(z[:, 3 * hs:])
         c = f * state.c + i * g
         h = o * np.tanh(c)
-        cache = LSTMCache(x=x, h_prev=state.h, c_prev=state.c, i=i, f=f, g=g, o=o, c=c)
+        cache = LSTMCache(
+            x=x, h_prev=state.h, c_prev=state.c, i=i, f=f, g=g, o=o, c=c, h=h
+        )
         return LSTMState(h=h, c=c), cache
 
     def backward_step(

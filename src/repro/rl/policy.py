@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.rl.functional import entropy, log_softmax, softmax, xavier_uniform
+from repro.rl.functional import softmax, xavier_uniform
 from repro.rl.lstm import LSTMCache, LSTMCell, LSTMState
 
 __all__ = ["PolicyBatch", "SequencePolicy"]
@@ -27,16 +27,15 @@ __all__ = ["PolicyBatch", "SequencePolicy"]
 class PolicyBatch:
     """``n`` rollouts sampled from one set of policy parameters.
 
-    All per-token arrays carry the rollout batch as their leading
-    dimension, so one :meth:`SequencePolicy.backward_batch` pass
-    backpropagates every rollout at once.
+    What :meth:`SequencePolicy.backward_batch` reads, and nothing else:
+    the actions, and per token ``t`` the LSTM cache (whose ``h`` feeds
+    the head) and the head's probabilities.  Every per-token array
+    carries the rollout batch as its leading dimension, so one backward
+    pass covers every rollout at once.
     """
 
     actions: np.ndarray                                  # (n, T) int64
-    log_probs: np.ndarray                                # (n,)
-    entropies: np.ndarray                                # (n,)
     caches: list[LSTMCache] = field(repr=False, default_factory=list)
-    hiddens: list[np.ndarray] = field(repr=False, default_factory=list)
     probs: list[np.ndarray] = field(repr=False, default_factory=list)
 
     def __len__(self) -> int:
@@ -52,29 +51,19 @@ class PolicyBatch:
         Used by the two-tier search mode: a strategy asks for an
         inflated rollout batch, the surrogate tier discards most of it,
         and only the surviving rollouts are REINFORCE-updated.  The
-        per-token lists (``caches``/``hiddens``/``probs``, one entry
-        per token ``t``) keep their length; the rollout dimension —
-        the *leading* axis of every array inside them — is sliced.
+        per-token lists keep their length; the rollout dimension — the
+        *leading* axis of every array inside them — is sliced.  Every
+        rollout in sample order is the batch itself, uncopied.
         """
         indices = list(indices)
+        if indices == list(range(len(self))):
+            return self
         return PolicyBatch(
             actions=self.actions[indices],
-            log_probs=self.log_probs[indices],
-            entropies=self.entropies[indices],
             caches=[
-                LSTMCache(
-                    x=c.x[indices],
-                    h_prev=c.h_prev[indices],
-                    c_prev=c.c_prev[indices],
-                    i=c.i[indices],
-                    f=c.f[indices],
-                    g=c.g[indices],
-                    o=c.o[indices],
-                    c=c.c[indices],
-                )
+                LSTMCache(**{name: value[indices] for name, value in vars(c).items()})
                 for c in self.caches
             ],
-            hiddens=[h[indices] for h in self.hiddens],
             probs=[p[indices] for p in self.probs],
         )
 
@@ -166,56 +155,34 @@ class SequencePolicy:
         as the leading dimension instead of once per (token, rollout) —
         the forward cost of a batch approaches that of a single rollout.
 
-        At ``n == 1`` each token is one ``rng.choice(vocab, p=p)``
-        draw: the per-point controller's RNG stream, which the batch-1
-        goldens (``tests/data/ask_tell_goldens.*``) pin.  At ``n > 1``
-        the categorical draws use one inverse-CDF lookup per token
-        (``n`` uniforms at once), a different -- but equally valid --
-        consumption of the stream.
+        Each token is drawn with numpy's own ``Generator.choice(vocab,
+        p=p)`` algorithm (normalized CDF, one uniform per rollout,
+        right-side search), vectorized over rollouts.  A batch of one
+        consumes the per-point controller's RNG stream, which the
+        batch-1 goldens (``tests/data/ask_tell_goldens.*``) pin, and
+        every batch size draws the same token from the same uniform.
         """
         if n < 1:
             raise ValueError(f"batch size must be positive, got {n}")
-        num_tokens = len(self.vocab_sizes)
         state = LSTMState.zeros(n, self.hidden_size)
-        actions = np.empty((n, num_tokens), dtype=np.int64)
-        log_probs = np.zeros(n)
-        entropies = np.zeros(n)
+        actions = np.empty((n, len(self.vocab_sizes)), dtype=np.int64)
         caches: list[LSTMCache] = []
-        hiddens: list[np.ndarray] = []
         probs: list[np.ndarray] = []
-        prev: np.ndarray | None = None
-        rows = np.arange(n)
-        for t, vocab in enumerate(self.vocab_sizes):
+        for t in range(len(self.vocab_sizes)):
             if t == 0:
                 x = np.repeat(self.params["start"][None, :], n, axis=0)
             else:
-                x = self.params[f"emb{t - 1}"][prev]
+                x = self.params[f"emb{t - 1}"][actions[:, t - 1]]
             state, cache = self.cell.forward(x, state)
             caches.append(cache)
-            hiddens.append(state.h.copy())
             logits = state.h @ self.params[f"head_w{t}"] + self.params[f"head_b{t}"]
             p = softmax(logits, axis=-1)
             probs.append(p)
-            if n == 1:
-                acts = np.array([rng.choice(vocab, p=p[0])])
-            else:
-                u = rng.random(n)
-                cdf = np.cumsum(p, axis=1)
-                acts = np.minimum(
-                    (cdf < u[:, None] * cdf[:, -1:]).sum(axis=1), vocab - 1
-                )
-            log_probs += log_softmax(logits, axis=-1)[rows, acts]
-            entropies += entropy(p, axis=-1)
-            actions[:, t] = acts
-            prev = acts
-        return PolicyBatch(
-            actions=actions,
-            log_probs=log_probs,
-            entropies=entropies,
-            caches=caches,
-            hiddens=hiddens,
-            probs=probs,
-        )
+            cdf = np.cumsum(p, axis=1)
+            cdf /= cdf[:, -1:]
+            u = rng.random(n)
+            actions[:, t] = (cdf <= u[:, None]).sum(axis=1)
+        return PolicyBatch(actions=actions, caches=caches, probs=probs)
 
     # ------------------------------------------------------------------
     def backward_batch(
@@ -253,7 +220,7 @@ class SequencePolicy:
                 log_p = np.log(np.clip(p, 1e-12, 1.0))
                 h_val = -np.sum(p * log_p, axis=1, keepdims=True)
                 dlogits += entropy_beta * p * (log_p + h_val)
-            grads[f"head_w{t}"] += batch.hiddens[t].T @ dlogits
+            grads[f"head_w{t}"] += batch.caches[t].h.T @ dlogits
             grads[f"head_b{t}"] += dlogits.sum(axis=0)
             dh = dlogits @ self.params[f"head_w{t}"].T + dh_next
             dx, dh_prev, dc_prev = self.cell.backward_step(

@@ -9,16 +9,16 @@ three hooks —
 * :meth:`SearchStrategy.ask` — propose up to ``n`` points as
   :class:`Proposal` objects (a strategy may return fewer, e.g. at a
   phase or stage boundary, and returns ``[]`` to finish early);
-* :meth:`SearchStrategy.tell` — consume the evaluation results for the
-  proposals of the last ask, updating controllers / populations and
-  recording the archive;
+* :meth:`SearchStrategy.tell` — learn from the evaluation results for
+  the proposals of the last ask, updating controllers / populations;
 
 — and the shared :meth:`SearchStrategy.run` driver turns them into a
 search: each iteration asks for a batch, evaluates it in **one**
 :meth:`repro.core.CodesignEvaluator.evaluate_batch` call on the
 evaluator :meth:`SearchStrategy.setup` armed (a strategy may re-arm it
-between batches, as the threshold schedule does at each rung), and
-tells the results back.  It is the only search loop.
+between batches, as the threshold schedule does at each rung), records
+every result in the archive, and tells the results back.  It is the
+only search loop and the only place a result is archived.
 
 Every strategy is additionally **checkpointable**: :meth:`state_dict`
 snapshots everything future proposals depend on (RNG stream, archive,
@@ -41,7 +41,7 @@ implementation (see ``tests/search/test_ask_tell_equivalence.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.search.two_tier import TwoTierFilter
@@ -88,9 +88,12 @@ class Checkpoint:
 class Proposal:
     """One point proposed by :meth:`SearchStrategy.ask`.
 
-    ``phase`` labels the archive entry; ``payload`` carries whatever
-    the strategy needs to process the result in ``tell`` (e.g. the
-    rollout index into a pending :class:`repro.rl.policy.PolicyBatch`).
+    ``phase`` labels the archive entry the driver records; ``payload``
+    carries whatever the strategy needs to process the result in
+    ``tell``: the REINFORCE strategies' rollout index into their
+    pending :class:`repro.rl.policy.PolicyBatch`, evolution's action
+    vector.  The two-tier screen passes only its survivors to ``tell``,
+    each with its own payload.
     """
 
     spec: ModelSpec
@@ -212,22 +215,16 @@ class SearchStrategy:
         """Propose up to ``n`` points (``[]`` ends the search early)."""
         raise NotImplementedError
 
-    def tell(
-        self,
-        proposals: list[Proposal],
-        results: list[EvaluationResult],
-        indices: Sequence[int] | None = None,
-    ) -> None:
-        """Consume results of the last ask (update state + archive).
+    def tell(self, proposals: list[Proposal], results: list[EvaluationResult]) -> None:
+        """Learn from the results of the last ask; the default learns nothing.
 
-        ``indices`` is set by the two-tier driver when only a filtered
-        subset of the last ask was evaluated: the ascending positions
-        of ``proposals`` within that ask.  Strategies holding
-        per-rollout state from :meth:`ask` (the REINFORCE pending
-        batch) must slice it accordingly; strategies that only consume
-        the passed pairs can ignore it.
+        ``proposals`` are the evaluated ones, in the order asked; in
+        two-tier mode they are the screen's survivors only, so state
+        kept per proposal since :meth:`ask` is found through
+        :attr:`Proposal.payload`.  The driver has already recorded each
+        result in :attr:`archive` (in this order) and refuses a
+        strategy whose ``tell`` records any more.
         """
-        raise NotImplementedError
 
     def finish(self) -> SearchResult:
         """Package the archive once the step budget is spent."""
@@ -335,13 +332,11 @@ class SearchStrategy:
             proposals = self.ask(two_tier.ask_size(k) if two_tier else k)
             if not proposals:
                 break
-            indices = None
             if two_tier is not None and len(proposals) > k:
                 # Surrogate tier: rank the inflated ask, keep the top
                 # slice (ascending positions).  A short ask (phase or
                 # stage boundary) skips filtering — nothing to discard.
-                indices = two_tier.select(proposals, k)
-                proposals = [proposals[i] for i in indices]
+                proposals = [proposals[i] for i in two_tier.select(proposals, k)]
             if len(proposals) > remaining:
                 raise RuntimeError(
                     f"{self.name}.ask returned {len(proposals)} proposals "
@@ -350,7 +345,15 @@ class SearchStrategy:
             results = self._evaluator.evaluate_batch(
                 [(p.spec, p.config) for p in proposals]
             )
-            self.tell(proposals, results, indices=indices)
+            for proposal, result in zip(proposals, results):
+                self.archive.record(result, phase=proposal.phase)
+            recorded = len(self.archive)
+            self.tell(proposals, results)
+            if len(self.archive) != recorded:
+                raise RuntimeError(
+                    f"strategy {self.name!r} changed the archive in tell(); "
+                    "the run driver records every result itself"
+                )
             remaining -= len(proposals)
             batches += 1
             if checkpoint is not None and batches % checkpoint_every == 0:

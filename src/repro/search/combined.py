@@ -16,8 +16,6 @@ bit: its traces are pinned by ``tests/data/ask_tell_goldens.*``.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from repro.core.evaluator import CodesignEvaluator, EvaluationResult
@@ -76,20 +74,15 @@ class CombinedSearch(SearchStrategy):
         proposals = []
         for i in range(n):
             spec, config = self.search_space.decode(self._pending.actions_list(i))
-            proposals.append(Proposal(spec=spec, config=config, phase="combined"))
+            proposals.append(
+                Proposal(spec=spec, config=config, phase="combined", payload=i)
+            )
         return proposals
 
-    def tell(
-        self,
-        proposals: list[Proposal],
-        results: list[EvaluationResult],
-        indices: Sequence[int] | None = None,
-    ) -> None:
-        pending = self._pending if indices is None else self._pending.subset(indices)
+    def tell(self, proposals: list[Proposal], results: list[EvaluationResult]) -> None:
+        pending = self._pending.subset([p.payload for p in proposals])
         self.trainer.update_batch(pending, [r.reward.value for r in results])
         self._pending = None
-        for proposal, result in zip(proposals, results):
-            self.archive.record(result, phase=proposal.phase)
 
 
 from repro.search.registry import register_strategy

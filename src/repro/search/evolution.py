@@ -18,7 +18,6 @@ loop, bit-identical to the historic implementation.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,18 +130,12 @@ class EvolutionSearch(SearchStrategy):
             )
         return proposals
 
-    def tell(
-        self,
-        proposals: list[Proposal],
-        results: list[EvaluationResult],
-        indices: Sequence[int] | None = None,
-    ) -> None:
-        # Each proposal carries its own actions payload, so a filtered
-        # subset (two-tier mode) needs no extra slicing: only surviving
-        # individuals join the population (and age out elders).
+    def tell(self, proposals: list[Proposal], results: list[EvaluationResult]) -> None:
+        # Each proposal carries its own actions payload, so in two-tier
+        # mode only the surviving individuals join the population (and
+        # age out elders).
         evolving = proposals[0].phase == "evolve"
         for proposal, result in zip(proposals, results):
-            self.archive.record(result, phase=proposal.phase)
             self.population.append(
                 _Individual(actions=proposal.payload, reward=result.reward.value)
             )

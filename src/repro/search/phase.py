@@ -22,8 +22,6 @@ bit-identical to the historic per-point loop.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from repro.core.archive import ArchiveEntry, SearchArchive
@@ -154,6 +152,7 @@ class PhaseSearch(SearchStrategy):
                     ),
                     config=self._frozen_config,
                     phase=phase_name,
+                    payload=i,
                 )
                 for i in range(k)
             ]
@@ -165,21 +164,15 @@ class PhaseSearch(SearchStrategy):
                     self._pending.actions_list(i)
                 ),
                 phase=phase_name,
+                payload=i,
             )
             for i in range(k)
         ]
 
-    def tell(
-        self,
-        proposals: list[Proposal],
-        results: list[EvaluationResult],
-        indices: Sequence[int] | None = None,
-    ) -> None:
+    def tell(self, proposals: list[Proposal], results: list[EvaluationResult]) -> None:
         trainer = self.cnn_trainer if self._in_cnn_phase() else self.hw_trainer
-        pending = self._pending if indices is None else self._pending.subset(indices)
+        pending = self._pending.subset([p.payload for p in proposals])
         trainer.update_batch(pending, [r.reward.value for r in results])
-        for proposal, result in zip(proposals, results):
-            self.archive.record(result, phase=proposal.phase)
         self._pending = None
         self._phase_left -= len(proposals)
         if self._phase_left == 0:

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
-from repro.core.evaluator import EvaluationResult
 from repro.search.base import Proposal, SearchStrategy
 
 __all__ = ["RandomSearch"]
@@ -26,17 +23,6 @@ class RandomSearch(SearchStrategy):
             spec, config = self.search_space.decode(actions)
             proposals.append(Proposal(spec=spec, config=config, phase="random"))
         return proposals
-
-    def tell(
-        self,
-        proposals: list[Proposal],
-        results: list[EvaluationResult],
-        indices: Sequence[int] | None = None,
-    ) -> None:
-        # No per-rollout state survives ask(), so a filtered subset
-        # (two-tier mode) needs no slicing here.
-        for result in results:
-            self.archive.record(result, phase="random")
 
 
 from repro.search.registry import register_strategy

@@ -19,8 +19,6 @@ the historic per-point loop.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from repro.core.evaluator import CodesignEvaluator, EvaluationResult
@@ -127,6 +125,7 @@ class SeparateSearch(SearchStrategy):
                     ),
                     config=self._reference_config,
                     phase="cnn-only",
+                    payload=i,
                 )
                 for i in range(k)
             ]
@@ -140,31 +139,23 @@ class SeparateSearch(SearchStrategy):
                     self._pending.actions_list(i)
                 ),
                 phase="hw-only",
+                payload=i,
             )
             for i in range(n)
         ]
 
-    def tell(
-        self,
-        proposals: list[Proposal],
-        results: list[EvaluationResult],
-        indices: Sequence[int] | None = None,
-    ) -> None:
-        stage1 = proposals[0].phase == "cnn-only"
-        pending = self._pending if indices is None else self._pending.subset(indices)
-        if stage1:
-            self.cnn_trainer.update_batch(
-                pending, [self._accuracy_reward(r) for r in results]
-            )
-            self._cnn_left -= len(proposals)
-        else:
-            self.hw_trainer.update_batch(
-                pending, [r.reward.value for r in results]
-            )
+    def tell(self, proposals: list[Proposal], results: list[EvaluationResult]) -> None:
+        pending = self._pending.subset([p.payload for p in proposals])
         self._pending = None
+        if proposals[0].phase != "cnn-only":
+            self.hw_trainer.update_batch(pending, [r.reward.value for r in results])
+            return
+        self.cnn_trainer.update_batch(
+            pending, [self._accuracy_reward(r) for r in results]
+        )
+        self._cnn_left -= len(proposals)
         for proposal, result in zip(proposals, results):
-            self.archive.record(result, phase=proposal.phase)
-            if stage1 and result.metrics is not None:
+            if result.metrics is not None:
                 accuracy = result.metrics.accuracy
                 if accuracy > self._best_accuracy:
                     self._best_accuracy = accuracy

@@ -13,14 +13,14 @@ rung.  ``ask`` moves the rung cursor past finished rungs and points the
 shared :meth:`~repro.search.base.SearchStrategy.run` driver at the
 rung's ``with_reward`` clone of the evaluator, which keeps all of its
 latency/area/accuracy caches; ``tell`` counts the rung's steps and
-valid points.  The driver evaluates, checkpoints and ends the search
-like any other strategy's.
+valid points and files the batch's archive entries under the rung.
+The driver evaluates, archives, checkpoints and ends the search like
+any other strategy's.
 """
 
 from __future__ import annotations
 
 import sys
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -166,16 +166,10 @@ class ThresholdScheduleSearch(CombinedSearch):
         phase = f"th-{rung.threshold:g}"
         return [replace(proposal, phase=phase) for proposal in proposals]
 
-    def tell(
-        self,
-        proposals: list[Proposal],
-        results: list[EvaluationResult],
-        indices: Sequence[int] | None = None,
-    ) -> None:
-        start = len(self.archive)
-        super().tell(proposals, results, indices)
+    def tell(self, proposals: list[Proposal], results: list[EvaluationResult]) -> None:
+        super().tell(proposals, results)
         rung_archive = self._per_rung[self.rungs[self._rung_index].threshold]
-        rung_archive.entries.extend(self.archive.entries[start:])
+        rung_archive.entries.extend(self.archive.entries[-len(results):])
         self._rung_steps += len(results)
         self._rung_valid += sum(1 for result in results if result.feasible)
 

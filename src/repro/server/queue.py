@@ -337,20 +337,29 @@ class StudyQueue:
         with self._lock:
             self._procs[study_id] = proc
         try:
-            while proc.poll() is None:
+            while True:
                 held = ledger.heartbeat_study(
                     study_id, worker, time.time(), pid=proc.pid
                 )
-                if not held or self._stop.wait(self.heartbeat_every):
+                if not held or self._stop.is_set():
                     # Refused: cancelled, or re-leased after this server
                     # went stale; the row is its new holder's.  On stop
                     # it stays 'running' and is reclaimed on next boot.
                     _kill_group(proc)
                     proc.wait()
                     return
+                # Wake the moment the runner exits, so the next study
+                # is claimed without sleeping out the tick.
+                try:
+                    proc.wait(timeout=self.heartbeat_every)
+                    break
+                except subprocess.TimeoutExpired:
+                    pass
         finally:
             with self._lock:
                 self._procs.pop(study_id, None)
+        if self._stop.is_set():
+            return  # stop() killed the runner; the row stays 'running'
         # The runner exited on its own.  If it died without reporting
         # (segfault, OOM kill, unhandled exit), record the failure with
         # its log tail; a refusal means it did report, or another

@@ -1,9 +1,8 @@
-"""Shared utilities: RNG management, tables, serialization, timing."""
+"""Shared utilities: RNG management, tables, serialization."""
 
 from repro.utils.rng import DEFAULT_SEED, hash_seed, make_rng, spawn
 from repro.utils.serialization import dump_json, load_json, to_jsonable
 from repro.utils.tables import format_ascii, format_float, format_markdown, write_csv
-from repro.utils.timing import Stopwatch, timed
 
 __all__ = [
     "DEFAULT_SEED",
@@ -17,6 +16,4 @@ __all__ = [
     "format_float",
     "format_markdown",
     "write_csv",
-    "Stopwatch",
-    "timed",
 ]

@@ -39,7 +39,11 @@ class TestGradients:
     def test_loss_value_consistent_with_sample(self, policy, rng, n):
         batch = policy.sample_batch(rng, n)
         loss = policy_loss(policy, batch.actions, [1.0] * n)
-        assert loss == pytest.approx(-batch.log_probs.mean())
+        log_probs = sum(
+            np.log(p[np.arange(n), batch.actions[:, t]])
+            for t, p in enumerate(batch.probs)
+        )
+        assert loss == pytest.approx(-log_probs.mean())
 
     def test_zero_advantage_no_reinforce_gradient(self, policy, rng):
         batch = policy.sample_batch(rng, 3)

@@ -59,10 +59,10 @@ class TestSampleBatch:
         rng = np.random.default_rng(0)
         batch = policy.sample_batch(rng, 9)
         assert batch.actions.shape == (9, 3)
-        assert batch.log_probs.shape == (9,)
-        assert np.all(batch.entropies > 0)
         for t, vocab in enumerate(policy.vocab_sizes):
             assert batch.probs[t].shape == (9, vocab)
+            assert np.all(batch.probs[t] > 0)
+            assert np.allclose(batch.probs[t].sum(axis=1), 1.0)
             acts = batch.actions[:, t]
             assert np.all((0 <= acts) & (acts < vocab))
 
@@ -73,12 +73,36 @@ class TestSampleBatch:
         assert np.array_equal(a.actions, b.actions)
 
     @pytest.mark.parametrize("n", [1, 6])
-    def test_log_probs_match_rollout_by_rollout_forward(self, policy, n):
+    def test_probs_match_rollout_by_rollout_forward(self, policy, n):
         batch = policy.sample_batch(np.random.default_rng(1), n)
         for i in range(n):
-            assert -policy_loss(policy, [batch.actions_list(i)], [1.0]) == pytest.approx(
-                float(batch.log_probs[i])
+            log_prob = sum(
+                np.log(batch.probs[t][i, a]) for t, a in enumerate(batch.actions[i])
             )
+            assert -policy_loss(policy, [batch.actions_list(i)], [1.0]) == pytest.approx(
+                float(log_prob)
+            )
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_same_token_at_every_batch_size(self, n):
+        """A uniform on a CDF boundary draws as ``Generator.choice`` does."""
+
+        class HalfUniforms:
+            """Every uniform is 0.5; ``choice`` is numpy's algorithm."""
+
+            def random(self, size=None):
+                return 0.5 if size is None else np.full(size, 0.5)
+
+            def choice(self, a, p):
+                cdf = np.cumsum(p)
+                cdf /= cdf[-1]
+                return int(cdf.searchsorted(self.random(), side="right"))
+
+        policy = SequencePolicy([2, 2, 2], hidden_size=4, embedding_size=3, seed=0)
+        policy.theta[:] = 0.0  # every token: p = [0.5, 0.5]
+        batch = policy.sample_batch(HalfUniforms(), n)
+        assert all(np.array_equal(p, np.full((n, 2), 0.5)) for p in batch.probs)
+        assert np.array_equal(batch.actions, np.ones((n, 3), dtype=np.int64))
 
     def test_rejects_nonpositive_batch(self, policy):
         with pytest.raises(ValueError):

@@ -65,12 +65,21 @@ class TestDriver:
                 spec, config = self.search_space.decode(actions)
                 return [Proposal(spec=spec, config=config)]
 
-            def tell(self, proposals, results, indices=None):
-                for r in results:
-                    self.archive.record(r)
-
         result = Quits(space, seed=0).run(evaluator, 100, batch_size=3)
         assert len(result.archive) == 6
+
+    def test_tell_that_archives_is_refused(self, space, evaluator):
+        # The driver records every result; a tell() that records them
+        # too would archive each one twice.
+        class ArchivesInTell(RandomSearch):
+            name = "archives-in-tell"
+
+            def tell(self, proposals, results, indices=None):
+                for proposal, result in zip(proposals, results):
+                    self.archive.record(result, phase=proposal.phase)
+
+        with pytest.raises(RuntimeError, match="'archives-in-tell'"):
+            ArchivesInTell(space, seed=0).run(evaluator, 4, batch_size=2)
 
     def test_each_batch_is_one_evaluate_batch_call(self, space, evaluator):
         calls = []

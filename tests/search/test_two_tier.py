@@ -18,6 +18,7 @@ from repro.hw.surrogate import SurrogatePlatform, surrogate_model_for
 from repro.search.base import Proposal
 from repro.search.combined import CombinedSearch
 from repro.search.phase import PhaseSearch
+from repro.search.random_search import RandomSearch
 from repro.search.separate import SeparateSearch
 from repro.search.threshold_schedule import ThresholdScheduleSearch
 from repro.search.two_tier import DEFAULT_EXACT_FRACTION, TwoTierFilter
@@ -53,15 +54,13 @@ class TestPolicyBatchSubset:
         sub = batch.subset([1, 3])
         assert len(sub) == 2
         assert np.array_equal(sub.actions, batch.actions[[1, 3]])
-        assert np.array_equal(sub.log_probs, batch.log_probs[[1, 3]])
-        assert np.array_equal(sub.entropies, batch.entropies[[1, 3]])
-        # caches/hiddens/probs are per-TOKEN lists whose arrays carry
-        # the rollout batch as the leading axis — the list length must
+        # caches/probs are per-TOKEN lists whose arrays carry the
+        # rollout batch as the leading axis — the list length must
         # survive, only the arrays shrink.
         assert len(sub.probs) == len(batch.probs)
         for t in range(len(batch.probs)):
             assert np.array_equal(sub.probs[t], batch.probs[t][[1, 3]])
-            assert np.array_equal(sub.hiddens[t], batch.hiddens[t][[1, 3]])
+            assert np.array_equal(sub.caches[t].h, batch.caches[t].h[[1, 3]])
             assert np.array_equal(sub.caches[t].h_prev, batch.caches[t].h_prev[[1, 3]])
             assert np.array_equal(sub.caches[t].c, batch.caches[t].c[[1, 3]])
 
@@ -76,7 +75,8 @@ class TestPolicyBatchSubset:
         next_a = a.trainer.sample_batch(np.random.default_rng(3), 4)
         next_b = b.trainer.sample_batch(np.random.default_rng(3), 4)
         assert np.array_equal(next_a.actions, next_b.actions)
-        assert np.array_equal(next_a.log_probs, next_b.log_probs)
+        for prob_a, prob_b in zip(next_a.probs, next_b.probs):
+            assert np.array_equal(prob_a, prob_b)
 
     def test_subset_is_tellable(self, space, evaluator):
         # The shape REINFORCE strategies depend on: updating with a
@@ -171,6 +171,23 @@ class TestTwoTierSearch:
         assert np.array_equal(
             plain.archive.reward_trace(), tiered.archive.reward_trace()
         )
+
+    def test_two_argument_tell_runs_in_two_tier_mode(self, space, evaluator, two_tier):
+        # tell(proposals, results) is the whole contract: the survivors
+        # arrive as proposals, with no positions passed beside them.
+        told = []
+
+        class TwoArgumentTell(RandomSearch):
+            name = "two-argument-tell"
+
+            def tell(self, proposals, results):
+                told.append(len(results))
+
+        result = TwoArgumentTell(space, seed=0).run(
+            evaluator, 8, batch_size=4, two_tier=two_tier
+        )
+        assert told == [4, 4]
+        assert len(result.archive) == 8
 
     def test_threshold_schedule_refuses_two_tier(self, space, evaluator, two_tier):
         with pytest.raises(ValueError, match="two-tier"):

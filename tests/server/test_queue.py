@@ -3,11 +3,13 @@
 Two layers: the :class:`RunLedger` queue primitives (every transition
 one committed transaction, lease semantics under explicit clocks) and
 the :class:`StudyQueue` wrapper (validation, state layout, cache
-sharding).  The worker pool and HTTP surface are covered end to end
-in ``test_server_e2e.py``.
+sharding, claim cadence).  The worker pool and HTTP surface are
+covered end to end in ``test_server_e2e.py``.
 """
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
@@ -208,3 +210,32 @@ class TestStudyQueue:
         # Execution knobs don't change evaluation identity: same shard.
         assert queue.cache_shard_path(smoke) == queue.cache_shard_path(rescaled)
         assert queue.cache_shard_path(smoke).parent == tmp_path / "cache"
+
+    def test_next_study_is_claimed_when_the_runner_exits(self, tmp_path):
+        # The worker thread waits on its runner, not out the rest of its
+        # heartbeat tick, so a queue of short studies does not idle
+        # between them.
+        queue = StudyQueue(tmp_path, heartbeat_every=3.0)
+        spec = resolve_spec("smoke").with_overrides({"execution.num_steps": 2})
+        ids = [queue.submit(spec.to_dict()) for _ in range(3)]
+        queue.start()
+        try:
+            deadline = time.monotonic() + 120
+            while any(
+                queue.status(study_id)["state"] in ("queued", "running")
+                for study_id in ids
+            ):
+                assert time.monotonic() < deadline, "the queue never drained"
+                time.sleep(0.05)
+        finally:
+            queue.stop()
+        rows = sorted(
+            (queue.status(study_id) for study_id in ids),
+            key=lambda row: row["started_at"],
+        )
+        assert [row["state"] for row in rows] == ["done"] * 3
+        gaps = [
+            later["started_at"] - earlier["finished_at"]
+            for earlier, later in zip(rows, rows[1:])
+        ]
+        assert all(gap < 1.0 for gap in gaps), gaps
