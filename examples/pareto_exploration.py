@@ -2,13 +2,13 @@
 frontier, and inspect the three-way accuracy/latency/area tradeoff.
 
 Run:  python examples/pareto_exploration.py
-(First run computes the full latency matrix, ~1-2 minutes; afterwards
-it reloads from the on-disk cache.)
+(The first run enumerates the space and computes the full latency
+matrix and the frontier, ~1-2 minutes; afterwards all three reload
+from the on-disk cache.)
 """
 
 import numpy as np
 
-from repro.core import product_space_pareto
 from repro.experiments import load_bundle
 from repro.utils.tables import format_ascii
 
@@ -18,7 +18,7 @@ def main() -> None:
     print(f"Joint space: {len(bundle.database)} cells x {bundle.space.size} "
           f"accelerators = {bundle.num_pairs:,} pairs")
 
-    front = product_space_pareto(bundle.accuracy, bundle.area_mm2, bundle.latency_ms)
+    front = bundle.front
     fraction = front.num_points / bundle.num_pairs
     print(f"Pareto frontier: {front.num_points} points ({fraction:.2e} of the space)")
     print(f"  spanning {front.num_distinct_cells()} distinct cells and "

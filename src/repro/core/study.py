@@ -899,6 +899,7 @@ def build_study(spec: StudySpec, bundle=None, scale=None, store=None) -> Study:
         hardware_namespace,
         bundle_matches,
     )
+    from repro.core.pareto import reward_ranked_points
     from repro.core.search_space import JointSearchSpace
     from repro.experiments.common import Scale
     from repro.hw import HardwarePlatformError, build_platform
@@ -948,14 +949,6 @@ def build_study(spec: StudySpec, bundle=None, scale=None, store=None) -> Study:
         label: hardware_namespace(source_namespace, platform)
         for label, platform in platforms.items()
     }
-    front = None
-    if bundle is not None:
-        from repro.core.pareto import product_space_pareto, reward_ranked_points
-
-        front = product_space_pareto(
-            bundle.accuracy, bundle.area_mm2, bundle.latency_ms
-        )
-
     pareto_top100: dict[str, list[dict]] = {}
     jobs: list[RepeatJob] = []
     job_meta: dict[str, tuple[str, str]] = {}
@@ -983,14 +976,14 @@ def build_study(spec: StudySpec, bundle=None, scale=None, store=None) -> Study:
                 store=store,
                 platform=platform,
             )
-            if front is not None and bundle_matches(
+            if bundle is not None and bundle_matches(
                 bundle, platform, evaluator.skeleton
             ):
                 # The bundle's metric arrays are only a valid Pareto
                 # reference for the platform and skeleton that
                 # enumerated them.
                 pareto_top100[outcome_key] = reward_ranked_points(
-                    front, scenario, 100
+                    bundle.front, scenario, 100
                 )
             # The workload's lowering feeds every latency query (the
             # reference workload's is compile_cell_ops — the

@@ -2,13 +2,16 @@
 
 The Section III experiments all consume the same enumerated joint
 space: the exhaustive micro cell database crossed with the full 8640
-accelerator configurations.  :func:`load_bundle` builds that once —
-accuracy vector, area vector, and the full latency matrix via the
-vectorized scheduler — and caches it in memory and on disk.  The matrix
-takes ~1.5 minutes to compute from scratch; only it is cached on disk,
-so a warm load in a fresh process still enumerates the cells and builds
-their database: ~4 s for the micro-5 space on a 2-vCPU VM, of which
-reading the matrix is ~0.3 s.
+accelerator configurations, scored against the exact Pareto front of
+that product.  :func:`load_bundle` builds it once, memoizes it per
+process and stores it on disk as one ``.npz`` file: the cell table
+(each record's spec, hash, features and surrogate CIFAR-10
+statistics: the stand-in for the NASBench-101 table the paper reads),
+the full latency matrix and the front.  On a 2-vCPU VM a cold micro-5
+build takes ~80 s, most of it the latency sweep; a warm load in a
+fresh process reads the file in ~0.7 s (about half of that rebuilds
+the 2,532 specs through :class:`~repro.nasbench.model_spec.ModelSpec`)
+and writes nothing.
 
 Experiment *scale* is controlled by the ``REPRO_SCALE`` environment
 variable:
@@ -25,21 +28,24 @@ paper      10000      10        full paper-fidelity runs
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import zipfile
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from repro.accelerator.space import AcceleratorSpace
+from repro.core.pareto import ProductParetoResult, product_space_pareto
 from repro.core.reward import MetricBounds
 from repro.hw import default_platform
 from repro.nasbench.compile import compile_cell_ops
 from repro.nasbench.database import CellDatabase, enumerate_unique_cells
 from repro.nasbench.encoding import CellEncoding
 from repro.nasbench.skeleton import CIFAR10_SKELETON
+from repro.nasbench.surrogate import Cifar10Surrogate
 
 __all__ = [
     "Scale",
@@ -50,6 +56,19 @@ __all__ = [
 ]
 
 _BUNDLE_MEMO: dict[tuple, "SpaceBundle"] = {}
+
+#: Version of what a stored bundle holds and how it was derived: the
+#: cell table's columns, the enumeration order, featurization, the
+#: CIFAR-10 surrogate's arithmetic and the front's extraction.  It is
+#: part of every bundle file's key, so bumping it makes the next load
+#: rebuild.  A change to any of those that leaves it alone keeps warm
+#: loads serving stale values; ``TestBundle`` in
+#: ``tests/experiments/test_experiments.py`` checks the default-cache
+#: micro-4 bundle against a fresh build to catch that.
+BUNDLE_FORMAT = 1
+
+#: The arrays of a ProductParetoResult, stored as ``front.<name>``.
+_FRONT_FIELDS = tuple(f.name for f in fields(ProductParetoResult))
 
 
 @dataclass(frozen=True)
@@ -115,6 +134,7 @@ class SpaceBundle:
     accuracy: np.ndarray       # (Nc,) percent
     area_mm2: np.ndarray       # (space.size,)
     latency_ms: np.ndarray     # (Nc, space.size)
+    front: ProductParetoResult  # exact Pareto front of the product space
     bounds: MetricBounds
     platform: object = None    # the repro.hw platform that enumerated it
 
@@ -130,24 +150,56 @@ class SpaceBundle:
         return (1000.0 / self.latency_ms) / (self.area_mm2[None, :] / 100.0)
 
 
-def _read_cached_latency(path: Path, shape: tuple[int, int]) -> np.ndarray | None:
-    """The cached latency matrix as float64; ``None`` on a miss.
+def _bundle_key(max_vertices: int, surrogate: Cifar10Surrogate, platform) -> str:
+    """Digest of everything a stored bundle's contents depend on."""
+    blob = json.dumps(
+        {
+            "format": BUNDLE_FORMAT,
+            "max_vertices": max_vertices,
+            "skeleton": asdict(CIFAR10_SKELETON),
+            "surrogate": asdict(surrogate),
+            "platform": platform.cache_namespace(),
+        },
+        sort_keys=True,
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()
 
-    A missing file, a file of another shape and an unreadable one (say,
-    a write cut short by a killed process) are all misses: the caller
-    rebuilds the matrix and rewrites the file.
+
+def _read_bundle(
+    path: Path, key: str, surrogate: Cifar10Surrogate, num_configs: int
+) -> tuple[CellDatabase, np.ndarray, ProductParetoResult] | None:
+    """The stored ``(database, latency_ms, front)``; ``None`` on a miss.
+
+    A missing or unreadable file (say, a write cut short by a killed
+    process), a file stored under another key, a missing member and an
+    array of the wrong shape are all misses: the caller rebuilds the
+    bundle and rewrites the file.
     """
     try:
-        with np.load(path) as cached:
-            latency_ms = cached["latency_ms"]
+        with np.load(path) as stored:
+            if stored["key"].item() != key:
+                return None
+            database = CellDatabase.from_columns(stored, surrogate)
+            latency_ms = stored["latency_ms"]
+            front = ProductParetoResult(
+                **{name: stored[f"front.{name}"] for name in _FRONT_FIELDS}
+            )
     except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile, zlib.error):
         return None
-    if latency_ms.shape != shape:
+    front_shapes = {getattr(front, name).shape for name in _FRONT_FIELDS}
+    one_axis = len(front_shapes) == 1 and len(next(iter(front_shapes))) == 1
+    if latency_ms.shape != (len(database), num_configs) or not one_axis:
         return None
-    return latency_ms.astype(np.float64)
+    return database, latency_ms.astype(np.float64), front
 
 
-def _write_cached_latency(path: Path, latency_ms: np.ndarray) -> None:
+def _write_bundle(
+    path: Path,
+    key: str,
+    database: CellDatabase,
+    latency_ms: np.ndarray,
+    front: ProductParetoResult,
+) -> None:
     """Atomic write: pid-suffixed tmp sibling + ``os.replace``.
 
     Readers see either no file or a whole one, even when several
@@ -155,8 +207,14 @@ def _write_cached_latency(path: Path, latency_ms: np.ndarray) -> None:
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(f".tmp{os.getpid()}.npz")
+    members = {
+        "key": np.array(key),
+        "latency_ms": latency_ms.astype(np.float32),
+        **database.to_columns(),
+        **{f"front.{name}": getattr(front, name) for name in _FRONT_FIELDS},
+    }
     try:
-        np.savez_compressed(tmp, latency_ms=latency_ms.astype(np.float32))
+        np.savez_compressed(tmp, **members)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -164,56 +222,56 @@ def _write_cached_latency(path: Path, latency_ms: np.ndarray) -> None:
 
 def load_bundle(
     max_vertices: int = 5,
-    use_disk_cache: bool = True,
     cache_dir: Path | None = None,
     platform=None,
 ) -> SpaceBundle:
-    """Build (or reload) the enumerated micro-space bundle.
+    """Load (or build and store) the enumerated micro-space bundle.
 
     ``platform`` (a :class:`repro.hw.HardwarePlatform`) supplies the
     area/latency models and the configuration space; the default is
-    the reference ``dac2020`` platform, whose bundle is bit-identical
-    to the pre-platform builds (and shares their disk cache files).
-    Non-reference platforms cache under a namespace-tagged filename so
-    differently modelled bundles never collide on disk.
+    the reference ``dac2020`` platform.  The bundle file under
+    ``cache_dir`` (default :func:`default_cache_dir`) is named after a
+    digest of :data:`BUNDLE_FORMAT`, ``max_vertices``, the CIFAR-10
+    skeleton, the surrogate's parameters and the platform's
+    ``cache_namespace()``, so differently built bundles never collide.
+    A warm load reads the cell table, latency matrix and front from
+    that file and writes nothing; any kind of miss rebuilds all three
+    (enumeration, featurization, the latency sweep and the front) and
+    rewrites the file.  Only the area vector is recomputed on every
+    load: it is one vectorized call.
     """
     platform = platform or default_platform()
-    key = (max_vertices, platform.cache_namespace())
-    if key in _BUNDLE_MEMO:
-        return _BUNDLE_MEMO[key]
+    memo_key = (max_vertices, platform.cache_namespace())
+    if memo_key in _BUNDLE_MEMO:
+        return _BUNDLE_MEMO[memo_key]
 
-    database = CellDatabase.from_specs(enumerate_unique_cells(max_vertices))
+    surrogate = Cifar10Surrogate()
     space = platform.config_space()
     cols = space.columns()
     # Vectorized over the full space; bit-identical to the per-config
     # path (tests/accelerator/test_area.py::TestBatchArea).
     area_mm2 = platform.batch_area_mm2(cols)
-    accuracy = database.accuracies()
-
-    cache_dir = cache_dir or default_cache_dir()
-    tag = (
-        ""
-        if platform.is_reference
-        else "_" + hashlib.md5(platform.cache_namespace().encode()).hexdigest()[:10]
-    )
-    cache_file = (
-        cache_dir / f"bundle_v{max_vertices}_n{len(database)}_h{space.size}{tag}.npz"
-    )
-    latency_ms: np.ndarray | None = None
-    if use_disk_cache:
-        latency_ms = _read_cached_latency(cache_file, (len(database), space.size))
-    if latency_ms is None:
+    key = _bundle_key(max_vertices, surrogate, platform)
+    path = (cache_dir or default_cache_dir()) / f"bundle_v{max_vertices}_{key[:16]}.npz"
+    stored = _read_bundle(path, key, surrogate, space.size)
+    if stored is not None:
+        database, latency_ms, front = stored
+    else:
+        database = CellDatabase.from_specs(
+            enumerate_unique_cells(max_vertices), surrogate
+        )
         latency_ms = np.empty((len(database), space.size), dtype=np.float64)
         for i, record in enumerate(database.records):
             ir = compile_cell_ops(record.spec, CIFAR10_SKELETON)
             latency_ms[i] = platform.batch_network_latency_s(ir, cols) * 1e3
-        # The disk cache stores float32; round-trip the fresh build
-        # through the same precision so the first run of a bundle is
-        # bit-identical to every warm reload after it.
+        # The file stores float32; round-trip the fresh build through
+        # the same precision so the first run of a bundle is
+        # bit-identical to every warm load after it.
         latency_ms = latency_ms.astype(np.float32).astype(np.float64)
-        if use_disk_cache:
-            _write_cached_latency(cache_file, latency_ms)
+        front = product_space_pareto(database.accuracies(), area_mm2, latency_ms)
+        _write_bundle(path, key, database, latency_ms, front)
 
+    accuracy = database.accuracies()
     bounds = MetricBounds.from_arrays(area_mm2, latency_ms, accuracy)
     bundle = SpaceBundle(
         database=database,
@@ -222,8 +280,9 @@ def load_bundle(
         accuracy=accuracy,
         area_mm2=area_mm2,
         latency_ms=latency_ms,
+        front=front,
         bounds=bounds,
         platform=platform,
     )
-    _BUNDLE_MEMO[key] = bundle
+    _BUNDLE_MEMO[memo_key] = bundle
     return bundle

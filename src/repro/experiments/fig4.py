@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.pareto import ProductParetoResult, product_space_pareto
+from repro.core.pareto import ProductParetoResult
 from repro.experiments.common import SpaceBundle, load_bundle
 from repro.utils.tables import format_markdown
 
@@ -102,7 +102,6 @@ class Fig4Result:
 
 
 def run_fig4(bundle: SpaceBundle | None = None) -> Fig4Result:
-    """Enumerate the joint space and extract the Pareto frontier."""
+    """The enumerated joint space's Pareto frontier and its statistics."""
     bundle = bundle or load_bundle()
-    front = product_space_pareto(bundle.accuracy, bundle.area_mm2, bundle.latency_ms)
-    return Fig4Result(front=front, num_pairs=bundle.num_pairs, bundle=bundle)
+    return Fig4Result(front=bundle.front, num_pairs=bundle.num_pairs, bundle=bundle)

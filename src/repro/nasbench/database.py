@@ -13,12 +13,15 @@ Two constructions are provided:
 
 Every record stores the spec, its features and its surrogate CIFAR-10
 statistics, mirroring the fields the paper reads from NASBench.
+:meth:`CellDatabase.to_columns` and :meth:`CellDatabase.from_columns`
+turn the records into named arrays and back, bit for bit, which is how
+a table is stored on disk (:func:`repro.experiments.common.load_bundle`).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,6 +37,12 @@ from repro.nasbench.surrogate import CellFeatures, Cifar10Surrogate, extract_fea
 from repro.utils.rng import make_rng
 
 __all__ = ["CellRecord", "CellDatabase", "enumerate_unique_cells", "sample_unique_cells"]
+
+
+#: The statistics of a :class:`CellRecord`, in field order.
+_STATISTICS = ("validation_accuracy", "test_accuracy", "training_seconds")
+#: The :class:`CellFeatures` fields, in order.
+_FEATURES = tuple(f.name for f in fields(CellFeatures))
 
 
 @dataclass(frozen=True)
@@ -65,9 +74,10 @@ def enumerate_unique_cells(max_vertices: int) -> list[ModelSpec]:
     raises for larger limits where sampling should be used instead.
     The list holds the first-seen spec of every ``spec_hash`` in
     (vertex count, matrix, ops) order, with its original matrix and ops.
-    The order is load-bearing: cached bundle rows
-    (:func:`repro.experiments.common.load_bundle`) match records by
-    position.
+    The order is pinned by ``tests/data/space_goldens.json``: a stored
+    bundle (:func:`repro.experiments.common.load_bundle`) keeps its
+    records in this order, and its latency rows and Pareto front's cell
+    indices refer to them by position.
 
     Each matrix is pruned once (validity depends on the matrix alone),
     each distinct pruned cell is hashed once, and a :class:`ModelSpec`
@@ -190,6 +200,75 @@ class CellDatabase:
         exclude = {s.spec_hash() for s in base}
         extra = sample_unique_cells(extra_cells, seed, exclude_hashes=exclude)
         return cls.from_specs(base + extra, surrogate)
+
+    # --- stored table -----------------------------------------------------
+    def to_columns(self) -> dict[str, np.ndarray]:
+        """The records as named arrays, one row per record, in order.
+
+        ``matrix`` holds each original matrix zero-padded to the largest
+        one and ``ops`` its original ops padded with ``""``; then come
+        ``spec_hash``, one ``feature.<name>`` array per
+        :class:`CellFeatures` field, and the three statistics.  Every
+        value keeps its exact bits, so :meth:`from_columns` rebuilds
+        equal records.
+        """
+        records = self.records
+        size = max((len(r.spec.original_ops) for r in records), default=0)
+        matrix = np.zeros((len(records), size, size), dtype=np.int8)
+        ops = []
+        for i, record in enumerate(records):
+            n = len(record.spec.original_ops)
+            matrix[i, :n, :n] = record.spec.original_matrix
+            ops.append(record.spec.original_ops + ("",) * (size - n))
+        columns = {
+            "matrix": matrix,
+            "ops": np.array(ops, dtype=str).reshape(len(records), size),
+            "spec_hash": np.array([r.spec_hash for r in records], dtype=str),
+        }
+        for name in _FEATURES:
+            columns[f"feature.{name}"] = np.array(
+                [getattr(r.features, name) for r in records]
+            )
+        for name in _STATISTICS:
+            columns[name] = np.array(
+                [getattr(r, name) for r in records], dtype=np.float64
+            )
+        return columns
+
+    @classmethod
+    def from_columns(cls, columns, surrogate: Cifar10Surrogate) -> "CellDatabase":
+        """The database :meth:`to_columns` stored, record for record.
+
+        ``columns`` maps the names :meth:`to_columns` writes to arrays
+        (a loaded ``.npz`` archive will do); ``surrogate`` is the one
+        that derived the stored statistics.  Every spec goes through
+        the :class:`ModelSpec` constructor, so it is pruned and
+        validated as when it was enumerated.  Raises ``KeyError`` for a
+        missing column and ``ValueError`` for columns of unequal
+        length, an invalid spec or a duplicate cell.
+        """
+        names = ["matrix", "ops", "spec_hash", *_STATISTICS]
+        names += [f"feature.{name}" for name in _FEATURES]
+        arrays = {name: np.asarray(columns[name]) for name in names}
+        count = len(arrays["ops"])
+        if any(len(array) != count for array in arrays.values()):
+            raise ValueError("cell table columns differ in length")
+        matrices = arrays.pop("matrix")
+        if matrices.ndim != 3:
+            raise ValueError("cell table matrices must be a (cells, n, n) array")
+        values = {name: array.tolist() for name, array in arrays.items()}
+        feature_rows = zip(*(values[f"feature.{name}"] for name in _FEATURES))
+        stat_rows = zip(*(values[name] for name in _STATISTICS))
+        rows = zip(values["ops"], values["spec_hash"], feature_rows, stat_rows)
+        records = []
+        for i, (padded_ops, spec_hash, feature_row, stats) in enumerate(rows):
+            ops = tuple(op for op in padded_ops if op)
+            spec = ModelSpec(matrices[i, : len(ops), : len(ops)].copy(), ops)
+            if not spec.valid:
+                raise ValueError(f"stored cell {i} is invalid: {spec.invalid_reason}")
+            features = CellFeatures(*feature_row)
+            records.append(CellRecord(spec, spec_hash, features, *stats))
+        return cls(records, surrogate)
 
     # --- queries ---------------------------------------------------------
     def __len__(self) -> int:

@@ -1,8 +1,14 @@
 """Tests for the experiment harness (structure + fast invariants)."""
 
+import importlib.util
+import json
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.core.pareto import product_space_pareto
 from repro.core.scenarios import unconstrained
 from repro.core.study import replace_execution, run_study
 from repro.experiments.ablations import (
@@ -21,12 +27,42 @@ from repro.experiments.table1 import PAPER_TABLE1, run_table1
 from repro.experiments.table2 import run_table2
 from repro.experiments.table3 import run_table3
 from repro.experiments.validation import run_validation
+from repro.nasbench import compile as nasbench_compile
+from repro.nasbench import database as nasbench_database
+from repro.nasbench.database import CellDatabase, enumerate_unique_cells
 from repro.nasbench.known_cells import resnet_cell
 from repro.parallel import EvalCache
 from repro.search.threshold_schedule import ThresholdRung
 from repro.training.surrogate_trainer import SurrogateCifar100Trainer
 
 TINY = Scale(name="tiny", search_steps=60, num_repeats=2, fig7_target_scale=0.05)
+
+
+def _load_space_goldens():
+    path = Path(__file__).resolve().parents[1] / "data" / "generate_space_goldens.py"
+    spec = importlib.util.spec_from_file_location("generate_space_goldens", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+space_goldens = _load_space_goldens()
+
+#: What a cold bundle build derives; a warm load must call none of it.
+DERIVATIONS = [
+    (common, "enumerate_unique_cells"),
+    (nasbench_database, "extract_features"),
+    (nasbench_compile, "compile_network"),
+    (common, "product_space_pareto"),
+]
+
+
+def _listing(directory: Path) -> dict[str, tuple[int, int]]:
+    """File name -> (size, mtime in ns) of every file in ``directory``."""
+    return {
+        path.name: (path.stat().st_size, path.stat().st_mtime_ns)
+        for path in directory.iterdir()
+    }
 
 
 class TestScale:
@@ -78,6 +114,132 @@ class TestBundle:
         assert list(tmp_path.iterdir()) == [cache_file]
         with np.load(cache_file) as cached:
             assert cached["latency_ms"].astype(np.float64).tobytes() == fresh.latency_ms.tobytes()
+
+    @pytest.fixture(scope="class")
+    def stored_micro4(self, tmp_path_factory):
+        """A cache dir holding the micro-4 bundle, and its cold build."""
+        cache_dir = tmp_path_factory.mktemp("bundle")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(common, "_BUNDLE_MEMO", {})
+            cold = load_bundle(max_vertices=4, cache_dir=cache_dir)
+        return cache_dir, cold
+
+    def test_warm_load_derives_nothing(self, stored_micro4, monkeypatch, tmp_path):
+        cache_dir, _cold = stored_micro4
+        calls = Counter()
+        for owner, name in DERIVATIONS:
+            original = getattr(owner, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        # Compiled IRs are memoized per process; start from none so a
+        # compile during the load would reach compile_network.
+        nasbench_compile._compile_cached.cache_clear()
+        monkeypatch.setattr(common, "_BUNDLE_MEMO", {})
+        load_bundle(max_vertices=4, cache_dir=cache_dir)
+        assert calls == Counter()
+
+        # The same counters see every derivation of a cold build.
+        monkeypatch.setattr(common, "_BUNDLE_MEMO", {})
+        load_bundle(max_vertices=3, cache_dir=tmp_path)
+        assert set(calls) == {name for _owner, name in DERIVATIONS}
+
+    def test_warm_load_equals_cold_build(self, stored_micro4, monkeypatch):
+        cache_dir, cold = stored_micro4
+        monkeypatch.setattr(common, "_BUNDLE_MEMO", {})
+        warm = load_bundle(max_vertices=4, cache_dir=cache_dir)
+        assert warm is not cold
+        assert space_goldens.records_digest(warm.database) == (
+            space_goldens.records_digest(cold.database)
+        )
+        for name in ("latency_ms", "area_mm2", "accuracy"):
+            warm_array, cold_array = getattr(warm, name), getattr(cold, name)
+            assert warm_array.dtype == cold_array.dtype
+            assert warm_array.tobytes() == cold_array.tobytes()
+        assert space_goldens.front_digest(warm.front) == (
+            space_goldens.front_digest(cold.front)
+        )
+
+    def test_warm_load_writes_nothing(self, stored_micro4, monkeypatch):
+        cache_dir, _cold = stored_micro4
+        before = _listing(cache_dir)
+        monkeypatch.setattr(common, "_BUNDLE_MEMO", {})
+        load_bundle(max_vertices=4, cache_dir=cache_dir)
+        assert _listing(cache_dir) == before
+
+    @pytest.mark.parametrize("damage", ["missing member", "another key"])
+    def test_damaged_file_is_rebuilt(self, damage, monkeypatch, tmp_path):
+        monkeypatch.setattr(common, "_BUNDLE_MEMO", {})
+        fresh = load_bundle(max_vertices=3, cache_dir=tmp_path)
+        (cache_file,) = tmp_path.iterdir()
+        with np.load(cache_file) as stored:
+            members = {name: stored[name] for name in stored.files}
+        if damage == "missing member":
+            np.savez_compressed(
+                cache_file, **{k: v for k, v in members.items() if k != "spec_hash"}
+            )
+        else:
+            # A whole bundle file, but the micro-2 one: its shapes agree
+            # with its own cell table, so only its key tells it apart.
+            other_dir = tmp_path / "other"
+            monkeypatch.setattr(common, "_BUNDLE_MEMO", {})
+            load_bundle(max_vertices=2, cache_dir=other_dir)
+            (other_file,) = other_dir.iterdir()
+            other_file.replace(cache_file)
+            other_dir.rmdir()
+
+        monkeypatch.setattr(common, "_BUNDLE_MEMO", {})
+        rebuilt = load_bundle(max_vertices=3, cache_dir=tmp_path)
+        assert space_goldens.records_digest(rebuilt.database) == (
+            space_goldens.records_digest(fresh.database)
+        )
+        assert rebuilt.latency_ms.tobytes() == fresh.latency_ms.tobytes()
+        assert space_goldens.front_digest(rebuilt.front) == (
+            space_goldens.front_digest(fresh.front)
+        )
+        # The rebuild rewrote the whole file, and left no temp sibling.
+        assert list(tmp_path.iterdir()) == [cache_file]
+        with np.load(cache_file) as stored:
+            assert sorted(stored.files) == sorted(members)
+            assert stored["key"].item() == members["key"].item()
+
+    def test_default_cache_matches_a_fresh_build(self, micro4_bundle):
+        """The stored micro-4 bundle holds what this code derives.
+
+        ``micro4_bundle`` comes from the default cache, which older code
+        may have written.  A change to the enumeration, featurization,
+        the CIFAR-10 surrogate or the front that leaves
+        ``common.BUNDLE_FORMAT`` alone fails here, instead of letting
+        warm loads serve the old values.
+        """
+        fresh = CellDatabase.from_specs(enumerate_unique_cells(4))
+        assert space_goldens.records_digest(micro4_bundle.database) == (
+            space_goldens.records_digest(fresh)
+        )
+        front = product_space_pareto(
+            fresh.accuracies(), micro4_bundle.area_mm2, micro4_bundle.latency_ms
+        )
+        assert space_goldens.front_digest(micro4_bundle.front) == (
+            space_goldens.front_digest(front)
+        )
+
+    @pytest.mark.slow
+    def test_warm_micro5_matches_goldens(self, monkeypatch):
+        """Slow only on a cold cache, which must build the micro-5 bundle."""
+        load_bundle()
+        monkeypatch.setattr(common, "_BUNDLE_MEMO", {})
+        warm = load_bundle()
+        goldens = json.loads(space_goldens.GOLDENS.read_text())
+        assert space_goldens.records_digest(warm.database) == (
+            goldens["micro5_records"]["sha256"]
+        )
+        assert warm.front.num_points == goldens["micro5_front"]["num_points"]
+        assert space_goldens.front_digest(warm.front) == (
+            goldens["micro5_front"]["sha256"]
+        )
 
 
 class TestTable1:
@@ -142,14 +304,11 @@ class TestSearchStudy:
         assert fig6.convergence_step("unconstrained", "combined") <= TINY.search_steps
 
     def test_top_pareto_respects_constraints(self, micro4_bundle):
-        from repro.core.pareto import product_space_pareto, reward_ranked_points
+        from repro.core.pareto import reward_ranked_points
         from repro.core.scenarios import two_constraints
 
         scenario = two_constraints(micro4_bundle.bounds)
-        front = product_space_pareto(
-            micro4_bundle.accuracy, micro4_bundle.area_mm2, micro4_bundle.latency_ms
-        )
-        rows = reward_ranked_points(front, scenario, 50)
+        rows = reward_ranked_points(micro4_bundle.front, scenario, 50)
         for row in rows:
             assert row["accuracy"] >= 92.0
             assert row["area_mm2"] <= 100.0

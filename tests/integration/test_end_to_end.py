@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.evaluator import CodesignEvaluator, build_evaluator
-from repro.core.pareto import product_space_pareto
 from repro.core.scenarios import one_constraint, unconstrained
 from repro.core.search_space import JointSearchSpace
 from repro.nasbench.skeleton import CIFAR10_SKELETON
@@ -36,7 +35,7 @@ class TestSearchVsEnumeration:
     def test_search_cannot_beat_pareto_front(self, micro4_bundle):
         """No discovered point may dominate the enumerated frontier."""
         bundle = micro4_bundle
-        front = product_space_pareto(bundle.accuracy, bundle.area_mm2, bundle.latency_ms)
+        front = bundle.front
         scenario = one_constraint(bundle.bounds)
         space = JointSearchSpace(cell_encoding=bundle.cell_encoding)
         evaluator = build_evaluator(
