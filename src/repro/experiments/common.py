@@ -241,7 +241,8 @@ def load_bundle(
     load: it is one vectorized call.
     """
     platform = platform or default_platform()
-    memo_key = (max_vertices, platform.cache_namespace())
+    directory = Path(cache_dir or default_cache_dir())
+    memo_key = (max_vertices, platform.cache_namespace(), directory)
     if memo_key in _BUNDLE_MEMO:
         return _BUNDLE_MEMO[memo_key]
 
@@ -252,7 +253,7 @@ def load_bundle(
     # path (tests/accelerator/test_area.py::TestBatchArea).
     area_mm2 = platform.batch_area_mm2(cols)
     key = _bundle_key(max_vertices, surrogate, platform)
-    path = (cache_dir or default_cache_dir()) / f"bundle_v{max_vertices}_{key[:16]}.npz"
+    path = directory / f"bundle_v{max_vertices}_{key[:16]}.npz"
     stored = _read_bundle(path, key, surrogate, space.size)
     if stored is not None:
         database, latency_ms, front = stored

@@ -16,7 +16,9 @@ shared state directory — cooperate through the run ledger's
   task is re-issued — resuming from its last checkpoint, so the work
   already persisted is replayed, not recomputed;
 * a straggler that finishes after losing its lease is refused at
-  record time, so no task is ever recorded twice;
+  record time, so no task is ever recorded twice; its checkpoints
+  write archive rows identical to the new holder's, and nothing at
+  all once the task is done;
 * workers may join and leave at any point (elasticity): joining means
   opening the ledger and claiming; leaving means simply exiting, with
   any held lease re-issued after ``stale_after`` seconds.

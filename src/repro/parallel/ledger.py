@@ -7,12 +7,19 @@ must not cost the whole run.  :class:`RunLedger` is the persistence
 layer behind ``run_grid(..., ledger=...)``:
 
 * every (job label, repeat) task has a row in ``tasks`` — ``pending``
-  until its search finishes, then ``done`` with the full serialized
-  :class:`~repro.search.base.SearchResult` (archive + extras);
+  until its search finishes, then ``done`` with its serialized
+  :class:`~repro.search.base.SearchResult` minus the archive's entries
+  (strategy, scenario, extras);
 * an in-flight search checkpoints its strategy state every N ask/tell
-  batches into ``checkpoints`` (RNG stream, archive, populations,
-  policy weights, optimizer moments — whatever the strategy's
-  ``state_dict`` returns);
+  batches into ``checkpoints`` (RNG stream, populations, policy
+  weights, optimizer moments — whatever the strategy's ``state_dict``
+  returns), again minus the archive's entries;
+* ``archive_rows`` holds those entries, one row per archived step,
+  keyed (label, repeat, step).  A task's archive only grows by
+  appending, so each save writes just the entries no earlier save
+  stored, and a load rebuilds the archive from the first
+  ``archive_len`` rows: a checkpoint costs the same at step 10 as at
+  step 10,000;
 * ``meta`` pins the run configuration (steps, repeats, master seed,
   batch size, job labels) so a ledger can never silently mix results
   from incompatible runs;
@@ -25,8 +32,11 @@ layer behind ``run_grid(..., ledger=...)``:
   its checkpoints.  Heartbeats and the terminal write name the holder
   and are refused once the lease has moved on (re-issued, cancelled).
 
-``PRAGMA user_version`` versions the schema; opening a version-0 file
-adds the ``worker``/``claims`` lease columns to its ``studies``.
+``PRAGMA user_version`` versions the schema; opening an older file
+upgrades it in one transaction: a version-0 file gains the
+``worker``/``claims`` lease columns of ``studies``, and a version-0 or
+version-1 file has every archive held inline in a result or a
+checkpoint moved into ``archive_rows``.
 
 On resume, ``run_grid`` loads ``done`` tasks instead of re-running
 them and restarts interrupted tasks from their last checkpoint;
@@ -47,6 +57,9 @@ workers, one parent) serialize on sqlite's file lock via
 Serialization is tagged JSON: numpy arrays travel as base64-encoded
 raw bytes (bit-exact), and the library's value objects (specs,
 configs, metrics, archives, results) via their canonical dict forms.
+An archive row holds one entry's tagged JSON, with its ``reward`` and
+``feasible`` as columns so progress reports read best rewards without
+decoding a single entry.
 """
 
 from __future__ import annotations
@@ -56,7 +69,7 @@ import json
 import os
 import sqlite3
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -80,7 +93,9 @@ _BUSY_TIMEOUT_MS = 30_000
 
 #: ``PRAGMA user_version`` of the schema below.  Version 1 gave
 #: ``studies`` the lease columns of ``task_leases``: ``worker``, ``claims``.
-_SCHEMA_VERSION = 1
+#: Version 2 moved archive entries out of ``tasks`` results and
+#: ``checkpoints`` snapshots into ``archive_rows``.
+_SCHEMA_VERSION = 2
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -88,18 +103,29 @@ CREATE TABLE IF NOT EXISTS meta (
     value TEXT NOT NULL
 );
 CREATE TABLE IF NOT EXISTS tasks (
-    label  TEXT NOT NULL,
-    repeat INTEGER NOT NULL,
-    status TEXT NOT NULL DEFAULT 'pending',
-    result TEXT,
+    label       TEXT NOT NULL,
+    repeat      INTEGER NOT NULL,
+    status      TEXT NOT NULL DEFAULT 'pending',
+    result      TEXT,
+    archive_len INTEGER,
     PRIMARY KEY (label, repeat)
 );
 CREATE TABLE IF NOT EXISTS checkpoints (
-    label      TEXT NOT NULL,
-    repeat     INTEGER NOT NULL,
-    steps_done INTEGER NOT NULL,
-    state      TEXT NOT NULL,
+    label       TEXT NOT NULL,
+    repeat      INTEGER NOT NULL,
+    steps_done  INTEGER NOT NULL,
+    state       TEXT NOT NULL,
+    archive_len INTEGER,
     PRIMARY KEY (label, repeat)
+);
+CREATE TABLE IF NOT EXISTS archive_rows (
+    label    TEXT NOT NULL,
+    repeat   INTEGER NOT NULL,
+    step     INTEGER NOT NULL,
+    reward   REAL,
+    feasible INTEGER NOT NULL,
+    entry    TEXT NOT NULL,
+    PRIMARY KEY (label, repeat, step)
 );
 CREATE TABLE IF NOT EXISTS studies (
     study_id     TEXT PRIMARY KEY,
@@ -315,6 +341,28 @@ def _loads(text: str) -> Any:
     return decode_state(json.loads(text))
 
 
+_INSERT_ROWS = (
+    "INSERT OR REPLACE INTO archive_rows"
+    " (label, repeat, step, reward, feasible, entry) VALUES (?, ?, ?, ?, ?, ?)"
+)
+
+
+def _entry_row(key: tuple, step: int, tagged: dict) -> tuple:
+    """The ``archive_rows`` row of one entry, from its tagged form."""
+    text = json.dumps(tagged, separators=(",", ":"))
+    return (*key, step, tagged["reward"], tagged["feasible"], text)
+
+
+def _take_entries(holder: Any) -> list | None:
+    """Empty the tagged archive at ``holder["archive"]`` in place and
+    return its entries; ``None`` if ``holder`` holds no archive."""
+    archive = holder.get("archive") if isinstance(holder, dict) else None
+    if not isinstance(archive, dict) or archive.get("__t__") != "archive":
+        return None
+    entries, archive["entries"] = archive["entries"], []
+    return entries
+
+
 # ---------------------------------------------------------------------------
 # Write transactions and leases
 # ---------------------------------------------------------------------------
@@ -332,6 +380,54 @@ def _immediate(db: sqlite3.Connection):
         if db.in_transaction:
             db.execute("ROLLBACK")
         raise
+
+
+def _add_columns(db: sqlite3.Connection, table: str, columns: tuple[str, ...]) -> None:
+    """Add the ``columns`` (SQL definitions) ``table`` lacks."""
+    have = {row[1] for row in db.execute(f"PRAGMA table_info({table})")}
+    for column in columns:
+        if column.split()[0] not in have:
+            db.execute(f"ALTER TABLE {table} ADD COLUMN {column}")
+
+
+def _upgrade(db: sqlite3.Connection) -> None:
+    """Bring an older file to :data:`_SCHEMA_VERSION`, inside the
+    caller's :func:`_immediate` transaction.
+
+    Each step skips what is already done, so a file whose version was
+    never stamped after another process upgraded it is only stamped.
+    Version 1 adds the lease columns of ``studies``.  Version 2 moves
+    every archive held inline in a ``done`` result or a checkpoint
+    into ``archive_rows``, leaving an empty archive in the text and the
+    entry count in ``archive_len``: the texts and rows a version-2
+    write of the same values would have stored.
+    """
+    _add_columns(db, "studies", ("worker TEXT", "claims INTEGER NOT NULL DEFAULT 0"))
+    _add_columns(db, "tasks", ("archive_len INTEGER",))
+    _add_columns(db, "checkpoints", ("archive_len INTEGER",))
+    inline = (
+        ("tasks", "result", "status='done'", lambda value: value),
+        ("checkpoints", "state", "1", lambda value: value.get("strategy")),
+    )
+    for table, column, where, holder in inline:
+        for label, repeat, text in db.execute(
+            f"SELECT label, repeat, {column} FROM {table}"
+            f" WHERE archive_len IS NULL AND {where}"
+        ).fetchall():
+            value = json.loads(text)
+            entries = _take_entries(holder(value))
+            if entries is None:
+                continue
+            db.executemany(
+                _INSERT_ROWS,
+                [_entry_row((label, repeat), step, e) for step, e in enumerate(entries)],
+            )
+            db.execute(
+                f"UPDATE {table} SET {column}=?, archive_len=?"
+                " WHERE label=? AND repeat=?",
+                (json.dumps(value, separators=(",", ":")), len(entries), label, repeat),
+            )
+    db.execute(f"PRAGMA user_version={_SCHEMA_VERSION}")
 
 
 def check_lease_timing(
@@ -443,6 +539,10 @@ class RunLedger:
         self.path = Path(path) if path is not None else None
         self._pid = os.getpid()
         self._conn = self._open()
+        #: Per (label, repeat): how many archive rows, from step 0 on,
+        #: this object knows are in the file because it wrote or read
+        #: them.  A save encodes only the entries past that count.
+        self._stored: dict[tuple[str, int], int] = {}
 
     # -- lifecycle ---------------------------------------------------------
     def _open(self) -> sqlite3.Connection:
@@ -455,14 +555,11 @@ class RunLedger:
         conn.executescript(_SCHEMA)
         conn.commit()
         if conn.execute("PRAGMA user_version").fetchone()[0] < _SCHEMA_VERSION:
-            # A version-0 file: ``studies`` gains the lease columns, unless
-            # another process opening it at the same time added them first.
             with _immediate(conn):
-                info = conn.execute("PRAGMA table_info(studies)").fetchall()
-                if "claims" not in {row[1] for row in info}:
-                    for column in ("worker TEXT", "claims INTEGER NOT NULL DEFAULT 0"):
-                        conn.execute(f"ALTER TABLE studies ADD COLUMN {column}")
-                conn.execute(f"PRAGMA user_version={_SCHEMA_VERSION}")
+                # Another process opening the file may have upgraded it
+                # while this one waited for the lock.
+                if conn.execute("PRAGMA user_version").fetchone()[0] < _SCHEMA_VERSION:
+                    _upgrade(conn)
         return conn
 
     def _db(self) -> sqlite3.Connection:
@@ -531,43 +628,135 @@ class RunLedger:
         ).fetchone()
         return json.loads(row[0]) if row is not None else None
 
+    # -- archive rows ------------------------------------------------------
+    #
+    # A task's archive only grows by appending (the run driver records
+    # every result and nothing else writes to it), and a task computes
+    # the same archive wherever and however often it runs.  So a row,
+    # once stored, never changes: a save encodes only the entries past
+    # what this object knows is stored, and a second writer of the same
+    # task (a cluster straggler whose lease was re-issued) replaces rows
+    # with identical ones.  A load takes the first ``archive_len`` rows.
+
+    def _new_rows(self, key: tuple[str, int], archive) -> list[tuple]:
+        start = self._stored.get(key, 0)
+        return [
+            _entry_row(key, step, encode_state(entry))
+            for step, entry in enumerate(archive.entries[start:], start)
+        ]
+
+    def _mark_stored(self, key: tuple[str, int], length: int) -> None:
+        self._stored[key] = max(self._stored.get(key, 0), length)
+
+    def _archive(self, db: sqlite3.Connection, key: tuple[str, int], length: int):
+        from repro.core.archive import SearchArchive
+
+        rows = db.execute(
+            "SELECT entry FROM archive_rows WHERE label=? AND repeat=? AND step<?"
+            " ORDER BY step",
+            (*key, length),
+        ).fetchall()
+        if len(rows) != length:
+            raise LedgerError(
+                f"task {key} needs {length} archive rows but the ledger "
+                f"holds {len(rows)}"
+            )
+        self._mark_stored(key, length)
+        return SearchArchive(entries=[_loads(row[0]) for row in rows])
+
     # -- task results ------------------------------------------------------
     def load_result(self, label: str, repeat: int) -> SearchResult | None:
         """The completed result of one task, or ``None`` if not done."""
-        row = self._db().execute(
-            "SELECT result FROM tasks WHERE label=? AND repeat=? AND status='done'",
-            (label, repeat),
+        key = (label, int(repeat))
+        db = self._db()
+        row = db.execute(
+            "SELECT result, archive_len FROM tasks"
+            " WHERE label=? AND repeat=? AND status='done'",
+            key,
         ).fetchone()
-        return _loads(row[0]) if row is not None else None
+        if row is None:
+            return None
+        result = _loads(row[0])
+        result.archive = self._archive(db, key, row[1])
+        return result
+
+    def _done_parts(self, key: tuple[str, int], result: "SearchResult") -> tuple:
+        """What :meth:`_write_done` stores: the result without its
+        archive's entries, the rows not stored yet, the entry count."""
+        from repro.core.archive import SearchArchive
+
+        text = _dumps(replace(result, archive=SearchArchive()))
+        return text, self._new_rows(key, result.archive), len(result.archive)
+
+    @staticmethod
+    def _write_done(
+        db: sqlite3.Connection, key: tuple[str, int], text: str, rows: list, length: int
+    ) -> None:
+        db.executemany(_INSERT_ROWS, rows)
+        db.execute(
+            "INSERT OR REPLACE INTO tasks (label, repeat, status, result, archive_len)"
+            " VALUES (?, ?, 'done', ?, ?)",
+            (*key, text, length),
+        )
+        db.execute("DELETE FROM checkpoints WHERE label=? AND repeat=?", key)
 
     def record_done(self, label: str, repeat: int, result: SearchResult) -> None:
         """Persist a finished task and drop its checkpoint atomically."""
-        db = self._db()
-        db.execute(
-            "INSERT OR REPLACE INTO tasks (label, repeat, status, result)"
-            " VALUES (?, ?, 'done', ?)",
-            (label, repeat, _dumps(result)),
-        )
-        db.execute(
-            "DELETE FROM checkpoints WHERE label=? AND repeat=?", (label, repeat)
-        )
-        db.commit()
+        key = (label, int(repeat))
+        parts = self._done_parts(key, result)
+        with _immediate(self._db()) as db:
+            self._write_done(db, key, *parts)
+        self._mark_stored(key, parts[2])
 
     # -- checkpoints -------------------------------------------------------
     def save_checkpoint(self, label: str, repeat: int, state: dict) -> None:
-        self._db().execute(
-            "INSERT OR REPLACE INTO checkpoints (label, repeat, steps_done, state)"
-            " VALUES (?, ?, ?, ?)",
-            (label, repeat, int(state.get("steps_done", 0)), _dumps(state)),
-        )
-        self._db().commit()
+        """Store ``state`` as the task's latest snapshot, in one transaction.
+
+        The entries of a :class:`~repro.core.archive.SearchArchive` at
+        ``state["strategy"]["archive"]`` go to ``archive_rows``, only
+        those not stored yet; the rest of the state goes to
+        ``checkpoints``.  A task already ``done`` keeps no snapshot, so
+        a straggler's late save writes nothing.
+        """
+        from repro.core.archive import SearchArchive
+
+        key = (label, int(repeat))
+        strategy = state.get("strategy")
+        archive = strategy.get("archive") if isinstance(strategy, dict) else None
+        rows, length = [], None
+        if isinstance(archive, SearchArchive):
+            state = {**state, "strategy": {**strategy, "archive": SearchArchive()}}
+            rows, length = self._new_rows(key, archive), len(archive)
+        text = _dumps(state)
+        with _immediate(self._db()) as db:
+            if db.execute(
+                "SELECT 1 FROM tasks WHERE label=? AND repeat=? AND status='done'",
+                key,
+            ).fetchone() is not None:
+                return
+            db.executemany(_INSERT_ROWS, rows)
+            db.execute(
+                "INSERT OR REPLACE INTO checkpoints"
+                " (label, repeat, steps_done, state, archive_len)"
+                " VALUES (?, ?, ?, ?, ?)",
+                (*key, int(state.get("steps_done", 0)), text, length),
+            )
+        if length is not None:
+            self._mark_stored(key, length)
 
     def load_checkpoint(self, label: str, repeat: int) -> dict | None:
-        row = self._db().execute(
-            "SELECT state FROM checkpoints WHERE label=? AND repeat=?",
-            (label, repeat),
+        key = (label, int(repeat))
+        db = self._db()
+        row = db.execute(
+            "SELECT state, archive_len FROM checkpoints WHERE label=? AND repeat=?",
+            key,
         ).fetchone()
-        return _loads(row[0]) if row is not None else None
+        if row is None:
+            return None
+        state = _loads(row[0])
+        if row[1] is not None:
+            state["strategy"]["archive"] = self._archive(db, key, row[1])
+        return state
 
     def checkpoint(self, label: str, repeat: int) -> "LedgerCheckpoint":
         """A :class:`~repro.search.base.Checkpoint` bound to one task."""
@@ -749,16 +938,12 @@ class RunLedger:
         result, so no (label, repeat) is recorded by two workers.
         """
         key = (label, int(repeat))
-        blob = _dumps(result)
+        parts = self._done_parts(key, result)
         with _immediate(self._db()) as db:
             if not _TASK_LEASES.end(db, key, worker, "done"):
                 return False
-            db.execute(
-                "INSERT OR REPLACE INTO tasks (label, repeat, status, result)"
-                " VALUES (?, ?, 'done', ?)",
-                (*key, blob),
-            )
-            db.execute("DELETE FROM checkpoints WHERE label=? AND repeat=?", key)
+            self._write_done(db, key, *parts)
+        self._mark_stored(key, parts[2])
         return True
 
     def cluster_progress(self) -> dict[str, int]:
@@ -847,14 +1032,22 @@ class RunLedger:
             entry["checkpointed_steps"] = int(steps)
         return out
 
-    def done_results(self, label: str) -> list["SearchResult"]:
-        """Every completed result under one job label, repeat order."""
-        rows = self._db().execute(
-            "SELECT result FROM tasks WHERE label=? AND status='done'"
-            " ORDER BY repeat",
-            (label,),
-        ).fetchall()
-        return [_loads(row[0]) for row in rows]
+    def best_rewards(self, label: str) -> list[float | None]:
+        """The best feasible reward of each finished repeat under one job
+        label, repeat order (``None`` where a repeat found no feasible
+        point): one aggregate over the rows' reward and feasible
+        columns, which decodes no entry."""
+        return [
+            best
+            for _repeat, best in self._db().execute(
+                "SELECT t.repeat, MAX(CASE WHEN a.feasible THEN a.reward END)"
+                " FROM tasks t LEFT JOIN archive_rows a ON a.label=t.label"
+                " AND a.repeat=t.repeat AND a.step<t.archive_len"
+                " WHERE t.label=? AND t.status='done'"
+                " GROUP BY t.repeat ORDER BY t.repeat",
+                (label,),
+            )
+        ]
 
     def progress(self) -> dict:
         """Counts for resuming humans: done / checkpointed / steps."""

@@ -295,12 +295,12 @@ class SearchStrategy:
         ``checkpoint_every`` batches and finishes bit-identical to an
         uninterrupted one.
 
-        Each save snapshots the *full* state — including the archive so
-        far — which is what keeps resume simple and exact, but means a
-        checkpoint's cost grows with the run; for very long searches
-        over cheap (table/surrogate) evaluations, raise
-        ``checkpoint_every`` so the snapshot cost stays a small
-        fraction of the evaluation work it protects.
+        Each save hands over the *full* state, archive included, which
+        keeps resume simple and exact.  What a save costs is up to the
+        checkpoint: the run ledger's
+        (:class:`~repro.parallel.ledger.LedgerCheckpoint`) writes only
+        the entries archived since its last save, plus the rest of the
+        state, so its cost does not grow with the run.
         """
         if batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {batch_size}")

@@ -221,15 +221,11 @@ class StudyQueue:
             counts = statuses.get(
                 label, {"done": 0, "checkpointed": 0, "checkpointed_steps": 0}
             )
-            best = [
-                None if result.best is None else float(result.best.reward)
-                for result in ledger.done_results(label)
-            ]
             jobs[label] = {
                 "done": counts["done"],
                 "total": repeats,
                 "checkpointed_steps": counts["checkpointed_steps"],
-                "best_rewards": best,
+                "best_rewards": ledger.best_rewards(label),
             }
             done_repeats += counts["done"]
         return {

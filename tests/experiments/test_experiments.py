@@ -84,6 +84,16 @@ class TestBundle:
     def test_memoized(self, micro4_bundle):
         assert load_bundle(max_vertices=4) is micro4_bundle
 
+    def test_memo_keys_on_the_cache_dir(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default"))
+        monkeypatch.setattr(common, "_BUNDLE_MEMO", {})
+        default = load_bundle(max_vertices=3)
+        other_dir = tmp_path / "other"
+        other_dir.mkdir()
+        load_bundle(max_vertices=3, cache_dir=other_dir)
+        assert [p.suffix for p in other_dir.iterdir()] == [".npz"]
+        assert load_bundle(max_vertices=3) is default
+
     def test_shapes_consistent(self, micro4_bundle):
         b = micro4_bundle
         assert b.latency_ms.shape == (len(b.database), b.space.size)

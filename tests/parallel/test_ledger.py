@@ -1,18 +1,25 @@
 """Tests for the crash-safe run ledger and its state serialization."""
 
+import sqlite3
+from collections import Counter
+from contextlib import closing
+
 import numpy as np
 import pytest
 
 from repro.accelerator.config import AcceleratorConfig
-from repro.core.archive import SearchArchive
+from repro.core.archive import ArchiveEntry, SearchArchive
 from repro.core.evaluator import build_evaluator
 from repro.core.metrics import Metrics
 from repro.core.scenarios import unconstrained
 from repro.core.search_space import JointSearchSpace
 from repro.nasbench.known_cells import resnet_cell
 from repro.parallel import LedgerError, MemoryCheckpoint, RunLedger
-from repro.parallel.ledger import decode_state, encode_state
+from repro.parallel import ledger as ledger_module
+from repro.parallel.ledger import LedgerCheckpoint, decode_state, encode_state
+from repro.search.combined import CombinedSearch
 from repro.search.random_search import RandomSearch
+from repro.search.runner import RepeatJob, run_grid
 
 
 @pytest.fixture
@@ -162,6 +169,138 @@ class TestRunLedger:
         ledger = RunLedger()
         ledger.record_done("job", 1, small_result)
         assert ledger.load_result("job", 1) is not None
+
+    def test_save_after_done_writes_nothing(self, tmp_path, small_result):
+        # A cluster straggler keeps saving after the new holder recorded
+        # the task; a finished task must not count as checkpointed.
+        ledger = RunLedger(tmp_path / "run.ledger")
+        ledger.record_done("job", 0, small_result)
+        state = {
+            "strategy": {"name": "random", "archive": small_result.archive},
+            "steps_done": 15,
+        }
+        ledger.save_checkpoint("job", 0, state)
+        assert ledger.load_checkpoint("job", 0) is None
+        assert ledger.progress()["checkpointed"] == 0
+        assert ledger.task_statuses()["job"]["checkpointed"] == 0
+
+
+def entries_equal(got: SearchArchive, expected: SearchArchive) -> bool:
+    return len(got) == len(expected) and all(
+        (a.step, a.spec.to_dict(), a.config, a.metrics, a.reward, a.feasible,
+         a.valid, a.phase)
+        == (b.step, b.spec.to_dict(), b.config, b.metrics, b.reward, b.feasible,
+            b.valid, b.phase)
+        for a, b in zip(got.entries, expected.entries)
+    )
+
+
+def ledger_sql(path, sql, params=()):
+    with closing(sqlite3.connect(path)) as conn:
+        return conn.execute(sql, params).fetchall()
+
+
+class TestArchiveRows:
+    def test_checkpoint_archive_lives_in_rows(self, tmp_path, small_result):
+        path = tmp_path / "run.ledger"
+        archive = small_result.archive
+        state = {"strategy": {"name": "random", "archive": archive}, "steps_done": 15}
+        RunLedger(path).save_checkpoint("job", 0, state)
+
+        ((text, length),) = ledger_sql(path, "SELECT state, archive_len FROM checkpoints")
+        assert length == 15 and '"entry"' not in text
+        rows = ledger_sql(
+            path, "SELECT step, reward, feasible FROM archive_rows ORDER BY step"
+        )
+        assert rows == [
+            (e.step, e.reward, int(e.feasible)) for e in archive.entries
+        ]
+        loaded = RunLedger(path).load_checkpoint("job", 0)
+        assert loaded["steps_done"] == 15
+        assert entries_equal(loaded["strategy"]["archive"], archive)
+
+    def test_result_archive_lives_in_rows(self, tmp_path, small_result):
+        path = tmp_path / "run.ledger"
+        RunLedger(path).record_done("job", 0, small_result)
+        ((text, length),) = ledger_sql(path, "SELECT result, archive_len FROM tasks")
+        assert length == 15 and '"entry"' not in text
+        assert entries_equal(
+            RunLedger(path).load_result("job", 0).archive, small_result.archive
+        )
+
+    def test_a_load_reads_only_the_snapshots_rows(self, tmp_path, small_result):
+        # A straggler's older snapshot may land after a newer one wrote
+        # more rows; the load must stop at the snapshot's own length.
+        path = tmp_path / "run.ledger"
+        entries = small_result.archive.entries
+        for length in (12, 5):
+            state = {
+                "strategy": {"name": "random",
+                             "archive": SearchArchive(entries=entries[:length])},
+                "steps_done": length,
+            }
+            RunLedger(path).save_checkpoint("job", 0, state)
+        loaded = RunLedger(path).load_checkpoint("job", 0)
+        assert entries_equal(
+            loaded["strategy"]["archive"], SearchArchive(entries=entries[:5])
+        )
+        assert ledger_sql(path, "SELECT COUNT(*) FROM archive_rows") == [(12,)]
+
+    def test_missing_rows_are_refused(self, tmp_path, small_result):
+        path = tmp_path / "run.ledger"
+        RunLedger(path).record_done("job", 0, small_result)
+        with closing(sqlite3.connect(path)) as conn:
+            conn.execute("DELETE FROM archive_rows WHERE step=3")
+            conn.commit()
+        with pytest.raises(LedgerError, match="needs 15 archive rows"):
+            RunLedger(path).load_result("job", 0)
+
+    def test_each_entry_is_encoded_once(self, tmp_path, micro4_bundle, monkeypatch):
+        # A batch-1 ledgered run: each save writes only the new entries
+        # and a snapshot whose size does not grow with the archive, and
+        # recording the result encodes no entry again.
+        encoded = Counter()
+        encode = ledger_module.encode_state
+
+        def counting(obj):
+            if isinstance(obj, ArchiveEntry):
+                encoded[obj.step] += 1
+            return encode(obj)
+
+        monkeypatch.setattr(ledger_module, "encode_state", counting)
+        path = tmp_path / "run.ledger"
+        snapshot_lengths = []
+        save = LedgerCheckpoint.save
+
+        def measured_save(self, state):
+            save(self, state)
+            (length,) = ledger_sql(
+                path, "SELECT length(state) FROM checkpoints"
+                " WHERE label=? AND repeat=?", (self.label, self.repeat)
+            )[0]
+            snapshot_lengths.append(length)
+
+        monkeypatch.setattr(LedgerCheckpoint, "save", measured_save)
+        space = JointSearchSpace(cell_encoding=micro4_bundle.cell_encoding)
+        job = RepeatJob(
+            label="combined",
+            strategy_factory=lambda seed: CombinedSearch(space, seed=seed),
+            evaluator_factory=lambda: build_evaluator(
+                "database", unconstrained(micro4_bundle.bounds),
+                bundle=micro4_bundle, platform=micro4_bundle.platform,
+            ),
+        )
+        steps = 60
+        outcome = run_grid(
+            [job], num_steps=steps, num_repeats=1, checkpoint_every=5, ledger=path
+        )
+        assert len(snapshot_lengths) == steps // 5
+        assert encoded == Counter(range(steps))
+        assert snapshot_lengths[-1] <= 1.01 * snapshot_lengths[0]
+        assert entries_equal(
+            RunLedger(path).load_result("combined", 0).archive,
+            outcome["combined"].results[0].archive,
+        )
 
 
 class TestMemoryCheckpoint:

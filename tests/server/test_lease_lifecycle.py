@@ -5,8 +5,8 @@
 end.  These tests pin what the study queue gained from sharing it:
 heartbeats and terminal writes are owner-checked, a cancel through any
 server stops the runner, one timing rule guards both queues, and files
-written before the ``studies`` table had lease columns still open,
-resume and finish.
+written before the ``studies`` table had lease columns, or before
+archives moved into ``archive_rows``, still open, resume and finish.
 """
 
 from __future__ import annotations
@@ -26,11 +26,13 @@ from repro.core.evaluator import build_evaluator
 from repro.core.scenarios import one_constraint, unconstrained
 from repro.core.search_space import JointSearchSpace
 from repro.parallel.cluster import run_worker
-from repro.parallel.ledger import LedgerError, RunLedger, encode_state
+from repro.parallel.ledger import LedgerError, RunLedger, _dumps, encode_state
 from repro.parallel.worker import main as worker_main
+from repro.search.combined import CombinedSearch
 from repro.search.random_search import RandomSearch
 from repro.search.runner import RepeatJob, run_grid
 from repro.server import StudyQueue, StudyServer
+from repro.utils.rng import hash_seed
 from test_server_e2e import SLOW_SOURCE_PLUGIN, slow_spec
 
 #: The ledger schema as files were written before ``PRAGMA
@@ -86,6 +88,18 @@ def write_version_0(path, *statements) -> None:
         for sql, params in statements:
             conn.execute(sql, params)
         conn.commit()
+
+
+def write_version_1(path, *statements) -> None:
+    """A file as version 1 wrote it: ``studies`` has the lease columns,
+    and each result and checkpoint holds its archive inline."""
+    write_version_0(
+        path,
+        ("ALTER TABLE studies ADD COLUMN worker TEXT", ()),
+        ("ALTER TABLE studies ADD COLUMN claims INTEGER NOT NULL DEFAULT 0", ()),
+        ("PRAGMA user_version=1", ()),
+        *statements,
+    )
 
 
 def user_version(path) -> int:
@@ -220,7 +234,7 @@ class TestParentWrittenFiles:
             ("st-old", json.dumps({"name": "old"}), "running", 0.0, 1.0, 4242, 1.0),
         ))
         ledger = RunLedger(path)
-        assert user_version(path) == 1
+        assert user_version(path) == 2
         row = ledger.study("st-old")
         assert (row["state"], row["spec"], row["worker"], row["claims"]) == (
             "running", {"name": "old"}, None, 0,
@@ -258,7 +272,7 @@ class TestParentWrittenFiles:
              " 1.0, 1)", ()),
         )
         ledger = RunLedger(path)
-        assert user_version(path) == 1
+        assert user_version(path) == 2
         assert run_worker(
             jobs, ledger, num_steps=10, num_repeats=2, worker_id="w",
             stale_after=5.0,
@@ -278,6 +292,84 @@ class TestParentWrittenFiles:
         RunLedger(path).close()
         assert path.read_bytes() == finished
 
+    def test_version_1_checkpoint_resumes_to_the_serial_outcome(
+        self, tmp_path, micro4_bundle
+    ):
+        space = JointSearchSpace(cell_encoding=micro4_bundle.cell_encoding)
+        job = RepeatJob(
+            label="combined",
+            strategy_factory=lambda seed: CombinedSearch(space, seed=seed),
+            evaluator_factory=lambda: build_evaluator(
+                "database", unconstrained(micro4_bundle.bounds),
+                bundle=micro4_bundle, platform=micro4_bundle.platform,
+            ),
+        )
+        num_steps, every = 30, 4
+        serial = run_grid([job], num_steps=num_steps, num_repeats=2)["combined"]
+
+        class Capture:
+            """Snapshot texts as a version-1 ledger stored them."""
+
+            def __init__(self):
+                self.texts = {}
+
+            def load(self):
+                return None
+
+            def save(self, state):
+                self.texts[state["steps_done"]] = _dumps(state)
+
+        capture = Capture()
+        job.strategy_factory(hash_seed("repeat", 0, 1)).run(
+            job.evaluator_factory(), num_steps, checkpoint=capture,
+            checkpoint_every=every,
+        )
+        config = {
+            "num_steps": num_steps, "num_repeats": 2, "master_seed": 0,
+            "batch_size": 1, "labels": ["combined"], "context": {},
+        }
+        path = tmp_path / "run.ledger"
+        # Repeat 0 finished before the upgrade; repeat 1 is mid-run.
+        write_version_1(
+            path,
+            ("INSERT INTO meta VALUES ('run_config', ?)",
+             (json.dumps(config, sort_keys=True, separators=(",", ":")),)),
+            ("INSERT INTO tasks VALUES ('combined', 0, 'done', ?)",
+             (_dumps(serial.results[0]),)),
+            ("INSERT INTO checkpoints VALUES ('combined', 1, 12, ?)",
+             (capture.texts[12],)),
+        )
+        ledger = RunLedger(path)
+        assert user_version(path) == 2
+        with closing(sqlite3.connect(path)) as conn:
+            texts = conn.execute(
+                "SELECT result FROM tasks UNION ALL SELECT state FROM checkpoints"
+            ).fetchall()
+            rows = conn.execute(
+                "SELECT repeat, COUNT(*) FROM archive_rows GROUP BY repeat"
+            ).fetchall()
+        assert all('"entry"' not in text for (text,) in texts)
+        assert rows == [(0, num_steps), (1, 12)]
+        archive = ledger.load_checkpoint("combined", 1)["strategy"]["archive"]
+        assert np.array_equal(
+            archive.reward_trace(), serial.results[1].reward_trace()[:12]
+        )
+
+        resumed = run_grid(
+            [job], num_steps=num_steps, num_repeats=2, checkpoint_every=every,
+            ledger=ledger,
+        )["combined"]
+        for got, expected in zip(resumed.results, serial.results):
+            assert np.array_equal(got.reward_trace(), expected.reward_trace())
+            assert [(e.spec.to_dict(), e.config) for e in got.archive.entries] == [
+                (e.spec.to_dict(), e.config) for e in expected.archive.entries
+            ]
+        ledger.close()
+
+        finished = path.read_bytes()
+        RunLedger(path).close()
+        assert path.read_bytes() == finished
+
     def test_concurrent_upgrade_only_stamps_the_version(self, tmp_path):
         # A second process opening a version-0 file after the first one
         # added the lease columns must not add them again.
@@ -286,7 +378,7 @@ class TestParentWrittenFiles:
         with closing(sqlite3.connect(path)) as conn:
             conn.execute("PRAGMA user_version=0")
         RunLedger(path).close()
-        assert user_version(path) == 1
+        assert user_version(path) == 2
 
 
 class TestLeaseTiming:

@@ -10,9 +10,14 @@ covered end to end in ``test_server_e2e.py``.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import pytest
 
+from repro.core.archive import ArchiveEntry, SearchArchive
+from repro.core.evaluator import build_evaluator
+from repro.core.scenarios import one_constraint, unconstrained
+from repro.core.search_space import JointSearchSpace
 from repro.core.study import StudyError, StudySpec
 from repro.experiments.presets import resolve_spec
 from repro.parallel.ledger import (
@@ -21,6 +26,8 @@ from repro.parallel.ledger import (
     LedgerError,
     RunLedger,
 )
+from repro.search.random_search import RandomSearch
+from repro.search.runner import RepeatJob, run_grid
 from repro.server import StudyQueue
 
 
@@ -239,3 +246,46 @@ class TestStudyQueue:
             for earlier, later in zip(rows, rows[1:])
         ]
         assert all(gap < 1.0 for gap in gaps), gaps
+
+    def test_progress_reads_best_rewards_without_decoding(
+        self, tmp_path, micro4_bundle, monkeypatch
+    ):
+        queue = StudyQueue(tmp_path)
+        path = queue.study_ledger_path("st-x")
+        space = JointSearchSpace(cell_encoding=micro4_bundle.cell_encoding)
+        jobs = [
+            RepeatJob(
+                label=name,
+                strategy_factory=lambda seed: RandomSearch(space, seed=seed),
+                evaluator_factory=lambda sc=factory(micro4_bundle.bounds): (
+                    build_evaluator("database", sc, bundle=micro4_bundle,
+                                    platform=micro4_bundle.platform)
+                ),
+            )
+            for name, factory in (("c1", one_constraint), ("u", unconstrained))
+        ]
+        run_grid(jobs, num_steps=12, num_repeats=2, ledger=path)
+        ledger = RunLedger(path)
+        # A repeat without a feasible point reports None.
+        ledger.record_done(
+            "u", 2, replace(ledger.load_result("u", 0), archive=SearchArchive())
+        )
+
+        def best_reward(label, repeat):
+            best = ledger.load_result(label, repeat).best
+            return None if best is None else float(best.reward)
+
+        expected = {
+            "c1": [best_reward("c1", repeat) for repeat in range(2)],
+            "u": [best_reward("u", repeat) for repeat in range(3)],
+        }
+        assert expected["u"][2] is None
+
+        def no_decoding(*args, **kwargs):
+            raise AssertionError("progress decoded an archive entry")
+
+        monkeypatch.setattr(ArchiveEntry, "__init__", no_decoding)
+        progress = queue._progress("st-x")
+        assert {
+            label: job["best_rewards"] for label, job in progress["jobs"].items()
+        } == expected
