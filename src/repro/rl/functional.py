@@ -9,9 +9,9 @@ __all__ = ["softmax", "log_softmax", "sigmoid", "xavier_uniform", "entropy"]
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """Stable softmax along ``axis``."""
-    shifted = logits - np.max(logits, axis=axis, keepdims=True)
+    shifted = logits - logits.max(axis=axis, keepdims=True)
     exp = np.exp(shifted)
-    return exp / np.sum(exp, axis=axis, keepdims=True)
+    return exp / exp.sum(axis=axis, keepdims=True)
 
 
 def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -23,7 +23,8 @@ def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Stable logistic function: ``exp`` only ever sees ``-|x|``."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    denominator = 1.0 + e
+    return np.where(x >= 0, 1.0 / denominator, e / denominator)
 
 
 def entropy(probs: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -31,17 +31,23 @@ class LSTMState:
 
 @dataclass
 class LSTMCache:
-    """Forward intermediates needed by the backward pass."""
+    """Forward intermediates needed by the backward pass.
+
+    ``gates`` is the logistic function of the whole ``(batch, 4 *
+    hidden)`` gate pre-activation: its slabs are the ``i``, ``f`` and
+    ``o`` gates, in parameter order, and its ``g`` slab goes unused
+    (``g`` is ``tanh`` of that slab).  ``tanh_c`` is ``tanh(c)`` as the
+    forward pass computed it for ``h``; the backward pass reuses it.
+    """
 
     x: np.ndarray
     h_prev: np.ndarray
     c_prev: np.ndarray
-    i: np.ndarray
-    f: np.ndarray
+    gates: np.ndarray
     g: np.ndarray
-    o: np.ndarray
     c: np.ndarray
     h: np.ndarray
+    tanh_c: np.ndarray
 
 
 class LSTMCell:
@@ -65,17 +71,27 @@ class LSTMCell:
     def forward(
         self, x: np.ndarray, state: LSTMState
     ) -> tuple[LSTMState, LSTMCache]:
-        """One step; ``x`` has shape (batch, input_size)."""
+        """One step; ``x`` has shape (batch, input_size).
+
+        One :func:`sigmoid` runs over the whole gate pre-activation: the
+        function is elementwise, so each gate's slab holds the bits a
+        call on that slab alone would.
+        """
         hs = self.hidden_size
-        z = x @ self.params["wx"] + state.h @ self.params["wh"] + self.params["b"]
-        i = sigmoid(z[:, :hs])
-        f = sigmoid(z[:, hs: 2 * hs])
+        z = (
+            np.dot(x, self.params["wx"])
+            + np.dot(state.h, self.params["wh"])
+            + self.params["b"]
+        )
+        gates = sigmoid(z)
+        i, f, o = gates[:, :hs], gates[:, hs: 2 * hs], gates[:, 3 * hs:]
         g = np.tanh(z[:, 2 * hs: 3 * hs])
-        o = sigmoid(z[:, 3 * hs:])
         c = f * state.c + i * g
-        h = o * np.tanh(c)
+        tanh_c = np.tanh(c)
+        h = o * tanh_c
         cache = LSTMCache(
-            x=x, h_prev=state.h, c_prev=state.c, i=i, f=f, g=g, o=o, c=c, h=h
+            x=x, h_prev=state.h, c_prev=state.c, gates=gates, g=g, c=c, h=h,
+            tanh_c=tanh_c,
         )
         return LSTMState(h=h, c=c), cache
 
@@ -91,25 +107,33 @@ class LSTMCell:
         ``dh``/``dc`` are gradients w.r.t. this step's output state;
         returns ``(dx, dh_prev, dc_prev)`` and accumulates parameter
         gradients into ``grads`` (keys as in ``self.params``).
+
+        The gate gradients are written into one ``(batch, 4 * hidden)``
+        array, each in the order ``(d * s) * (1 - s)``.  The weight
+        gradients are added to ``grads`` here, one step at a time:
+        summing them over all steps first would round differently.
         """
-        i, f, g, o, c = cache.i, cache.f, cache.g, cache.o, cache.c
-        tanh_c = np.tanh(c)
-        do = dh * tanh_c
+        hs = self.hidden_size
+        gates, g, tanh_c = cache.gates, cache.g, cache.tanh_c
+        i, f, o = gates[:, :hs], gates[:, hs: 2 * hs], gates[:, 3 * hs:]
         dc_total = dc + dh * o * (1.0 - tanh_c**2)
-        df = dc_total * cache.c_prev
-        di = dc_total * g
-        dg = dc_total * i
         dc_prev = dc_total * f
 
-        dzi = di * i * (1.0 - i)
-        dzf = df * f * (1.0 - f)
-        dzg = dg * (1.0 - g**2)
-        dzo = do * o * (1.0 - o)
-        dz = np.concatenate([dzi, dzf, dzg, dzo], axis=1)
+        # di, df and do, then d * s * (1 - s) over every slab; the g slab
+        # is zero until dg * (1 - g**2) replaces it, so its product stays
+        # finite.
+        dz = np.empty((len(dh), 4 * hs))
+        np.multiply(dc_total, g, out=dz[:, :hs])
+        np.multiply(dc_total, cache.c_prev, out=dz[:, hs: 2 * hs])
+        dz[:, 2 * hs: 3 * hs] = 0.0
+        np.multiply(dh, tanh_c, out=dz[:, 3 * hs:])
+        dz *= gates
+        dz *= 1.0 - gates
+        np.multiply(dc_total * i, 1.0 - g**2, out=dz[:, 2 * hs: 3 * hs])
 
-        grads["wx"] += cache.x.T @ dz
-        grads["wh"] += cache.h_prev.T @ dz
+        grads["wx"] += np.dot(cache.x.T, dz)
+        grads["wh"] += np.dot(cache.h_prev.T, dz)
         grads["b"] += dz.sum(axis=0)
-        dx = dz @ self.params["wx"].T
-        dh_prev = dz @ self.params["wh"].T
+        dx = np.dot(dz, self.params["wx"].T)
+        dh_prev = np.dot(dz, self.params["wh"].T)
         return dx, dh_prev, dc_prev

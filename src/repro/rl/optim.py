@@ -10,7 +10,8 @@ between the vector and that layout.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -18,17 +19,21 @@ __all__ = ["Adam", "clip_grad_norm"]
 
 
 def clip_grad_norm(
-    grad: np.ndarray, parts: Iterable[np.ndarray], max_norm: float
+    grad: np.ndarray,
+    views: Callable[[np.ndarray], dict[str, np.ndarray]],
+    max_norm: float,
 ) -> float:
     """Scale ``grad`` in place so its global L2 norm <= ``max_norm``.
 
-    ``parts`` are the per-parameter views of ``grad``.  The squared
-    norm is summed one parameter at a time, in order: a whole-vector
+    ``views`` splits a vector laid out like ``grad`` into its named
+    per-parameter views.  ``grad`` is squared once; the squared norm is
+    then summed one parameter view at a time, in order: a whole-vector
     sum rounds differently in the last bits, which moves the clipping
     decision and hence search results.  ``max_norm == 0`` disables
     clipping.  Returns the pre-clip norm.
     """
-    total = float(np.sqrt(sum(float(np.sum(g**2)) for g in parts)))
+    squared = grad**2
+    total = float(np.sqrt(sum(float(part.sum()) for part in views(squared).values())))
     if max_norm > 0 and total > max_norm:
         grad *= max_norm / (total + 1e-12)
     return total
@@ -45,8 +50,8 @@ class Adam:
         beta2: float = 0.999,
         eps: float = 1e-8,
     ) -> None:
-        if lr <= 0:
-            raise ValueError("lr must be positive")
+        if not (math.isfinite(lr) and lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {lr}")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -54,15 +59,35 @@ class Adam:
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
+        self._scratch = np.empty(size)
+        self._step = np.empty(size)
 
-    def step(self, grad: np.ndarray) -> np.ndarray:
-        """Advance the moments by ``grad``; return the parameter delta."""
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        """Advance the moments by ``grad`` and move ``params`` in place.
+
+        ``params += -lr * m_hat / (sqrt(v_hat) + eps)``.  The moments
+        are updated in place and the step is built in reused buffers;
+        each operation keeps the order of the textbook expressions
+        (``m = b1 * m + (1 - b1) * g``, ...), so the bits do not depend
+        on the buffers.
+        """
         self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1 - self.beta2) * grad**2
-        m_hat = self.m / (1 - self.beta1**self.t)
-        v_hat = self.v / (1 - self.beta2**self.t)
-        return -self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        b1, b2 = self.beta1, self.beta2
+        scratch, step = self._scratch, self._step
+        self.m *= b1
+        np.multiply(grad, 1 - b1, out=scratch)
+        self.m += scratch
+        self.v *= b2
+        np.square(grad, out=scratch)
+        scratch *= 1 - b2
+        self.v += scratch
+        np.divide(self.v, 1 - b2**self.t, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += self.eps
+        np.divide(self.m, 1 - b1**self.t, out=step)
+        step *= -self.lr
+        step /= scratch
+        params += step
 
     def state_dict(
         self, views: Callable[[np.ndarray], dict[str, np.ndarray]]

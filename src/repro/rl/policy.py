@@ -100,6 +100,11 @@ class SequencePolicy:
                     (vocab, embedding_size)
                 )
         self._shapes = {k: v.shape for k, v in arrays.items()}
+        # Token positions grouped by vocabulary size, for backward_batch.
+        self._tokens_by_vocab = [
+            [t for t, size in enumerate(self.vocab_sizes) if size == vocab]
+            for vocab in sorted(set(self.vocab_sizes))
+        ]
         self.theta = np.concatenate([v.ravel() for v in arrays.values()])
         self.params = self.views(self.theta)
         self.cell.params = {k: self.params[f"lstm_{k}"] for k in self.cell.params}
@@ -157,8 +162,11 @@ class SequencePolicy:
 
         Each token is drawn with numpy's own ``Generator.choice(vocab,
         p=p)`` algorithm (normalized CDF, one uniform per rollout,
-        right-side search), vectorized over rollouts.  A batch of one
-        consumes the per-point controller's RNG stream, which the
+        right-side search), vectorized over rollouts.  All ``T * n``
+        uniforms come from one ``rng.random((T, n))``: the generator
+        fills it in C order, so token ``t`` reads the ``n`` doubles a
+        separate ``rng.random(n)`` per token would return.  A batch of
+        one consumes the per-point controller's RNG stream, which the
         batch-1 goldens (``tests/data/ask_tell_goldens.*``) pin, and
         every batch size draws the same token from the same uniform.
         """
@@ -166,6 +174,7 @@ class SequencePolicy:
             raise ValueError(f"batch size must be positive, got {n}")
         state = LSTMState.zeros(n, self.hidden_size)
         actions = np.empty((n, len(self.vocab_sizes)), dtype=np.int64)
+        uniforms = rng.random((len(self.vocab_sizes), n))
         caches: list[LSTMCache] = []
         probs: list[np.ndarray] = []
         for t in range(len(self.vocab_sizes)):
@@ -175,13 +184,14 @@ class SequencePolicy:
                 x = self.params[f"emb{t - 1}"][actions[:, t - 1]]
             state, cache = self.cell.forward(x, state)
             caches.append(cache)
-            logits = state.h @ self.params[f"head_w{t}"] + self.params[f"head_b{t}"]
+            logits = (
+                np.dot(state.h, self.params[f"head_w{t}"]) + self.params[f"head_b{t}"]
+            )
             p = softmax(logits, axis=-1)
             probs.append(p)
-            cdf = np.cumsum(p, axis=1)
+            cdf = p.cumsum(axis=1)
             cdf /= cdf[:, -1:]
-            u = rng.random(n)
-            actions[:, t] = (cdf <= u[:, None]).sum(axis=1)
+            actions[:, t] = (cdf <= uniforms[t][:, None]).sum(axis=1)
         return PolicyBatch(actions=actions, caches=caches, probs=probs)
 
     # ------------------------------------------------------------------
@@ -198,6 +208,11 @@ class SequencePolicy:
         log pi`` plus entropy regularization.  One reversed token sweep
         backpropagates every rollout of ``batch`` together, and the
         result is the mean over rollouts.
+
+        The result is pinned bit for bit
+        (``tests/rl/test_reference_controller.py``): each weight
+        gradient is accumulated one token at a time, in reverse token
+        order, and each product is one ``np.dot`` over the rollouts.
         """
         n = len(batch)
         advantages = np.asarray(advantages, dtype=np.float64)
@@ -207,22 +222,30 @@ class SequencePolicy:
         grads = self.views(grad)
         lstm_grads = {k: grads[f"lstm_{k}"] for k in self.cell.params}
         rows = np.arange(n)
+        # The logit gradients of all tokens of one vocabulary size at
+        # once, as a (tokens, n, vocab) stack: each term is elementwise
+        # or sums over one token's vocabulary, so stacking moves no bit.
+        token_dlogits: dict[int, np.ndarray] = {}
+        for tokens in self._tokens_by_vocab:
+            p = np.stack([batch.probs[t] for t in tokens])
+            # d(-adv * log p[a]) / dlogits = adv * (p - onehot(a))
+            dlogits = advantages[:, None] * p
+            taken = (np.arange(len(tokens))[:, None], rows, batch.actions[:, tokens].T)
+            dlogits[taken] -= advantages
+            if entropy_beta > 0.0:
+                # d(-beta * H) / dlogits = beta * p * (log p + H); a
+                # softmax output never exceeds 1, so only the floor binds.
+                log_p = np.log(np.maximum(p, 1e-12))
+                h_val = -(p * log_p).sum(axis=2, keepdims=True)
+                dlogits += entropy_beta * p * (log_p + h_val)
+            token_dlogits.update(zip(tokens, dlogits))
         dh_next = np.zeros((n, self.hidden_size))
         dc_next = np.zeros((n, self.hidden_size))
         for t in range(len(self.vocab_sizes) - 1, -1, -1):
-            p = batch.probs[t]
-            acts = batch.actions[:, t]
-            # d(-adv * log p[a]) / dlogits = adv * (p - onehot(a))
-            dlogits = advantages[:, None] * p
-            dlogits[rows, acts] -= advantages
-            if entropy_beta > 0.0:
-                # d(-beta * H) / dlogits = beta * p * (log p + H)
-                log_p = np.log(np.clip(p, 1e-12, 1.0))
-                h_val = -np.sum(p * log_p, axis=1, keepdims=True)
-                dlogits += entropy_beta * p * (log_p + h_val)
-            grads[f"head_w{t}"] += batch.caches[t].h.T @ dlogits
+            dlogits = token_dlogits[t]
+            grads[f"head_w{t}"] += np.dot(batch.caches[t].h.T, dlogits)
             grads[f"head_b{t}"] += dlogits.sum(axis=0)
-            dh = dlogits @ self.params[f"head_w{t}"].T + dh_next
+            dh = np.dot(dlogits, self.params[f"head_w{t}"].T) + dh_next
             dx, dh_prev, dc_prev = self.cell.backward_step(
                 dh, dc_next, batch.caches[t], lstm_grads
             )

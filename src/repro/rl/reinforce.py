@@ -10,6 +10,7 @@ expectation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,13 +31,25 @@ class ReinforceConfig:
     grad_clip: float = 5.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.baseline_momentum < 1.0:
-            raise ValueError("baseline_momentum must be in [0, 1)")
-        if self.entropy_beta < 0:
-            raise ValueError("entropy_beta must be non-negative")
-        if self.grad_clip < 0:
+        # Every check is written so that NaN fails it: a NaN or infinite
+        # learning rate makes theta non-finite after one update, and a
+        # NaN entropy_beta or grad_clip would silently turn its term off.
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(
-                f"grad_clip must be >= 0 (0 disables clipping), got {self.grad_clip}"
+                f"learning_rate must be finite and > 0, got {self.learning_rate}"
+            )
+        if not 0.0 <= self.baseline_momentum < 1.0:
+            raise ValueError(
+                f"baseline_momentum must be in [0, 1), got {self.baseline_momentum}"
+            )
+        if not (math.isfinite(self.entropy_beta) and self.entropy_beta >= 0):
+            raise ValueError(
+                f"entropy_beta must be finite and >= 0, got {self.entropy_beta}"
+            )
+        if not (math.isfinite(self.grad_clip) and self.grad_clip >= 0):
+            raise ValueError(
+                "grad_clip must be finite and >= 0 (0 disables clipping), "
+                f"got {self.grad_clip}"
             )
 
 
@@ -98,7 +111,7 @@ class ReinforceTrainer:
         grad = self.policy.backward_batch(
             batch, advantages, entropy_beta=self.config.entropy_beta
         )
-        clip_grad_norm(grad, self.policy.views(grad).values(), self.config.grad_clip)
-        self.policy.theta += self.optimizer.step(grad)
+        clip_grad_norm(grad, self.policy.views, self.config.grad_clip)
+        self.optimizer.step(self.policy.theta, grad)
         self.num_updates += 1
         return advantages

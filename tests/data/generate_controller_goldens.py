@@ -20,11 +20,19 @@ do not cover:
   schedule saves and the md5 over every one of them in order (not only
   the last), at batch 1, 4 and 8, at cadences 1, 3 and 7, under a
   ``num_steps`` cap, and over a schedule whose every rung runs to
-  ``max_steps`` -- the rung cursor and per-rung archives byte for byte.
+  ``max_steps`` -- the rung cursor and per-rung archives byte for byte;
+* ``fig7/...``: the reward-trace and visit digests of the Section IV
+  flow -- the ``fig7`` preset's threshold schedule scored by the
+  ``cifar100-trainer`` source over the default 34-token
+  :class:`~repro.core.search_space.JointSearchSpace` (7-vertex cells),
+  run as :func:`~repro.core.study.run_study` runs its one repeat -- at
+  batch 1 and 4, seeds 0 and 1.  ``fig7/b1/0`` checkpoints every batch
+  and also pins the number of saves and the md5 over every one of them.
 
 The goldens were generated before the controller was packed into one
 parameter vector (the ``checkpoint/threshold`` cases before the
-schedule moved onto the shared run driver);
+schedule moved onto the shared run driver, the ``fig7`` cases before
+the controller's hot path was rewritten);
 ``tests/search/test_controller_goldens.py`` replays every case through
 :func:`run_case` and compares.  Do not regenerate casually: new goldens
 only prove self-consistency of the current code.
@@ -43,7 +51,9 @@ import numpy as np
 from repro.core.evaluator import build_evaluator
 from repro.core.scenarios import PAPER_SCENARIOS, unconstrained
 from repro.core.search_space import JointSearchSpace
-from repro.experiments.common import load_bundle
+from repro.core.study import build_study
+from repro.experiments.common import Scale, load_bundle
+from repro.experiments.fig7 import fig7_spec
 from repro.parallel import MemoryCheckpoint
 from repro.search.combined import CombinedSearch
 from repro.search.phase import PhaseSearch
@@ -79,6 +89,12 @@ THRESHOLD_CHECKPOINT_RUNS = {
     "full-b1-every7": (FULL_RUNGS, 1, 7, None),
 }
 
+#: The rung ladder of the ``fig7/...`` cases: two rungs, so every run
+#: crosses a threshold change.
+FIG7_RUNGS = [ThresholdRung(2.0, 30, 60), ThresholdRung(16.0, 30, 60)]
+#: The ``fig7/...`` case that also pins every checkpoint it saves.
+FIG7_CHECKPOINT_CASE = "fig7/b1/0"
+
 
 class SaveLog(MemoryCheckpoint):
     """A :class:`MemoryCheckpoint` that keeps every blob it saves."""
@@ -90,6 +106,17 @@ class SaveLog(MemoryCheckpoint):
     def save(self, state: dict) -> None:
         super().save(state)
         self.blobs.append(self._blob)
+
+    def checkpoint(self, label: str, repeat: int) -> "SaveLog":
+        """Stand in for a ledger: every task saves into this log."""
+        return self
+
+    def digests(self) -> dict[str, str | int]:
+        """The number of saves and the md5 over all of them, in order."""
+        digest = hashlib.md5()
+        for blob in self.blobs:
+            digest.update(blob.encode() + b"\n")
+        return {"saves": len(self.blobs), "checkpoints": digest.hexdigest()}
 
 
 def visit_digest(archive) -> str:
@@ -125,13 +152,36 @@ def case_names() -> list[str]:
         for batch in (1, 4)
     ]
     names += [f"checkpoint/threshold/{case}" for case in THRESHOLD_CHECKPOINT_RUNS]
+    names += [f"fig7/b{batch}/{seed}" for batch in (1, 4) for seed in (0, 1)]
     return names
+
+
+def run_fig7_case(name: str) -> dict[str, str | int]:
+    """One ``fig7/b<batch>/<seed>`` case, run as ``run_study`` runs it."""
+    batch, seed = name.split("/")[1:]
+    spec = fig7_spec(Scale.named("smoke"), seed=int(seed), rungs=FIG7_RUNGS)
+    (job,) = build_study(spec).jobs
+    log = SaveLog() if name == FIG7_CHECKPOINT_CASE else None
+    result = job.run(
+        0,
+        num_steps=spec.execution.num_steps,
+        master_seed=int(seed),
+        batch_size=int(batch[1:]),
+        checkpoint_every=1,
+        ledger=log,
+    )
+    digests = trace_digests(result)
+    if log is not None:
+        digests.update(log.digests())
+    return digests
 
 
 def run_case(name: str, bundle) -> dict[str, str | int]:
     """The digests of one golden case, computed by the current code."""
     space = JointSearchSpace(cell_encoding=bundle.cell_encoding)
     kind, *rest = name.split("/")
+    if kind == "fig7":
+        return run_fig7_case(name)
     if kind == "batch16":
         strategy, scenario, seed = rest
         evaluator = build_evaluator(
@@ -168,10 +218,7 @@ def run_case(name: str, bundle) -> dict[str, str | int]:
             checkpoint=log,
             checkpoint_every=every,
         )
-        digest = hashlib.md5()
-        for blob in log.blobs:
-            digest.update(blob.encode() + b"\n")
-        return {"saves": len(log.blobs), "checkpoints": digest.hexdigest()}
+        return log.digests()
     if kind == "checkpoint":
         strategy, batch = rest
         steps = CHECKPOINT_STEPS

@@ -60,6 +60,14 @@ class TestLearning:
             ReinforceConfig(grad_clip=-1.0)
         assert ReinforceConfig(grad_clip=0.0).grad_clip == 0.0
 
+    @pytest.mark.parametrize(
+        "field", ["learning_rate", "baseline_momentum", "entropy_beta", "grad_clip"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_values_refused(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ReinforceConfig(**{field: value})
+
 
 class TestUpdateBatch:
     def _fresh(self, seed=0):

@@ -20,6 +20,8 @@ from repro.search.registry import (
 )
 from repro.search.threshold_schedule import ThresholdRung, ThresholdScheduleSearch
 
+NAN, INF = float("nan"), float("inf")
+
 
 class TestRegistry:
     def test_all_six_registered(self):
@@ -138,6 +140,13 @@ class TestFromParams:
             ("combined", {"hidden_size": 0}, "hidden_size"),
             ("phase", {"embedding_size": 0}, "embedding_size"),
             ("separate", {"reinforce_config": {"grad_clip": -1}}, "grad_clip"),
+            # JSON reads NaN and Infinity, and NaN passes a "< 0" check.
+            ("combined", {"reinforce_config": {"learning_rate": NAN}}, "learning_rate"),
+            ("threshold-schedule", {"reinforce_config": {"learning_rate": INF}}, "learning_rate"),
+            ("phase", {"reinforce_config": {"entropy_beta": NAN}}, "entropy_beta"),
+            ("separate", {"reinforce_config": {"entropy_beta": INF}}, "entropy_beta"),
+            ("threshold-schedule", {"reinforce_config": {"grad_clip": NAN}}, "grad_clip"),
+            ("combined", {"reinforce_config": {"grad_clip": INF}}, "grad_clip"),
         ],
     )
     def test_controller_sizes_and_clip_range_checked(self, name, params, field):

@@ -176,6 +176,18 @@ class TestHTTPAPI:
                 client.submit({"name": "x", "bogus": 1})
             assert excinfo.value.status == 400
             assert "bogus" in str(excinfo.value)
+            # 400: a controller value JSON can carry but no run can use.
+            nan_spec = {
+                **resolve_spec("smoke").to_dict(),
+                "strategies": [
+                    {"name": "combined",
+                     "params": {"reinforce_config": {"learning_rate": float("nan")}}}
+                ],
+            }
+            with pytest.raises(ServerError) as excinfo:
+                client.submit(nan_spec)
+            assert excinfo.value.status == 400
+            assert "learning_rate must be finite" in str(excinfo.value)
             # 400: non-object body.
             with pytest.raises(ServerError) as excinfo:
                 client._request("POST", "/studies", payload=[1, 2])

@@ -183,6 +183,22 @@ class TestStudyCommand:
         assert exit_info.value.code == 2
         assert "hidden_size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["learning_rate", "entropy_beta", "grad_clip"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_controller_value_in_a_spec_file(self, tmp_path, capsys, field, value):
+        # JSON reads NaN and Infinity, so a spec file can carry them.
+        strategies = [{"name": "combined", "params": {"reinforce_config": {field: value}}}]
+        spec_file = tmp_path / "nan.json"
+        spec_file.write_text(
+            json.dumps({**get_preset("smoke").to_dict(), "strategies": strategies})
+        )
+        with pytest.raises(SystemExit) as exit_info:
+            main(["study", "show", str(spec_file)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{field} must be finite" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["show", "run"])
     def test_two_tier_threshold_schedule_is_a_usage_error(self, command, capsys):
         # The schedule re-arms its reward at every rung, so two-tier
