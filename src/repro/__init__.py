@@ -18,9 +18,9 @@ Package map: :mod:`repro.nasbench` (CNN search space),
 (metrics/reward/evaluator/Pareto), :mod:`repro.rl` (numpy REINFORCE),
 :mod:`repro.search` (combined/phase/separate strategies + the repeat
 engine), :mod:`repro.parallel` (process fan-out + persistent eval
-cache), :mod:`repro.nn` (numpy NN substrate), :mod:`repro.training`
-(training oracles), :mod:`repro.experiments` (per-table/figure
-harness), :mod:`repro.utils` (rng/serialization/tables/registry).
+cache), :mod:`repro.training` (training oracles),
+:mod:`repro.experiments` (per-table/figure harness), :mod:`repro.utils`
+(rng/serialization/tables/registry).
 See ``docs/architecture.md`` for the module-by-module tour.
 """
 

@@ -6,8 +6,8 @@ Given a proposed (cell, accelerator) pair the evaluator:
    disconnected or over-budget graph) — these earn the punishment;
 2. reads the cell's accuracy from its accuracy source — a
    :class:`repro.nasbench.CellDatabase` (the NASBench-style flow of
-   Section III), any callable such as a surrogate or real trainer
-   (the CIFAR-100 flow of Section IV);
+   Section III) or any callable, such as the CIFAR-10 surrogate or
+   the cached CIFAR-100 trainer (the flow of Section IV);
 3. compiles the cell and asks its :class:`repro.hw.HardwarePlatform`
    for latency and area;
 4. maps the metric vector through the scenario's reward function.
@@ -551,11 +551,15 @@ def hardware_namespace(namespace: str, platform: HardwarePlatform | None) -> str
     return f"{namespace}@{platform.cache_namespace()}"
 
 
-def _build_database(reward_config, params, bundle=None, store=None, platform=None):
+def _database_skeleton(params) -> SkeletonConfig:
     params = _check_params("database", params, ("skeleton",))
-    skeleton = _skeleton_from(params, CIFAR10_SKELETON)
+    return _skeleton_from(params, CIFAR10_SKELETON)
+
+
+def _build_database(reward_config, params, bundle=None, store=None, platform=None):
     evaluator = CodesignEvaluator.from_database(
-        bundle.database, reward_config, skeleton=skeleton, platform=platform
+        bundle.database, reward_config, skeleton=_database_skeleton(params),
+        platform=platform,
     )
     # The bundle's precomputed latency matrix is only valid for the
     # platform and skeleton that enumerated it; anything else schedules
@@ -569,6 +573,7 @@ def _build_database(reward_config, params, bundle=None, store=None, platform=Non
 
 
 def _database_namespace(params, bundle=None):
+    _database_skeleton(params)  # refuses what the builder refuses, bundle or not
     base = (
         "study/database"
         if bundle is None
@@ -580,15 +585,19 @@ def _database_namespace(params, bundle=None):
 _SURROGATE_FIELDS = ("seed", "noise_std", "ceiling", "floor")
 
 
-def _build_surrogate(reward_config, params, bundle=None, store=None, platform=None):
+def _surrogate_from(params) -> tuple[Cifar10Surrogate, SkeletonConfig]:
     params = _check_params("surrogate", params, _SURROGATE_FIELDS + ("skeleton",))
     skeleton = _skeleton_from(params, CIFAR10_SKELETON)
     try:
-        surrogate = Cifar10Surrogate(**params)
+        return Cifar10Surrogate(**params), skeleton
     except (TypeError, ValueError) as err:
         raise AccuracySourceError(
             f"accuracy source 'surrogate': bad params {params!r}: {err}"
         ) from err
+
+
+def _build_surrogate(reward_config, params, bundle=None, store=None, platform=None):
+    surrogate, skeleton = _surrogate_from(params)
     evaluator = CodesignEvaluator.from_surrogate(
         reward_config, surrogate=surrogate, skeleton=skeleton, platform=platform
     )
@@ -597,9 +606,7 @@ def _build_surrogate(reward_config, params, bundle=None, store=None, platform=No
 
 
 def _surrogate_namespace(params, bundle=None):
-    surrogate = Cifar10Surrogate(
-        **{k: v for k, v in (params or {}).items() if k in _SURROGATE_FIELDS}
-    )
+    surrogate, _ = _surrogate_from(params)
     return (
         f"study/surrogate/seed{surrogate.seed}/noise{surrogate.noise_std:g}"
         f"/clip{surrogate.floor:g}-{surrogate.ceiling:g}"
@@ -617,23 +624,28 @@ _TRAINER_FIELDS = (
 )
 
 
-def _build_cifar100_trainer(
-    reward_config, params, bundle=None, store=None, platform=None
-):
+def _trainer_from(params):
     # Training-stack imports stay function-local: the training layer
     # sits above core in the dependency graph.
     from repro.nasbench.skeleton import CIFAR100_SKELETON
-    from repro.training.cache import CachedTrainer
     from repro.training.surrogate_trainer import SurrogateCifar100Trainer
 
     params = _check_params("cifar100-trainer", params, _TRAINER_FIELDS + ("skeleton",))
     skeleton = _skeleton_from(params, CIFAR100_SKELETON)
     try:
-        trainer = SurrogateCifar100Trainer(**params)
+        return SurrogateCifar100Trainer(**params), skeleton
     except (TypeError, ValueError) as err:
         raise AccuracySourceError(
             f"accuracy source 'cifar100-trainer': bad params {params!r}: {err}"
         ) from err
+
+
+def _build_cifar100_trainer(
+    reward_config, params, bundle=None, store=None, platform=None
+):
+    from repro.training.cache import CachedTrainer
+
+    trainer, skeleton = _trainer_from(params)
     cached = CachedTrainer(trainer, store=store, namespace=trainer.cache_namespace())
     evaluator = CodesignEvaluator(
         accuracy_fn=cached.accuracy_fn, reward_config=reward_config,
@@ -648,11 +660,7 @@ def _build_cifar100_trainer(
 
 
 def _cifar100_trainer_namespace(params, bundle=None):
-    from repro.training.surrogate_trainer import SurrogateCifar100Trainer
-
-    trainer = SurrogateCifar100Trainer(
-        **{k: v for k, v in (params or {}).items() if k in _TRAINER_FIELDS}
-    )
+    trainer, _ = _trainer_from(params)
     return trainer.cache_namespace() + _skeleton_token(params)
 
 

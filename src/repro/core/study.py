@@ -669,10 +669,16 @@ class StudySpec:
         construct, so their param values are validated by building one:
         a value a constructor refuses fails here, not mid-run, and so
         does ``execution.surrogate`` with a strategy whose
-        ``supports_two_tier`` is false.  Returns ``self`` so call sites
-        can chain.
+        ``supports_two_tier`` is false.  The accuracy source's params
+        are checked by resolving its cache namespace without a bundle:
+        each built-in source's namespace function refuses the names and
+        values its builder refuses.  Returns ``self`` so call sites can
+        chain.
         """
-        from repro.core.evaluator import AccuracySourceError, get_accuracy_source
+        from repro.core.evaluator import (
+            AccuracySourceError,
+            accuracy_source_namespace,
+        )
         from repro.hw import HardwarePlatformError, build_platform
         from repro.search.registry import (
             StrategyError,
@@ -701,7 +707,7 @@ class StudySpec:
             except ScenarioError as err:
                 raise StudyError(f"study {self.name!r}: {err}") from None
         try:
-            get_accuracy_source(self.evaluator.source)
+            accuracy_source_namespace(self.evaluator.source, self.evaluator.params)
         except AccuracySourceError as err:
             raise StudyError(f"study {self.name!r}: {err}") from None
         try:

@@ -1,12 +1,9 @@
 """Lower a :class:`ModelSpec` + skeleton into a concrete op-level IR.
 
-The compiled :class:`NetworkIR` is the single source of truth consumed
-by *both* halves of the codesign system:
-
-* the accelerator latency model schedules ``NetworkIR.ops`` onto
-  engines (see :mod:`repro.accelerator.scheduler`);
-* the numpy NN builder instantiates the same ops as runnable layers
-  (see :mod:`repro.nn.builder`).
+The compiled :class:`NetworkIR` is what the hardware models schedule:
+the accelerator latency model maps ``NetworkIR.ops`` onto engines (see
+:mod:`repro.accelerator.scheduler`).  The cell features behind the
+accuracy surrogates also read its parameter and MAC totals.
 
 Lowering follows NASBench-101's ``build_module`` exactly:
 

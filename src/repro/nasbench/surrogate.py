@@ -21,6 +21,8 @@ preserves the statistical shape the search and Pareto analyses consume.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +34,9 @@ from repro.nasbench.ops import CONV1X1, CONV3X3, MAXPOOL3X3
 from repro.nasbench.skeleton import CIFAR10_SKELETON, SkeletonConfig
 from repro.utils.rng import hash_seed
 
-__all__ = ["CellFeatures", "extract_features", "Cifar10Surrogate"]
+__all__ = [
+    "CellFeatures", "extract_features", "Cifar10Surrogate", "check_accuracy_fields",
+]
 
 
 @dataclass(frozen=True)
@@ -96,6 +100,32 @@ def extract_features(
     )
 
 
+def check_accuracy_fields(source, *non_negative: str) -> None:
+    """Refuse field values of an accuracy surrogate that corrupt results.
+
+    Each field named in ``non_negative`` must hold a finite number
+    >= 0, and the accuracy clip must satisfy
+    ``0 <= floor <= ceiling <= 100``.  Raises :class:`ValueError` naming
+    the field: a NaN ``noise_std`` would make every accuracy NaN, a
+    negative one fails inside NumPy mid-run, and a floor above the
+    ceiling pins every accuracy to the ceiling.
+    """
+    bounds = [(name, 0.0, math.inf) for name in non_negative]
+    for name, low, high in bounds + [("floor", 0.0, 100.0), ("ceiling", 0.0, 100.0)]:
+        value = getattr(source, name)
+        if not (
+            isinstance(value, numbers.Real)
+            and math.isfinite(value)
+            and low <= value <= high
+        ):
+            limits = f">= {low:g}" if high == math.inf else f"in [{low:g}, {high:g}]"
+            raise ValueError(f"{name} must be a finite number {limits}, got {value!r}")
+    if source.floor > source.ceiling:
+        raise ValueError(
+            f"floor ({source.floor!r}) must not exceed ceiling ({source.ceiling!r})"
+        )
+
+
 @dataclass(frozen=True)
 class Cifar10Surrogate:
     """Deterministic CIFAR-10 validation/test accuracy + training time.
@@ -108,12 +138,19 @@ class Cifar10Surrogate:
     noise_std:
         Std-dev (percentage points) of the per-cell training noise.
         NASBench's run-to-run validation std is a few tenths of a point.
+    floor, ceiling:
+        Validation accuracies are clipped to ``[floor, ceiling]``
+        (percent); see :func:`check_accuracy_fields` for the values
+        refused.
     """
 
     seed: int = 101
     noise_std: float = 0.25
     ceiling: float = 95.1
     floor: float = 80.0
+
+    def __post_init__(self) -> None:
+        check_accuracy_fields(self, "noise_std")
 
     # --- calibrated response surface -----------------------------------
     def _mean_accuracy(self, f: CellFeatures) -> float:

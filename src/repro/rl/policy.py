@@ -11,7 +11,6 @@ included, is a named view into one float64 vector
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -99,7 +98,13 @@ class SequencePolicy:
                 arrays[f"emb{t}"] = 0.1 * rng.standard_normal(
                     (vocab, embedding_size)
                 )
-        self._shapes = {k: v.shape for k, v in arrays.items()}
+        # Where each named parameter sits in theta, in theta's order:
+        # (name, start, stop, shape), computed once.
+        self._layout = []
+        offset = 0
+        for name, value in arrays.items():
+            self._layout.append((name, offset, offset + value.size, value.shape))
+            offset += value.size
         # Token positions grouped by vocabulary size, for backward_batch.
         self._tokens_by_vocab = [
             [t for t, size in enumerate(self.vocab_sizes) if size == vocab]
@@ -112,13 +117,10 @@ class SequencePolicy:
     # ------------------------------------------------------------------
     def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
         """Named views into ``vector``, laid out like :attr:`theta`."""
-        out = {}
-        offset = 0
-        for name, shape in self._shapes.items():
-            size = math.prod(shape)
-            out[name] = vector[offset: offset + size].reshape(shape)
-            offset += size
-        return out
+        return {
+            name: vector[start:stop].reshape(shape)
+            for name, start, stop, shape in self._layout
+        }
 
     def pack(self, arrays: dict[str, np.ndarray]) -> np.ndarray:
         """One vector laid out like :attr:`theta` from named arrays.
@@ -127,14 +129,15 @@ class SequencePolicy:
         differently-shaped policy (other vocab sizes, hidden or
         embedding width) are rejected rather than silently truncated.
         """
-        if set(arrays) != set(self._shapes):
-            missing = sorted(set(self._shapes) - set(arrays))
-            extra = sorted(set(arrays) - set(self._shapes))
+        names = {name for name, *_ in self._layout}
+        if set(arrays) != names:
+            missing = sorted(names - set(arrays))
+            extra = sorted(set(arrays) - names)
             raise ValueError(
                 f"policy checkpoint mismatch: missing {missing}, unexpected {extra}"
             )
         parts = []
-        for key, shape in self._shapes.items():
+        for key, _, _, shape in self._layout:
             value = np.asarray(arrays[key], dtype=np.float64)
             if value.shape != shape:
                 raise ValueError(

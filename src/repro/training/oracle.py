@@ -1,8 +1,9 @@
 """Training-oracle interface: what "train this CNN and score it" returns.
 
 Section IV has no precomputed database — every sampled cell is trained
-from scratch.  Anything that can do that (the surrogate below, or the
-real numpy trainer) implements :class:`TrainingOracle`.
+from scratch.  Anything that can do that implements
+:class:`TrainingOracle`; this repo ships the calibrated surrogate
+:class:`repro.training.surrogate_trainer.SurrogateCifar100Trainer`.
 """
 
 from __future__ import annotations

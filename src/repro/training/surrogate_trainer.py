@@ -32,7 +32,11 @@ import numpy as np
 
 from repro.nasbench.known_cells import KNOWN_CELLS
 from repro.nasbench.model_spec import ModelSpec
-from repro.nasbench.surrogate import CellFeatures, extract_features
+from repro.nasbench.surrogate import (
+    CellFeatures,
+    check_accuracy_fields,
+    extract_features,
+)
 from repro.training.oracle import TrainOutcome
 from repro.utils.rng import hash_seed
 
@@ -75,6 +79,9 @@ class SurrogateCifar100Trainer:
     _anchor_offsets: dict[str, float] = field(default_factory=dict, init=False)
 
     def __post_init__(self) -> None:
+        check_accuracy_fields(
+            self, "noise_std", "gpu_hours_base", "gpu_hours_per_gmac"
+        )
         for name, target in CIFAR100_ANCHORS.items():
             spec = KNOWN_CELLS[name]()
             surface = _surface(extract_features(spec))

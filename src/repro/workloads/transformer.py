@@ -253,14 +253,18 @@ def analytic_accuracy(spec: TransformerSpec) -> float | None:
     return _FLOOR + (_CEILING - _FLOOR) * (1.0 - math.exp(-2.5 * quality))
 
 
-def _build_transformer_analytic(
-    reward_config, params, bundle=None, store=None, platform=None
-):
+def _refuse_params(params) -> None:
     if params:
         raise AccuracySourceError(
             "accuracy source 'transformer-analytic' takes no parameters; "
             f"got {sorted(params)}"
         )
+
+
+def _build_transformer_analytic(
+    reward_config, params, bundle=None, store=None, platform=None
+):
+    _refuse_params(params)
     evaluator = CodesignEvaluator(
         analytic_accuracy, reward_config, platform=platform
     )
@@ -269,8 +273,15 @@ def _build_transformer_analytic(
     return evaluator
 
 
+def _transformer_analytic_namespace(params, bundle=None):
+    _refuse_params(params)
+    return "study/transformer-analytic"
+
+
 register_accuracy_source(
-    "transformer-analytic", _build_transformer_analytic
+    "transformer-analytic",
+    _build_transformer_analytic,
+    _transformer_analytic_namespace,
 )
 
 

@@ -9,7 +9,6 @@ from repro.accelerator.config import AcceleratorConfig
 from repro.accelerator.space import AcceleratorSpace
 from repro.experiments.common import load_bundle
 from repro.nasbench.known_cells import KNOWN_CELLS
-from repro.nasbench.skeleton import SkeletonConfig
 
 
 @pytest.fixture
@@ -37,20 +36,6 @@ def known_cell(request):
 @pytest.fixture
 def default_config() -> AcceleratorConfig:
     return AcceleratorConfig()
-
-
-@pytest.fixture
-def tiny_skeleton() -> SkeletonConfig:
-    """A skeleton small enough for real numpy training in tests."""
-    return SkeletonConfig(
-        input_height=8,
-        input_width=8,
-        input_channels=2,
-        stem_channels=4,
-        num_stacks=2,
-        cells_per_stack=1,
-        num_classes=3,
-    )
 
 
 def sample_configs(n: int, seed: int = 0) -> list[AcceleratorConfig]:

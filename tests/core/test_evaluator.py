@@ -435,6 +435,47 @@ class TestAccuracySourceRegistry:
             )
             assert plain != stacked, source
 
+    def test_default_namespaces_pinned(self):
+        # Shared eval-cache rows are keyed by these strings; a change
+        # would orphan every cached row and ledger pin.
+        from repro.core.evaluator import accuracy_source_namespace
+
+        assert {
+            source: accuracy_source_namespace(source)
+            for source in (
+                "database", "surrogate", "cifar100-trainer", "transformer-analytic",
+            )
+        } == {
+            "database": "study/database",
+            "surrogate": "study/surrogate/seed101/noise0.25/clip80-95.1",
+            "cifar100-trainer": (
+                "train/cifar100/seed100/noise0.3/gpu0.45+0.45/clip55-76.5"
+            ),
+            "transformer-analytic": "study/transformer-analytic",
+        }
+
+    @pytest.mark.parametrize(
+        "source, params",
+        [
+            ("surrogate", {"seed": 7}),
+            ("surrogate", {"noise_std": 0.0}),
+            ("surrogate", {"floor": 0, "ceiling": 100}),
+            ("cifar100-trainer", {"seed": 7}),
+            ("cifar100-trainer", {"noise_std": 0.0}),
+            ("cifar100-trainer", {"gpu_hours_base": 0.0}),
+            ("cifar100-trainer", {"gpu_hours_per_gmac": 0.0}),
+            ("cifar100-trainer", {"floor": 76.5}),
+        ],
+    )
+    def test_boundary_params_accepted_and_pin_the_namespace(self, source, params):
+        # The spec-time check refuses no value the builder accepts, and
+        # each outcome-affecting param keys cache rows of its own.
+        from repro.core.evaluator import accuracy_source_namespace
+
+        assert accuracy_source_namespace(source, params) != (
+            accuracy_source_namespace(source)
+        )
+
     def test_bad_skeleton_field_rejected(self):
         from repro.core.evaluator import AccuracySourceError, build_evaluator
 

@@ -166,6 +166,33 @@ class TestValidation:
         with pytest.raises(StudyError, match="unknown accuracy source 'oracle'"):
             StudySpec.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "source, params, field",
+        [
+            ("surrogate", {"bogus": 1}, "bogus"),
+            ("database", {"bogus": 1}, "bogus"),
+            ("database", {"skeleton": {"num_stacks": 0}}, "skeleton"),
+            ("surrogate", {"noise_std": -1.0}, "noise_std"),
+            ("cifar100-trainer", {"noise_std": -1.0}, "noise_std"),
+            ("surrogate", {"noise_std": float("nan")}, "noise_std"),
+            ("cifar100-trainer", {"noise_std": float("nan")}, "noise_std"),
+            ("surrogate", {"floor": -5}, "floor"),
+            ("surrogate", {"ceiling": 150}, "ceiling"),
+            ("surrogate", {"floor": 96}, "floor"),
+            ("cifar100-trainer", {"floor": 80}, "floor"),
+            ("cifar100-trainer", {"gpu_hours_base": -1.0}, "gpu_hours_base"),
+            ("cifar100-trainer", {"gpu_hours_per_gmac": float("inf")}, "per_gmac"),
+            ("transformer-analytic", {"seed": 1}, "takes no parameters"),
+        ],
+    )
+    def test_bad_evaluator_params_rejected_at_spec_time(self, source, params, field):
+        # An unknown name, or a value the source's constructor refuses,
+        # fails here, not mid-run (or, worse, as NaN or pinned rewards).
+        data = self.base()
+        data["evaluator"] = {"source": source, "params": params}
+        with pytest.raises(StudyError, match=f"study 'x'.*{field}"):
+            StudySpec.from_dict(data)
+
     def test_unknown_top_level_field(self):
         data = self.base()
         data["strategy"] = []

@@ -3,13 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.evaluator import CodesignEvaluator, build_evaluator
+from repro.core.evaluator import build_evaluator
 from repro.core.scenarios import one_constraint, unconstrained
 from repro.core.search_space import JointSearchSpace
-from repro.nasbench.skeleton import CIFAR10_SKELETON
 from repro.search.combined import CombinedSearch
-from repro.training.cache import CachedTrainer
-from repro.training.numpy_trainer import TOY_SKELETON, NumpyTrainerOracle
 
 
 class TestSearchVsEnumeration:
@@ -72,33 +69,6 @@ class TestSearchVsEnumeration:
         )
         result = CombinedSearch(space, seed=5).run(evaluator, 400)
         assert result.best.reward >= best_possible - 0.05
-
-
-class TestRealTrainerInTheLoop:
-    def test_codesign_search_over_numpy_trainer(self):
-        """The full paper loop with *real* training as the oracle."""
-        oracle = CachedTrainer(
-            NumpyTrainerOracle(
-                seed=0,
-                n_train=96,
-                n_test=32,
-            )
-        )
-        from repro.core.reward import MetricBounds
-
-        bounds = MetricBounds(accuracy=(20.0, 100.0))
-        evaluator = CodesignEvaluator(
-            accuracy_fn=oracle.accuracy_fn,
-            reward_config=unconstrained(bounds),
-            skeleton=TOY_SKELETON,
-        )
-        space = JointSearchSpace()
-        result = CombinedSearch(space, seed=2).run(evaluator, 6)
-        assert len(result.archive) == 6
-        assert oracle.unique_cells_trained >= 1
-        feasible = result.archive.feasible_entries()
-        if feasible:
-            assert all(e.metrics.accuracy > 0 for e in feasible)
 
 
 class TestDeterminism:

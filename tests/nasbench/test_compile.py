@@ -86,6 +86,64 @@ class TestArithmetic:
         convs = [op for op in ir.ops if op.kind == O.KIND_CONV3X3]
         assert {op.out_channels for op in convs} == {128, 256, 512}
 
+    def test_resnet_params_match_hand_count(self):
+        def cell(cin, c):
+            # Input projection and skip projection (1x1), two conv3x3;
+            # every conv carries batch norm (2 per output channel).
+            return 2 * (cin * c + 2 * c) + 2 * (9 * c * c + 2 * c)
+
+        expected = (
+            9 * 3 * 128 + 2 * 128
+            + 3 * cell(128, 128)
+            + cell(128, 256) + 2 * cell(256, 256)
+            + cell(256, 512) + 2 * cell(512, 512)
+            + 512 * 10 + 10
+        )
+        assert compile_network(resnet_cell(), CIFAR10_SKELETON).total_params == expected
+
+
+#: Skeletons whose channel counts split unevenly between a cell's
+#: branches, or whose stacks hold a single cell, beside the default.
+SKELETONS = {
+    "cifar10": CIFAR10_SKELETON,
+    "tiny": SkeletonConfig(
+        input_height=8, input_width=8, input_channels=2, stem_channels=4,
+        num_stacks=2, cells_per_stack=1, num_classes=3,
+    ),
+    "odd": SkeletonConfig(
+        input_height=16, input_width=16, stem_channels=10,
+        num_stacks=3, cells_per_stack=2, num_classes=7,
+    ),
+}
+
+
+class TestShapes:
+    @pytest.mark.parametrize("skeleton", sorted(SKELETONS))
+    def test_every_op_reads_what_its_deps_produce(self, known_cell, skeleton):
+        sk = SKELETONS[skeleton]
+        ir = compile_network(known_cell, sk)
+        stem, gap, dense = ir.ops[0], ir.ops[-2], ir.ops[-1]
+        assert (stem.in_channels, stem.height, stem.width) == (
+            sk.input_channels, sk.input_height, sk.input_width,
+        )
+        assert dense.deps == (gap.index,)
+        assert (dense.in_channels, dense.out_channels) == (
+            gap.out_channels, sk.num_classes,
+        )
+        for op in ir.ops[1:-1]:
+            deps = [ir.ops[d] for d in op.deps]
+            assert deps, op.name
+            for dep in deps:
+                assert (dep.out_height, dep.out_width) == (op.height, op.width), op.name
+            if op.kind == O.KIND_CONCAT:
+                assert sum(dep.out_channels for dep in deps) == op.out_channels, op.name
+            elif op.kind in (O.KIND_PROJ1X1, O.KIND_DOWNSAMPLE, O.KIND_GAP):
+                # The cell input and the stack boundary are never truncated.
+                assert deps[0].out_channels == op.in_channels, op.name
+            else:
+                # Interior edges may only truncate channels, never grow them.
+                assert all(dep.out_channels >= op.in_channels for dep in deps), op.name
+
 
 class TestSignaturesAndBytes:
     def test_signature_fields(self):

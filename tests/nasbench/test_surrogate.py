@@ -79,6 +79,45 @@ class TestAccuracy:
         assert s.test_accuracy(spec) < s.validation_accuracy(spec)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestFieldChecks:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("noise_std", -0.1),
+            ("noise_std", NAN),
+            ("noise_std", INF),
+            ("noise_std", "0.25"),  # a quoted number in a spec file
+            ("floor", -5.0),
+            ("floor", NAN),
+            ("floor", 100.5),
+            ("ceiling", 150.0),
+            ("ceiling", -INF),
+            ("ceiling", NAN),
+        ],
+    )
+    def test_bad_value_refused_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
+            Cifar10Surrogate(**{field: value})
+
+    def test_floor_above_ceiling_refused(self):
+        with pytest.raises(ValueError, match=r"floor \(96\) must not exceed ceiling"):
+            Cifar10Surrogate(floor=96)
+
+    def test_zero_noise_makes_accuracy_seed_independent(self):
+        spec = resnet_cell()
+        a = Cifar10Surrogate(seed=1, noise_std=0.0).validation_accuracy(spec)
+        b = Cifar10Surrogate(seed=2, noise_std=0.0).validation_accuracy(spec)
+        assert a == b
+
+    def test_floor_equal_to_ceiling_pins_every_accuracy(self):
+        s = Cifar10Surrogate(floor=90, ceiling=90)
+        for spec in (resnet_cell(), googlenet_cell(), chain_spec(MAXPOOL3X3)):
+            assert s.validation_accuracy(spec) == 90.0
+
+
 class TestTrainingTime:
     def test_positive_and_scales_with_macs(self):
         s = Cifar10Surrogate()

@@ -30,6 +30,17 @@ class TestParams:
             assert view is policy.params[f"lstm_{key}"]
             assert np.shares_memory(view, policy.theta), key
 
+    @pytest.mark.parametrize("vocab_sizes", [[5], [2, 3, 4], [3, 1, 4, 1, 2]])
+    def test_views_tile_the_vector_in_order(self, vocab_sizes):
+        # Every element of theta belongs to exactly one named view, in
+        # theta's order: no gap, no overlap.
+        policy = SequencePolicy(vocab_sizes, hidden_size=4, embedding_size=3, seed=0)
+        index = np.arange(policy.theta.size, dtype=np.float64)
+        views = policy.views(index)
+        assert list(views) == list(policy.params)
+        flat = np.concatenate([v.ravel() for v in views.values()])
+        assert np.array_equal(flat, index)
+
     def test_state_dict_round_trip(self, policy):
         state = policy.state_dict()
         other = SequencePolicy([2, 3, 4], hidden_size=16, embedding_size=8, seed=1)
@@ -43,6 +54,17 @@ class TestParams:
         del state["start"]
         with pytest.raises(ValueError, match="missing \\['start'\\]"):
             policy.load_state_dict(state)
+
+    def test_unexpected_parameter_rejected(self, policy):
+        state = policy.state_dict()
+        state["bogus"] = np.zeros(1)
+        with pytest.raises(ValueError, match="unexpected \\['bogus'\\]"):
+            policy.load_state_dict(state)
+
+    def test_differently_shaped_checkpoint_rejected(self, policy):
+        wider = SequencePolicy([2, 3, 4], hidden_size=32, embedding_size=8, seed=0)
+        with pytest.raises(ValueError, match="'lstm_wx' has shape \\(8, 64\\)"):
+            policy.load_state_dict(wider.state_dict())
 
     def test_empty_vocab_rejected(self):
         with pytest.raises(ValueError):

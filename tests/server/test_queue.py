@@ -186,6 +186,17 @@ class TestStudyQueue:
             queue.submit(spec)
         assert queue.open_ledger().studies() == []
 
+    def test_submit_refuses_bad_accuracy_source_params(self, tmp_path):
+        queue = StudyQueue(tmp_path)
+        spec = resolve_spec("smoke").to_dict()
+        spec["evaluator"] = {
+            "source": "cifar100-trainer",
+            "params": {"noise_std": float("nan")},
+        }
+        with pytest.raises(StudyError, match="noise_std"):
+            queue.submit(spec)
+        assert queue.open_ledger().studies() == []
+
     def test_cancel_unknown_or_terminal_returns_none(self, tmp_path):
         queue = StudyQueue(tmp_path)
         assert queue.cancel("st-missing") is None

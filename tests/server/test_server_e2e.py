@@ -188,6 +188,15 @@ class TestHTTPAPI:
                 client.submit(nan_spec)
             assert excinfo.value.status == 400
             assert "learning_rate must be finite" in str(excinfo.value)
+            # 400: an accuracy-source value its constructor refuses.
+            bad_source = {
+                **resolve_spec("smoke").to_dict(),
+                "evaluator": {"source": "surrogate", "params": {"noise_std": -1.0}},
+            }
+            with pytest.raises(ServerError) as excinfo:
+                client.submit(bad_source)
+            assert excinfo.value.status == 400
+            assert "noise_std" in str(excinfo.value)
             # 400: non-object body.
             with pytest.raises(ServerError) as excinfo:
                 client._request("POST", "/studies", payload=[1, 2])

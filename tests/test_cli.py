@@ -200,6 +200,25 @@ class TestStudyCommand:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["show", "run"])
+    @pytest.mark.parametrize(
+        "params, field", [({"bogus": 1}, "bogus"), ({"noise_std": -1.0}, "noise_std")]
+    )
+    def test_bad_accuracy_source_params_in_a_spec_file(
+        self, tmp_path, capsys, command, params, field
+    ):
+        evaluator = {"source": "surrogate", "params": params}
+        spec_file = tmp_path / "bad-source.json"
+        spec_file.write_text(
+            json.dumps({**get_preset("smoke").to_dict(), "evaluator": evaluator})
+        )
+        with pytest.raises(SystemExit) as exit_info:
+            main(["study", command, str(spec_file)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert field in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["show", "run"])
     def test_two_tier_threshold_schedule_is_a_usage_error(self, command, capsys):
         # The schedule re-arms its reward at every rung, so two-tier
         # mode is refused when the spec is read, never mid-run.

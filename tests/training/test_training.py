@@ -1,4 +1,4 @@
-"""Tests for the training oracles (surrogate + real numpy trainer)."""
+"""Tests for the training oracles: the CIFAR-100 surrogate trainer and its cache."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.nasbench.model_spec import ModelSpec
 from repro.nasbench.ops import CONV3X3, INPUT, OUTPUT
 from repro.nasbench.surrogate import extract_features
 from repro.training.cache import CachedTrainer
-from repro.training.numpy_trainer import TOY_SKELETON, NumpyTrainerOracle
 from repro.training.oracle import TrainOutcome
 from repro.training.surrogate_trainer import CIFAR100_ANCHORS, SurrogateCifar100Trainer
 
@@ -81,25 +80,33 @@ class TestSurrogateTrainer:
         assert trainer.accuracy_fn(bad) is None
 
 
-class TestNumpyTrainer:
-    def test_real_training_beats_chance(self):
-        oracle = NumpyTrainerOracle(seed=0)
-        outcome = oracle.train_and_score(resnet_cell())
-        chance = 100.0 / TOY_SKELETON.num_classes
-        assert outcome.accuracy > chance + 10
-        assert outcome.gpu_hours > 0
-        assert oracle.num_trainings == 1
+NAN, INF = float("nan"), float("inf")
 
-    def test_deterministic(self):
-        a = NumpyTrainerOracle(seed=3).train_and_score(KNOWN_CELLS["cod2"]()).accuracy
-        b = NumpyTrainerOracle(seed=3).train_and_score(KNOWN_CELLS["cod2"]()).accuracy
-        assert a == b
 
-    def test_invalid_spec_rejected(self):
-        oracle = NumpyTrainerOracle()
-        bad = ModelSpec(np.zeros((3, 3), dtype=int), (INPUT, CONV3X3, OUTPUT))
-        with pytest.raises(ValueError):
-            oracle.train_and_score(bad)
+class TestSurrogateTrainerFieldChecks:
+    @pytest.mark.parametrize("value", [-1.0, NAN, INF])
+    @pytest.mark.parametrize(
+        "field", ["noise_std", "gpu_hours_base", "gpu_hours_per_gmac"]
+    )
+    def test_non_negative_field_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number >= 0"):
+            SurrogateCifar100Trainer(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("floor", -1.0), ("floor", NAN), ("ceiling", 100.5), ("ceiling", INF)],
+    )
+    def test_clip_outside_percent_range_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number in"):
+            SurrogateCifar100Trainer(**{field: value})
+
+    def test_floor_above_ceiling_refused(self):
+        with pytest.raises(ValueError, match=r"floor \(80\) must not exceed ceiling"):
+            SurrogateCifar100Trainer(floor=80)
+
+    def test_zero_cost_runs_are_free(self):
+        trainer = SurrogateCifar100Trainer(gpu_hours_base=0, gpu_hours_per_gmac=0.0)
+        assert trainer.train_and_score(resnet_cell()).gpu_hours == 0.0
 
 
 class TestCache:
