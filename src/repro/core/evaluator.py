@@ -21,14 +21,15 @@ bit-identical to the historical hardwired models — see
 There is one evaluation path, :meth:`CodesignEvaluator.evaluate_batch`
 (``evaluate`` is a batch of one), and every layer of it stores a pure
 function of its key, so caching never changes results — only
-evaluation cost.  The per-cell accuracy memo, the cell-content ->
-``spec_hash`` memo and the config -> latency-table column memo are
-unbounded: they grow with the distinct cells, cell layouts and
-configurations a run visits.  The per-(cell, config) latency memo and
-the per-config area memo are LRU maps bounded by ``cache_capacity``,
-so multi-million-point sweeps run in constant memory.  An optional
-shared persistent :class:`repro.parallel.EvalCache` sits in front of
-them so repeats, worker processes, and re-runs warm-start each other.
+evaluation cost.  Cells are keyed by ``spec_hash``, which each spec
+computes once and remembers (see :meth:`repro.nasbench.ModelSpec.spec_hash`).
+The per-cell accuracy memo and the config -> latency-table column memo
+are unbounded: they grow with the distinct cells and configurations a
+run visits.  The per-(cell, config) latency memo and the per-config
+area memo are LRU maps bounded by ``cache_capacity``, so
+multi-million-point sweeps run in constant memory.  An optional shared
+persistent :class:`repro.parallel.EvalCache` sits in front of them so
+repeats, worker processes, and re-runs warm-start each other.
 """
 
 from __future__ import annotations
@@ -114,10 +115,7 @@ class CodesignEvaluator:
         self._area_cache: LRUCache = LRUCache(cache_capacity)
         self._latency_cache: LRUCache = LRUCache(cache_capacity)
         self._accuracy_cache: dict[str, float | None] = {}
-        # Pruned-cell content -> spec_hash (the md5 canonicalization
-        # dominates per-point cost) and config_key -> latency-table
-        # column.  Pure key derivations, shared freely.
-        self._content_hash_memo: dict[tuple, str] = {}
+        # config_key -> latency-table column: a pure key derivation.
         self._config_index_memo: dict[tuple, int] = {}
         self._latency_table = None
         self.eval_cache: EvalCache | None = None
@@ -224,10 +222,9 @@ class CodesignEvaluator:
         Returns one result per input pair, in order; duplicate pairs
         share one computation (and one result object) but still count
         as evaluations.  A pair resolves through, in order: the
-        content-hash memo (``spec_hash``'s isomorphism-invariant md5
-        canonicalization, once per cell layout), the in-batch
-        ``(spec_hash, config_key)`` dedupe, then :meth:`_metrics`'s
-        cache layers, and finally the scenario reward.
+        in-batch ``(spec_hash, config_key)`` dedupe (the spec remembers
+        its isomorphism-invariant hash), then :meth:`_metrics`'s cache
+        layers, and finally the scenario reward.
         """
         memo: dict[tuple, EvaluationResult] = {}
         out: list[EvaluationResult] = []
@@ -241,11 +238,7 @@ class CodesignEvaluator:
                     )
                 )
                 continue
-            content = (spec.matrix.tobytes(), tuple(spec.ops))
-            spec_hash = self._content_hash_memo.get(content)
-            if spec_hash is None:
-                spec_hash = spec.spec_hash()
-                self._content_hash_memo[content] = spec_hash
+            spec_hash = spec.spec_hash()
             ckey = config_key(config)
             key = (spec_hash, ckey)
             result = memo.get(key)
@@ -354,13 +347,13 @@ class CodesignEvaluator:
         Used by the two-tier search mode, which scores proposals on the
         exact platform's :class:`repro.hw.SurrogatePlatform` twin (built
         by ``build_study``):
-        the accuracy memo and the content-hash memo are shared (cell
-        accuracy is platform-independent — re-deriving it would
-        re-train trainer-backed sources), but every hardware-derived
-        memo starts empty, the precomputed latency table is dropped,
-        and no persistent eval cache is attached — approximate metrics
-        must never reach (or be served from) the exact platform's
-        cached rows.
+        the accuracy memo is shared (cell accuracy is
+        platform-independent — re-deriving it would re-train
+        trainer-backed sources), but every hardware-derived memo starts
+        empty, the precomputed latency table is dropped, and no
+        persistent eval cache is attached — approximate metrics must
+        never reach (or be served from) the exact platform's cached
+        rows.
         """
         return self._derive(
             platform=platform,

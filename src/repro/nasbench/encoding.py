@@ -10,6 +10,10 @@ cell space with ``max_vertices`` vertices the token sequence is:
 Decoding never fails: specs that violate the search-space rules (too
 many edges, disconnected) simply come back with ``valid == False`` and
 the search assigns them the punishment reward, as in the paper.
+
+Decoding is interned: every decode of one action vector returns the
+same spec object, so a converging controller's repeat proposals are
+pruned, validated and hashed once (see :meth:`CellEncoding.decode`).
 """
 
 from __future__ import annotations
@@ -21,8 +25,14 @@ import numpy as np
 
 from repro.nasbench.model_spec import MAX_VERTICES, ModelSpec
 from repro.nasbench.ops import INPUT, INTERIOR_OPS, OP_INDEX, OUTPUT
+from repro.utils.lru import LRUCache
 
 __all__ = ["CellEncoding"]
+
+#: Bound on each encoding's action-vector -> spec table.  The whole
+#: 5-vertex action space (27,648 vectors) fits, so a micro-space study
+#: never evicts; the 7-vertex space (2**21 * 3**5 vectors) cannot.
+DECODE_CACHE_CAPACITY = 32_768
 
 
 @dataclass(frozen=True)
@@ -36,17 +46,26 @@ class CellEncoding:
             raise ValueError(
                 f"max_vertices must be in [2, {MAX_VERTICES}], got {self.max_vertices}"
             )
+        n = self.max_vertices
+        # Row-major (i, j), i < j: the edge tokens' order.
+        edge_index = np.triu_indices(n, 1)
+        num_edges = len(edge_index[0])
+        vocab_sizes = (2,) * num_edges + (len(INTERIOR_OPS),) * (n - 2)
+        object.__setattr__(self, "_edge_index", edge_index)
+        object.__setattr__(self, "_num_edge_tokens", num_edges)
+        object.__setattr__(self, "_vocab_sizes", vocab_sizes)
+        object.__setattr__(self, "_interned", LRUCache(DECODE_CACHE_CAPACITY))
 
     # ------------------------------------------------------------------
     @property
     def edge_pairs(self) -> list[tuple[int, int]]:
         """Potential edges in decoding order."""
-        n = self.max_vertices
-        return [(i, j) for i in range(n) for j in range(i + 1, n)]
+        rows, cols = self._edge_index
+        return list(zip(rows.tolist(), cols.tolist()))
 
     @property
     def num_edge_tokens(self) -> int:
-        return len(self.edge_pairs)
+        return self._num_edge_tokens
 
     @property
     def num_op_tokens(self) -> int:
@@ -54,12 +73,12 @@ class CellEncoding:
 
     @property
     def num_tokens(self) -> int:
-        return self.num_edge_tokens + self.num_op_tokens
+        return len(self._vocab_sizes)
 
     @property
     def vocab_sizes(self) -> list[int]:
         """Number of choices per token (2 for edges, 3 for ops)."""
-        return [2] * self.num_edge_tokens + [len(INTERIOR_OPS)] * self.num_op_tokens
+        return list(self._vocab_sizes)
 
     @property
     def space_size(self) -> int:
@@ -71,22 +90,34 @@ class CellEncoding:
 
     # ------------------------------------------------------------------
     def decode(self, actions: Sequence[int]) -> ModelSpec:
-        """Turn an action vector into a (possibly invalid) spec."""
-        actions = list(actions)
-        if len(actions) != self.num_tokens:
-            raise ValueError(
-                f"expected {self.num_tokens} actions, got {len(actions)}"
-            )
-        for a, vocab in zip(actions, self.vocab_sizes):
+        """Turn an action vector into a (possibly invalid) spec.
+
+        The vector is checked first, so a repeat refuses exactly what a
+        first decode refuses.  Then it is interned, as
+        :meth:`repro.accelerator.AcceleratorSpace.config_at` interns
+        configs: every decode of one vector returns the same spec, and
+        the spec's arrays are read-only, because every proposal,
+        archive entry and ledger row of that vector shares them.
+        """
+        key = tuple(actions)
+        vocab_sizes = self._vocab_sizes
+        if len(key) != len(vocab_sizes):
+            raise ValueError(f"expected {len(vocab_sizes)} actions, got {len(key)}")
+        for a, vocab in zip(key, vocab_sizes):
             if not 0 <= a < vocab:
                 raise ValueError(f"action {a} out of range for vocab {vocab}")
-        n = self.max_vertices
-        matrix = np.zeros((n, n), dtype=np.int8)
-        for (i, j), bit in zip(self.edge_pairs, actions):
-            matrix[i, j] = bit
-        op_choices = actions[self.num_edge_tokens:]
-        ops = (INPUT, *(INTERIOR_OPS[c] for c in op_choices), OUTPUT)
-        return ModelSpec(matrix, ops)
+        spec = self._interned.get(key)
+        if spec is None:
+            n = self.max_vertices
+            split = self._num_edge_tokens
+            matrix = np.zeros((n, n), dtype=np.int8)
+            matrix[self._edge_index] = key[:split]
+            ops = (INPUT, *(INTERIOR_OPS[c] for c in key[split:]), OUTPUT)
+            spec = ModelSpec(matrix, ops)
+            spec.original_matrix.flags.writeable = False
+            spec.matrix.flags.writeable = False
+            self._interned[key] = spec
+        return spec
 
     def encode(self, spec: ModelSpec) -> list[int]:
         """Action vector for ``spec`` (embedded in the first vertices).

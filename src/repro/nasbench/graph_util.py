@@ -27,7 +27,7 @@ __all__ = [
 
 def is_upper_triangular(matrix: np.ndarray) -> bool:
     """True if ``matrix`` has no entries on or below the diagonal."""
-    return bool(np.all(np.tril(matrix) == 0))
+    return not any(any(row[: i + 1]) for i, row in enumerate(matrix.tolist()))
 
 
 def num_edges(matrix: np.ndarray) -> int:
@@ -37,13 +37,13 @@ def num_edges(matrix: np.ndarray) -> int:
 
 def reachable_from(matrix: np.ndarray, start: int) -> set[int]:
     """Vertices reachable from ``start`` (inclusive) following edges."""
-    n = matrix.shape[0]
+    rows = matrix.tolist()
     seen = {start}
     frontier = [start]
     while frontier:
         v = frontier.pop()
-        for w in range(n):
-            if matrix[v, w] and w not in seen:
+        for w, edge in enumerate(rows[v]):
+            if edge and w not in seen:
                 seen.add(w)
                 frontier.append(w)
     return seen

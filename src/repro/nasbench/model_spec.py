@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.nasbench import graph_util
 from repro.nasbench.ops import INPUT, INTERIOR_OPS, OP_INDEX, OUTPUT
+from repro.utils.lru import LRUCache
 
 __all__ = [
     "ModelSpec",
@@ -32,6 +33,16 @@ __all__ = [
 #: NASBench-101 limits: cells have at most 7 vertices and 9 edges.
 MAX_VERTICES = 7
 MAX_EDGES = 9
+
+#: Bound on the process-wide pruned-cell -> ``spec_hash`` memo.  Every
+#: pruned layout of the <=5-vertex space (3,364) fits many times over.
+HASH_MEMO_CAPACITY = 32_768
+
+#: Pruned cell content ``(matrix bytes, ops)`` -> ``spec_hash``; the ops
+#: carry the vertex count, so the key pins the matrix shape.
+_HASH_MEMO: LRUCache = LRUCache(HASH_MEMO_CAPACITY)
+
+_BINARY = frozenset((0, 1))
 
 
 class InvalidSpecError(ValueError):
@@ -50,7 +61,7 @@ def prune_matrix(matrix: np.ndarray) -> tuple[np.ndarray, list[int]]:
     kept = graph_util.kept_vertices(matrix)
     if kept is None:
         raise InvalidSpecError("no input->output path")
-    pruned = matrix[np.ix_(kept, kept)]
+    pruned = matrix.take(kept, axis=0).take(kept, axis=1)
     if graph_util.num_edges(pruned) > MAX_EDGES:
         raise InvalidSpecError(f"more than {MAX_EDGES} edges after pruning")
     return pruned, kept
@@ -77,6 +88,10 @@ class ModelSpec:
         False when pruning disconnects input from output or a rule is
         violated; invalid specs are never compiled and receive the
         punishment reward during search.
+
+    An entry is an edge only if it equals 1 and a non-edge only if it
+    equals 0 (so ``True`` and ``1.0`` count); a binary matrix is stored
+    as int8, any other is kept as given and makes the spec invalid.
     """
 
     original_matrix: np.ndarray
@@ -85,13 +100,17 @@ class ModelSpec:
     ops: tuple[str, ...] = field(init=False)
     valid: bool = field(init=False)
     invalid_reason: str = field(init=False, default="")
+    _spec_hash: str | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        matrix = np.asarray(self.original_matrix, dtype=np.int8)
+        matrix = np.asarray(self.original_matrix)
+        binary = _BINARY.issuperset(matrix.ravel().tolist())
+        if binary and matrix.dtype != np.int8:
+            matrix = matrix.astype(np.int8)
         object.__setattr__(self, "original_matrix", matrix)
         object.__setattr__(self, "original_ops", tuple(self.original_ops))
 
-        reason = self._structural_problem(matrix, self.original_ops)
+        reason = self._structural_problem(matrix, self.original_ops, binary)
         if reason is not None:
             self._mark_invalid(matrix, reason)
             return
@@ -107,10 +126,12 @@ class ModelSpec:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _structural_problem(matrix: np.ndarray, ops: tuple[str, ...]) -> str | None:
-        n = matrix.shape[0]
+    def _structural_problem(
+        matrix: np.ndarray, ops: tuple[str, ...], binary: bool
+    ) -> str | None:
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             return "adjacency matrix must be square"
+        n = matrix.shape[0]
         if n < 2:
             return "need at least input and output vertices"
         if n > MAX_VERTICES:
@@ -119,7 +140,7 @@ class ModelSpec:
             return "ops length must match vertex count"
         if not graph_util.is_upper_triangular(matrix):
             return "adjacency matrix must be strictly upper-triangular"
-        if not np.isin(matrix, (0, 1)).all():
+        if not binary:
             return "adjacency matrix must be binary"
         if ops[0] != INPUT:
             return "first op must be 'input'"
@@ -169,17 +190,28 @@ class ModelSpec:
 
         Labels follow NASBench-101: ``-1`` for input, ``-2`` for output
         and the canonical op index for interior vertices, so the hash
-        matches across any vertex reordering of the same cell.
+        matches across any vertex reordering of the same cell.  A spec
+        computes its hash once, through a process-wide memo keyed by the
+        pruned cell's content, and remembers it.
         """
-        if not self.valid:
-            raise InvalidSpecError(f"invalid spec has no hash: {self.invalid_reason}")
-        return cell_hash(self.matrix, self.ops)
+        spec_hash = self._spec_hash
+        if spec_hash is None:
+            if not self.valid:
+                raise InvalidSpecError(
+                    f"invalid spec has no hash: {self.invalid_reason}"
+                )
+            content = (self.matrix.tobytes(), self.ops)
+            spec_hash = _HASH_MEMO.get(content)
+            if spec_hash is None:
+                spec_hash = _HASH_MEMO[content] = cell_hash(self.matrix, self.ops)
+            object.__setattr__(self, "_spec_hash", spec_hash)
+        return spec_hash
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready representation (original, unpruned spec)."""
         return {
-            "matrix": self.original_matrix.astype(int).tolist(),
+            "matrix": self.original_matrix.tolist(),
             "ops": list(self.original_ops),
         }
 

@@ -58,8 +58,7 @@ class TransformerSpec:
 
     ``matrix``/``ops``/``valid``/``spec_hash`` mirror the surface the
     evaluator and search loop consume: ``matrix`` is a 1x5 int64 array
-    of the raw parameters (its ``tobytes()`` keys the batch-path
-    content memo), ``ops`` a constant kind tag, and the hash a
+    of the raw parameters, ``ops`` a constant kind tag, and the hash a
     readable token — transformer configs have no isomorphism to
     canonicalize away.
     """
@@ -73,6 +72,7 @@ class TransformerSpec:
     ops: tuple[str, ...] = field(init=False, repr=False, compare=False)
     valid: bool = field(init=False)
     invalid_reason: str = field(init=False, default="")
+    _spec_hash: str | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         reason = ""
@@ -111,14 +111,19 @@ class TransformerSpec:
         return self.hidden // self.heads
 
     def spec_hash(self) -> str:
-        if not self.valid:
-            raise InvalidSpecError(
-                f"invalid spec has no hash: {self.invalid_reason}"
+        """The readable token, built once and remembered."""
+        spec_hash = self._spec_hash
+        if spec_hash is None:
+            if not self.valid:
+                raise InvalidSpecError(
+                    f"invalid spec has no hash: {self.invalid_reason}"
+                )
+            spec_hash = (
+                f"tfm-d{self.depth}-h{self.heads}-w{self.hidden}"
+                f"-f{self.ffn_ratio}-s{self.seq_len}"
             )
-        return (
-            f"tfm-d{self.depth}-h{self.heads}-w{self.hidden}"
-            f"-f{self.ffn_ratio}-s{self.seq_len}"
-        )
+            object.__setattr__(self, "_spec_hash", spec_hash)
+        return spec_hash
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:

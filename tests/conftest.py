@@ -8,6 +8,7 @@ import pytest
 from repro.accelerator.config import AcceleratorConfig
 from repro.accelerator.space import AcceleratorSpace
 from repro.experiments.common import load_bundle
+from repro.nasbench import graph_util
 from repro.nasbench.known_cells import KNOWN_CELLS
 
 
@@ -43,3 +44,16 @@ def sample_configs(n: int, seed: int = 0) -> list[AcceleratorConfig]:
     space = AcceleratorSpace()
     gen = np.random.default_rng(seed)
     return [space.config_at(int(i)) for i in gen.choice(space.size, size=n, replace=False)]
+
+
+def count_hashes(monkeypatch) -> list:
+    """Record the arguments of every ``hash_module`` computation from now on."""
+    calls: list = []
+    original = graph_util.hash_module
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(graph_util, "hash_module", counted)
+    return calls

@@ -1,5 +1,7 @@
 """Tests for the codesign evaluator E(s)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.nasbench.known_cells import resnet_cell
 from repro.nasbench.model_spec import ModelSpec
 from repro.nasbench.ops import CONV3X3, INPUT, OUTPUT
 from repro.nasbench.surrogate import Cifar10Surrogate
+from tests.conftest import count_hashes
 
 
 @pytest.fixture(scope="module")
@@ -316,7 +319,7 @@ class TestCloneContract:
         clone = parent.with_reward(unconstrained())
         assert parent._latency_table is not None
         for name in (
-            "_accuracy_cache", "_content_hash_memo", "_area_cache",
+            "_accuracy_cache", "_area_cache",
             "_latency_cache", "_config_index_memo", "_latency_table",
             "eval_cache", "platform", "source_info", "compile_fn",
         ):
@@ -353,7 +356,6 @@ class TestCloneContract:
         twin = _twin(parent.platform)
         clone = parent.with_platform(twin)
         assert clone._accuracy_cache is parent._accuracy_cache
-        assert clone._content_hash_memo is parent._content_hash_memo
         for name in ("_area_cache", "_latency_cache", "_config_index_memo"):
             assert getattr(clone, name) is not getattr(parent, name), name
             assert len(getattr(clone, name)) == 0, name
@@ -361,6 +363,18 @@ class TestCloneContract:
         assert clone._latency_table is None
         assert clone.eval_cache is None
         assert parent.with_platform(twin)._area_cache is not clone._area_cache
+
+    def test_with_platform_hashes_no_seen_cell(self, monkeypatch, parent, pairs):
+        parent.evaluate_batch(pairs)
+        clone = parent.with_platform(_twin(parent.platform))
+        # Fresh objects of the cells the parent saw: no remembered hash.
+        fresh = [
+            (ModelSpec(spec.original_matrix, spec.original_ops), config)
+            for spec, config in pairs
+        ]
+        calls = count_hashes(monkeypatch)
+        clone.evaluate_batch(fresh)
+        assert calls == []
 
     def test_with_platform_never_reads_or_writes_parent_hw_state(
         self, micro4_bundle, monkeypatch, parent, pairs
@@ -392,6 +406,57 @@ class TestCloneContract:
         assert accuracy_calls == []
         assert parent.eval_cache.stats["pending"] == 0
         assert hw_state() == before
+
+
+class TestResolveOnce:
+    """A study decodes each action vector and hashes each pruned cell once."""
+
+    def test_fig5_shaped_study_counts(self, micro4_bundle, monkeypatch):
+        from repro.core.study import StudySpec, run_study
+        from repro.nasbench import encoding, model_spec
+        from repro.nasbench.encoding import CellEncoding
+
+        model_spec._HASH_MEMO.clear()
+        bundle = dataclasses.replace(
+            micro4_bundle, cell_encoding=CellEncoding(max_vertices=4)
+        )
+        built, decoded, pruned_cells = [], [], set()
+        monkeypatch.setattr(
+            encoding, "ModelSpec",
+            lambda *args: built.append(args) or ModelSpec(*args),
+        )
+        decode = CellEncoding.decode
+
+        def recording_decode(self, actions):
+            spec = decode(self, actions)
+            decoded.append(tuple(actions))
+            if spec.valid:
+                pruned_cells.add((spec.matrix.tobytes(), spec.ops))
+            return spec
+
+        monkeypatch.setattr(CellEncoding, "decode", recording_decode)
+        calls = count_hashes(monkeypatch)
+        hashed_in_get = []
+        get = CellDatabase.get
+
+        def counted_get(self, spec):
+            before = len(calls)
+            record = get(self, spec)
+            hashed_in_get.append(len(calls) - before)
+            return record
+
+        monkeypatch.setattr(CellDatabase, "get", counted_get)
+        spec = StudySpec(
+            name="fig5-shaped",
+            strategies=({"name": "combined"}, {"name": "phase"}, {"name": "separate"}),
+            scenarios=("unconstrained", "1-constraint", "2-constraints"),
+            evaluator={"source": "database"},
+            execution={"num_steps": 40, "num_repeats": 1, "batch_size": 4},
+        )
+        run_study(spec, bundle=bundle)
+        assert len(built) == len(set(decoded)) < len(decoded)
+        assert len(calls) == len(pruned_cells)
+        assert hashed_in_get and not any(hashed_in_get)
 
 
 class TestAccuracySourceRegistry:

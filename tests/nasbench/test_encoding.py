@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nasbench.encoding import CellEncoding
-from repro.nasbench.known_cells import KNOWN_CELLS
+from repro.nasbench.known_cells import KNOWN_CELLS, resnet_cell
 
 
 class TestShape:
@@ -45,6 +45,41 @@ class TestDecode:
         actions[0] = 2
         with pytest.raises(ValueError):
             enc.decode(actions)
+
+    def test_one_vector_decodes_to_one_spec(self):
+        enc = CellEncoding(max_vertices=5)
+        actions = enc.encode(resnet_cell())
+        spec = enc.decode(actions)
+        assert enc.decode(list(actions)) is spec
+        assert enc.decode(tuple(actions)) is spec
+        assert enc.decode(np.array(actions)) is spec
+        assert CellEncoding(max_vertices=5).decode(actions) == spec
+
+    def test_bad_vector_raises_after_a_hit(self):
+        enc = CellEncoding(max_vertices=5)
+        actions = enc.encode(resnet_cell())
+        enc.decode(actions)
+        with pytest.raises(ValueError, match="expected"):
+            enc.decode(actions + [0])
+        with pytest.raises(ValueError, match="expected"):
+            enc.decode(actions[:-1])
+        for index, bad in ((0, 2), (0, -1), (enc.num_edge_tokens, 3)):
+            wrong = list(actions)
+            wrong[index] = bad
+            with pytest.raises(ValueError, match="out of range"):
+                enc.decode(wrong)
+
+    @pytest.mark.parametrize("cell", [resnet_cell, None])
+    def test_interned_arrays_are_read_only(self, cell):
+        enc = CellEncoding(max_vertices=5)
+        actions = enc.encode(cell()) if cell else [0] * enc.num_tokens
+        spec = enc.decode(actions)
+        assert spec.valid == (cell is not None)
+        for array in (spec.original_matrix, spec.matrix):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 1
+        assert enc.decode(actions) is spec
 
     def test_all_zero_actions_invalid_spec(self):
         enc = CellEncoding(max_vertices=5)

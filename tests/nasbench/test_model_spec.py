@@ -1,12 +1,24 @@
 """Tests for repro.nasbench.model_spec."""
 
+import pickle
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nasbench.model_spec import MAX_EDGES, MAX_VERTICES, InvalidSpecError, ModelSpec
+from repro.nasbench import model_spec
+from repro.nasbench.encoding import CellEncoding
+from repro.nasbench.model_spec import (
+    MAX_EDGES,
+    MAX_VERTICES,
+    InvalidSpecError,
+    ModelSpec,
+    cell_hash,
+)
 from repro.nasbench.ops import CONV1X1, CONV3X3, INPUT, MAXPOOL3X3, OUTPUT
+from tests.conftest import count_hashes
 
 
 def make_spec(matrix, interior_ops):
@@ -67,6 +79,41 @@ class TestValidity:
     def test_single_vertex_invalid(self):
         spec = ModelSpec(np.zeros((1, 1), dtype=int), (INPUT,))
         assert not spec.valid
+
+
+class TestBinaryCheck:
+    """Only entries equal to 0 or 1 are edges; nothing is cast first."""
+
+    # Cast to int8 before the check, 257 and -255 wrap to 1, 1.7
+    # truncates to 1 and NaN becomes 0; 2.0 and -1 stay out of range.
+    @pytest.mark.parametrize("value", [257, -255, 1.7, 2.0, -1, float("nan")])
+    @pytest.mark.parametrize("container", [np.array, lambda rows: rows])
+    def test_out_of_range_entry_is_invalid(self, value, container):
+        rows = [[0, 1, 0], [0, 0, value], [0, 0, 0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = ModelSpec(container(rows), (INPUT, CONV3X3, OUTPUT))
+        assert not spec.valid
+        assert spec.invalid_reason == "adjacency matrix must be binary"
+
+    def test_zero_dimensional_matrix_is_not_square(self):
+        spec = ModelSpec(np.array(1), (INPUT, OUTPUT))
+        assert not spec.valid
+        assert spec.invalid_reason == "adjacency matrix must be square"
+
+    @pytest.mark.parametrize("dtype", [bool, float, np.int64, np.uint8])
+    def test_values_equal_to_zero_or_one_pass(self, dtype):
+        spec = ModelSpec(np.array(VALID_3, dtype=dtype), (INPUT, CONV3X3, OUTPUT))
+        assert spec.valid
+        assert spec.original_matrix.dtype == np.int8
+        assert spec == make_spec(VALID_3, [CONV3X3])
+
+    def test_hand_edited_dict_stays_invalid(self):
+        data = make_spec(VALID_3, [CONV3X3]).to_dict()
+        data["matrix"][1][2] = 257
+        spec = ModelSpec.from_dict(data)
+        assert not spec.valid
+        assert not ModelSpec.from_dict(spec.to_dict()).valid
 
 
 class TestPruning:
@@ -136,6 +183,47 @@ class TestSerialization:
         a = make_spec(VALID_3, [CONV3X3])
         b = make_spec(VALID_3, [CONV3X3])
         assert len({a, b}) == 1
+
+    @pytest.mark.parametrize("decoded", [False, True])
+    def test_pickle_keeps_identity_and_remembered_hash(self, monkeypatch, decoded):
+        spec = make_spec(VALID_3, [CONV3X3])
+        if decoded:
+            encoding = CellEncoding(max_vertices=3)
+            spec = encoding.decode(encoding.encode(spec))
+        expected = spec.spec_hash()
+        clone = pickle.loads(pickle.dumps(spec))
+        model_spec._HASH_MEMO.clear()
+        calls = count_hashes(monkeypatch)
+        assert clone == spec
+        assert hash(clone) == hash(spec)
+        assert clone.spec_hash() == expected
+        assert calls == []
+
+
+class TestRememberedHash:
+    def test_each_pruned_cell_hashed_once(self, monkeypatch):
+        model_spec._HASH_MEMO.clear()
+        calls = count_hashes(monkeypatch)
+        spec = make_spec(VALID_3, [CONV3X3])
+        expected = spec.spec_hash()
+        assert spec.spec_hash() == expected
+        # Another object of the same pruned cell, behind a dangling vertex.
+        dangling = make_spec(
+            [[0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]],
+            [CONV3X3, CONV1X1],
+        )
+        assert dangling.spec_hash() == expected
+        assert len(calls) == 1
+        assert expected == cell_hash(spec.matrix, spec.ops)
+
+    def test_remembered_hash_is_not_part_of_the_spec(self):
+        hashed = make_spec(VALID_3, [CONV3X3])
+        fresh = make_spec(VALID_3, [CONV3X3])
+        hashed.spec_hash()
+        assert hashed == fresh
+        assert hash(hashed) == hash(fresh)
+        assert repr(hashed) == repr(fresh)
+        assert hashed.to_dict() == fresh.to_dict()
 
 
 @settings(max_examples=40, deadline=None)

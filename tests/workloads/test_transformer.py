@@ -2,6 +2,7 @@
 accuracy, and the end-to-end bert-u50 two-tier study."""
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -46,6 +47,18 @@ class TestTransformerSpec:
                                seq_len=384)
         data = json.loads(json.dumps(spec.to_dict()))
         assert TransformerSpec.from_dict(data) == spec
+
+    def test_remembered_hash_is_not_part_of_the_spec(self):
+        params = dict(depth=4, heads=4, hidden=256, ffn_ratio=4, seq_len=128)
+        hashed, fresh = TransformerSpec(**params), TransformerSpec(**params)
+        expected = hashed.spec_hash()
+        assert hashed == fresh
+        assert hash(hashed) == hash(fresh)
+        assert repr(hashed) == repr(fresh)
+        assert hashed.to_dict() == fresh.to_dict()
+        clone = pickle.loads(pickle.dumps(hashed))
+        assert clone == hashed
+        assert clone.spec_hash() == expected == fresh.spec_hash()
 
 
 class TestTransformerEncoding:
