@@ -30,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import zipfile
 import zlib
 from dataclasses import asdict, dataclass, fields
@@ -59,12 +60,13 @@ _BUNDLE_MEMO: dict[tuple, "SpaceBundle"] = {}
 
 #: Version of what a stored bundle holds and how it was derived: the
 #: cell table's columns, the enumeration order, featurization, the
-#: CIFAR-10 surrogate's arithmetic and the front's extraction.  It is
-#: part of every bundle file's key, so bumping it makes the next load
-#: rebuild.  A change to any of those that leaves it alone keeps warm
-#: loads serving stale values; ``TestBundle`` in
-#: ``tests/experiments/test_experiments.py`` checks the default-cache
-#: micro-4 bundle against a fresh build to catch that.
+#: CIFAR-10 surrogate's arithmetic and the front's extraction.  It
+#: names every bundle file and is part of its key, so bumping it makes
+#: the next load rebuild and delete the old files.  A change to any of
+#: those that leaves it alone keeps warm loads serving stale values;
+#: ``TestBundle`` in ``tests/experiments/test_experiments.py`` checks
+#: the default-cache micro-4 bundle against a fresh build to catch
+#: that.
 BUNDLE_FORMAT = 1
 
 #: The arrays of a ProductParetoResult, stored as ``front.<name>``.
@@ -220,6 +222,20 @@ def _write_bundle(
         tmp.unlink(missing_ok=True)
 
 
+def _remove_unreadable_bundles(directory: Path) -> None:
+    """Delete every ``bundle_*.npz`` in ``directory`` no load can read.
+
+    Only files named for the current :data:`BUNDLE_FORMAT` are ever
+    read, so legacy names and other formats go.  Current-format files
+    under other keys stay (other platforms and space sizes read them),
+    and so do the temp files of writers still in flight.
+    """
+    readable = re.compile(rf"bundle_f{BUNDLE_FORMAT}_v\d+_[0-9a-f]{{16}}\.npz")
+    for path in directory.glob("bundle_*.npz"):
+        if not readable.fullmatch(path.name) and ".tmp" not in path.name:
+            path.unlink(missing_ok=True)
+
+
 def load_bundle(
     max_vertices: int = 5,
     cache_dir: Path | None = None,
@@ -230,15 +246,16 @@ def load_bundle(
     ``platform`` (a :class:`repro.hw.HardwarePlatform`) supplies the
     area/latency models and the configuration space; the default is
     the reference ``dac2020`` platform.  The bundle file under
-    ``cache_dir`` (default :func:`default_cache_dir`) is named after a
-    digest of :data:`BUNDLE_FORMAT`, ``max_vertices``, the CIFAR-10
-    skeleton, the surrogate's parameters and the platform's
-    ``cache_namespace()``, so differently built bundles never collide.
-    A warm load reads the cell table, latency matrix and front from
-    that file and writes nothing; any kind of miss rebuilds all three
-    (enumeration, featurization, the latency sweep and the front) and
-    rewrites the file.  Only the area vector is recomputed on every
-    load: it is one vectorized call.
+    ``cache_dir`` (default :func:`default_cache_dir`) is named after
+    :data:`BUNDLE_FORMAT`, ``max_vertices`` and a digest of those two,
+    the CIFAR-10 skeleton, the surrogate's parameters and the
+    platform's ``cache_namespace()``, so differently built bundles
+    never collide.  A warm load reads the cell table, latency matrix
+    and front from that file and writes nothing; any kind of miss
+    rebuilds all three (enumeration, featurization, the latency sweep
+    and the front), rewrites the file and deletes the bundle files no
+    load of this format can read.  Only the area vector is recomputed
+    on every load: it is one vectorized call.
     """
     platform = platform or default_platform()
     directory = Path(cache_dir or default_cache_dir())
@@ -253,7 +270,7 @@ def load_bundle(
     # path (tests/accelerator/test_area.py::TestBatchArea).
     area_mm2 = platform.batch_area_mm2(cols)
     key = _bundle_key(max_vertices, surrogate, platform)
-    path = directory / f"bundle_v{max_vertices}_{key[:16]}.npz"
+    path = directory / f"bundle_f{BUNDLE_FORMAT}_v{max_vertices}_{key[:16]}.npz"
     stored = _read_bundle(path, key, surrogate, space.size)
     if stored is not None:
         database, latency_ms, front = stored
@@ -271,6 +288,7 @@ def load_bundle(
         latency_ms = latency_ms.astype(np.float32).astype(np.float64)
         front = product_space_pareto(database.accuracies(), area_mm2, latency_ms)
         _write_bundle(path, key, database, latency_ms, front)
+        _remove_unreadable_bundles(directory)
 
     accuracy = database.accuracies()
     bounds = MetricBounds.from_arrays(area_mm2, latency_ms, accuracy)

@@ -27,8 +27,8 @@ Bit-identity: per-repeat seeds depend only on the master seed and the
 repeat index, evaluation is pure, and checkpoints resume exactly, so
 *which* worker runs a task — or how many times a task is re-issued —
 never changes its result.  ``backend="cluster"`` reproduces the
-serial goldens float for float (see
-``tests/integration/test_cluster_kill.py``).
+serial loop bit for bit, with or without a killed worker (the cluster
+cells of ``tests/integration/equivalence.py``).
 
 Eval cache: a worker runs each claimed task through the same
 :meth:`~repro.search.runner.RepeatJob.run` as the serial and process

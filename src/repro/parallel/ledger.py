@@ -42,8 +42,8 @@ On resume, ``run_grid`` loads ``done`` tasks instead of re-running
 them and restarts interrupted tasks from their last checkpoint;
 because evaluation is pure, the replayed batches reproduce exactly
 what the crashed process computed and the resumed grid is
-bit-identical to an uninterrupted one (see
-``tests/integration/test_kill_resume.py``).
+bit-identical to an uninterrupted one (the killed cells of
+``tests/integration/equivalence.py``).
 
 Every write is its own committed sqlite transaction, so a ``kill -9``
 can lose at most the work since the last checkpoint.  Connections are

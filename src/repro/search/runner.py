@@ -36,7 +36,7 @@ finish, in-flight searches checkpoint their strategy state every
 ``checkpoint_every`` batches, and re-running the same grid against the
 same ledger loads finished repeats and resumes interrupted ones from
 their last checkpoint — bit-identical to an uninterrupted run at the
-same batch size (see ``tests/integration/test_kill_resume.py``).
+same batch size (the killed cells of ``tests/integration/equivalence.py``).
 """
 
 from __future__ import annotations

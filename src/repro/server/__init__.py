@@ -19,8 +19,8 @@ modules:
 The durability contract: SIGKILL the server mid-study, boot a new one
 on the same state directory, and the study resumes from its ledger —
 finishing with outcomes bit-identical to an uninterrupted
-``repro study run`` of the same spec
-(``tests/server/test_server_e2e.py`` proves it).
+``repro study run`` of the same spec (the killed served cells of
+``tests/integration/equivalence.py``).
 """
 
 from repro.server.app import StudyServer

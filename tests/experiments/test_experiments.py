@@ -216,6 +216,28 @@ class TestBundle:
             assert sorted(stored.files) == sorted(members)
             assert stored["key"].item() == members["key"].item()
 
+    def test_rebuild_removes_only_unreadable_bundles(self, monkeypatch, tmp_path):
+        """A rebuild deletes the bundle files no load of this format reads."""
+        monkeypatch.setattr(common, "_BUNDLE_MEMO", {})
+        load_bundle(max_vertices=2, cache_dir=tmp_path)
+        (other_key,) = tmp_path.iterdir()  # current format, another key
+        kept = {other_key.name, "eval_cache.sqlite",
+                f"bundle_f{common.BUNDLE_FORMAT}_v3_{'0' * 16}.tmp1.npz"}
+        unreadable = {"bundle_v4_n91_h8640.npz", f"bundle_v3_{'0' * 16}.npz",
+                      f"bundle_f{common.BUNDLE_FORMAT + 1}_v3_{'0' * 16}.npz"}
+        for name in kept | unreadable:
+            (tmp_path / name).write_bytes(other_key.read_bytes())
+
+        # A warm load writes nothing, so it deletes nothing either.
+        monkeypatch.setattr(common, "_BUNDLE_MEMO", {})
+        load_bundle(max_vertices=2, cache_dir=tmp_path)
+        assert {path.name for path in tmp_path.iterdir()} == kept | unreadable
+
+        monkeypatch.setattr(common, "_BUNDLE_MEMO", {})
+        load_bundle(max_vertices=3, cache_dir=tmp_path)
+        (built,) = set(tmp_path.iterdir()) - {tmp_path / name for name in kept}
+        assert built.name.startswith(f"bundle_f{common.BUNDLE_FORMAT}_v3_")
+
     def test_default_cache_matches_a_fresh_build(self, micro4_bundle):
         """The stored micro-4 bundle holds what this code derives.
 

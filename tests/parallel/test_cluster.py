@@ -186,28 +186,6 @@ class TestClusterBackend:
                 num_steps=5, num_repeats=1, backend="cluster",
             )
 
-    def test_cluster_identical_to_serial(self, tmp_path, micro4_bundle):
-        jobs = two_job_grid(micro4_bundle)
-        serial = run_grid(jobs, num_steps=20, num_repeats=2, backend="serial")
-        cluster = run_grid(
-            jobs,
-            num_steps=20,
-            num_repeats=2,
-            backend="cluster",
-            workers=2,
-            ledger=tmp_path / "c.ledger",
-        )
-        assert set(serial) == set(cluster)
-        for label in serial:
-            for ra, rb in zip(serial[label].results, cluster[label].results):
-                assert np.array_equal(
-                    ra.reward_trace(), rb.reward_trace(), equal_nan=True
-                )
-                assert (ra.best is None) == (rb.best is None)
-                if ra.best is not None:
-                    assert ra.best.reward == rb.best.reward
-                    assert ra.best.spec.spec_hash() == rb.best.spec.spec_hash()
-
     def test_cluster_shares_eval_cache(self, tmp_path, micro4_bundle):
         from repro.parallel import EvalCache
 
@@ -223,33 +201,6 @@ class TestClusterBackend:
         )
         # Workers merged their deltas back into the shared store.
         assert len(cache) > 0
-
-    def test_cluster_counts_every_eval_cache_lookup(self, tmp_path, micro4_bundle):
-        # Forked workers hand their hit/miss counts to the coordinator,
-        # so a cluster run reports as many lookups as the serial run,
-        # and a warm re-run hits on every one of them.
-        from repro.parallel import EvalCache
-
-        serial = EvalCache()
-        run_grid(
-            two_job_grid(micro4_bundle), num_steps=15, num_repeats=2,
-            eval_cache=serial,
-        )
-        lookups = serial.hits + serial.misses
-        assert lookups > 0
-        for run in ("cold", "warm"):
-            cache = EvalCache(tmp_path / "ec.sqlite")
-            run_grid(
-                two_job_grid(micro4_bundle),
-                num_steps=15,
-                num_repeats=2,
-                backend="cluster",
-                workers=2,
-                ledger=tmp_path / f"{run}.ledger",
-                eval_cache=cache,
-            )
-            assert cache.hits + cache.misses == lookups, run
-        assert cache.stats["hit_rate"] == 1.0
 
     def test_execution_recorded_in_ledger(self, tmp_path, micro4_bundle):
         path = tmp_path / "c.ledger"

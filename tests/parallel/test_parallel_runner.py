@@ -1,4 +1,7 @@
-"""Tests for the parallel repeat engine: process == serial, warm starts."""
+"""Tests for the parallel repeat engine: cache rows and connections
+across forks, ledgered grids.  That every backend returns the serial
+loop's bits is the equivalence matrix's job
+(``tests/integration/equivalence.py``)."""
 
 import os
 
@@ -6,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.evaluator import build_evaluator
-from repro.core.scenarios import one_constraint, unconstrained
+from repro.core.scenarios import unconstrained
 from repro.core.search_space import JointSearchSpace
 from repro.core.study import replace_execution, run_study
 from repro.experiments.common import Scale
@@ -56,49 +59,7 @@ def assert_outcomes_identical(a, b):
             assert ra.best.spec.spec_hash() == rb.best.spec.spec_hash()
 
 
-class TestProcessEqualsSerial:
-    def test_repeats_identical(self, job):
-        serial = run_grid([job], **GRID, backend="serial")["job"]
-        process = run_grid([job], **GRID, backend="process", workers=4)["job"]
-        assert_outcomes_identical(serial, process)
-
-    def test_identical_with_shared_cache(self, job, tmp_path):
-        serial = run_grid([job], **GRID, backend="serial")["job"]
-        process = run_grid(
-            [job],
-            **GRID,
-            backend="process",
-            workers=2,
-            eval_cache=tmp_path / "ec.sqlite",
-        )["job"]
-        assert_outcomes_identical(serial, process)
-
-    def test_grid_parallelizes_independent_jobs(self, micro4_bundle):
-        space = JointSearchSpace(cell_encoding=micro4_bundle.cell_encoding)
-        jobs = []
-        for name, factory in (("u", unconstrained), ("c1", one_constraint)):
-            scenario = factory(micro4_bundle.bounds)
-            jobs.append(
-                RepeatJob(
-                    label=name,
-                    strategy_factory=lambda seed: RandomSearch(space, seed=seed),
-                    evaluator_factory=lambda sc=scenario: build_evaluator(
-                        "database",
-                        sc,
-                        bundle=micro4_bundle,
-                        platform=micro4_bundle.platform,
-                    ),
-                    cache_scenario=name,
-                )
-            )
-        serial = run_grid(jobs, num_steps=25, num_repeats=2, backend="serial")
-        process = run_grid(
-            jobs, num_steps=25, num_repeats=2, backend="process", workers=4
-        )
-        assert set(serial) == set(process) == {"u", "c1"}
-        for label in serial:
-            assert_outcomes_identical(serial[label], process[label])
-
+class TestGridArguments:
     def test_unknown_backend_rejected(self, job):
         with pytest.raises(ValueError):
             run_grid([job], **GRID, backend="gpu")
@@ -113,18 +74,6 @@ class TestProcessEqualsSerial:
 
 
 class TestWarmStarts:
-    def test_second_run_hits_cache(self, job, tmp_path):
-        path = tmp_path / "ec.sqlite"
-        cold = EvalCache(path)
-        first = run_grid([job], **GRID, eval_cache=cold)["job"]
-        assert len(cold) > 0
-
-        warm = EvalCache(path)
-        second = run_grid([job], **GRID, eval_cache=warm)["job"]
-        assert warm.stats["hit_rate"] > 0.0
-        assert warm.stats["misses"] == 0  # identical run => fully warm
-        assert_outcomes_identical(first, second)
-
     def test_workers_merge_rows_back(self, job, tmp_path):
         cache = EvalCache(tmp_path / "ec.sqlite")
         run_grid([job], **GRID, backend="process", workers=2, eval_cache=cache)
@@ -155,28 +104,6 @@ class TestWarmStarts:
         path = tmp_path / "ec.sqlite"
         run_grid([job], **GRID, eval_cache=path)
         assert len(EvalCache(path)) > 0
-
-
-class TestSearchStudyBackends:
-    def test_study_process_equals_serial(self, micro4_bundle, tmp_path):
-        tiny = Scale(name="tiny", search_steps=20, num_repeats=2, fig7_target_scale=0.05)
-        spec = replace_execution(
-            get_preset("search-study").with_overrides({"scenarios": ["unconstrained"]}),
-            master_seed=3,
-        )
-        serial = run_study(spec, bundle=micro4_bundle, scale=tiny)
-        process = run_study(
-            replace_execution(spec, backend="process", workers=4),
-            bundle=micro4_bundle,
-            scale=tiny,
-            eval_cache=tmp_path / "ec.sqlite",
-        )
-        for scenario in serial.outcomes:
-            for strategy in serial.outcomes[scenario]:
-                assert_outcomes_identical(
-                    serial.outcomes[scenario][strategy],
-                    process.outcomes[scenario][strategy],
-                )
 
 
 class _LoggedConnection:
@@ -223,101 +150,6 @@ def foreign_queries(log_path) -> list[str]:
     """Logged statements a process ran on a connection another opened."""
     lines = log_path.read_text().splitlines() if log_path.exists() else []
     return [line for line in lines if len(set(line.split())) != 1]
-
-
-def _matrix_spec(**execution):
-    return get_preset("search-study").with_overrides(
-        {
-            "strategies": [{"name": "random"}, {"name": "combined"}],
-            "scenarios": ["unconstrained"],
-            "execution.num_steps": 16,
-            "execution.num_repeats": 2,
-            **{f"execution.{key}": value for key, value in execution.items()},
-        }
-    )
-
-
-class TestBackendMatrix:
-    """Backends schedule work and never change it: in exact and
-    two-tier mode, at batch sizes 1 and 4, uninterrupted or resumed,
-    the process and cluster backends report exactly what the serial
-    loop reports."""
-
-    @pytest.mark.parametrize("batch_size", [1, 4])
-    @pytest.mark.parametrize("surrogate", [False, True], ids=["exact", "two-tier"])
-    def test_every_backend_matches_serial(
-        self, micro4_bundle, tmp_path, surrogate, batch_size
-    ):
-        from repro.core.study import outcome_summary
-
-        spec = replace_execution(
-            _matrix_spec(batch_size=batch_size),
-            surrogate=surrogate,
-            exact_fraction=0.5 if surrogate else None,
-        )
-        serial = outcome_summary(run_study(spec, bundle=micro4_bundle))
-        for backend in ("process", "cluster"):
-            result = run_study(
-                replace_execution(spec, backend=backend, workers=2),
-                bundle=micro4_bundle,
-                ledger=tmp_path / f"{backend}.ledger",
-            )
-            assert outcome_summary(result) == serial, backend
-
-    @pytest.mark.parametrize("backend", ["serial", "process", "cluster"])
-    def test_interrupted_run_resumes_to_serial(
-        self, micro4_bundle, tmp_path, monkeypatch, backend
-    ):
-        from repro.core.evaluator import CodesignEvaluator
-        from repro.core.study import outcome_summary
-        from repro.parallel import RunLedger
-
-        spec = _matrix_spec(checkpoint_every=2)
-        serial = outcome_summary(run_study(spec, bundle=micro4_bundle))
-
-        # Every task is 16 one-proposal batches.  The first process to
-        # pass 20 batches (mid-way through its second task) raises, once:
-        # the sentinel file is how forked workers learn it has happened.
-        sentinel = tmp_path / "interrupted"
-        batches = [0]
-        evaluate_batch = CodesignEvaluator.evaluate_batch
-
-        def interrupt_once(self, pairs):
-            batches[0] += 1
-            if batches[0] > 20:
-                try:
-                    sentinel.touch(exist_ok=False)
-                except FileExistsError:
-                    pass
-                else:
-                    raise RuntimeError("interrupted")
-            return evaluate_batch(self, pairs)
-
-        monkeypatch.setattr(CodesignEvaluator, "evaluate_batch", interrupt_once)
-        path = tmp_path / "run.ledger"
-        spec = replace_execution(
-            spec,
-            backend=backend,
-            workers=None if backend == "serial" else 2,
-            # A short lease lets the cluster re-issue the dead worker's
-            # task within the run.
-            backend_params=(
-                {"stale_after": 1.0, "heartbeat_every": 0.1, "poll_every": 0.05}
-                if backend == "cluster"
-                else None
-            ),
-        )
-        if backend == "cluster":
-            result = run_study(spec, bundle=micro4_bundle, ledger=path)
-            claims = [row["claims"] for row in RunLedger(path).task_lease_rows()]
-            assert 2 in claims  # the dead worker's task was re-issued
-        else:
-            with pytest.raises(RuntimeError, match="interrupted"):
-                run_study(spec, bundle=micro4_bundle, ledger=path)
-            assert 0 < RunLedger(path).progress()["done"] < 4
-            result = run_study(spec, bundle=micro4_bundle, ledger=path)
-        assert sentinel.exists()
-        assert outcome_summary(result) == serial
 
 
 class TestWorkerCacheForkGuard:

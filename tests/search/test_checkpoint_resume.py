@@ -6,9 +6,9 @@ fixed number of batches — exactly what a ``kill -9`` looks like to the
 strategy (state persisted at the last batch boundary, everything since
 lost).  Resume constructs a *fresh* strategy from the same factory and
 seed, restores the checkpoint through the ledger serializer (so the
-round-trip is part of the test), and replays to completion.  See
-``tests/integration/test_kill_resume.py`` for the real-SIGKILL,
-whole-grid version.
+round-trip is part of the test), and replays to completion.  The
+killed cells of ``tests/integration/equivalence.py`` are the
+real-SIGKILL, whole-study version.
 """
 
 from __future__ import annotations

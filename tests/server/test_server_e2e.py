@@ -1,13 +1,12 @@
 """End-to-end tests of the study server over real HTTP.
 
 The server runs as a real subprocess (``python -m repro serve``) on an
-ephemeral port, exactly as deployed.  The durability test is the
-headline: SIGKILL the runner *and* the server mid-study, prove the
-queue still says ``running``, boot a fresh server on the same state
-directory, and assert the resumed study's outcomes are bit-identical
-to an uninterrupted in-process ``run_study`` of the same spec.
+ephemeral port, exactly as deployed.  The durability contract (SIGKILL
+the server and the runner mid-study, resume on a fresh server, equal
+bits) is checked by the served cells of the equivalence matrix
+(``tests/integration/equivalence.py``).
 
-Studies are slowed to a killable pace through the server's
+A study is slowed to a cancellable pace through the server's
 ``--import`` plugin hook: a generated module registers a
 ``slow-surrogate`` accuracy source whose ``accuracy_fn`` sleeps per
 evaluation — values (and therefore outcomes) are untouched.
@@ -15,7 +14,6 @@ evaluation — values (and therefore outcomes) are untouched.
 
 from __future__ import annotations
 
-import importlib
 import os
 import signal
 import subprocess
@@ -25,16 +23,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.study import StudySpec, outcome_summary, run_study
+from repro.core.study import outcome_summary, run_study
 from repro.experiments.common import Scale
 from repro.experiments.presets import resolve_spec
-from repro.parallel.ledger import RunLedger
 from repro.server import ServerError, StudyClient
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
-#: The plugin the server imports into every runner (and the test
-#: imports in-process for the comparison run).
+#: The plugin the server imports into every runner.
 SLOW_SOURCE_PLUGIN = '''\
 """Test plugin: the surrogate accuracy source, slowed by a fixed delay."""
 
@@ -122,15 +118,6 @@ def kill_server(proc) -> None:
     except ProcessLookupError:
         pass
     proc.wait()
-
-
-def register_slow_source_locally(plugins_dir) -> None:
-    """Import the plugin in-process (for the comparison run_study)."""
-    sys.path.insert(0, str(plugins_dir))
-    try:
-        importlib.import_module("slow_source")
-    finally:
-        sys.path.remove(str(plugins_dir))
 
 
 class TestHTTPAPI:
@@ -235,67 +222,3 @@ class TestHTTPAPI:
         finally:
             kill_server(proc)
 
-
-class TestKillDurability:
-    def test_sigkill_mid_study_resumes_bit_identical(self, tmp_path, plugins_dir):
-        """The serving durability contract, end to end.
-
-        SIGKILL both the runner and the server once the study has
-        checkpointed real progress; the queue must still say
-        ``running`` (nobody recorded a terminal state), and a fresh
-        server on the same state directory must reclaim the stale
-        lease and resume from the per-study ledger — finishing with
-        outcomes bit-identical to an uninterrupted run of the same
-        spec.
-        """
-        spec_dict = slow_spec(delay_s=0.4, num_steps=8)
-        state = tmp_path / "state"
-        proc, url = start_server(state, plugins_dir, stale_after=2.0)
-        client = StudyClient(url)
-        study_id = client.submit(spec_dict)["id"]
-
-        # Wait for mid-flight: >= 2 checkpointed steps, well short of 8.
-        deadline = time.monotonic() + 60
-        runner_pid = None
-        while time.monotonic() < deadline:
-            doc = client.status(study_id)
-            steps = sum(
-                job["checkpointed_steps"]
-                for job in doc["progress"]["jobs"].values()
-            )
-            if doc["state"] == "running" and steps >= 2:
-                runner_pid = doc["pid"]
-                break
-            time.sleep(0.05)
-        assert runner_pid is not None, "study never reached mid-flight"
-        assert steps < 8, "study finished before it could be killed"
-        assert runner_pid != proc.pid  # the lease points at the runner
-
-        # Kill the server first (it must not get a chance to mark the
-        # study failed when the runner dies), then the runner's group.
-        kill_server(proc)
-        try:
-            os.killpg(runner_pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pytest.fail("runner exited early; the kill was not mid-study")
-
-        # Nothing recorded a terminal state: the row still says
-        # running, with a heartbeat that is now going stale.
-        row = RunLedger(state / "queue.sqlite").study(study_id)
-        assert row["state"] == "running"
-
-        # A fresh server on the same state dir reclaims and resumes.
-        proc2, url2 = start_server(state, plugins_dir, stale_after=2.0)
-        try:
-            final = StudyClient(url2).wait(study_id, timeout=120)
-            assert final["state"] == "done"
-
-            register_slow_source_locally(plugins_dir)
-            local = run_study(
-                StudySpec.from_dict(spec_dict), scale=Scale.named("smoke")
-            )
-            # Bit-identical: best_rewards are full-precision floats and
-            # JSON round-trips IEEE-754 doubles exactly.
-            assert final["result"]["outcomes"] == outcome_summary(local)
-        finally:
-            kill_server(proc2)
