@@ -10,9 +10,9 @@ do not cover:
   scenarios and seeds 0-2;
 * ``threshold/...``: the same two digests for the threshold schedule at
   batch 1 and 8 over a short two-rung schedule;
-* ``checkpoint/...``: the md5 of the ledger-encoded last checkpoint
-  (``repro.parallel.ledger._dumps`` of the strategy state, as
-  :class:`~repro.parallel.MemoryCheckpoint` stores it) for combined,
+* ``checkpoint/...``: the md5 of the last checkpoint's tagged JSON
+  (:func:`state_text` of the strategy state as
+  :class:`~repro.parallel.MemoryCheckpoint` loads it back) for combined,
   phase and separate at batch 1 and 4 -- policy weights, Adam moments
   and baselines byte for byte.  ``checkpoint/phase-cnn-only/...`` stops
   inside the first CNN phase, so its HW trainer has never updated;
@@ -55,6 +55,7 @@ from repro.core.study import build_study
 from repro.experiments.common import Scale, load_bundle
 from repro.experiments.fig7 import fig7_spec
 from repro.parallel import MemoryCheckpoint
+from repro.parallel.ledger import encode_state
 from repro.search.combined import CombinedSearch
 from repro.search.phase import PhaseSearch
 from repro.search.separate import SeparateSearch
@@ -96,16 +97,23 @@ FIG7_RUNGS = [ThresholdRung(2.0, 30, 60), ThresholdRung(16.0, 30, 60)]
 FIG7_CHECKPOINT_CASE = "fig7/b1/0"
 
 
+def state_text(state) -> str:
+    """The tagged JSON text of a saved state: what the ledger stored
+    for it up to schema version 2, whatever the snapshot codec."""
+    return json.dumps(encode_state(state), separators=(",", ":"))
+
+
 class SaveLog(MemoryCheckpoint):
-    """A :class:`MemoryCheckpoint` that keeps every blob it saves."""
+    """A :class:`MemoryCheckpoint` that keeps the text of every state it
+    saves, as :meth:`load` gives it back."""
 
     def __init__(self) -> None:
         super().__init__()
-        self.blobs: list[str] = []
+        self.texts: list[str] = []
 
     def save(self, state: dict) -> None:
         super().save(state)
-        self.blobs.append(self._blob)
+        self.texts.append(state_text(self.load()))
 
     def checkpoint(self, label: str, repeat: int) -> "SaveLog":
         """Stand in for a ledger: every task saves into this log."""
@@ -114,9 +122,9 @@ class SaveLog(MemoryCheckpoint):
     def digests(self) -> dict[str, str | int]:
         """The number of saves and the md5 over all of them, in order."""
         digest = hashlib.md5()
-        for blob in self.blobs:
-            digest.update(blob.encode() + b"\n")
-        return {"saves": len(self.blobs), "checkpoints": digest.hexdigest()}
+        for text in self.texts:
+            digest.update(text.encode() + b"\n")
+        return {"saves": len(self.texts), "checkpoints": digest.hexdigest()}
 
 
 def visit_digest(archive) -> str:
@@ -234,7 +242,8 @@ def run_case(name: str, bundle) -> dict[str, str | int]:
         STRATEGY_FACTORIES[strategy](space, 0).run(
             evaluator, steps, batch_size=int(batch[1:]), checkpoint=checkpoint
         )
-        return {"checkpoint": hashlib.md5(checkpoint._blob.encode()).hexdigest()}
+        text = state_text(checkpoint.load())
+        return {"checkpoint": hashlib.md5(text.encode()).hexdigest()}
     raise ValueError(f"unknown golden case {name!r}")
 
 

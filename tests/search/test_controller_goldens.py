@@ -5,8 +5,8 @@
 controller was packed into one parameter vector.  Every case is
 replayed through that script's :func:`run_case`, so the test and the
 generator cannot drift apart: reward traces, visited sequences and
-ledger-encoded checkpoints (weights, Adam moments, baselines) must
-match byte for byte.
+the tagged JSON of saved checkpoints (weights, Adam moments,
+baselines) must match byte for byte.
 """
 
 from __future__ import annotations
