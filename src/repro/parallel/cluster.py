@@ -47,6 +47,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import socket
+import sqlite3
 import threading
 import time
 from pathlib import Path
@@ -73,7 +74,14 @@ def _heartbeat_loop(
     ledger = RunLedger(path)
     try:
         while not stop.wait(every):
-            if not ledger.heartbeat_task(label, repeat, worker_id, time.time()):
+            try:
+                held = ledger.heartbeat_task(label, repeat, worker_id, time.time())
+            except sqlite3.OperationalError:
+                # The file stayed locked past the busy timeout: a missed
+                # tick.  Beat again on the next one, so the lease is
+                # lost only by going stale.
+                continue
+            if not held:
                 # Lease re-issued (we stalled past stale_after): the
                 # new holder owns the task now and record_done_leased
                 # will refuse our result.  Nothing left to keep alive.

@@ -34,9 +34,11 @@ layer behind ``run_grid(..., ledger=...)``:
 
 ``PRAGMA user_version`` versions the schema; opening an older file
 upgrades it in one transaction: a version-0 file gains the
-``worker``/``claims`` lease columns of ``studies``, and a version-0 or
+``worker``/``claims`` lease columns of ``studies``, a version-0 or
 version-1 file has every archive held inline in a result or a
-checkpoint moved into ``archive_rows``.
+checkpoint moved into ``archive_rows``, and every text snapshot of a
+version-0, -1 or -2 file becomes a binary one, so every load reads one
+format.  A file newer than this code is refused, not misread.
 
 On resume, ``run_grid`` loads ``done`` tasks instead of re-running
 them and restarts interrupted tasks from their last checkpoint;
@@ -46,7 +48,10 @@ bit-identical to an uninterrupted one (the killed cells of
 ``tests/integration/equivalence.py``).
 
 Every write is its own committed sqlite transaction, so a ``kill -9``
-can lose at most the work since the last checkpoint.  Connections are
+can lose at most the work since the last checkpoint.  The journal
+stays sqlite's default rollback journal: write-ahead logging saves
+little per save and does not work on network file systems, which a
+cluster of workers on machines sharing the file may use.  Connections are
 guarded by process id: a ledger object captured into a forked worker
 transparently opens its own connection instead of reusing the
 parent's (sqlite connections are not fork-safe), which lets serial
@@ -54,18 +59,26 @@ and process backends share one code path.  Concurrent writers (many
 workers, one parent) serialize on sqlite's file lock via
 ``busy_timeout``; tasks never contend on the same row.
 
-Serialization is tagged JSON: numpy arrays travel as base64-encoded
-raw bytes (bit-exact), and the library's value objects (specs,
-configs, metrics, archives, results) via their canonical dict forms.
-An archive row holds one entry's tagged JSON, with its ``reward`` and
-``feasible`` as columns so progress reports read best rewards without
-decoding a single entry.
+Serialization is tagged JSON: the library's value objects (specs,
+configs, metrics, archives, results) travel as their canonical dict
+forms, and floats as their shortest round-trip repr.  A snapshot (a
+checkpoint's state, a result without its archive's entries) is one
+BLOB: the tagged JSON skeleton, in which each numpy array is a
+reference (dtype, shape, byte offset), followed by the arrays' raw
+bytes, so a save copies the policy weights and optimizer moments
+instead of base64-encoding them into text.  An archive row holds one
+entry's tagged JSON text, with its ``reward`` and ``feasible`` as
+columns so progress reports read best rewards without decoding a
+single entry; the text is assembled from its spec's and config's
+tagged texts, which each object computes once and remembers.
 """
 
 from __future__ import annotations
 
 import base64
+import functools
 import json
+import math
 import os
 import sqlite3
 from contextlib import contextmanager
@@ -94,8 +107,10 @@ _BUSY_TIMEOUT_MS = 30_000
 #: ``PRAGMA user_version`` of the schema below.  Version 1 gave
 #: ``studies`` the lease columns of ``task_leases``: ``worker``, ``claims``.
 #: Version 2 moved archive entries out of ``tasks`` results and
-#: ``checkpoints`` snapshots into ``archive_rows``.
-_SCHEMA_VERSION = 2
+#: ``checkpoints`` snapshots into ``archive_rows``.  Version 3 stores
+#: results and checkpoints as binary snapshots (:func:`_dumps`), not
+#: text.
+_SCHEMA_VERSION = 3
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -106,7 +121,7 @@ CREATE TABLE IF NOT EXISTS tasks (
     label       TEXT NOT NULL,
     repeat      INTEGER NOT NULL,
     status      TEXT NOT NULL DEFAULT 'pending',
-    result      TEXT,
+    result      BLOB,
     archive_len INTEGER,
     PRIMARY KEY (label, repeat)
 );
@@ -114,7 +129,7 @@ CREATE TABLE IF NOT EXISTS checkpoints (
     label       TEXT NOT NULL,
     repeat      INTEGER NOT NULL,
     steps_done  INTEGER NOT NULL,
-    state       TEXT NOT NULL,
+    state       BLOB NOT NULL,
     archive_len INTEGER,
     PRIMARY KEY (label, repeat)
 );
@@ -171,21 +186,38 @@ class LedgerError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Tagged JSON state serialization
 # ---------------------------------------------------------------------------
-#
-# The value-object imports live inside the codec functions: the
-# evaluator layer imports ``repro.parallel`` (for EvalCache) while this
-# module serializes the evaluator layer's types, so importing them at
-# module scope would be circular.  ``sys.modules`` makes the per-call
-# import free after the first.
 
-def encode_state(obj: Any) -> Any:
+@functools.cache
+def _value_types() -> tuple[type, ...]:
+    """The value-object classes the codec handles, imported on first use
+    and then kept: the evaluator layer imports ``repro.parallel`` (for
+    EvalCache) while this module serializes the evaluator layer's
+    types, so importing them at module scope would be circular; and
+    the seven imports, run per call, cost more than encoding a config."""
+    from repro.accelerator.config import AcceleratorConfig
+    from repro.core.archive import ArchiveEntry, SearchArchive
+    from repro.core.metrics import Metrics
+    from repro.hw.charm import CharmConfig
+    from repro.nasbench.model_spec import ModelSpec
+    from repro.search.base import SearchResult
+    from repro.workloads.transformer import TransformerSpec
+
+    return (
+        ModelSpec, AcceleratorConfig, TransformerSpec, CharmConfig, Metrics,
+        ArchiveEntry, SearchArchive, SearchResult,
+    )
+
+
+def encode_state(obj: Any, arrays: bytearray | None = None) -> Any:
     """Turn a state value into a JSON-ready tagged structure.
 
     Bit-exact for floats (JSON's shortest-repr round-trips IEEE-754
-    doubles) and numpy arrays (raw little-endian bytes, base64).
-    Handles the search stack's value objects plus tuples and dicts
-    with non-string keys; rejects anything else loudly rather than
-    persisting a lossy approximation.
+    doubles) and numpy arrays (their raw bytes, base64).  With
+    ``arrays`` (the raw section of a snapshot, see :func:`_dumps`), an
+    array's bytes are appended there instead and its tagged form holds
+    their offset.  Handles the search stack's value objects plus tuples
+    and dicts with non-string keys; rejects anything else loudly rather
+    than persisting a lossy approximation.
     """
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
@@ -196,6 +228,17 @@ def encode_state(obj: Any) -> Any:
     if isinstance(obj, np.floating):
         return float(obj)
     if isinstance(obj, np.ndarray):
+        if obj.dtype.hasobject:
+            raise TypeError("cannot serialize an object array into a ledger")
+        if arrays is not None:
+            at = len(arrays)
+            arrays += obj.tobytes()
+            return {
+                "__t__": "raw",
+                "dtype": obj.dtype.str,
+                "shape": list(obj.shape),
+                "at": at,
+            }
         return {
             "__t__": "ndarray",
             "dtype": obj.dtype.str,
@@ -203,27 +246,25 @@ def encode_state(obj: Any) -> Any:
             "data": base64.b64encode(np.ascontiguousarray(obj).tobytes()).decode(),
         }
     if isinstance(obj, tuple):
-        return {"__t__": "tuple", "items": [encode_state(v) for v in obj]}
+        return {"__t__": "tuple", "items": [encode_state(v, arrays) for v in obj]}
     if isinstance(obj, list):
-        return [encode_state(v) for v in obj]
+        return [encode_state(v, arrays) for v in obj]
     if isinstance(obj, dict):
         if all(isinstance(k, str) for k in obj) and "__t__" not in obj:
-            return {k: encode_state(v) for k, v in obj.items()}
+            return {k: encode_state(v, arrays) for k, v in obj.items()}
         # Non-string keys (e.g. per-rung archives keyed by threshold)
         # or a literal "__t__" key: keep keys as tagged values.
         return {
             "__t__": "dict",
-            "items": [[encode_state(k), encode_state(v)] for k, v in obj.items()],
+            "items": [
+                [encode_state(k, arrays), encode_state(v, arrays)]
+                for k, v in obj.items()
+            ],
         }
     # Value objects last: the plain values above are the bulk of every
-    # state, and need not pay for these imports.
-    from repro.accelerator.config import AcceleratorConfig
-    from repro.core.archive import ArchiveEntry, SearchArchive
-    from repro.core.metrics import Metrics
-    from repro.hw.charm import CharmConfig
-    from repro.nasbench.model_spec import ModelSpec
-    from repro.search.base import SearchResult
-    from repro.workloads.transformer import TransformerSpec
+    # state.
+    (ModelSpec, AcceleratorConfig, TransformerSpec, CharmConfig, Metrics,
+     ArchiveEntry, SearchArchive, SearchResult) = _value_types()
 
     if isinstance(obj, ModelSpec):
         return {"__t__": "spec", "spec": obj.to_dict()}
@@ -265,36 +306,40 @@ def encode_state(obj: Any) -> Any:
             "strategy": obj.strategy,
             "scenario": obj.scenario,
             "archive": encode_state(obj.archive),
-            "extras": encode_state(obj.extras),
+            "extras": encode_state(obj.extras, arrays),
         }
     raise TypeError(f"cannot serialize {type(obj).__name__} into a ledger")
 
 
-def decode_state(obj: Any) -> Any:
-    """Inverse of :func:`encode_state`."""
+def decode_state(obj: Any, arrays: bytes | memoryview | None = None) -> Any:
+    """Inverse of :func:`encode_state`; ``arrays`` is the raw section
+    the ``"raw"`` array references point into.  Every array comes back
+    as a writable copy that shares no memory with ``arrays``."""
     if isinstance(obj, list):
-        return [decode_state(v) for v in obj]
+        return [decode_state(v, arrays) for v in obj]
     if not isinstance(obj, dict):
         return obj
     tag = obj.get("__t__")
     if tag is None:
-        return {k: decode_state(v) for k, v in obj.items()}
+        return {k: decode_state(v, arrays) for k, v in obj.items()}
+    if tag == "raw":
+        shape = obj["shape"]
+        return np.frombuffer(
+            arrays, np.dtype(obj["dtype"]), math.prod(shape), obj["at"]
+        ).reshape(shape).copy()
     if tag == "ndarray":
         data = base64.b64decode(obj["data"])
         return np.frombuffer(data, dtype=np.dtype(obj["dtype"])).reshape(
             obj["shape"]
         ).copy()
     if tag == "tuple":
-        return tuple(decode_state(v) for v in obj["items"])
+        return tuple(decode_state(v, arrays) for v in obj["items"])
     if tag == "dict":
-        return {decode_state(k): decode_state(v) for k, v in obj["items"]}
-    from repro.accelerator.config import AcceleratorConfig
-    from repro.core.archive import ArchiveEntry, SearchArchive
-    from repro.core.metrics import Metrics
-    from repro.hw.charm import CharmConfig
-    from repro.nasbench.model_spec import ModelSpec
-    from repro.search.base import SearchResult
-    from repro.workloads.transformer import TransformerSpec
+        return {
+            decode_state(k, arrays): decode_state(v, arrays) for k, v in obj["items"]
+        }
+    (ModelSpec, AcceleratorConfig, TransformerSpec, CharmConfig, Metrics,
+     ArchiveEntry, SearchArchive, SearchResult) = _value_types()
 
     if tag == "spec":
         return ModelSpec.from_dict(obj["spec"])
@@ -328,29 +373,110 @@ def decode_state(obj: Any) -> Any:
             strategy=obj["strategy"],
             scenario=obj["scenario"],
             archive=decode_state(obj["archive"]),
-            extras=decode_state(obj["extras"]),
+            extras=decode_state(obj["extras"], arrays),
         )
     raise ValueError(f"unknown state tag {tag!r}")
 
 
-def _dumps(obj: Any) -> str:
-    return json.dumps(encode_state(obj), separators=(",", ":"))
+#: ``json.dumps(value, separators=(",", ":"))``, without building an
+#: encoder per call.
+_json = json.JSONEncoder(separators=(",", ":")).encode
+#: Byte length of a snapshot's skeleton-length prefix.
+_HEAD = 8
 
 
-def _loads(text: str) -> Any:
-    return decode_state(json.loads(text))
+def _text(obj: Any) -> str:
+    """The tagged JSON text of ``obj``, as archive rows hold entries."""
+    return _json(encode_state(obj))
 
+
+def _dumps(obj: Any) -> bytes:
+    """A snapshot of ``obj``: the tagged JSON skeleton's byte length
+    (8 bytes, little-endian), the skeleton, then the raw bytes of its
+    arrays, each at the offset its reference names."""
+    arrays = bytearray()
+    skeleton = _json(encode_state(obj, arrays)).encode()
+    return b"".join((len(skeleton).to_bytes(_HEAD, "little"), skeleton, arrays))
+
+
+def _loads(blob: bytes) -> Any:
+    """Inverse of :func:`_dumps`."""
+    end = _HEAD + int.from_bytes(blob[:_HEAD], "little")
+    return decode_state(json.loads(blob[_HEAD:end]), memoryview(blob)[end:])
+
+
+# ---------------------------------------------------------------------------
+# Archive rows
+# ---------------------------------------------------------------------------
 
 _INSERT_ROWS = (
     "INSERT OR REPLACE INTO archive_rows"
     " (label, repeat, step, reward, feasible, entry) VALUES (?, ?, ?, ?, ?, ?)"
 )
 
+_ENTRY_TEXT = (
+    '{"__t__":"entry","step":%s,"spec":%s,"config":%s,"metrics":%s,'
+    '"reward":%s,"feasible":%s,"valid":%s,"phase":%s}'
+)
+_METRICS_TEXT = '{"__t__":"metrics","accuracy":%s,"latency_s":%s,"area_mm2":%s}'
 
-def _entry_row(key: tuple, step: int, tagged: dict) -> tuple:
-    """The ``archive_rows`` row of one entry, from its tagged form."""
-    text = json.dumps(tagged, separators=(",", ":"))
-    return (*key, step, tagged["reward"], tagged["feasible"], text)
+#: The attribute under which a spec or config remembers its tagged text.
+_TEXT_ATTR = "_ledger_text"
+
+
+def _scalar_text(value: Any) -> str:
+    """:func:`_text` of one scalar field, formatted directly for the
+    plain types (json.dumps writes a finite float as its repr)."""
+    kind = type(value)
+    if kind is float and math.isfinite(value) or kind is int:
+        return repr(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    return _text(value)  # numpy scalars, NaN and infinities
+
+
+def _object_text(obj: Any) -> str:
+    """:func:`_text` of a spec or config, computed once per object and
+    remembered on it.  The memo is the object, not a table keyed by it:
+    isomorphic specs compare equal but keep different original matrices,
+    and a table would outlive the objects (charm-u50 has 393k configs).
+    A ``__slots__`` object (``CharmConfig``) is encoded every time."""
+    memo = getattr(obj, "__dict__", None)
+    if memo is None:
+        return _text(obj)
+    text = memo.get(_TEXT_ATTR)
+    if text is None:
+        text = memo[_TEXT_ATTR] = _text(obj)
+    return text
+
+
+def _entry_row(key: tuple, step: int, entry: Any) -> tuple:
+    """The ``archive_rows`` row of one archive entry.
+
+    Its text is exactly :func:`_text` of the entry, assembled from the
+    remembered texts of its spec and config plus its scalar fields
+    formatted directly: the same bytes at a fraction of the cost.
+    """
+    metrics = entry.metrics
+    metrics_text = "null" if metrics is None else _METRICS_TEXT % (
+        _scalar_text(metrics.accuracy),
+        _scalar_text(metrics.latency_s),
+        _scalar_text(metrics.area_mm2),
+    )
+    reward, feasible = encode_state(entry.reward), encode_state(entry.feasible)
+    text = _ENTRY_TEXT % (
+        _scalar_text(entry.step),
+        _object_text(entry.spec),
+        _object_text(entry.config),
+        metrics_text,
+        _scalar_text(reward),
+        _scalar_text(feasible),
+        _scalar_text(entry.valid),
+        _json(entry.phase),
+    )
+    return (*key, step, reward, feasible, text)
 
 
 def _take_entries(holder: Any) -> list | None:
@@ -398,34 +524,36 @@ def _upgrade(db: sqlite3.Connection) -> None:
     never stamped after another process upgraded it is only stamped.
     Version 1 adds the lease columns of ``studies``.  Version 2 moves
     every archive held inline in a ``done`` result or a checkpoint
-    into ``archive_rows``, leaving an empty archive in the text and the
-    entry count in ``archive_len``: the texts and rows a version-2
-    write of the same values would have stored.
+    into ``archive_rows``, leaving an empty archive in the snapshot
+    and the entry count in ``archive_len``.  Version 3 turns every
+    text snapshot (one without ``archive_len`` first goes through the
+    version-2 step) into a binary one.  Together: the snapshots and
+    rows a version-3 write of the same values would have stored.
     """
     _add_columns(db, "studies", ("worker TEXT", "claims INTEGER NOT NULL DEFAULT 0"))
     _add_columns(db, "tasks", ("archive_len INTEGER",))
     _add_columns(db, "checkpoints", ("archive_len INTEGER",))
-    inline = (
+    snapshots = (
         ("tasks", "result", "status='done'", lambda value: value),
         ("checkpoints", "state", "1", lambda value: value.get("strategy")),
     )
-    for table, column, where, holder in inline:
-        for label, repeat, text in db.execute(
-            f"SELECT label, repeat, {column} FROM {table}"
-            f" WHERE archive_len IS NULL AND {where}"
+    for table, column, where, holder in snapshots:
+        for label, repeat, text, length in db.execute(
+            f"SELECT label, repeat, {column}, archive_len FROM {table}"
+            f" WHERE typeof({column})='text' AND {where}"
         ).fetchall():
             value = json.loads(text)
-            entries = _take_entries(holder(value))
-            if entries is None:
-                continue
-            db.executemany(
-                _INSERT_ROWS,
-                [_entry_row((label, repeat), step, e) for step, e in enumerate(entries)],
-            )
+            entries = _take_entries(holder(value)) if length is None else None
+            if entries is not None:
+                length = len(entries)
+                db.executemany(_INSERT_ROWS, [
+                    (label, repeat, step, e["reward"], e["feasible"], _json(e))
+                    for step, e in enumerate(entries)
+                ])
             db.execute(
                 f"UPDATE {table} SET {column}=?, archive_len=?"
                 " WHERE label=? AND repeat=?",
-                (json.dumps(value, separators=(",", ":")), len(entries), label, repeat),
+                (_dumps(decode_state(value)), length, label, repeat),
             )
     db.execute(f"PRAGMA user_version={_SCHEMA_VERSION}")
 
@@ -552,6 +680,14 @@ class RunLedger:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             conn = sqlite3.connect(self.path)
             conn.execute(f"PRAGMA busy_timeout={_BUSY_TIMEOUT_MS}")
+        version = conn.execute("PRAGMA user_version").fetchone()[0]
+        if version > _SCHEMA_VERSION:
+            conn.close()
+            raise LedgerError(
+                f"ledger {self.path} has schema version {version}, newer "
+                f"than this code's version {_SCHEMA_VERSION}; open it with "
+                "the code that wrote it"
+            )
         conn.executescript(_SCHEMA)
         conn.commit()
         if conn.execute("PRAGMA user_version").fetchone()[0] < _SCHEMA_VERSION:
@@ -641,7 +777,7 @@ class RunLedger:
     def _new_rows(self, key: tuple[str, int], archive) -> list[tuple]:
         start = self._stored.get(key, 0)
         return [
-            _entry_row(key, step, encode_state(entry))
+            _entry_row(key, step, entry)
             for step, entry in enumerate(archive.entries[start:], start)
         ]
 
@@ -662,7 +798,7 @@ class RunLedger:
                 f"holds {len(rows)}"
             )
         self._mark_stored(key, length)
-        return SearchArchive(entries=[_loads(row[0]) for row in rows])
+        return SearchArchive(entries=[decode_state(json.loads(row[0])) for row in rows])
 
     # -- task results ------------------------------------------------------
     def load_result(self, label: str, repeat: int) -> SearchResult | None:
@@ -685,18 +821,18 @@ class RunLedger:
         archive's entries, the rows not stored yet, the entry count."""
         from repro.core.archive import SearchArchive
 
-        text = _dumps(replace(result, archive=SearchArchive()))
-        return text, self._new_rows(key, result.archive), len(result.archive)
+        blob = _dumps(replace(result, archive=SearchArchive()))
+        return blob, self._new_rows(key, result.archive), len(result.archive)
 
     @staticmethod
     def _write_done(
-        db: sqlite3.Connection, key: tuple[str, int], text: str, rows: list, length: int
+        db: sqlite3.Connection, key: tuple[str, int], blob: bytes, rows: list, length: int
     ) -> None:
         db.executemany(_INSERT_ROWS, rows)
         db.execute(
             "INSERT OR REPLACE INTO tasks (label, repeat, status, result, archive_len)"
             " VALUES (?, ?, 'done', ?, ?)",
-            (*key, text, length),
+            (*key, blob, length),
         )
         db.execute("DELETE FROM checkpoints WHERE label=? AND repeat=?", key)
 
@@ -727,7 +863,7 @@ class RunLedger:
         if isinstance(archive, SearchArchive):
             state = {**state, "strategy": {**strategy, "archive": SearchArchive()}}
             rows, length = self._new_rows(key, archive), len(archive)
-        text = _dumps(state)
+        blob = _dumps(state)
         with _immediate(self._db()) as db:
             if db.execute(
                 "SELECT 1 FROM tasks WHERE label=? AND repeat=? AND status='done'",
@@ -739,7 +875,7 @@ class RunLedger:
                 "INSERT OR REPLACE INTO checkpoints"
                 " (label, repeat, steps_done, state, archive_len)"
                 " VALUES (?, ?, ?, ?, ?)",
-                (*key, int(state.get("steps_done", 0)), text, length),
+                (*key, int(state.get("steps_done", 0)), blob, length),
             )
         if length is not None:
             self._mark_stored(key, length)
@@ -1093,7 +1229,7 @@ class MemoryCheckpoint:
     """
 
     def __init__(self) -> None:
-        self._blob: str | None = None
+        self._blob: bytes | None = None
         self.saves = 0
 
     def load(self) -> dict | None:

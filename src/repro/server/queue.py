@@ -44,6 +44,7 @@ import json
 import os
 import signal
 import socket
+import sqlite3
 import subprocess
 import sys
 import threading
@@ -275,9 +276,14 @@ class StudyQueue:
         name = threading.current_thread().name
         worker = f"{socket.gethostname()}-{os.getpid()}-{name}"
         while not self._stop.is_set():
-            study_id = ledger.claim_study(
-                worker, os.getpid(), time.time(), self.stale_after
-            )
+            try:
+                study_id = ledger.claim_study(
+                    worker, os.getpid(), time.time(), self.stale_after
+                )
+            except sqlite3.OperationalError:
+                # The queue file stayed locked past the busy timeout:
+                # a missed poll, not a reason to end the worker.
+                study_id = None
             if study_id is None:
                 self._stop.wait(self.poll_every)
                 continue
@@ -287,8 +293,10 @@ class StudyQueue:
         """Spawn the runner for one study leased to ``worker``; shepherd it."""
         try:
             spec = StudySpec.from_dict(ledger.study(study_id)["spec"])
+        except sqlite3.OperationalError:
+            return  # a locked file: the lease goes stale and is re-claimed
         except Exception as err:  # hand-edited queue row; submit validated
-            with contextlib.suppress(LedgerError):
+            with contextlib.suppress(LedgerError, sqlite3.OperationalError):
                 ledger.fail_study(study_id, worker, f"invalid spec: {err}", time.time())
             return
         cmd = [
@@ -334,9 +342,15 @@ class StudyQueue:
             self._procs[study_id] = proc
         try:
             while True:
-                held = ledger.heartbeat_study(
-                    study_id, worker, time.time(), pid=proc.pid
-                )
+                try:
+                    held = ledger.heartbeat_study(
+                        study_id, worker, time.time(), pid=proc.pid
+                    )
+                except sqlite3.OperationalError:
+                    # A locked file is a missed tick: keep shepherding
+                    # the runner and beat again on the next one, so the
+                    # lease is lost only by going stale.
+                    held = True
                 if not held or self._stop.is_set():
                     # Refused: cancelled, or re-leased after this server
                     # went stale; the row is its new holder's.  On stop
@@ -359,12 +373,13 @@ class StudyQueue:
         # The runner exited on its own.  If it died without reporting
         # (segfault, OOM kill, unhandled exit), record the failure with
         # its log tail; a refusal means it did report, or another
-        # holder's word stands.
+        # holder's word stands.  A locked file leaves the lease to go
+        # stale and the study to be re-claimed.
         message = f"runner exited with code {proc.returncode}"
         tail = _log_tail(log_path)
         if tail:
             message += "\n" + tail
-        with contextlib.suppress(LedgerError):
+        with contextlib.suppress(LedgerError, sqlite3.OperationalError):
             ledger.fail_study(study_id, worker, message, time.time())
 
 

@@ -1,5 +1,9 @@
 """Tests for the ledger-leased cluster backend and its lease protocol."""
 
+import sqlite3
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -7,7 +11,7 @@ from repro.core.evaluator import build_evaluator
 from repro.core.scenarios import one_constraint, unconstrained
 from repro.core.search_space import JointSearchSpace
 from repro.parallel import RunLedger
-from repro.parallel.cluster import ClusterBackend, run_worker
+from repro.parallel.cluster import ClusterBackend, _heartbeat_loop, run_worker
 from repro.parallel.ledger import LedgerError
 from repro.search.random_search import RandomSearch
 from repro.search.runner import RepeatJob, run_grid
@@ -119,6 +123,38 @@ class TestLeaseProtocol:
         assert ledger.cluster_progress() == {
             "pending": 1, "leased": 1, "done": 1, "total": 3
         }
+
+    def test_heartbeat_survives_a_locked_file(self, ledger, monkeypatch):
+        # "database is locked" (the busy timeout ran out) is a missed
+        # tick: the heartbeat thread beats again instead of dying, so
+        # the lease is lost only by going stale.
+        ledger.seed_task_leases(self.TASKS[:1])
+        ledger.claim_task("w1", 1, now=100.0, stale_after=10.0)
+        beat, calls = RunLedger.heartbeat_task, []
+
+        def locked_once(self, *args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise sqlite3.OperationalError("database is locked")
+            return beat(self, *args)
+
+        monkeypatch.setattr(RunLedger, "heartbeat_task", locked_once)
+        stop = threading.Event()
+        thread = threading.Thread(
+            target=_heartbeat_loop, args=(ledger.path, "a", 0, "w1", 0.01, stop)
+        )
+        thread.start()
+        try:
+            deadline = time.monotonic() + 30
+            while ledger.task_lease_rows()[0]["heartbeat"] == 100.0:
+                assert thread.is_alive(), "the heartbeat thread ended"
+                assert time.monotonic() < deadline, "the heartbeat never advanced"
+                time.sleep(0.01)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert len(calls) >= 2
 
     def test_seed_marks_out_of_band_completions_done(self, ledger, small_result):
         # A task recorded outside the lease protocol (a serial resume of

@@ -1,8 +1,11 @@
 """Tests for the crash-safe run ledger and its state serialization."""
 
+import json
+import math
 import sqlite3
 from collections import Counter
 from contextlib import closing
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,9 +17,18 @@ from repro.core.metrics import Metrics
 from repro.core.scenarios import unconstrained
 from repro.core.search_space import JointSearchSpace
 from repro.nasbench.known_cells import resnet_cell
+from repro.nasbench.model_spec import ModelSpec
+from repro.nasbench.ops import INTERIOR_OPS
 from repro.parallel import LedgerError, MemoryCheckpoint, RunLedger
 from repro.parallel import ledger as ledger_module
-from repro.parallel.ledger import LedgerCheckpoint, decode_state, encode_state
+from repro.parallel.ledger import (
+    LedgerCheckpoint,
+    _dumps,
+    _entry_row,
+    _loads,
+    decode_state,
+    encode_state,
+)
 from repro.search.combined import CombinedSearch
 from repro.search.random_search import RandomSearch
 from repro.search.runner import RepeatJob, run_grid
@@ -119,6 +131,160 @@ class TestStateCodec:
         obj = {"__t__": "not-a-tag", "x": 1}
         assert roundtrip(obj) == obj
 
+    def test_object_arrays_rejected(self):
+        with pytest.raises(TypeError, match="object array"):
+            _dumps({"a": np.array([1, "x"], dtype=object)})
+
+
+def snapshot_arrays(rng) -> dict:
+    """Arrays of every layout a snapshot must carry bit for bit."""
+    base = rng.standard_normal((4, 6))
+    return {
+        "zero_d": np.array(2.5),
+        "empty": np.zeros((0, 3), dtype=np.int32),
+        "strided": base[::2, 1::2],
+        "fortran": np.asfortranarray(base),
+        "big_endian": base.astype(">f8"),
+        "bools": base > 0,
+    }
+
+
+def assert_same_arrays(got, expected) -> None:
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+class TestSnapshotCodec:
+    """``_dumps``/``_loads``: a tagged JSON skeleton, then raw array bytes."""
+
+    def test_arrays_of_every_layout_round_trip(self, rng):
+        arrays = snapshot_arrays(rng)
+        back = _loads(_dumps(arrays))
+        assert back.keys() == arrays.keys()
+        for name, array in arrays.items():
+            assert_same_arrays(back[name], array)
+
+    def test_arrays_nested_in_tuples_and_nonstring_keys(self, rng):
+        arrays = snapshot_arrays(rng)
+        state = {
+            "pair": (arrays["strided"], [arrays["zero_d"], 3]),
+            "by_rung": {2.0: arrays["big_endian"], 8.0: (arrays["empty"],)},
+        }
+        back = _loads(_dumps(state))
+        assert isinstance(back["pair"], tuple) and back["pair"][1][1] == 3
+        assert_same_arrays(back["pair"][0], arrays["strided"])
+        assert_same_arrays(back["pair"][1][0], arrays["zero_d"])
+        assert sorted(back["by_rung"]) == [2.0, 8.0]
+        assert_same_arrays(back["by_rung"][2.0], arrays["big_endian"])
+        assert_same_arrays(back["by_rung"][8.0][0], arrays["empty"])
+
+    def test_loaded_arrays_are_writable_copies(self, rng):
+        # Adam updates its moments in place after a resume.
+        blob = _dumps(snapshot_arrays(rng))
+        raw = np.frombuffer(blob, dtype=np.uint8)
+        for name, array in _loads(blob).items():
+            assert array.flags.writeable and array.flags.owndata, name
+            assert not np.shares_memory(array, raw), name
+
+    def test_skeleton_carries_no_array_bytes(self, rng):
+        weights = rng.standard_normal(1000)
+        blob = _dumps({"weights": weights, "steps_done": 3})
+        assert len(blob) < weights.nbytes + 200
+        assert weights.tobytes() in blob
+
+    def test_snapshot_decodes_to_the_tagged_json_state(self, rng, small_result):
+        # What the ledger stored before version 3, and the goldens hash.
+        state = {"arrays": snapshot_arrays(rng), "archive": small_result.archive,
+                 "result": small_result, "rng": np.random.default_rng(5)
+                 .bit_generator.state}
+        text = json.dumps(encode_state(state), separators=(",", ":"))
+        back = _loads(_dumps(state))
+        assert json.dumps(encode_state(back), separators=(",", ":")) == text
+
+
+def row_text(entry) -> str:
+    """An archive row's text as every version has stored it."""
+    return json.dumps(encode_state(entry), separators=(",", ":"))
+
+
+def assert_row_pinned(entry) -> None:
+    label, repeat, step, reward, feasible, text = _entry_row(("job", 1), 9, entry)
+    tagged = encode_state(entry)
+    assert (label, repeat, step) == ("job", 1, 9)
+    assert text == row_text(entry)
+    for column, value in ((reward, tagged["reward"]), (feasible, tagged["feasible"])):
+        assert type(column) is type(value)
+        assert column == value or (math.isnan(column) and math.isnan(value))
+
+
+class TestArchiveRowText:
+    """The row builder writes exactly the tagged JSON of its entry."""
+
+    @pytest.fixture
+    def entry(self, small_result):
+        return small_result.archive.entries[0]
+
+    def test_search_entries(self, small_result):
+        for entry in small_result.archive.entries:
+            assert_row_pinned(entry)
+
+    def test_missing_metrics_and_accuracy(self, entry):
+        assert_row_pinned(replace(entry, metrics=None, reward=None))
+        assert_row_pinned(replace(entry, metrics=replace(entry.metrics, accuracy=None)))
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf"), -0.0, 1e16, 5e-324]
+    )
+    def test_special_floats(self, entry, value):
+        # Latency and area must be positive, which NaN and +inf pass.
+        positive = value if not value <= 0 else 1.5
+        metrics = Metrics(accuracy=value, latency_s=positive, area_mm2=positive)
+        assert_row_pinned(replace(entry, metrics=metrics, reward=value))
+
+    @pytest.mark.parametrize(
+        "value", [np.float64(2.5), np.bool_(True), np.int64(3)],
+        ids=["float64", "bool_", "int64"],
+    )
+    @pytest.mark.parametrize(
+        "field",
+        ["step", "accuracy", "latency_s", "area_mm2", "reward", "feasible", "valid"],
+    )
+    def test_numpy_scalar_in_each_field(self, entry, field, value):
+        # NumPy 2 reprs these as np.float64(2.5): a row must not.
+        if field in ("accuracy", "latency_s", "area_mm2"):
+            entry = replace(entry, metrics=replace(entry.metrics, **{field: value}))
+        else:
+            entry = replace(entry, **{field: value})
+        assert_row_pinned(entry)
+
+    def test_transformer_and_charm_entries(self, entry):
+        from repro.hw.charm import CharmConfig
+        from repro.workloads import TransformerSpec
+
+        spec = TransformerSpec(depth=4, heads=4, hidden=256, ffn_ratio=4, seq_len=128)
+        config = CharmConfig(tile_m=32, tile_n=64, tile_k=16, num_accels=2,
+                             bitwidth=8)
+        assert_row_pinned(replace(entry, spec=spec, config=config))
+        assert_row_pinned(replace(entry, spec=spec, config=config))  # remembered
+
+    @pytest.mark.parametrize("phase", ["cnn-\u00e9t\u00e9", 'say "hw"\n', "", None])
+    def test_unusual_phase(self, entry, phase):
+        assert_row_pinned(replace(entry, phase=phase))
+
+    def test_texts_are_remembered_per_object(self, entry):
+        # Specs that prune to the same cell compare equal but keep
+        # different original matrices; each row carries its own.
+        conv, other = INTERIOR_OPS[:2]
+        cell = ModelSpec(np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]]),
+                         ("input", conv, "output"))
+        dangling = ModelSpec(
+            np.array([[0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]]),
+            ("input", conv, other, "output"),
+        )
+        assert cell == dangling and cell.to_dict() != dangling.to_dict()
+        for spec in (cell, dangling, cell, dangling):
+            assert_row_pinned(replace(entry, spec=spec))
+
 
 class TestRunLedger:
     def test_result_round_trip(self, tmp_path, small_result):
@@ -207,8 +373,8 @@ class TestArchiveRows:
         state = {"strategy": {"name": "random", "archive": archive}, "steps_done": 15}
         RunLedger(path).save_checkpoint("job", 0, state)
 
-        ((text, length),) = ledger_sql(path, "SELECT state, archive_len FROM checkpoints")
-        assert length == 15 and '"entry"' not in text
+        ((blob, length),) = ledger_sql(path, "SELECT state, archive_len FROM checkpoints")
+        assert length == 15 and b'"entry"' not in blob
         rows = ledger_sql(
             path, "SELECT step, reward, feasible FROM archive_rows ORDER BY step"
         )
@@ -222,8 +388,8 @@ class TestArchiveRows:
     def test_result_archive_lives_in_rows(self, tmp_path, small_result):
         path = tmp_path / "run.ledger"
         RunLedger(path).record_done("job", 0, small_result)
-        ((text, length),) = ledger_sql(path, "SELECT result, archive_len FROM tasks")
-        assert length == 15 and '"entry"' not in text
+        ((blob, length),) = ledger_sql(path, "SELECT result, archive_len FROM tasks")
+        assert length == 15 and b'"entry"' not in blob
         assert entries_equal(
             RunLedger(path).load_result("job", 0).archive, small_result.archive
         )
@@ -258,16 +424,16 @@ class TestArchiveRows:
     def test_each_entry_is_encoded_once(self, tmp_path, micro4_bundle, monkeypatch):
         # A batch-1 ledgered run: each save writes only the new entries
         # and a snapshot whose size does not grow with the archive, and
-        # recording the result encodes no entry again.
+        # recording the result builds no entry's row again.
         encoded = Counter()
-        encode = ledger_module.encode_state
+        build_row = ledger_module._entry_row
 
-        def counting(obj):
-            if isinstance(obj, ArchiveEntry):
-                encoded[obj.step] += 1
-            return encode(obj)
+        def counting(key, step, entry):
+            assert isinstance(entry, ArchiveEntry)
+            encoded[entry.step] += 1
+            return build_row(key, step, entry)
 
-        monkeypatch.setattr(ledger_module, "encode_state", counting)
+        monkeypatch.setattr(ledger_module, "_entry_row", counting)
         path = tmp_path / "run.ledger"
         snapshot_lengths = []
         save = LedgerCheckpoint.save
@@ -306,8 +472,18 @@ class TestArchiveRows:
 class TestMemoryCheckpoint:
     def test_save_takes_a_snapshot(self):
         checkpoint = MemoryCheckpoint()
-        state = {"strategy": {"name": "random", "values": [1, 2]}, "steps_done": 2}
+        moments = np.arange(4.0)
+        state = {
+            "strategy": {"name": "random", "values": [1, 2], "moments": moments},
+            "steps_done": 2,
+        }
         checkpoint.save(state)
         state["strategy"]["values"].append(3)  # later mutation must not leak
-        assert checkpoint.load()["strategy"]["values"] == [1, 2]
+        moments *= 10  # nor an in-place update of a saved array
+        loaded = checkpoint.load()
+        assert loaded["strategy"]["values"] == [1, 2]
+        assert np.array_equal(loaded["strategy"]["moments"], np.arange(4.0))
+        loaded["strategy"]["moments"] += 1  # nor a mutation of a loaded one
+        assert np.array_equal(checkpoint.load()["strategy"]["moments"], np.arange(4.0))
         assert checkpoint.saves == 1
+

@@ -5,28 +5,32 @@
 end.  These tests pin what the study queue gained from sharing it:
 heartbeats and terminal writes are owner-checked, a cancel through any
 server stops the runner, one timing rule guards both queues, and files
-written before the ``studies`` table had lease columns, or before
-archives moved into ``archive_rows``, still open, resume and finish.
+written before the ``studies`` table had lease columns, before
+archives moved into ``archive_rows``, or before snapshots became
+binary, still open, resume and finish.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import socket
 import sqlite3
 import time
 from contextlib import closing
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
+from repro.core.archive import SearchArchive
 from repro.core.evaluator import build_evaluator
 from repro.core.scenarios import one_constraint, unconstrained
 from repro.core.search_space import JointSearchSpace
 from repro.parallel.cluster import run_worker
-from repro.parallel.ledger import LedgerError, RunLedger, _dumps, encode_state
+from repro.parallel.ledger import LedgerError, RunLedger, encode_state
 from repro.parallel.worker import main as worker_main
 from repro.search.combined import CombinedSearch
 from repro.search.random_search import RandomSearch
@@ -100,6 +104,36 @@ def write_version_1(path, *statements) -> None:
         ("PRAGMA user_version=1", ()),
         *statements,
     )
+
+
+def write_version_2(path, *statements) -> None:
+    """A file as version 2 wrote it: each archive's entries are rows of
+    ``archive_rows``, and each result and checkpoint is a text snapshot
+    with an empty archive and its entry count in ``archive_len``."""
+    write_version_1(
+        path,
+        ("ALTER TABLE tasks ADD COLUMN archive_len INTEGER", ()),
+        ("ALTER TABLE checkpoints ADD COLUMN archive_len INTEGER", ()),
+        ("CREATE TABLE archive_rows (label TEXT NOT NULL, repeat INTEGER NOT NULL,"
+         " step INTEGER NOT NULL, reward REAL, feasible INTEGER NOT NULL,"
+         " entry TEXT NOT NULL, PRIMARY KEY (label, repeat, step))", ()),
+        ("PRAGMA user_version=2", ()),
+        *statements,
+    )
+
+
+def parent_text(value) -> str:
+    """A value as versions 0-2 stored a snapshot or an archive row."""
+    return json.dumps(encode_state(value), separators=(",", ":"))
+
+
+def version_2_rows(label: str, repeat: int, entries) -> list[tuple]:
+    """The ``archive_rows`` inserts a version-2 write of ``entries`` made."""
+    return [
+        ("INSERT INTO archive_rows VALUES (?, ?, ?, ?, ?, ?)",
+         (label, repeat, step, e.reward, e.feasible, parent_text(e)))
+        for step, e in enumerate(entries)
+    ]
 
 
 def user_version(path) -> int:
@@ -234,7 +268,7 @@ class TestParentWrittenFiles:
             ("st-old", json.dumps({"name": "old"}), "running", 0.0, 1.0, 4242, 1.0),
         ))
         ledger = RunLedger(path)
-        assert user_version(path) == 2
+        assert user_version(path) == 3
         row = ledger.study("st-old")
         assert (row["state"], row["spec"], row["worker"], row["claims"]) == (
             "running", {"name": "old"}, None, 0,
@@ -272,7 +306,7 @@ class TestParentWrittenFiles:
              " 1.0, 1)", ()),
         )
         ledger = RunLedger(path)
-        assert user_version(path) == 2
+        assert user_version(path) == 3
         assert run_worker(
             jobs, ledger, num_steps=10, num_repeats=2, worker_id="w",
             stale_after=5.0,
@@ -295,80 +329,12 @@ class TestParentWrittenFiles:
     def test_version_1_checkpoint_resumes_to_the_serial_outcome(
         self, tmp_path, micro4_bundle
     ):
-        space = JointSearchSpace(cell_encoding=micro4_bundle.cell_encoding)
-        job = RepeatJob(
-            label="combined",
-            strategy_factory=lambda seed: CombinedSearch(space, seed=seed),
-            evaluator_factory=lambda: build_evaluator(
-                "database", unconstrained(micro4_bundle.bounds),
-                bundle=micro4_bundle, platform=micro4_bundle.platform,
-            ),
-        )
-        num_steps, every = 30, 4
-        serial = run_grid([job], num_steps=num_steps, num_repeats=2)["combined"]
+        resume_parent_file(tmp_path, micro4_bundle, version=1)
 
-        class Capture:
-            """Snapshot texts as a version-1 ledger stored them."""
-
-            def __init__(self):
-                self.texts = {}
-
-            def load(self):
-                return None
-
-            def save(self, state):
-                self.texts[state["steps_done"]] = _dumps(state)
-
-        capture = Capture()
-        job.strategy_factory(hash_seed("repeat", 0, 1)).run(
-            job.evaluator_factory(), num_steps, checkpoint=capture,
-            checkpoint_every=every,
-        )
-        config = {
-            "num_steps": num_steps, "num_repeats": 2, "master_seed": 0,
-            "batch_size": 1, "labels": ["combined"], "context": {},
-        }
-        path = tmp_path / "run.ledger"
-        # Repeat 0 finished before the upgrade; repeat 1 is mid-run.
-        write_version_1(
-            path,
-            ("INSERT INTO meta VALUES ('run_config', ?)",
-             (json.dumps(config, sort_keys=True, separators=(",", ":")),)),
-            ("INSERT INTO tasks VALUES ('combined', 0, 'done', ?)",
-             (_dumps(serial.results[0]),)),
-            ("INSERT INTO checkpoints VALUES ('combined', 1, 12, ?)",
-             (capture.texts[12],)),
-        )
-        ledger = RunLedger(path)
-        assert user_version(path) == 2
-        with closing(sqlite3.connect(path)) as conn:
-            texts = conn.execute(
-                "SELECT result FROM tasks UNION ALL SELECT state FROM checkpoints"
-            ).fetchall()
-            rows = conn.execute(
-                "SELECT repeat, COUNT(*) FROM archive_rows GROUP BY repeat"
-            ).fetchall()
-        assert all('"entry"' not in text for (text,) in texts)
-        assert rows == [(0, num_steps), (1, 12)]
-        archive = ledger.load_checkpoint("combined", 1)["strategy"]["archive"]
-        assert np.array_equal(
-            archive.reward_trace(), serial.results[1].reward_trace()[:12]
-        )
-
-        resumed = run_grid(
-            [job], num_steps=num_steps, num_repeats=2, checkpoint_every=every,
-            ledger=ledger,
-        )["combined"]
-        for got, expected in zip(resumed.results, serial.results):
-            assert np.array_equal(got.reward_trace(), expected.reward_trace())
-            assert [(e.spec.to_dict(), e.config) for e in got.archive.entries] == [
-                (e.spec.to_dict(), e.config) for e in expected.archive.entries
-            ]
-        ledger.close()
-
-        finished = path.read_bytes()
-        RunLedger(path).close()
-        assert path.read_bytes() == finished
+    def test_version_2_checkpoint_resumes_to_the_serial_outcome(
+        self, tmp_path, micro4_bundle
+    ):
+        resume_parent_file(tmp_path, micro4_bundle, version=2)
 
     def test_concurrent_upgrade_only_stamps_the_version(self, tmp_path):
         # A second process opening a version-0 file after the first one
@@ -378,7 +344,117 @@ class TestParentWrittenFiles:
         with closing(sqlite3.connect(path)) as conn:
             conn.execute("PRAGMA user_version=0")
         RunLedger(path).close()
-        assert user_version(path) == 2
+        assert user_version(path) == 3
+
+    def test_a_newer_file_is_refused(self, tmp_path):
+        path = tmp_path / "run.ledger"
+        RunLedger(path).close()
+        with closing(sqlite3.connect(path)) as conn:
+            conn.execute("PRAGMA user_version=4")
+        written = path.read_bytes()
+        with pytest.raises(LedgerError, match="schema version 4.*version 3"):
+            RunLedger(path)
+        assert path.read_bytes() == written
+
+
+def resume_parent_file(tmp_path, bundle, version: int) -> None:
+    """Resume a run from a file as ``version`` wrote it, then check that
+    the upgrade stored version 3's snapshots and rows, that the resumed
+    grid equals a serial run, and that reopening changes no byte.
+
+    Repeat 0 finished before the upgrade; repeat 1 is mid-run, with a
+    checkpoint at step 12.
+    """
+    space = JointSearchSpace(cell_encoding=bundle.cell_encoding)
+    job = RepeatJob(
+        label="combined",
+        strategy_factory=lambda seed: CombinedSearch(space, seed=seed),
+        evaluator_factory=lambda: build_evaluator(
+            "database", unconstrained(bundle.bounds),
+            bundle=bundle, platform=bundle.platform,
+        ),
+    )
+    num_steps, every = 30, 4
+    serial = run_grid([job], num_steps=num_steps, num_repeats=2)["combined"]
+
+    class Capture:
+        """Each saved state, copied as it was at its save."""
+
+        def __init__(self):
+            self.states = {}
+
+        def load(self):
+            return None
+
+        def save(self, state):
+            self.states[state["steps_done"]] = copy.deepcopy(state)
+
+    capture = Capture()
+    job.strategy_factory(hash_seed("repeat", 0, 1)).run(
+        job.evaluator_factory(), num_steps, checkpoint=capture,
+        checkpoint_every=every,
+    )
+    config = {
+        "num_steps": num_steps, "num_repeats": 2, "master_seed": 0,
+        "batch_size": 1, "labels": ["combined"], "context": {},
+    }
+    meta = ("INSERT INTO meta VALUES ('run_config', ?)",
+            (json.dumps(config, sort_keys=True, separators=(",", ":")),))
+    done, state = serial.results[0], capture.states[12]
+    path = tmp_path / "run.ledger"
+    if version == 1:
+        write_version_1(
+            path, meta,
+            ("INSERT INTO tasks VALUES ('combined', 0, 'done', ?)",
+             (parent_text(done),)),
+            ("INSERT INTO checkpoints VALUES ('combined', 1, 12, ?)",
+             (parent_text(state),)),
+        )
+    else:
+        archive = state["strategy"]["archive"]
+        emptied = {**state, "strategy": {**state["strategy"],
+                                         "archive": SearchArchive()}}
+        write_version_2(
+            path, meta,
+            ("INSERT INTO tasks VALUES ('combined', 0, 'done', ?, ?)",
+             (parent_text(replace(done, archive=SearchArchive())), num_steps)),
+            *version_2_rows("combined", 0, done.archive.entries),
+            ("INSERT INTO checkpoints VALUES ('combined', 1, 12, ?, 12)",
+             (parent_text(emptied),)),
+            *version_2_rows("combined", 1, archive.entries),
+        )
+    ledger = RunLedger(path)
+    assert user_version(path) == 3
+    with closing(sqlite3.connect(path)) as conn:
+        snapshots = conn.execute(
+            "SELECT typeof(result), result FROM tasks"
+            " UNION ALL SELECT typeof(state), state FROM checkpoints"
+        ).fetchall()
+        rows = conn.execute(
+            "SELECT repeat, COUNT(*) FROM archive_rows GROUP BY repeat"
+        ).fetchall()
+    assert [kind for kind, _ in snapshots] == ["blob", "blob"]
+    assert all(b'"entry"' not in blob for _, blob in snapshots)
+    assert rows == [(0, num_steps), (1, 12)]
+    archive = ledger.load_checkpoint("combined", 1)["strategy"]["archive"]
+    assert np.array_equal(
+        archive.reward_trace(), serial.results[1].reward_trace()[:12]
+    )
+
+    resumed = run_grid(
+        [job], num_steps=num_steps, num_repeats=2, checkpoint_every=every,
+        ledger=ledger,
+    )["combined"]
+    for got, expected in zip(resumed.results, serial.results):
+        assert np.array_equal(got.reward_trace(), expected.reward_trace())
+        assert [(e.spec.to_dict(), e.config) for e in got.archive.entries] == [
+            (e.spec.to_dict(), e.config) for e in expected.archive.entries
+        ]
+    ledger.close()
+
+    finished = path.read_bytes()
+    RunLedger(path).close()
+    assert path.read_bytes() == finished
 
 
 class TestLeaseTiming:

@@ -9,6 +9,7 @@ covered end to end in ``test_server_e2e.py``.
 
 from __future__ import annotations
 
+import sqlite3
 import time
 from dataclasses import replace
 
@@ -257,6 +258,38 @@ class TestStudyQueue:
             for earlier, later in zip(rows, rows[1:])
         ]
         assert all(gap < 1.0 for gap in gaps), gaps
+
+    def test_worker_survives_a_locked_queue_file(self, tmp_path, monkeypatch):
+        # "database is locked" on a claim or a heartbeat is a missed
+        # tick: the worker thread claims again and keeps shepherding
+        # its runner, instead of dying and leaving the runner alone.
+        raised = []
+
+        def locked_once(method):
+            def call(self, *args, **kwargs):
+                if method.__name__ not in raised:
+                    raised.append(method.__name__)
+                    raise sqlite3.OperationalError("database is locked")
+                return method(self, *args, **kwargs)
+            return call
+
+        for name in ("claim_study", "heartbeat_study"):
+            monkeypatch.setattr(RunLedger, name, locked_once(getattr(RunLedger, name)))
+        queue = StudyQueue(tmp_path, poll_every=0.05)
+        spec = resolve_spec("smoke").with_overrides({"execution.num_steps": 2})
+        study_id = queue.submit(spec.to_dict())
+        queue.start()
+        try:
+            deadline = time.monotonic() + 120
+            while queue.status(study_id)["state"] in ("queued", "running"):
+                assert all(thread.is_alive() for thread in queue._threads)
+                assert time.monotonic() < deadline, "the study never finished"
+                time.sleep(0.05)
+            assert all(thread.is_alive() for thread in queue._threads)
+        finally:
+            queue.stop()
+        assert queue.status(study_id)["state"] == "done"
+        assert sorted(raised) == ["claim_study", "heartbeat_study"]
 
     def test_progress_reads_best_rewards_without_decoding(
         self, tmp_path, micro4_bundle, monkeypatch
